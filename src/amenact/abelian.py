@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import lattices
-from .errors import BudgetExceededError, GroupMismatchError, UnsupportedQuotientError
+from .errors import (
+    BudgetExceededError,
+    GroupMismatchError,
+    InconsistentSubgroupError,
+    UnsupportedQuotientError,
+)
 from .monoid import Monoid
 
 
@@ -521,7 +526,10 @@ class Subgroup:
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt
-        assert len(seen) == o
+        if len(seen) != o:
+            raise InconsistentSubgroupError(
+                f"closure has {len(seen)} elements but the lattice order is {o}"
+            )
         return seen
 
     def join(self, other: "Subgroup") -> "Subgroup":

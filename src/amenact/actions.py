@@ -22,6 +22,7 @@ from .abelian import (
     FreeZ,
     QuotientProjection,
     Subgroup,
+    _moduli_rows,
     ell_of_order,
     quotient_group,
     subgroup_as_group,
@@ -141,8 +142,8 @@ class MatrixEndo(Endomorphism):
         return MatrixEndo(self.group, prod)
 
     def determinant_unit(self) -> bool:
-        rows = [list(r) for r in self.rows]
-        return abs(_det(rows)) == 1
+        k = len(self.rows)
+        return lattices.hnf(self.rows, k) == [list(_unit(k, j)) for j in range(k)]
 
     def is_automorphism(self):
         if isinstance(self.group, FreeZ):
@@ -156,50 +157,22 @@ class MatrixEndo(Endomorphism):
         if isinstance(self.group, FreeZ):
             inv = lattices.unimodular_inverse([list(r) for r in self.rows])
             return MatrixEndo(self.group, tuple(tuple(r) for r in inv))
-        if self.group.order > 2**16:
-            raise BudgetExceededError("inversion beyond the enumeration bound")
-        k = len(self.group.factors)
+        # column j of the inverse solves M x = e_j modulo the factor orders
+        n = self.group.factors
+        k = len(n)
+        gens = [list(self.apply(_unit(k, j))) for j in range(k)] + _moduli_rows(n)
         cols = []
-        targets = {_unit(k, j): j for j in range(k)}
-        found = {}
-        for x in self.group.elements():
-            y = self.apply(x)
-            if y in targets and targets[y] not in found:
-                found[targets[y]] = x
-        if len(found) != k:
-            raise GroupMismatchError("endomorphism is not invertible")
         for j in range(k):
-            cols.append(found[j])
-        rows = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+            combo = lattices.express(gens, k, _unit(k, j))
+            if combo is None:
+                raise GroupMismatchError("endomorphism is not invertible")
+            cols.append(combo[:k])
+        rows = tuple(tuple(cols[j][i] % n[i] for j in range(k)) for i in range(k))
         return MatrixEndo(self.group, rows)
 
 
 def _unit(k, j):
     return tuple(int(i == j) for i in range(k))
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    from fractions import Fraction
-
-    a = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return int(det)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattices
-from .abelian import DirectSum, FiniteProduct, Subgroup, ell_of_order
+from .abelian import (
+    DirectSum,
+    FiniteProduct,
+    Subgroup,
+    _flatten,
+    _moduli_rows,
+    ell_of_order,
+)
 from .actions import Action, MatrixEndo, ShiftEndo, subgroup_trajectory
 from .errors import (
     BudgetExceededError,
@@ -25,9 +32,6 @@ from .errors import (
 from .folner import FolnerNet
 from .integral import IntegralEstimate, IntegralRow
 from .monoid import MSubset
-
-ANNIHILATOR_BOUND = 2**16
-
 
 @dataclass(frozen=True)
 class DualGroup:
@@ -55,17 +59,34 @@ class DualGroup:
         return total % lcm == 0
 
 
-def annihilator(b: Subgroup, bound: int = ANNIHILATOR_BOUND) -> Subgroup:
-    """B-perp = {chi : chi(B) = 0}, by exact enumeration of characters."""
+def _preimage(images, target_rows, dim: int) -> list[list[int]]:
+    """Rows spanning {x in Z^m : sum_j x_j images[j] in L}, m = len(images),
+    L the row lattice of ``target_rows`` in Z^dim: heads of kernel vectors."""
+    m = len(images)
+    return [c[:m] for c in lattices.kernel(images + target_rows, dim)]
+
+
+def _annihilator_basis(factors, gens) -> list[list[int]]:
+    """HNF basis (modulus rows included) of {chi : <g, chi> = 0 for all g}
+    in Z^d, d = len(factors), for flat generators of prod Z/factors[t]."""
+    d = len(factors)
+    lcm = math.lcm(*factors)
+    # <g, chi> = sum_t g_t chi_t / n_t mod 1 vanishes iff the weighted sum
+    # sum_t g_t chi_t (lcm / n_t) is 0 mod lcm: B-perp is the preimage of
+    # lcm * Z^gens under chi -> (weighted sums)
+    weighted = [[v * (lcm // n) for v, n in zip(g, factors)] for g in gens]
+    columns = [[row[t] for row in weighted] for t in range(d)]
+    sol_rows = _preimage(columns, _moduli_rows([lcm] * len(gens)), len(gens))
+    return lattices.hnf(sol_rows + _moduli_rows(factors), d)
+
+
+def annihilator(b: Subgroup) -> Subgroup:
+    """B-perp = {chi : chi(B) = 0}, as an integer-lattice kernel."""
     group = b.group
     if not isinstance(group, FiniteProduct):
         raise GroupMismatchError("annihilators are computed in finite products")
-    if group.order > bound:
-        raise BudgetExceededError(f"|A| = {group.order} exceeds the bound {bound}")
-    dual = DualGroup(group)
-    gens = b.gens
-    chis = [chi for chi in group.elements() if all(dual.pairing_is_zero(g, chi) for g in gens)]
-    return Subgroup.generated(group, chis)
+    basis = _annihilator_basis(group.factors, b.gens)
+    return Subgroup.generated(group, [tuple(r) for r in basis])
 
 
 def dual_endomorphism(phi: MatrixEndo) -> MatrixEndo:
@@ -91,19 +112,22 @@ def dual_action(alpha: Action) -> Action:
 
 
 def cotrajectory(gamma: Action, f_set: MSubset, u: Subgroup) -> Subgroup:
-    """C_F(gamma, U) = intersection of gamma(s)^{-1}(U) over s in F."""
+    """C_F(gamma, U) = intersection of gamma(s)^{-1}(U) over s in F.
+
+    Each gamma(s)^{-1}(U) is the preimage of U's lattice under the images
+    of the unit vectors.
+    """
     group = gamma.group
     if not isinstance(group, FiniteProduct):
         raise GroupMismatchError("use windowed cotrajectories on profinite spaces")
-    if group.order > ANNIHILATOR_BOUND:
-        raise BudgetExceededError("cotrajectory enumeration beyond the bound")
-    u_elems = u.elements()
-    kept = [
-        chi
-        for chi in group.elements()
-        if all(gamma.apply(s, chi) in u_elems for s in f_set.elements)
-    ]
-    return Subgroup.generated(group, kept)
+    k = len(group.factors)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    _, u_basis, _, _ = u._flat()
+    acc = [list(e) for e in units]
+    for s in f_set.elements:
+        images = [list(gamma.apply(s, e)) for e in units]
+        acc = lattices.intersect(acc, _preimage(images, u_basis, k), k)
+    return Subgroup.generated(group, [tuple(r) for r in acc])
 
 
 @dataclass
@@ -203,34 +227,9 @@ def annihilator_window(space: WindowedProfinite, b: Subgroup) -> OpenSubgroup:
     for c in support:
         if not space.contains_index(c):
             raise WindowEscapeError(f"support {c} is outside the window", element=c)
-    k = len(space.base.factors)
-    d = len(support) * k
-    factors = space.base.factors
-    lcm = 1
-    for n in factors:
-        lcm = lcm * n // math.gcd(lcm, n)
-    if not b.gens:
-        rows = [[factors[t % k] if j == t else 0 for j in range(d)] for t in range(d)]
-        return OpenSubgroup(space, support, tuple(tuple(r) for r in rows))
-    # chi is in the annihilator iff sum_i <b_i, chi_i> = 0 mod 1 for every
-    # generator b; with weights lcm/n_t this is an integer congruence mod lcm
-    pos = {i: t for t, i in enumerate(support)}
-    weight_rows = []
-    for g in b.gens:
-        row = [0] * d
-        for i, v in g:
-            at = pos[i] * k
-            for t in range(k):
-                row[at + t] = v[t] * (lcm // factors[t])
-        weight_rows.append(row)
-    g_count = len(weight_rows)
-    stacked = [row for row in zip(*weight_rows)]  # d rows of length g_count
-    stacked = [list(r) for r in stacked]
-    stacked += [[lcm if j == i else 0 for j in range(g_count)] for i in range(g_count)]
-    combos = lattices.kernel(stacked, g_count)
-    sol_rows = [c[:d] for c in combos]
-    sol_rows += [[factors[t % k] if j == t else 0 for j in range(d)] for t in range(d)]
-    basis = lattices.hnf(sol_rows, d)
+    factors = space.base.factors * len(support)
+    flat = [_flatten(group, g, support) for g in b.gens]
+    basis = _annihilator_basis(factors, flat)
     return OpenSubgroup(space, support, tuple(tuple(r) for r in basis))
 
 

@@ -70,5 +70,9 @@ class InvalidWitnessError(AmenactError):
     """A tiling witness failed the checks required before a derived test."""
 
 
+class InconsistentSubgroupError(AmenactError):
+    """A subgroup's enumerated closure disagrees with its lattice order."""
+
+
 class SchemaError(AmenactError):
     """A scenario file does not match the schema."""

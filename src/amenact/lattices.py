@@ -277,27 +277,13 @@ def express(rows, dim: int, vec):
 
 
 def unimodular_inverse(mat):
-    """Exact inverse of a unimodular integer matrix (given as rows)."""
-    from fractions import Fraction
+    """Exact inverse of a unimodular integer matrix (given as rows).
 
+    The HNF of a unimodular matrix is the identity, so the transform U with
+    U * mat = H = I is the inverse.
+    """
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for row in a:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(ints)
-    return out
+    h, u = hnf_with_transform(mat, n)
+    if any(h[i][j] != (i == j) for i in range(n) for j in range(n)):
+        raise ValueError("matrix is not unimodular")
+    return u

@@ -20,7 +20,11 @@ from amenact.abelian import (
     subgroup_join,
     subgroup_order,
 )
-from amenact.errors import GroupMismatchError, UnsupportedQuotientError
+from amenact.errors import (
+    GroupMismatchError,
+    InconsistentSubgroupError,
+    UnsupportedQuotientError,
+)
 from amenact.monoid import FreeAbelian, FreeCommutative
 
 Z = FreeZ(1)
@@ -147,6 +151,15 @@ def test_subgroup_elements_and_membership():
     assert not b.contains((1, 0))
 
 
+def test_subgroup_elements_refuses_a_wrong_lattice_order():
+    # the closure check survives python -O, unlike an assert
+    b = Subgroup.generated(FiniteProduct((4,)), [(2,)])
+    dim, basis, order, window = b._flat()
+    b._data = (dim, basis, order + 1, window)
+    with pytest.raises(InconsistentSubgroupError):
+        b.elements()
+
+
 # --- rel_ell ----------------------------------------------------------------
 
 
@@ -241,6 +254,21 @@ def test_quotient_projection_is_hom_with_right_kernel():
         for y in [(1, 1), (3, 2), (0, 5)]:
             assert proj(g.add(x, y)) == q.add(proj(x), proj(y))
         assert (proj(x) == q.zero) == b.contains(x)
+
+
+@pytest.mark.parametrize("group,gens", [
+    (FiniteProduct((4, 6)), [(2, 3)]),
+    (FiniteProduct((2, 4, 3)), [(1, 2, 0)]),
+    (FreeZ(2), [(2, 0), (1, 3)]),
+])
+def test_snf_quotient_section_is_a_right_inverse(group, gens):
+    q, proj = quotient_group(group, Subgroup.generated(group, gens))
+    assert proj.kind == "snf"
+    for t in q.elements():
+        x = proj.section(t)
+        assert proj(x) == t
+        if isinstance(group, FiniteProduct):
+            assert group.contains(x)
 
 
 # --- subgroup_as_group ------------------------------------------------------

@@ -111,6 +111,23 @@ def test_endo_power_table():
     assert alpha.apply((0,), (5,)) == (5,)
 
 
+@pytest.mark.parametrize("rows,unit", [
+    (((2, 1), (1, 1)), True),
+    (((0, 1), (1, 0)), True),
+    (((2, 0), (0, 1)), False),
+    (((1, 2), (2, 4)), False),
+])
+def test_free_matrix_automorphisms_and_inverses(rows, unit):
+    z2 = FreeZ(2)
+    phi = MatrixEndo(z2, rows)
+    assert phi.determinant_unit() == unit == phi.is_automorphism()
+    if unit:
+        assert phi.compose(phi.inverse()) == identity_endo(z2)
+    else:
+        with pytest.raises(ValueError):
+            phi.inverse()
+
+
 # --- trajectories -------------------------------------------------------------
 
 def test_doubling_trajectory_counts():

@@ -1,6 +1,7 @@
 """duality-bridge: pairings, annihilators, cotrajectories, the bridge."""
 
 import math
+import operator
 import random
 from itertools import product as iproduct
 
@@ -23,9 +24,10 @@ from amenact.duality import (
     subgroup_lattice,
     vanishing_subgroup,
 )
-from amenact.errors import WindowEscapeError
+from amenact.errors import GroupMismatchError, WindowEscapeError
 from amenact.folner import box_net
 from amenact.monoid import FiniteAbelianMonoid, FreeAbelian, FreeCommutative, MSubset
+from test_acceptance import _abelian_types
 
 N1 = FreeCommutative(1)
 Z1 = FreeAbelian(1)
@@ -301,3 +303,141 @@ def test_bridge_finite_monoid_finite_group():
     assert report.exact_at_every_index
     assert report.algebraic_tail == pytest.approx(math.log(8) / 2)
     assert report.topological_tail == pytest.approx(math.log(8) / 2)
+
+
+# --- enumeration oracles -------------------------------------------------------
+# The library solves annihilators, cotrajectories and finite-product inverses
+# as integer-lattice kernels; these oracles scan the whole group instead.
+
+
+def _enum_annihilator(b):
+    """{chi : <g, chi> = 0 for every generator g}, by scanning all characters."""
+    group = b.group
+    lcm = math.lcm(*group.factors)
+    chis = list(group.elements())
+    for g in b.gens:
+        weighted = [x * (lcm // n) for x, n in zip(g, group.factors)]
+        chis = [c for c in chis if sum(map(operator.mul, weighted, c)) % lcm == 0]
+    return set(chis)
+
+
+def _enum_cotrajectory(gamma, f_set, u):
+    """{chi : gamma(s) chi in U for every s in F}, by scanning all characters."""
+    u_elems = u.elements()
+    return {
+        chi
+        for chi in gamma.group.elements()
+        if all(gamma.apply(s, chi) in u_elems for s in f_set.elements)
+    }
+
+
+def _enum_inverse(phi):
+    """Rows of phi^-1 from the preimages of the unit vectors; None if there is none."""
+    k = len(phi.group.factors)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    found = {}
+    for x in phi.group.elements():
+        found.setdefault(phi.apply(x), x)
+    if any(e not in found for e in units):
+        return None
+    return tuple(tuple(found[units[j]][i] for j in range(k)) for i in range(k))
+
+
+def _all_subgroups(factors):
+    """(gens, elements) of every subgroup of prod Z/n_i, each exactly once.
+
+    Goursat on the first factor: a subgroup B is fixed by B' = B meet
+    (0 x rest), the image dZ/n of its first coordinate, and the coset
+    a + B' with (d, a) in B, which needs (n/d) a in B'.
+    """
+    if not factors:
+        return [((), frozenset({()}))]
+    n, rest = factors[0], factors[1:]
+    rest_elements = list(iproduct(*(range(m) for m in rest)))
+
+    def add(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, rest))
+
+    def mul(c, x):
+        return tuple((c * a) % m for a, m in zip(x, rest))
+
+    out = []
+    for gens, elems in _all_subgroups(rest):
+        reps, covered = [], set()
+        for a in rest_elements:
+            if a not in covered:
+                reps.append(a)
+                covered.update(add(a, h) for h in elems)
+        for d in range(1, n + 1):
+            if n % d:
+                continue
+            for a in reps:
+                if mul(n // d, a) not in elems:
+                    continue
+                new = frozenset(
+                    ((t * d) % n,) + add(mul(t, a), h) for t in range(n // d) for h in elems
+                )
+                out.append((((d % n,) + a,) + tuple((0,) + g for g in gens), new))
+    return out
+
+
+@pytest.mark.parametrize("factors", [(8,), (2, 4), (2, 2, 2), (3, 9), (2, 6), (4, 4)])
+def test_goursat_oracle_lists_the_subgroup_lattice(factors):
+    mine = sorted(sorted(elems) for _, elems in _all_subgroups(factors))
+    lattice = sorted(sorted(elems) for _, elems in subgroup_lattice(FiniteProduct(factors)))
+    assert mine == lattice
+
+
+def test_annihilator_matches_enumeration_on_every_group_of_order_64_or_less():
+    for factors in _abelian_types(64):
+        group = FiniteProduct(factors)
+        for gens, _ in _all_subgroups(factors):
+            b = Subgroup.generated(group, gens)
+            assert annihilator(b).elements() == _enum_annihilator(b), (factors, gens)
+
+
+@pytest.mark.parametrize("factors", [(8,), (2, 4), (2, 2, 2), (4, 4), (3, 9), (2, 6), (2, 2, 4)])
+def test_cotrajectory_matches_enumeration(factors):
+    g = FiniteProduct(factors)
+    rng = random.Random(f"cotrajectory:{factors}")
+    subs = _all_subgroups(factors)
+    for _ in range(5):
+        gamma = Action(N1, g, [random_endomorphism(g, rng)])
+        u = Subgroup.generated(g, subs[rng.randrange(len(subs))][0])
+        for k in range(1, 5):
+            f = ms(N1, [(i,) for i in range(k)])
+            assert cotrajectory(gamma, f, u).elements() == _enum_cotrajectory(gamma, f, u)
+
+
+@pytest.mark.parametrize("factors", [(8,), (2, 4), (2, 2, 2), (4, 4), (3, 9), (2, 6)])
+def test_inverse_matches_enumeration(factors):
+    g = FiniteProduct(factors)
+    rng = random.Random(f"inverse:{factors}")
+    seen = set()
+    for _ in range(30):
+        phi = random_endomorphism(g, rng)
+        expected = _enum_inverse(phi)
+        if expected is None:
+            with pytest.raises(GroupMismatchError, match="not invertible"):
+                phi.inverse()
+        else:
+            assert phi.inverse().rows == expected
+        seen.add(expected is None)
+    assert seen == {True, False}
+
+
+def test_duality_on_a_group_of_order_two_to_the_eighteen():
+    g = FiniteProduct((512, 512))
+    b = Subgroup.generated(g, [(2, 6), (0, 128)])
+    perp = annihilator(b)
+    assert b.order() * perp.order() == g.order
+    assert annihilator(perp).canonical_key() == b.canonical_key()
+    phi = MatrixEndo(g, ((3, 1), (5, 2)))
+    inv = phi.inverse()
+    for e in [(1, 0), (0, 1)]:
+        assert phi.apply(inv.apply(e)) == e == inv.apply(phi.apply(e))
+    rng = random.Random(512)
+    for endo in (phi, random_endomorphism(g, rng)):
+        alpha = Action(N1, g, [endo])
+        for k in range(1, 4):
+            assert ct_check(alpha, b, ms(N1, [(i,) for i in range(k)])).equal

@@ -128,3 +128,28 @@ def test_snf_projection_realizes_the_quotient(seed):
         left = project(tuple(a + b for a, b in zip(vec, other)))
         right = tuple((x + y) % d for x, y, d in zip(project(vec), project(other), diag))
         assert left == right
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_unimodular_inverse_of_elementary_products(seed):
+    rng = random.Random(4000 + seed)
+    dim = rng.randint(1, 4)
+    mat = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(8):
+        i, j = rng.sample(range(dim), 2) if dim > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-3, 3)
+            mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+        if rng.random() < 0.3:
+            mat[i] = [-a for a in mat[i]]
+    inv = lattices.unimodular_inverse(mat)
+    for left, right in ((inv, mat), (mat, inv)):
+        prod = [[sum(left[i][t] * right[t][j] for t in range(dim)) for j in range(dim)]
+                for i in range(dim)]
+        assert prod == [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+@pytest.mark.parametrize("mat", [[[2, 0], [0, 1]], [[1, 2], [2, 4]], [[3]], [[0]]])
+def test_unimodular_inverse_refuses_other_matrices(mat):
+    with pytest.raises(ValueError, match="not unimodular"):
+        lattices.unimodular_inverse(mat)
