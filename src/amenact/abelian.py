@@ -711,7 +711,7 @@ class QuotientProjection:
     source: AbelianGroup
     target: AbelianGroup
     kind: str  # 'snf' | 'drop' | 'percoord' | 'identity' | 'trivial'
-    data: tuple = ()
+    data: tuple = ()  # 'snf': (V, diag, kept, V^-1)
 
     def __call__(self, x):
         if self.kind == "identity":
@@ -719,7 +719,7 @@ class QuotientProjection:
         if self.kind == "trivial":
             return self.target.zero
         if self.kind == "snf":
-            v, diag, kept = self.data
+            v, diag, kept, _ = self.data
             img = [sum(x[i] * v[i][j] for i in range(len(x))) for j in range(len(x))]
             return tuple(img[j] % diag[j] for j in kept)
         if self.kind == "drop":
@@ -743,8 +743,7 @@ class QuotientProjection:
         if self.kind == "trivial":
             return self.source.zero
         if self.kind == "snf":
-            v, diag, kept = self.data
-            v_inv = lattices.unimodular_inverse([list(r) for r in v])
+            _, diag, kept, v_inv = self.data
             k = len(diag)
             full = [0] * k
             for pos, j in enumerate(kept):
@@ -771,6 +770,17 @@ class QuotientProjection:
         return Subgroup.generated(self.target, [self(x) for x in B.gens])
 
 
+def _snf_quotient(A: AbelianGroup, rows, k: int):
+    """Z^k / (row lattice of full rank) as a FiniteProduct, with its Smith
+    projection; the projection keeps the inverse transform for sections."""
+    diag, v = lattices.snf_diagonal(rows, k)
+    kept = tuple(j for j, d in enumerate(diag) if d != 1)
+    target = FiniteProduct(tuple(diag[j] for j in kept))
+    v_inv = lattices.unimodular_inverse(v)
+    data = (tuple(map(tuple, v)), tuple(diag), kept, tuple(map(tuple, v_inv)))
+    return target, QuotientProjection(A, target, "snf", data)
+
+
 def quotient_group(A: AbelianGroup, B: Subgroup):
     """The quotient A/B plus a coordinate projection, for supported shapes."""
     if B.group != A:
@@ -781,18 +791,12 @@ def quotient_group(A: AbelianGroup, B: Subgroup):
     if isinstance(A, FiniteProduct):
         k = len(A.factors)
         rows = [list(x) for x in B.gens] + _moduli_rows(A.factors)
-        diag, v = lattices.snf_diagonal(rows, k)
-        kept = tuple(j for j, d in enumerate(diag) if d != 1)
-        target = FiniteProduct(tuple(diag[j] for j in kept))
-        return target, QuotientProjection(A, target, "snf", (tuple(tuple(r) for r in v), tuple(diag), kept))
+        return _snf_quotient(A, rows, k)
 
     if isinstance(A, FreeZ):
         basis = lattices.hnf([list(x) for x in B.gens], A.rank)
         if len(basis) == A.rank:
-            diag, v = lattices.snf_diagonal(basis, A.rank)
-            kept = tuple(j for j, d in enumerate(diag) if d != 1)
-            target = FiniteProduct(tuple(diag[j] for j in kept))
-            return target, QuotientProjection(A, target, "snf", (tuple(tuple(r) for r in v), tuple(diag), kept))
+            return _snf_quotient(A, basis, A.rank)
         unit_cols = set()
         for row in basis:
             nz = [j for j, a in enumerate(row) if a]

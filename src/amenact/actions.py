@@ -3,9 +3,9 @@
 An action is defined by one endomorphism per canonical monoid generator;
 group families additionally require the generators to be automorphisms.
 Trajectory growth is computed exactly: elementwise for finite seed sets,
-through subgroup canonical forms (exact big-integer orders) for subgroup
-seeds, which is what keeps the box-scale checks of the addition and
-vanishing laws cheap.
+and for subgroup seeds through one modular echelon basis that grows along
+the net (exact big-integer orders), which is what keeps the box-scale
+checks of the addition and vanishing laws cheap.
 """
 
 from __future__ import annotations
@@ -571,6 +571,88 @@ def subgroup_trajectory(alpha: Action, f_set: MSubset, b: Subgroup) -> Subgroup:
     return Subgroup.generated(alpha.group, gens)
 
 
+class _GrowingTrajectory:
+    """T_F(alpha, B) for a finitely generated seed B of a FiniteProduct or
+    DirectSum, as one growing ``lattices.ModularEchelon``.
+
+    ``advance(F)`` inserts only the images alpha(s)(g) for s new since the
+    previous F, and starts over when the previous F is not inside F.  On a
+    DirectSum each index gets its block of columns when an image first
+    touches it, so earlier echelon rows stay valid.
+    """
+
+    def __init__(self, alpha: Action, seed: Subgroup):
+        if seed.group != alpha.group:
+            raise GroupMismatchError("subgroup lives in a different group")
+        self.alpha = alpha
+        self.seed = seed
+        self._reset()
+
+    def _reset(self):
+        group = self.alpha.group
+        if isinstance(group, DirectSum):
+            self._echelon = lattices.ModularEchelon()
+            self._pos = {}
+        else:
+            self._echelon = lattices.ModularEchelon(group.factors)
+        self._done = frozenset()
+
+    def advance(self, f_elements: frozenset):
+        if not self._done <= f_elements:
+            self._reset()
+        for s in sorted(f_elements - self._done):
+            endo = self.alpha.endo(s)
+            for g in self.seed.gens:
+                self._echelon.insert(self._flat(endo.apply(g), grow=True))
+        self._done = f_elements
+
+    def _flat(self, x, grow=False):
+        """Coordinates of x, or None when x leaves the columns (grow=False)."""
+        group = self.alpha.group
+        if not isinstance(group, DirectSum):
+            return x
+        factors = group.base.factors
+        k = len(factors)
+        pos = self._pos
+        for i, _ in x:
+            if i not in pos:
+                if not grow:
+                    return None
+                pos[i] = len(pos) * k
+                self._echelon.add_columns(factors)
+        out = [0] * self._echelon.dim
+        for i, v in x:
+            out[pos[i] : pos[i] + k] = v
+        return out
+
+    def order(self) -> int:
+        return self._echelon.order()
+
+    def contains(self, x) -> bool:
+        flat = self._flat(x)
+        return flat is not None and self._echelon.contains(flat)
+
+
+def _trajectory_orders(alpha: Action, seed: Subgroup, net: FolnerNet, prefix: int):
+    """Yield (F_i, |T_{F_i}(alpha, B)|) for i = 1..prefix.
+
+    Finitely generated seeds of finite products and direct sums share one
+    growing echelon basis along an increasing net; coordinatewise seeds
+    and free groups take ``subgroup_trajectory`` at every index.
+    """
+    growing = seed.kind == "fg" and isinstance(alpha.group, (FiniteProduct, DirectSum))
+    traj = None
+    for i in range(1, prefix + 1):
+        fi = net.subset(i)
+        if not growing:
+            yield fi, subgroup_trajectory(alpha, fi, seed).order()
+            continue
+        if traj is None or not net.increasing:
+            traj = _GrowingTrajectory(alpha, seed)
+        traj.advance(fi.elements)
+        yield fi, traj.order()
+
+
 # ---------------------------------------------------------------------------
 # entropy estimates
 
@@ -622,18 +704,7 @@ def h_alg_estimate(
     est = IntegralEstimate("h_alg")
     counts = []
     if isinstance(seed, Subgroup):
-        running = None
-        done_sets: frozenset = frozenset()
-        for i in range(1, prefix + 1):
-            fi = net.subset(i)
-            if net.increasing and running is not None and done_sets <= fi.elements:
-                extra = MSubset(alpha.monoid, fi.elements - done_sets)
-                if len(extra):
-                    running = running.join(subgroup_trajectory(alpha, extra, seed))
-            else:
-                running = subgroup_trajectory(alpha, fi, seed)
-            done_sets = fi.elements
-            order = running.order()
+        for i, (fi, order) in enumerate(_trajectory_orders(alpha, seed, net, prefix), start=1):
             counts.append(order)
             value = ell_of_order(order)
             est.rows.append(IntegralRow(i, len(fi), value, value / len(fi)))
@@ -681,9 +752,14 @@ def _window_certificate(alpha, seed: Subgroup, scale: int, cap: int = 4096):
         targets = set(group.window_elements(scale, cap))
     else:
         raise GroupMismatchError("certificates need torsion groups")
+    traj = _GrowingTrajectory(alpha, seed) if seed.kind == "fg" else None
     for m_scale in range(scale, 4 * scale + 5):
         f = alpha.monoid.window(m_scale)
-        t = subgroup_trajectory(alpha, f, seed)
+        if traj is None:
+            t = subgroup_trajectory(alpha, f, seed)
+        else:
+            traj.advance(f.elements)
+            t = traj
         if all(t.contains(x) for x in targets):
             return GeneratorCertificate(scale, m_scale, True)
     return GeneratorCertificate(scale, 4 * scale + 4, False)

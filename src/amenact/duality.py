@@ -22,7 +22,13 @@ from .abelian import (
     _moduli_rows,
     ell_of_order,
 )
-from .actions import Action, MatrixEndo, ShiftEndo, subgroup_trajectory
+from .actions import (
+    Action,
+    MatrixEndo,
+    ShiftEndo,
+    _trajectory_orders,
+    subgroup_trajectory,
+)
 from .errors import (
     BudgetExceededError,
     GroupMismatchError,
@@ -374,9 +380,7 @@ def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> Bri
     if isinstance(group, FiniteProduct):
         hat = dual_action(alpha)
         perp = annihilator(b)
-        for i in range(1, prefix + 1):
-            fi = net.subset(i)
-            order = subgroup_trajectory(alpha, fi, b).order()
+        for i, (fi, order) in enumerate(_trajectory_orders(alpha, b, net, prefix), start=1):
             cot = cotrajectory(hat, fi, perp)
             index = group.order // cot.order()
             exact = exact and order == index
@@ -394,9 +398,7 @@ def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> Bri
         space = WindowedProfinite(group.base, group.index, tuple(sorted(extent)))
         gamma = ProfiniteShiftAction(space, alpha.monoid)
         u = annihilator_window(space, b)
-        for i in range(1, prefix + 1):
-            fi = net.subset(i)
-            order = subgroup_trajectory(alpha, fi, b).order()
+        for i, (fi, order) in enumerate(_trajectory_orders(alpha, b, net, prefix), start=1):
             cot = cotrajectory_window(gamma, fi, u)
             index = cot.index_in_space()
             exact = exact and order == index
@@ -422,11 +424,16 @@ def subgroup_lattice(group: FiniteProduct, bound: int = 2**13):
     while frontier:
         nxt = []
         for elems, gens in frontier:
+            # <H, y> = <H, x> for every y in the coset x + H, so one x per
+            # coset suffices; the first one met keeps the generator order
+            covered = set(elems)
             for x in all_elements:
-                if x in elems:
+                if x in covered:
                     continue
-                new = set(elems)
-                shift = x
+                coset = {add(h, x) for h in elems}
+                covered |= coset
+                new = coset | elems
+                shift = add(x, x)
                 while shift not in elems:
                     new.update(add(h, shift) for h in elems)
                     shift = add(shift, x)

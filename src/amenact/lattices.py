@@ -276,6 +276,93 @@ def express(rows, dim: int, vec):
     return combo
 
 
+class ModularEchelon:
+    """A growing triangular basis of a full-rank lattice L <= Z^d that
+    contains m_j * e_j for every column j (the modular Hermite form of
+    Domich, Kannan and Trotter; Cohen, GTM 138, section 2.4).
+
+    Row j has its pivot p_j > 0 in column j and zeros before it; p_j
+    divides m_j, and every entry in column k is kept in [0, m_k), so no
+    entry outgrows the moduli.  ``order()`` is [L : M] = prod m_j / prod p_j
+    for M the lattice of the m_j * e_j: the order of L / M as a subgroup
+    of prod Z/m_j.  Columns are appended, never reordered, so rows stay
+    valid as the lattice grows.
+    """
+
+    def __init__(self, moduli=()):
+        self.moduli: list[int] = []
+        self.rows: list[list[int]] = []
+        self._moduli_product = 1
+        self._pivot_product = 1
+        self.add_columns(moduli)
+
+    @property
+    def dim(self) -> int:
+        return len(self.moduli)
+
+    def add_columns(self, moduli):
+        """Append columns; each new pivot row starts as m_j * e_j."""
+        moduli = [int(m) for m in moduli]
+        if any(m < 1 for m in moduli):
+            raise ValueError("moduli must be positive integers")
+        d, k = len(self.moduli), len(moduli)
+        for row in self.rows:
+            row.extend([0] * k)
+        for t, m in enumerate(moduli):
+            row = [0] * (d + k)
+            row[d + t] = m
+            self.rows.append(row)
+            self._moduli_product *= m
+            self._pivot_product *= m
+        self.moduli.extend(moduli)
+
+    def insert(self, vec):
+        """Add ``vec`` (length ``dim``) to the lattice."""
+        v = list(vec)
+        if len(v) != self.dim:
+            raise ValueError(f"expected a vector of length {self.dim}")
+        moduli, rows = self.moduli, self.rows
+        for j, m in enumerate(moduli):
+            x = v[j] % m
+            if not x:
+                continue
+            row = rows[j]
+            p = row[j]
+            tail = moduli[j + 1 :]
+            if x % p == 0:
+                q = x // p
+                v[j + 1 :] = [(a - q * b) % n for a, b, n in zip(v[j + 1 :], row[j + 1 :], tail)]
+                continue
+            # (row, v) -> (a*row + b*v, (p/g)*v - (x/g)*row): unimodular, and
+            # it clears v in column j while the pivot drops to g = gcd(p, x)
+            g, a, b = _ext_gcd(p, x)
+            pg, xg = p // g, x // g
+            rv, vv = row[j + 1 :], v[j + 1 :]
+            row[j] = g
+            row[j + 1 :] = [(a * r + b * w) % n for r, w, n in zip(rv, vv, tail)]
+            v[j + 1 :] = [(pg * w - xg * r) % n for r, w, n in zip(rv, vv, tail)]
+            self._pivot_product = self._pivot_product // p * g
+
+    def contains(self, vec) -> bool:
+        v = list(vec)
+        if len(v) != self.dim:
+            raise ValueError(f"expected a vector of length {self.dim}")
+        moduli = self.moduli
+        for j, m in enumerate(moduli):
+            x = v[j] % m
+            if not x:
+                continue
+            row = self.rows[j]
+            if x % row[j]:
+                return False
+            q = x // row[j]
+            v[j + 1 :] = [(a - q * b) % n for a, b, n in zip(v[j + 1 :], row[j + 1 :], moduli[j + 1 :])]
+        return True
+
+    def order(self) -> int:
+        return self._moduli_product // self._pivot_product
+
+
 def unimodular_inverse(mat):
     """Exact inverse of a unimodular integer matrix (given as rows).
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from amenact import lattices
 from amenact.abelian import (
     DirectSum,
     FiniteProduct,
@@ -269,6 +270,25 @@ def test_snf_quotient_section_is_a_right_inverse(group, gens):
         assert proj(x) == t
         if isinstance(group, FiniteProduct):
             assert group.contains(x)
+
+
+@pytest.mark.parametrize("group,gens", [
+    (FiniteProduct((4, 6)), [(2, 3)]),
+    (FreeZ(2), [(2, 0), (1, 3)]),
+])
+def test_snf_section_uses_the_inverse_cached_at_construction(group, gens, monkeypatch):
+    q, proj = quotient_group(group, Subgroup.generated(group, gens))
+    v, _, _, v_inv = proj.data
+    k = len(v)
+    prod = [[sum(v[i][t] * v_inv[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+    assert prod == [[int(i == j) for j in range(k)] for i in range(k)]
+
+    def refuse(mat):
+        raise AssertionError("section recomputed the inverse transform")
+
+    monkeypatch.setattr(lattices, "unimodular_inverse", refuse)
+    for t in q.elements():
+        assert proj(proj.section(t)) == t
 
 
 # --- subgroup_as_group ------------------------------------------------------

@@ -1,10 +1,13 @@
 """actions-entropy: trajectories, entropy tables, induced actions."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from amenact import cli
 from amenact.abelian import (
     DirectSum,
     FiniteProduct,
@@ -15,9 +18,11 @@ from amenact.abelian import (
 )
 from amenact.actions import (
     Action,
+    GeneratorCertificate,
     GroupIso,
     MatrixEndo,
     MonoidIso,
+    _window_certificate,
     addition_check,
     conjugate_action,
     ent_estimate,
@@ -32,8 +37,9 @@ from amenact.actions import (
     trajectory,
     trajectory_function,
 )
+from amenact.duality import random_endomorphism
 from amenact.errors import MonoidMismatchError, NotInvariantError
-from amenact.folner import box_net
+from amenact.folner import FolnerNet, box_net, translate_net
 from amenact.integral import sample_axioms
 from amenact.monoid import (
     FiniteAbelianMonoid,
@@ -421,3 +427,166 @@ def test_probe_zero_seed():
     alpha = m4_action()
     report = locally_nilpotent_probe(alpha, FiniteSubset.of(Z, [(0,)]), box_net(N1), 4)
     assert report.tail == 0.0
+
+
+# --- one growing echelon basis per net, against the former join path ------------
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+def join_path_counts(alpha, seed, net, prefix):
+    """Oracle: the former subgroup route of h_alg_estimate, which joined the
+    new images into a Subgroup and redid its HNF at every net index."""
+    running = None
+    done = frozenset()
+    counts = []
+    for i in range(1, prefix + 1):
+        fi = net.subset(i)
+        if net.increasing and running is not None and done <= fi.elements:
+            extra = MSubset(alpha.monoid, fi.elements - done)
+            if len(extra):
+                running = running.join(subgroup_trajectory(alpha, extra, seed))
+        else:
+            running = subgroup_trajectory(alpha, fi, seed)
+        done = fi.elements
+        counts.append(running.order())
+    return counts
+
+
+def window_certificate_oracle(alpha, seed, scale, cap=4096):
+    """Oracle: the former _window_certificate, one fresh trajectory per scale."""
+    group = alpha.group
+    if isinstance(group, FiniteProduct):
+        targets = set(group.elements())
+    else:
+        targets = set(group.window_elements(scale, cap))
+    for m_scale in range(scale, 4 * scale + 5):
+        t = subgroup_trajectory(alpha, alpha.monoid.window(m_scale), seed)
+        if all(t.contains(x) for x in targets):
+            return GeneratorCertificate(scale, m_scale, True)
+    return GeneratorCertificate(scale, 4 * scale + 4, False)
+
+
+def scenario_parts(name):
+    sc = cli.BUILTINS[name]
+    monoid = cli.parse_monoid(sc["monoid"])
+    group = cli.parse_group(sc["group"])
+    action = cli.parse_action(monoid, group, sc["action"])
+    return sc, monoid, group, action
+
+
+SUBGROUP_SEED_BUILTINS = sorted(
+    name for name, sc in cli.BUILTINS.items()
+    if sc["kind"] in ("entropy", "bridge") and "subgroup_basis" in sc.get("seed", {})
+)
+
+
+def test_subgroup_seed_builtins_are_covered():
+    assert {"bernoulli-one-sided", "quotient-vanishing", "bridge-bernoulli"} <= set(
+        SUBGROUP_SEED_BUILTINS
+    )
+
+
+@pytest.mark.parametrize("name", SUBGROUP_SEED_BUILTINS)
+def test_growing_basis_matches_join_path_on_builtins(name):
+    sc, monoid, group, action = scenario_parts(name)
+    seed = cli.parse_seed(group, sc["seed"])
+    net = cli.parse_net(monoid, sc["net"])
+    est = h_alg_estimate(action, seed, net, 12)
+    assert est.counts == join_path_counts(action, seed, net, 12)
+
+
+@pytest.mark.parametrize("factors", [(4, 6), (2, 4, 8), (9, 3), (12,), (2, 2, 2, 2)])
+def test_growing_basis_matches_join_path_on_finite_products(factors):
+    group = FiniteProduct(factors)
+    rng = random.Random(f"route:{factors}")
+    for _ in range(4):
+        alpha = Action(N1, group, [random_endomorphism(group, rng)])
+        gens = [tuple(rng.randrange(n) for n in factors) for _ in range(rng.randint(1, 2))]
+        seed = Subgroup.generated(group, gens)
+        est = h_alg_estimate(alpha, seed, box_net(N1), 12)
+        assert est.counts == join_path_counts(alpha, seed, box_net(N1), 12)
+
+
+def test_growing_basis_matches_join_path_on_a_two_generator_monoid():
+    group = FiniteProduct((4, 6))
+    phi = MatrixEndo(group, ((1, 2), (0, 5)))
+    alpha = Action(FreeCommutative(2), group, [phi, phi.compose(phi)])
+    seed = Subgroup.generated(group, [(1, 0)])
+    est = h_alg_estimate(alpha, seed, box_net(alpha.monoid), 6)
+    assert est.counts == join_path_counts(alpha, seed, box_net(alpha.monoid), 6)
+
+
+def fibonacci_shift():
+    base = FiniteProduct((6, 6))
+    group = DirectSum(base, Z1)
+    fib = MatrixEndo(base, ((0, 1), (1, 1)))
+    alpha = Action(Z1, group, [shift_endo(group, (1,), fib)])
+    seed = Subgroup.generated(group, [
+        group.element({(0,): (1, 0), (1,): (0, 1)}),
+        group.element({(0,): (2, 3), (2,): (1, 1)}),
+    ])
+    return alpha, seed
+
+
+def test_fibonacci_shift_matches_join_path_and_golden_counts():
+    alpha, seed = fibonacci_shift()
+    est = h_alg_estimate(alpha, seed, box_net(Z1), 40)
+    assert est.counts[:12] == join_path_counts(alpha, seed, box_net(Z1), 12)
+    golden = json.loads(GOLDEN.read_text())
+    assert est.counts == golden["fibonacci-shift@40"]["counts"]
+
+
+def test_growing_basis_on_translated_and_non_nested_nets():
+    alpha, seed = fibonacci_shift()
+    shifted = translate_net(box_net(Z1), ms(Z1, [(3,), (-2,)]))
+    assert h_alg_estimate(alpha, seed, shifted, 8).counts == join_path_counts(
+        alpha, seed, shifted, 8
+    )
+
+    def sliding(n):  # [n, 2n]: never nested, so every index starts over
+        return ms(Z1, [(i,) for i in range(n, 2 * n + 1)])
+
+    for increasing in (False, True):
+        net = FolnerNet(Z1, sliding, "sliding", increasing=increasing)
+        counts = h_alg_estimate(alpha, seed, net, 8).counts
+        assert counts == join_path_counts(alpha, seed, net, 8)
+        fresh = [subgroup_trajectory(alpha, sliding(n), seed).order() for n in range(1, 9)]
+        assert counts == fresh
+
+
+def test_percoord_and_free_seeds_keep_their_route():
+    alpha, group, two_a = klein_shift()
+    est = h_alg_estimate(alpha, two_a, box_net(Z1), 3)
+    assert est.counts == join_path_counts(alpha, two_a, box_net(Z1), 3)
+    z2 = FreeZ(2)
+    beta = Action(N1, z2, [MatrixEndo(z2, ((2, 1), (1, 1)))])
+    seed = Subgroup.generated(z2, [(1, 0)])
+    assert h_alg_estimate(beta, seed, box_net(N1), 4).counts == [math.inf] * 4
+
+
+def certificate_cases():
+    """(alpha, seed, scale, covered) for the ent_estimate cases above, two
+    seeds that never cover their window, and the addition builtin."""
+    (alpha, group) = shift_action((3,), Z1)
+    yield alpha, Subgroup.generated(group, [group.basis_vector((0,))]), 1, True
+    yield alpha, Subgroup.generated(group, [group.basis_vector((0,))]), 2, True
+    s = FiniteAbelianMonoid((2,))
+    a = FiniteProduct((8,))
+    yield Action(s, a, [scalar_endo(a, -1)]), Subgroup.full(a), 1, True
+    yield Action(s, a, [scalar_endo(a, -1)]), Subgroup.generated(a, [(2,)]), 1, False
+    (alpha4, group4) = shift_action((4,), Z1)
+    yield alpha4, Subgroup.generated(group4, [group4.basis_vector((0,), (2,))]), 1, False
+    sc, monoid, group, action = scenario_parts("addition-mod4")
+    b = cli.parse_seed(group, sc["subgroup"])
+    sub, quo, _ = quotient_and_sub_actions(action, b)
+    for act in (action, sub, quo):
+        yield act, cli._default_generator_subgroup(act.group), 1, True
+
+
+@pytest.mark.parametrize("alpha,seed,scale,covered", list(certificate_cases()))
+def test_window_certificates_unchanged(alpha, seed, scale, covered):
+    cert = _window_certificate(alpha, seed, scale)
+    assert cert == window_certificate_oracle(alpha, seed, scale)
+    assert cert.covered == covered
+

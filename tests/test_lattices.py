@@ -153,3 +153,77 @@ def test_unimodular_inverse_of_elementary_products(seed):
 def test_unimodular_inverse_refuses_other_matrices(mat):
     with pytest.raises(ValueError, match="not unimodular"):
         lattices.unimodular_inverse(mat)
+
+
+# --- the growing modular echelon basis ----------------------------------------
+
+ENGINE_MODULI = [1, 2, 4, 6, 12, 9, 2 * 3 * 5]
+
+
+def _oracle_basis(inserted, moduli):
+    """HNF of the inserted rows (zero-padded to the current width) plus the
+    modulus rows, as ``Subgroup`` builds it."""
+    d = len(moduli)
+    rows = [list(r) + [0] * (d - len(r)) for r in inserted]
+    rows += [[m if i == j else 0 for j in range(d)] for i, m in enumerate(moduli)]
+    return lattices.hnf(rows, d)
+
+
+def _oracle_order(inserted, moduli):
+    full = 1
+    for m in moduli:
+        full *= m
+    d = len(moduli)
+    return full // lattices.lattice_index(_oracle_basis(inserted, moduli), d) if d else 1
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_modular_echelon_matches_hnf_at_every_step(seed):
+    rng = random.Random(5000 + seed)
+    engine = lattices.ModularEchelon()
+    inserted = []
+    for _ in range(rng.randint(4, 14)):
+        if engine.dim == 0 or rng.random() < 0.3:
+            engine.add_columns([rng.choice(ENGINE_MODULI) for _ in range(rng.randint(1, 2))])
+        else:
+            vec = [rng.randint(-40, 40) if rng.random() < 0.6 else 0 for _ in range(engine.dim)]
+            engine.insert(vec)
+            inserted.append(vec)
+        assert engine.order() == _oracle_order(inserted, engine.moduli)
+        for j, (row, m) in enumerate(zip(engine.rows, engine.moduli)):
+            assert not any(row[:j]) and m % row[j] == 0
+            assert all(0 <= a < n for a, n in zip(row[j + 1 :], engine.moduli[j + 1 :]))
+        basis = _oracle_basis(inserted, engine.moduli)
+        for _ in range(6):
+            vec = [rng.randint(-30, 30) for _ in range(engine.dim)]
+            assert engine.contains(vec) == lattices.contains(basis, vec)
+        if inserted:
+            # an integer combination of inserted rows is always inside
+            combo = [0] * engine.dim
+            for row in rng.sample(inserted, min(3, len(inserted))):
+                c = rng.randint(-3, 3)
+                for j, a in enumerate(row):
+                    combo[j] += c * a
+            assert engine.contains(combo)
+
+
+def test_modular_echelon_empty_and_unit_moduli():
+    engine = lattices.ModularEchelon()
+    assert engine.dim == 0 and engine.order() == 1
+    engine.add_columns([1, 1])
+    engine.insert([5, -7])
+    assert engine.order() == 1 and engine.contains([3, 4])
+    engine.add_columns([4])
+    assert engine.order() == 1 and not engine.contains([0, 0, 1])
+    engine.insert([0, 0, 2])
+    assert engine.order() == 2 and engine.contains([0, 0, 6])
+
+
+def test_modular_echelon_refuses_bad_input():
+    engine = lattices.ModularEchelon([2, 3])
+    with pytest.raises(ValueError):
+        engine.insert([1])
+    with pytest.raises(ValueError):
+        engine.contains([1, 2, 3])
+    with pytest.raises(ValueError):
+        engine.add_columns([0])
