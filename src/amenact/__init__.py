@@ -41,7 +41,6 @@ from .actions import (
     MatrixEndo,
     MonoidIso,
     ShiftEndo,
-    action_from_generators,
     addition_check,
     conjugate_action,
     ent_estimate,

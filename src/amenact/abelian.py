@@ -333,10 +333,6 @@ class FiniteSubset:
     def __contains__(self, x):
         return x in self.elements
 
-    @property
-    def contains_zero(self) -> bool:
-        return self.group.zero in self.elements
-
     def with_zero(self) -> "FiniteSubset":
         return FiniteSubset(self.group, self.elements | {self.group.zero})
 

@@ -43,6 +43,7 @@ from .monoid import (
     ProductMonoid,
     SemidirectZZ,
 )
+from .tables import csv_table
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +243,13 @@ class ShiftEndo(Endomorphism):
         return ShiftEndo(self.group, tuple(-a for a in self.shift), inv_base)
 
 
-@dataclass(frozen=True)
-class _IdentityEndo(Endomorphism):
-    group: AbelianGroup
-
-    def apply(self, x):
-        return x
-
-    def apply_set(self, xs):
-        return xs
-
-    def compose(self, other):
-        return other
-
-    def is_automorphism(self):
-        return True
-
-    def inverse(self):
-        return self
-
-
 def identity_endo(group) -> Endomorphism:
     if isinstance(group, DirectSum):
         return ShiftEndo(group, (0,) * group.index.dim, None)
     if isinstance(group, (FreeZ, FiniteProduct)):
         k = group.rank if isinstance(group, FreeZ) else len(group.factors)
         return MatrixEndo(group, tuple(_unit(k, j) for j in range(k)))
-    return _IdentityEndo(group)
+    raise GroupMismatchError("identity endomorphisms act on flat groups and direct sums")
 
 
 def scalar_endo(group, a: int) -> Endomorphism:
@@ -302,10 +283,6 @@ class Action:
         self._cache = {}
         if validate:
             self._validate()
-
-    @classmethod
-    def from_generators(cls, monoid, group, gen_endos) -> "Action":
-        return cls(monoid, group, gen_endos)
 
     def _validate(self):
         gens = self.monoid.generators()
@@ -353,11 +330,6 @@ class Action:
 
     def __repr__(self):
         return f"Action({self.monoid} on {self.group})"
-
-
-def action_from_generators(monoid, group, gen_endos) -> Action:
-    """Validated action from one endomorphism per canonical generator."""
-    return Action(monoid, group, gen_endos)
 
 
 def _generator_order(monoid, g):
@@ -484,16 +456,7 @@ def trajectory(
         raise GroupMismatchError("X lives in a different group")
     if not x.elements:
         raise ValueError("the seed set must be nonempty")
-    group = alpha.group
-    acc = None
-    for s in sorted(f_set.elements):
-        img = alpha.apply_set(s, x.elements)
-        acc = img if acc is None else group.sumset(acc, img)
-        if len(acc) > budget:
-            raise BudgetExceededError(
-                f"trajectory exceeded {budget} elements", completed=s
-            )
-    return FiniteSubset(group, acc)
+    return FiniteSubset(alpha.group, _IncrementalTrajectory(alpha, x, budget).advance(f_set))
 
 
 class _IncrementalTrajectory:
@@ -506,7 +469,9 @@ class _IncrementalTrajectory:
         self._last_f = frozenset()
         self._last_t = None
 
-    def counts_for(self, f_set: MSubset) -> int:
+    def advance(self, f_set: MSubset) -> frozenset:
+        """The elements of T_F(X), summing only the images for s new since
+        the previous F when that F lies inside this one."""
         group = self.alpha.group
         if self._last_t is not None and self._last_f <= f_set.elements:
             acc = self._last_t
@@ -523,7 +488,7 @@ class _IncrementalTrajectory:
                 )
         self._last_f = f_set.elements
         self._last_t = acc
-        return len(acc)
+        return acc
 
 
 def trajectory_function(
@@ -533,7 +498,7 @@ def trajectory_function(
     inc = _IncrementalTrajectory(alpha, x, budget)
     return SetFunction(
         alpha.monoid,
-        lambda f: math.log(inc.counts_for(f)),
+        lambda f: math.log(len(inc.advance(f))),
         f"traj({len(x)} pts)",
         probe=False,
     )
@@ -675,15 +640,11 @@ class EntropyEstimate:
         return self.estimate.oscillation
 
     def to_csv(self) -> str:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        w = _csv.writer(buf)
-        w.writerow(["index", "size", "count", "ratio"])
-        for row, count in zip(self.estimate.rows, self.counts):
-            w.writerow([row.index, row.size, count, repr(float(row.ratio))])
-        return buf.getvalue()
+        rows = (
+            [row.index, row.size, count, repr(float(row.ratio))]
+            for row, count in zip(self.estimate.rows, self.counts)
+        )
+        return csv_table("index,size,count,ratio", rows)
 
 
 def h_alg_estimate(
@@ -701,24 +662,23 @@ def h_alg_estimate(
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
+    if isinstance(seed, Subgroup):
+        pairs = _trajectory_orders(alpha, seed, net, prefix)
+        seed_label = "subgroup"
+    elif isinstance(seed, FiniteSubset):
+        inc = _IncrementalTrajectory(alpha, seed, budget)
+        subsets = map(net.subset, range(1, prefix + 1))
+        pairs = ((fi, len(inc.advance(fi))) for fi in subsets)
+        seed_label = f"set({len(seed)})"
+    else:
+        raise GroupMismatchError("seed must be a FiniteSubset or a Subgroup")
     est = IntegralEstimate("h_alg")
     counts = []
-    if isinstance(seed, Subgroup):
-        for i, (fi, order) in enumerate(_trajectory_orders(alpha, seed, net, prefix), start=1):
-            counts.append(order)
-            value = ell_of_order(order)
-            est.rows.append(IntegralRow(i, len(fi), value, value / len(fi)))
-        return EntropyEstimate(est, counts, "subgroup", net.label)
-    if not isinstance(seed, FiniteSubset):
-        raise GroupMismatchError("seed must be a FiniteSubset or a Subgroup")
-    inc = _IncrementalTrajectory(alpha, seed, budget)
-    for i in range(1, prefix + 1):
-        fi = net.subset(i)
-        count = inc.counts_for(fi)
+    for i, (fi, count) in enumerate(pairs, start=1):
         counts.append(count)
-        value = math.log(count)
+        value = ell_of_order(count)
         est.rows.append(IntegralRow(i, len(fi), value, value / len(fi)))
-    return EntropyEstimate(est, counts, f"set({len(seed)})", net.label)
+    return EntropyEstimate(est, counts, seed_label, net.label)
 
 
 @dataclass

@@ -6,8 +6,9 @@ Usage:
     amenact list
     amenact describe <kind>
 
-Exit codes: 0 all checks pass; 1 a check failed; 2 schema error; 3 budget
-exceeded.  Scenario files are JSON; unknown keys are rejected.
+Exit codes: 0 all checks pass; 1 a check failed; 2 schema error, bad option
+or construction error; 3 budget exceeded.  Scenario files are JSON; unknown
+keys are rejected.
 """
 
 from __future__ import annotations
@@ -32,7 +33,16 @@ from .actions import (
     trajectory_function,
 )
 from .duality import annihilator, bridge_check, subgroup_lattice
-from .errors import AmenactError, BudgetExceededError, SchemaError
+from .errors import (
+    AmenactError,
+    BudgetExceededError,
+    GroupMismatchError,
+    MonoidMismatchError,
+    NotInvariantError,
+    SchemaError,
+    UndecidableFamilyError,
+    UnsupportedQuotientError,
+)
 from .folner import (
     box_net,
     canonical_net,
@@ -53,8 +63,10 @@ from .monoid import (
     find_good_section,
     mod_hom,
     projection_hom,
+    sym_diff_ratio,
 )
 from .scenarios import BUILTINS
+from .tables import csv_table
 
 KINDS = (
     "folner-verify",
@@ -86,6 +98,16 @@ _KIND_KEYS = {
 
 class CheckFailure(AmenactError):
     pass
+
+
+# a well-formed scenario that describes no valid action, subgroup or quotient
+_CONSTRUCTION_ERRORS = (
+    GroupMismatchError,
+    MonoidMismatchError,
+    NotInvariantError,
+    UndecidableFamilyError,
+    UnsupportedQuotientError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +401,13 @@ def _run_fubini(sc, prefix, budget):
         f, pi, sigma, s_net, c_net, None, prefix,
         c_prefix=sc.get("c_prefix"), n_prefix=sc.get("n_prefix"),
     )
-    lines = ["side,index,size,value,ratio"]
-    for tag, est in (("S", report.left), ("C", report.right)):
-        for r in est.rows:
-            lines.append(f"{tag},{r.index},{r.size},{r.value!r},{r.ratio!r}")
-    lines.append(f"difference,,,,{report.difference!r}")
-    return "\n".join(lines) + "\n", {"report": report}
+    rows = [
+        [tag, r.index, r.size, repr(r.value), repr(r.ratio)]
+        for tag, est in (("S", report.left), ("C", report.right))
+        for r in est.rows
+    ]
+    rows.append(["difference", "", "", "", repr(report.difference)])
+    return csv_table("side,index,size,value,ratio", rows, "\n"), {"report": report}
 
 
 def _run_addition(sc, prefix, budget):
@@ -400,17 +423,20 @@ def _run_addition(sc, prefix, budget):
         _default_generator_subgroup(sub.group),
         _default_generator_subgroup(quo.group),
     )
-    lines = ["index,size,count_total,count_sub,count_quotient,product_exact"]
-    rows = zip(
-        report.total.estimate.estimate.rows,
-        report.total.estimate.counts,
-        report.sub.estimate.counts,
-        report.quotient.estimate.counts,
+    rows = [
+        [row.index, row.size, ct, cs, cq, ct == cs * cq]
+        for row, ct, cs, cq in zip(
+            report.total.estimate.estimate.rows,
+            report.total.estimate.counts,
+            report.sub.estimate.counts,
+            report.quotient.estimate.counts,
+        )
+    ]
+    rows.append(
+        ["values", "", "", repr(report.total.value), repr(report.sub.value), repr(report.quotient.value)]
     )
-    for row, ct, cs, cq in rows:
-        lines.append(f"{row.index},{row.size},{ct},{cs},{cq},{ct == cs * cq}")
-    lines.append(f"values,,,{report.total.value!r},{report.sub.value!r},{report.quotient.value!r}")
-    return "\n".join(lines) + "\n", {"report": report}
+    header = "index,size,count_total,count_sub,count_quotient,product_exact"
+    return csv_table(header, rows, "\n"), {"report": report}
 
 
 def _default_generator_subgroup(group):
@@ -439,12 +465,12 @@ def _run_bridge(sc, prefix, budget):
 def _run_semidirect(sc, prefix, budget):
     element = tuple(int(x) for x in sc["element"])
     values = []
-    lines = ["n,m,defect"]
+    rows = []
     for n, m in sc["pairs"]:
         delta = semidirect_defect(int(n), int(m), element, budget)
         values.append((int(n), int(m), delta))
-        lines.append(f"{n},{m},{float(delta)!r}")
-    return "\n".join(lines) + "\n", {"values": values}
+        rows.append([n, m, repr(float(delta))])
+    return csv_table("n,m,defect", rows, "\n"), {"values": values}
 
 
 def _run_tiling(sc, prefix, budget):
@@ -464,12 +490,10 @@ def _run_tiling(sc, prefix, budget):
         return "status\nno-witness\n", {"ok": False, "why": "greedy pass missed the bound"}
     report = check_tiling(region, witness, eps)
     rem = remtil_check(region, witness, eps)
-    lines = [
-        "d,u,b,disjoint,within,inside,covers,mass,reciprocal_gap_ok",
-        f"{report.d},{report.u},{report.b},{report.disjoint},{report.within},"
-        f"{report.inside},{report.covers},{report.mass},{rem}",
-    ]
-    return "\n".join(lines) + "\n", {"ok": report.ok and rem}
+    header = "d,u,b,disjoint,within,inside,covers,mass,reciprocal_gap_ok"
+    row = [report.d, report.u, report.b, report.disjoint, report.within,
+           report.inside, report.covers, report.mass, rem]
+    return csv_table(header, [row], "\n"), {"ok": report.ok and rem}
 
 
 def _box_coords(side, dim):
@@ -489,24 +513,19 @@ def _run_folner_verify(sc, prefix, budget):
 def _run_canonical(sc, prefix, budget):
     monoid = parse_monoid(sc["monoid"])
     net = canonical_net(monoid)
-    lines = ["n,box_size,max_defect,precision_met"]
     values = []
     for req in sc["requests"]:
         _expect(set(req) <= {"test", "n"}, f"unknown keys in {req}")
         e = MSubset.of(monoid, [tuple(x) for x in req["test"]])
         n = int(req["n"])
         f = net.at(e, n)
-        worst = Fraction(0)
-        for s in e:
-            worst = max(worst, Fraction(len(f.translate(s).elements ^ f.elements), len(f)))
-        met = worst <= Fraction(1, n)
-        values.append((n, len(f), worst, met))
-        lines.append(f"{n},{len(f)},{float(worst)!r},{met}")
-    return "\n".join(lines) + "\n", {"values": values}
+        worst = max((sym_diff_ratio(f, s) for s in e), default=Fraction(0))
+        values.append((n, len(f), worst, worst <= Fraction(1, n)))
+    rows = [[n, size, repr(float(worst)), met] for n, size, worst, met in values]
+    return csv_table("n,box_size,max_defect,precision_met", rows, "\n"), {"values": values}
 
 
 def _run_duality_props(sc, prefix, budget):
-    lines = ["group,subgroups,order_law,double_annihilator,sum_law,ok"]
     values = []
     for factors in sc["groups"]:
         g = FiniteProduct(tuple(int(n) for n in factors))
@@ -527,8 +546,9 @@ def _run_duality_props(sc, prefix, budget):
                 sum_law = sum_law and lhs == rhs
         ok = order_law and double and sum_law
         values.append((tuple(factors), len(subs), order_law, double, sum_law, ok))
-        lines.append(f"{'x'.join(map(str, factors))},{len(subs)},{order_law},{double},{sum_law},{ok}")
-    return "\n".join(lines) + "\n", {"values": values}
+    header = "group,subgroups,order_law,double_annihilator,sum_law,ok"
+    rows = [["x".join(map(str, factors)), *rest] for factors, *rest in values]
+    return csv_table(header, rows, "\n"), {"values": values}
 
 
 _RUNNERS = {
@@ -603,9 +623,14 @@ def validate_scenario(sc: dict):
 def run_scenario(source: str, out_dir=None, prefix=None, budget=None, plot=False, log_base=None):
     """Run one scenario; returns (exit_code, message)."""
     try:
+        _expect(
+            log_base is None or (log_base > 0 and log_base != 1),
+            f"--log-base must be positive and not 1, got {log_base}",
+        )
         sc = load_scenario(source)
         kind = validate_scenario(sc)
         prefix = int(prefix if prefix is not None else sc.get("prefix", 8))
+        _expect(prefix >= 1, f"prefix (--prefix or the scenario field) must be >= 1, got {prefix}")
         budget = int(budget if budget is not None else sc.get("budget", 10**7))
         csv_text, context = _RUNNERS[kind](sc, prefix, budget)
         if log_base is not None and "estimate" in context:
@@ -621,6 +646,8 @@ def run_scenario(source: str, out_dir=None, prefix=None, budget=None, plot=False
         run_checks(sc.get("checks"), context)
     except SchemaError as err:
         return 2, f"schema error: {err}"
+    except _CONSTRUCTION_ERRORS as err:
+        return 2, f"invalid scenario: {err}"
     except BudgetExceededError as err:
         return 3, f"budget exceeded: {err}"
     except CheckFailure as err:

@@ -38,6 +38,7 @@ from .errors import (
 from .folner import FolnerNet
 from .integral import IntegralEstimate, IntegralRow
 from .monoid import MSubset
+from .tables import csv_table
 
 @dataclass(frozen=True)
 class DualGroup:
@@ -54,15 +55,6 @@ class DualGroup:
         for a, c, n in zip(x, chi, self.group.factors):
             total += Fraction(a * c, n)
         return total % 1
-
-    def pairing_is_zero(self, x, chi) -> bool:
-        lcm = 1
-        for n in self.group.factors:
-            lcm = lcm * n // math.gcd(lcm, n)
-        total = 0
-        for a, c, n in zip(x, chi, self.group.factors):
-            total += a * c * (lcm // n)
-        return total % lcm == 0
 
 
 def _preimage(images, target_rows, dim: int) -> list[list[int]]:
@@ -301,6 +293,14 @@ def cotrajectory_window(
     return OpenSubgroup(space, union, tuple(tuple(r) for r in basis))
 
 
+def _cotrajectory_index(gamma, f_set: MSubset, u) -> int:
+    """[K : C_F(gamma, U)] for an Action on a finite character group (U a
+    Subgroup) or a ProfiniteShiftAction (U an OpenSubgroup)."""
+    if isinstance(gamma, ProfiniteShiftAction):
+        return cotrajectory_window(gamma, f_set, u).index_in_space()
+    return gamma.group.order // cotrajectory(gamma, f_set, u).order()
+
+
 def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
     """Ratio table log [K : C_{F_i}(gamma, U)] / |F_i|.
 
@@ -312,12 +312,7 @@ def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
     for i in range(1, prefix + 1):
         fi = net.subset(i)
         try:
-            if isinstance(gamma, ProfiniteShiftAction):
-                cot = cotrajectory_window(gamma, fi, u)
-                index = cot.index_in_space()
-            else:
-                cot = cotrajectory(gamma, fi, u)
-                index = gamma.group.order // cot.order()
+            index = _cotrajectory_index(gamma, fi, u)
         except WindowEscapeError as err:
             raise WindowEscapeError(
                 f"window escape at net index {i}; largest valid prefix is {i - 1}",
@@ -358,35 +353,20 @@ class BridgeReport:
         return self.rows[-1].log_index / self.rows[-1].size
 
     def to_csv(self) -> str:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        w = _csv.writer(buf)
-        w.writerow(["index", "size", "ell_trajectory", "log_index", "difference"])
-        for r in self.rows:
-            w.writerow(
-                [r.index, r.size, repr(r.ell_trajectory), repr(r.log_index), repr(r.difference)]
-            )
-        return buf.getvalue()
+        rows = (
+            [r.index, r.size, repr(r.ell_trajectory), repr(r.log_index), repr(r.difference)]
+            for r in self.rows
+        )
+        return csv_table("index,size,ell_trajectory,log_index,difference", rows)
 
 
 def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> BridgeReport:
     """Pair the subgroup seed with its annihilator and compare trajectory
     length against cotrajectory log-index at every net index, exactly."""
     group = alpha.group
-    rows = []
-    exact = True
     if isinstance(group, FiniteProduct):
-        hat = dual_action(alpha)
-        perp = annihilator(b)
-        for i, (fi, order) in enumerate(_trajectory_orders(alpha, b, net, prefix), start=1):
-            cot = cotrajectory(hat, fi, perp)
-            index = group.order // cot.order()
-            exact = exact and order == index
-            rows.append(BridgeRow(i, len(fi), math.log(order), math.log(index)))
-        return BridgeReport(rows, exact)
-    if isinstance(group, DirectSum):
+        gamma, u = dual_action(alpha), annihilator(b)
+    elif isinstance(group, DirectSum):
         for phi in alpha.gen_endos:
             if not isinstance(phi, ShiftEndo) or phi.base is not None:
                 raise UndecidableFamilyError("bridge on direct sums needs pure shifts")
@@ -398,13 +378,15 @@ def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> Bri
         space = WindowedProfinite(group.base, group.index, tuple(sorted(extent)))
         gamma = ProfiniteShiftAction(space, alpha.monoid)
         u = annihilator_window(space, b)
-        for i, (fi, order) in enumerate(_trajectory_orders(alpha, b, net, prefix), start=1):
-            cot = cotrajectory_window(gamma, fi, u)
-            index = cot.index_in_space()
-            exact = exact and order == index
-            rows.append(BridgeRow(i, len(fi), ell_of_order(order), ell_of_order(index)))
-        return BridgeReport(rows, exact)
-    raise GroupMismatchError(f"no bridge mode for {group}")
+    else:
+        raise GroupMismatchError(f"no bridge mode for {group}")
+    rows = []
+    exact = True
+    for i, (fi, order) in enumerate(_trajectory_orders(alpha, b, net, prefix), start=1):
+        index = _cotrajectory_index(gamma, fi, u)
+        exact = exact and order == index
+        rows.append(BridgeRow(i, len(fi), ell_of_order(order), ell_of_order(index)))
+    return BridgeReport(rows, exact)
 
 
 def subgroup_lattice(group: FiniteProduct, bound: int = 2**13):

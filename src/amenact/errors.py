@@ -13,10 +13,6 @@ class MonoidMismatchError(AmenactError):
     """Operands live in different monoids."""
 
 
-class NotCancellativeError(AmenactError):
-    """A candidate monoid violates cancellativity."""
-
-
 class UnsupportedQuotientError(AmenactError):
     """The requested quotient falls outside the supported shapes."""
 
@@ -28,10 +24,6 @@ class NotInvariantError(AmenactError):
         super().__init__(message)
         self.generator = generator
         self.element = element
-
-
-class NotGoodSectionError(AmenactError):
-    """The homomorphism/section pair is not good where goodness is required."""
 
 
 class NotSemiGoodError(AmenactError):

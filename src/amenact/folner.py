@@ -8,8 +8,6 @@ quantities are exact rationals.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
@@ -34,6 +32,7 @@ from .monoid import (
     exact_ratio,
     set_product,
 )
+from .tables import csv_table
 
 DEFAULT_ELEMENT_BUDGET = 10**7
 CANONICAL_SEARCH_BUDGET = 2**16
@@ -120,12 +119,8 @@ class DefectReport:
         return all(a >= b for a, b in zip(back, back[1:]))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["index", "size", "element", "ratio"])
-        for r in self.rows:
-            w.writerow([r.index, r.size, r.element, float(r.ratio)])
-        return buf.getvalue()
+        rows = ([r.index, r.size, r.element, float(r.ratio)] for r in self.rows)
+        return csv_table("index,size,element,ratio", rows)
 
 
 def verify_folner(net: FolnerNet, test: MSubset, prefix: int) -> DefectReport:

@@ -9,8 +9,6 @@ value, and the tail oscillation instead of pretending to certify a limit.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass, field
@@ -18,6 +16,7 @@ from dataclasses import dataclass, field
 from .errors import MonoidMismatchError
 from .folner import FolnerNet, kernel_box_net
 from .monoid import MonoidHom, MSubset, Section, set_product
+from .tables import csv_table
 
 
 class SetFunction:
@@ -97,19 +96,12 @@ class IntegralEstimate:
         ratios = [r.ratio for r in back]
         return max(ratios) - min(ratios)
 
-    def converged(self, tol: float = 1e-2) -> bool:
-        return self.oscillation < tol
-
     def ratios(self):
         return [r.ratio for r in self.rows]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["index", "size", "value", "ratio"])
-        for r in self.rows:
-            w.writerow([r.index, r.size, repr(float(r.value)), repr(float(r.ratio))])
-        return buf.getvalue()
+        rows = ([r.index, r.size, repr(float(r.value)), repr(float(r.ratio))] for r in self.rows)
+        return csv_table("index,size,value,ratio", rows)
 
 
 def integral(f: SetFunction, net: FolnerNet, prefix: int) -> IntegralEstimate:

@@ -6,8 +6,7 @@ arithmetic; subsets are thin immutable wrappers around frozensets.
 
 Supported families: N^d, Z^d, finite abelian groups, flat products of
 those, and the semidirect product Z^2 x| Z given by a unimodular 2x2
-integer matrix.  Right-to-left multiplication is exposed through an
-opposite view rather than a separate family.
+integer matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from itertools import product as iproduct
 
 from .errors import (
     MonoidMismatchError,
-    NotCancellativeError,
     NotSemiGoodError,
     UndecidableFamilyError,
 )
@@ -88,9 +86,6 @@ class Monoid(MonoidBase):
     def sample(self, rng, n: int):
         elems = sorted(self.window(n).elements)
         return elems[rng.randrange(len(elems))]
-
-    def opposite(self) -> "Monoid":
-        return OppositeMonoid(self)
 
 
 @dataclass(frozen=True)
@@ -346,53 +341,6 @@ class SemidirectZZ(Monoid):
 
 
 @dataclass(frozen=True)
-class OppositeMonoid(Monoid):
-    """Same carrier, multiplication swapped."""
-
-    base: Monoid
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def is_group(self):
-        return self.base.is_group
-
-    @property
-    def is_finite(self):
-        return self.base.is_finite
-
-    @property
-    def identity(self):
-        return self.base.identity
-
-    def op(self, x, y):
-        return self.base.op(y, x)
-
-    def inverse(self, x):
-        return self.base.inverse(x)
-
-    def contains(self, x):
-        return self.base.contains(x)
-
-    def is_unit(self, x):
-        return self.base.is_unit(x)
-
-    def window(self, n):
-        return MSubset(self, self.base.window(n).elements)
-
-    def generators(self):
-        return self.base.generators()
-
-    def opposite(self):
-        return self.base
-
-    def __str__(self):
-        return f"({self.base})^op"
-
-
-@dataclass(frozen=True)
 class CappedAdd(MonoidBase):
     """{0, ..., cap} with x (+) y = min(cap, x + y).
 
@@ -424,48 +372,6 @@ class CappedAdd(MonoidBase):
         return f"min-cap({self.cap})"
 
 
-def validate_cancellative(op, elements) -> None:
-    """Raise NotCancellativeError if op violates cancellation on the window."""
-    elems = list(elements)
-    for a in elems:
-        seen_l, seen_r = {}, {}
-        for x in elems:
-            l, r = op(a, x), op(x, a)
-            if l in seen_l and seen_l[l] != x:
-                raise NotCancellativeError(f"{a}*{x} == {a}*{seen_l[l]}")
-            if r in seen_r and seen_r[r] != x:
-                raise NotCancellativeError(f"{x}*{a} == {seen_r[r]}*{a}")
-            seen_l[l], seen_r[r] = x, x
-
-
-@dataclass(frozen=True)
-class FiniteWindowMonoid(MonoidBase):
-    """Explicit finite multiplication window; rejects non-cancellative input."""
-
-    elems: frozenset
-    table: tuple  # tuple of ((x, y), xy) pairs
-
-    @classmethod
-    def from_op(cls, elements, op):
-        elems = frozenset(elements)
-        validate_cancellative(op, elems)
-        table = tuple(sorted(((x, y), op(x, y)) for x in elems for y in elems))
-        return cls(elems, table)
-
-    @property
-    def identity(self):
-        for e in self.elems:
-            if all(xy == y for ((x, y), xy) in self.table if x == e):
-                return e
-        raise NotImplementedError("window has no identity")
-
-    def op(self, x, y):
-        return dict(self.table)[(x, y)]
-
-    def contains(self, x):
-        return x in self.elems
-
-
 @dataclass(frozen=True)
 class MSubset:
     """Nonempty-by-convention finite subset of a monoid."""
@@ -489,10 +395,6 @@ class MSubset:
 
     def __contains__(self, x):
         return x in self.elements
-
-    @property
-    def contains_identity(self) -> bool:
-        return self.monoid.identity in self.elements
 
     def sorted_key(self):
         return tuple(sorted(self.elements))
@@ -636,10 +538,6 @@ class MonoidHom:
                 raise MonoidMismatchError(f"{s} is not in the kernel")
             return (s[0], s[1])
         raise UndecidableFamilyError(f"kernel of {self.kind}")
-
-    def kernel_is_group(self) -> bool:
-        n, _ = self.kernel_embedding()
-        return n.is_group
 
     def __str__(self):
         return f"{self.source} -> {self.target} [{self.kind}]"

@@ -1,8 +1,15 @@
 """CLI: exit codes, schema rejection, artifacts, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
-from amenact.cli import BUILTINS, load_scenario, main, run_scenario
+import pytest
+
+from amenact.cli import BUILTINS, KINDS, load_scenario, main, run_scenario
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((REPO / "perfbench" / "golden.json").read_text())
 
 
 def test_every_builtin_parses_and_validates():
@@ -107,3 +114,55 @@ def test_scenario_file_roundtrip(tmp_path):
     code, _ = run_scenario(str(f), out_dir=tmp_path)
     assert code == 0
     assert (tmp_path / "copy.csv").exists()
+
+
+def test_construction_errors_exit_two():
+    # each file is well-formed but names an action, subgroup or quotient the
+    # library refuses to build; the library's message comes back, no traceback
+    corpus = sorted((REPO / "tests" / "invalid_scenarios").glob("*.json"))
+    assert len(corpus) == 6
+    for path in corpus:
+        code, message = run_scenario(str(path))
+        assert code == 2, (path.name, message)
+        label, _, detail = message.partition(": ")
+        assert label == "invalid scenario" and detail, path.name
+
+
+@pytest.mark.parametrize("log_base", [1, 1.0, 0, -2.0])
+def test_bad_log_base_is_schema_error(tmp_path, log_base):
+    code, message = run_scenario("example-doubling", out_dir=tmp_path, log_base=log_base)
+    assert code == 2 and "--log-base" in message
+    assert not (tmp_path / "example-doubling.csv").exists()
+
+
+@pytest.mark.parametrize("prefix", [0, -3])
+def test_bad_prefix_is_schema_error(prefix):
+    code, message = run_scenario("example-doubling", prefix=prefix)
+    assert code == 2 and "prefix" in message
+
+
+def test_bad_prefix_field_is_schema_error(tmp_path):
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps(dict(BUILTINS["example-doubling"], prefix=0)))
+    code, message = run_scenario(str(f))
+    assert code == 2 and "prefix" in message
+
+
+def test_main_rejects_bad_numbers(capsys):
+    assert main(["run", "example-doubling", "--log-base", "1"]) == 2
+    assert main(["run", "example-doubling", "--prefix", "0"]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+def test_builtins_cover_every_kind():
+    assert {spec["kind"] for spec in BUILTINS.values()} == set(KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_csv_matches_recorded_digest(tmp_path, name):
+    # digests recorded for the benchmark's golden table; report tables end
+    # lines with CRLF and the CLI's own tables with LF, and both must hold
+    code, message = run_scenario(name, out_dir=tmp_path)
+    data = (tmp_path / f"{name}.csv").read_bytes()
+    assert code == GOLDEN[name]["exit"], message
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[name]["csv_sha256"]

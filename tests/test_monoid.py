@@ -5,13 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from amenact.errors import (
-    MonoidMismatchError,
-    NotCancellativeError,
-)
+from amenact.errors import MonoidMismatchError
 from amenact.monoid import (
     FiniteAbelianMonoid,
-    FiniteWindowMonoid,
     FreeAbelian,
     FreeCommutative,
     MSubset,
@@ -70,26 +66,6 @@ def test_semidirect_set_product_per_defining_formula():
     out = set_product(ms(g, [(0, 0, 0), (0, 0, 1)]), ms(g, [(1, 0, 0)]))
     # phi(1)(1, 0) = (1, 0), so the second product is (1, 0, 1)
     assert out.elements == {(1, 0, 0), (1, 0, 1)}
-
-
-def test_non_cancellative_example_is_rejected():
-    # Z x {0} glued with {0} x N+, where mixed sums collapse to the N part
-    def op(x, y):
-        if x[1] == 0 and y[1] == 0:
-            return (x[0] + y[0], 0)
-        return (0, x[1] + y[1])
-
-    window = [(i, 0) for i in range(-2, 3)] + [(0, j) for j in range(1, 4)]
-    with pytest.raises(NotCancellativeError):
-        FiniteWindowMonoid.from_op(window, op)
-
-
-def test_opposite_monoid_swaps_products():
-    g = SemidirectZZ()
-    op = g.opposite()
-    x, y = (1, 2, 3), (4, 5, 6)
-    assert op.op(x, y) == g.op(y, x)
-    assert op.opposite() is g
 
 
 # --- set_product / sym_diff_ratio / eps_equiv -------------------------------
