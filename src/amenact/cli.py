@@ -7,8 +7,11 @@ Usage:
     amenact describe <kind>
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 schema error, bad option
-or construction error; 3 budget exceeded.  Scenario files are JSON; unknown
-keys are rejected.
+or construction error; 3 budget exceeded.  Scenario files are JSON, checked
+in full against one schema table (``KINDS``, ``SPECS``, ``CHECKS``) before
+anything runs: unknown keys are rejected at every level, ``checks``
+included, and a schema error names the JSON path at fault, such as
+``monoid.dim`` or ``checks[0].value``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import product as iproduct
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .abelian import DirectSum, FiniteProduct, FiniteSubset, FreeZ, Subgroup
 from .actions import (
@@ -68,33 +74,6 @@ from .monoid import (
 from .scenarios import BUILTINS
 from .tables import csv_table
 
-KINDS = (
-    "folner-verify",
-    "canonical-net",
-    "tiling",
-    "semidirect-defect",
-    "integral",
-    "fubini",
-    "entropy",
-    "addition",
-    "bridge",
-    "duality-props",
-)
-
-_COMMON_KEYS = {"kind", "name", "demonstrates", "checks", "prefix", "budget", "seed_rng", "plot"}
-_KIND_KEYS = {
-    "folner-verify": {"monoid", "test", "net"},
-    "canonical-net": {"monoid", "requests"},
-    "tiling": {"dim", "region", "tiles", "epsilon"},
-    "semidirect-defect": {"element", "pairs"},
-    "integral": {"monoid", "function", "net"},
-    "fubini": {"monoid", "action", "target", "seed", "hom", "n_prefix", "c_prefix"},
-    "entropy": {"monoid", "group", "action", "seed", "net"},
-    "addition": {"monoid", "group", "action", "subgroup", "net"},
-    "bridge": {"monoid", "group", "action", "seed", "net"},
-    "duality-props": {"groups"},
-}
-
 
 class CheckFailure(AmenactError):
     pass
@@ -111,276 +90,314 @@ _CONSTRUCTION_ERRORS = (
 
 
 # ---------------------------------------------------------------------------
-# spec parsers
+# the scenario schema, read by validation, the runners and ``describe``
+#
+# A type is a Scalar, Items or [T] (Items(T)), a Spec or OneOf, or a name:
+# a SPECS entry, or a type that the scenario's group defines (Spec.env).
 
 
-def _expect(cond, message):
-    if not cond:
-        raise SchemaError(message)
+class Scalar(NamedTuple):
+    what: str
+    ok: Callable
 
 
-def parse_monoid(spec):
-    _expect(isinstance(spec, dict) and "family" in spec, "monoid spec needs a family")
-    fam = spec["family"]
-    if fam == "N^d":
-        _expect(set(spec) <= {"family", "dim"}, f"unknown keys in {spec}")
-        return FreeCommutative(int(spec["dim"]))
-    if fam == "Z^d":
-        _expect(set(spec) <= {"family", "dim"}, f"unknown keys in {spec}")
-        return FreeAbelian(int(spec["dim"]))
-    if fam == "finite":
-        _expect(set(spec) <= {"family", "factors"}, f"unknown keys in {spec}")
-        return FiniteAbelianMonoid(tuple(int(n) for n in spec["factors"]))
-    if fam == "product":
-        _expect(set(spec) <= {"family", "parts"}, f"unknown keys in {spec}")
-        return ProductMonoid(tuple(parse_monoid(p) for p in spec["parts"]))
-    raise SchemaError(f"unknown monoid family {fam!r}")
+class Items(NamedTuple):
+    item: object
+    lo: int = 0
+    hi: int = None
 
 
-def parse_group(spec):
-    _expect(isinstance(spec, dict) and "family" in spec, "group spec needs a family")
-    fam = spec["family"]
-    if fam == "free":
-        _expect(set(spec) <= {"family", "rank"}, f"unknown keys in {spec}")
-        return FreeZ(int(spec["rank"]))
-    if fam == "finite":
-        _expect(set(spec) <= {"family", "factors"}, f"unknown keys in {spec}")
-        return FiniteProduct(tuple(int(n) for n in spec["factors"]))
-    if fam == "direct-sum":
-        _expect(set(spec) <= {"family", "base", "index"}, f"unknown keys in {spec}")
-        base = FiniteProduct(tuple(int(n) for n in spec["base"]))
-        return DirectSum(base, parse_monoid(spec["index"]))
-    raise SchemaError(f"unknown group family {fam!r}")
+class Spec(NamedTuple):
+    """A JSON object: field -> type ("field?" is optional).  ``fn`` builds the
+    library object as fn(*context, spec), or runs a check as fn(check, run
+    context); ``env`` names the types that the fields after it may use."""
+
+    fields: dict
+    fn: Callable = None
+    env: dict = {}
 
 
-def parse_element(group, data):
-    if isinstance(group, DirectSum):
-        return group.element([(tuple(i), tuple(v)) for i, v in data])
-    return group.element(data)
+class OneOf(NamedTuple):
+    """Variants told apart by the ``tag`` field, or (tag None) by their only key."""
+
+    tag: str
+    variants: dict
 
 
-def parse_endo(group, spec):
-    _expect(isinstance(spec, dict) and "kind" in spec, "endomorphism spec needs a kind")
-    kind = spec["kind"]
-    if kind == "identity":
-        _expect(set(spec) == {"kind"}, f"unknown keys in {spec}")
-        return identity_endo(group)
-    if kind == "scalar":
-        _expect(set(spec) <= {"kind", "a"}, f"unknown keys in {spec}")
-        return scalar_endo(group, int(spec["a"]))
-    if kind == "matrix":
-        _expect(set(spec) <= {"kind", "rows"}, f"unknown keys in {spec}")
-        return MatrixEndo(group, tuple(tuple(int(x) for x in r) for r in spec["rows"]))
-    if kind == "shift":
-        _expect(set(spec) <= {"kind", "by", "base"}, f"unknown keys in {spec}")
-        base = None
-        if spec.get("base") is not None:
-            base = parse_endo(group.base, spec["base"])
-        return shift_endo(group, tuple(int(x) for x in spec["by"]), base)
-    raise SchemaError(f"unknown endomorphism kind {kind!r}")
+def _number(lo=None, what="an integer", types=(int,)):
+    def ok(v):
+        return type(v) in types and -math.inf < v < math.inf and (lo is None or v >= lo)
+
+    return Scalar(what if lo is None else f"{what} >= {lo}", ok)
 
 
-def parse_action(monoid, group, spec):
-    _expect(isinstance(spec, dict) and set(spec) <= {"generators"}, "bad action spec")
-    gens = [parse_endo(group, e) for e in spec["generators"]]
-    return Action(monoid, group, gens)
+def _is_ratio(v):
+    try:
+        Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        return False
+    return type(v) is not bool
 
 
-def parse_seed(group, spec):
-    _expect(isinstance(spec, dict) and len(spec) == 1, "seed spec needs exactly one key")
-    if "set" in spec:
-        return FiniteSubset(group, frozenset(parse_element(group, e) for e in spec["set"]))
-    if "subgroup_basis" in spec:
-        return Subgroup.generated(group, [parse_element(group, e) for e in spec["subgroup_basis"]])
-    if "percoord_basis" in spec:
-        _expect(isinstance(group, DirectSum), "percoord seeds need a direct sum")
-        base_sub = Subgroup.generated(group.base, [tuple(int(x) for x in g) for g in spec["percoord_basis"]])
-        return Subgroup.percoord(group, base_sub)
-    raise SchemaError(f"unknown seed spec {sorted(spec)}")
+INT, NAT, POS, PREFIX = _number(), _number(0), _number(1), _number(2)
+NUM, NONNEG = _number(None, "a number", (int, float)), _number(0, "a number", (int, float))
+TEXT = Scalar("a string", lambda v: type(v) is str)
+FLAG = Scalar("true or false", lambda v: type(v) is bool)
+RATIO = Scalar("a number or a 'p/q' string", _is_ratio)
+
+# element shapes by group family; a direct-sum element is a list of [index, value]
+_FLAT = {"element": [INT]}
+_DIRECT_SUM = {"element": [Items([INT], 2, 2)], "base_element": [INT], "index_vector": [INT]}
+_ENDOS = {
+    "identity": Spec({}, lambda g, s: identity_endo(g)),
+    "scalar": Spec({"a": INT}, lambda g, s: scalar_endo(g, s["a"])),
+    "matrix": Spec({"rows": [[INT]]}, lambda g, s: MatrixEndo(g, tuple(map(tuple, s["rows"])))),
+}
+SPECS = {
+    "monoid": OneOf("family", {
+        "N^d": Spec({"dim": NAT}, lambda s: FreeCommutative(s["dim"])),
+        "Z^d": Spec({"dim": NAT}, lambda s: FreeAbelian(s["dim"])),
+        "finite": Spec({"factors": [POS]}, lambda s: FiniteAbelianMonoid(tuple(s["factors"]))),
+        "product": Spec(
+            {"parts": Items("monoid", 1)}, lambda s: ProductMonoid(tuple(map(parse_monoid, s["parts"])))
+        ),
+    }),
+    "group": OneOf("family", {
+        "free": Spec({"rank": NAT}, lambda s: FreeZ(s["rank"]), _FLAT),
+        "finite": Spec({"factors": [POS]}, lambda s: FiniteProduct(tuple(s["factors"])), _FLAT),
+        "direct-sum": Spec(
+            {"base": [POS], "index": "monoid"},
+            lambda s: DirectSum(FiniteProduct(tuple(s["base"])), parse_monoid(s["index"])),
+            _DIRECT_SUM,
+        ),
+    }),
+    "base_endo": OneOf("kind", _ENDOS),
+    "endo": OneOf("kind", {**_ENDOS, "shift": Spec(
+        {"by": "index_vector", "base?": "base_endo"},
+        lambda g, s: shift_endo(g, s["by"], _build("base_endo", g.base, s["base"]) if "base" in s else None),
+    )}),
+    "action": Spec(
+        {"generators": ["endo"]}, lambda m, g, s: Action(m, g, [_build("endo", g, e) for e in s["generators"]])
+    ),
+    "seed": OneOf(None, {
+        "set": Spec(
+            {"set": Items("element", 1)}, lambda g, s: FiniteSubset(g, frozenset(map(g.element, s["set"])))
+        ),
+        "subgroup_basis": Spec(
+            {"subgroup_basis": ["element"]},
+            lambda g, s: Subgroup.generated(g, [g.element(e) for e in s["subgroup_basis"]]),
+        ),
+        "percoord_basis": Spec(
+            {"percoord_basis": ["base_element"]},
+            lambda g, s: Subgroup.percoord(g, Subgroup.generated(g.base, [tuple(e) for e in s["percoord_basis"]])),
+        ),
+    }),
+    "hom": OneOf("kind", {
+        "project": Spec({"coords": [NAT]}, lambda m, s: projection_hom(m, tuple(s["coords"]))),
+        "mod": Spec({"factors": [POS]}, lambda m, s: mod_hom(m, tuple(s["factors"]))),
+    }),
+    "net": OneOf("family", {
+        "box": Spec({}, lambda m, s: box_net(m)),
+        "product": Spec({}, lambda m, s: _product_net(m)),
+    }),
+    "function": OneOf("kind", {
+        "card": Spec({}, lambda m, s: card(m)),
+        "constant": Spec({"a": NONNEG}, lambda m, s: constant(m, float(s["a"]))),
+        "card_pi": Spec({"hom": "hom"}, lambda m, s: card_pi(_build("hom", m, s["hom"]))),
+    }),
+    "request": Spec({"test": [[INT]], "n": POS}),
+}
 
 
-def parse_hom(monoid, spec):
-    _expect(isinstance(spec, dict) and "kind" in spec, "hom spec needs a kind")
-    if spec["kind"] == "project":
-        _expect(set(spec) <= {"kind", "coords"}, f"unknown keys in {spec}")
-        return projection_hom(monoid, tuple(int(c) for c in spec["coords"]))
-    if spec["kind"] == "mod":
-        _expect(set(spec) <= {"kind", "factors"}, f"unknown keys in {spec}")
-        return mod_hom(monoid, tuple(int(n) for n in spec["factors"]))
-    raise SchemaError(f"unknown hom kind {spec['kind']!r}")
+def _near(check, named):
+    for label, x in named:
+        if abs(x - check["value"]) > check.get("tol", 1e-9):
+            raise CheckFailure(f"{label} {x!r} differs from {check['value']!r}")
 
 
-def parse_net(monoid, spec):
-    _expect(isinstance(spec, dict) and "family" in spec, "net spec needs a family")
-    if spec["family"] == "box":
-        _expect(set(spec) == {"family"}, f"unknown keys in {spec}")
-        return box_net(monoid)
-    if spec["family"] == "product":
-        _expect(set(spec) == {"family"}, f"unknown keys in {spec}")
-        _expect(isinstance(monoid, ProductMonoid) and len(monoid.parts) == 2, "product nets need two parts")
-        return product_net(box_net(monoid.parts[0]), box_net(monoid.parts[1]), monoid)
-    raise SchemaError(f"unknown net family {spec['family']!r}")
+def _below(check, named, rational=False):
+    bound = Fraction(check["value"]).limit_denominator(10**9) if rational else check["value"]
+    for label, x in named:
+        if not x < bound:
+            raise CheckFailure(f"{label} {x!r} is not below {check['value']!r}")
 
 
-# ---------------------------------------------------------------------------
-# checks
+def _holds(named):
+    for label, ok in named:
+        if not ok:
+            raise CheckFailure(label)
 
 
-def run_checks(checks, context):
-    for check in checks or []:
-        _expect(isinstance(check, dict) and "type" in check, "bad check spec")
-        kind = check["type"]
-        fn = _CHECKS.get(kind)
-        _expect(fn is not None, f"unknown check type {kind!r}")
-        fn(check, context)
-
-
-def _tail_rows(context):
-    est = context.get("estimate")
-    _expect(est is not None, "this check needs a ratio table")
-    return est
-
-
-def _check_tail(check, context):
-    est = _tail_rows(context)
-    if abs(est.tail - check["value"]) > check.get("tol", 1e-9):
-        raise CheckFailure(f"tail {est.tail!r} differs from {check['value']!r}")
-
-
-def _check_tail_below(check, context):
-    est = _tail_rows(context)
-    if not est.tail < check["value"]:
-        raise CheckFailure(f"tail {est.tail!r} is not below {check['value']!r}")
-
-
-def _check_every_ratio(check, context):
-    est = _tail_rows(context)
-    for row in est.rows:
-        if abs(row.ratio - check["value"]) > check.get("tol", 1e-9):
-            raise CheckFailure(f"row {row.index}: ratio {row.ratio!r} != {check['value']!r}")
+def _check_all_at_least(check, context):
+    bound = Fraction(check["value"]).limit_denominator(10**9)
+    for row in context["values"]:
+        if not row[-1] >= bound:
+            raise CheckFailure(f"value {row} fell below {check['value']}")
 
 
 def _check_counts_power(check, context):
-    counts = context.get("counts")
-    _expect(counts is not None, "counts_power needs trajectory counts")
-    base, scale = int(check["base"]), int(check.get("scale", 1))
-    offset = int(check.get("offset", 0))
-    for n, count in enumerate(counts, start=1):
+    base, scale, offset = check["base"], check.get("scale", 1), check.get("offset", 0)
+    for n, count in enumerate(context["counts"], start=1):
         want = scale * base ** (n + offset)
         if count != want:
             raise CheckFailure(f"count at index {n} is {count}, expected {want}")
 
 
-def _check_all_at_least(check, context):
-    for row in context["values"]:
-        if not row[-1] >= Fraction(check["value"]).limit_denominator(10**9):
-            raise CheckFailure(f"value {row} fell below {check['value']}")
-
-
-def _check_all_below(check, context):
-    for row in context["values"]:
-        if not row[-1] < Fraction(check["value"]).limit_denominator(10**9):
-            raise CheckFailure(f"value {row} is not below {check['value']}")
-
-
-def _check_difference_below(check, context):
-    if not context["report"].difference < check["value"]:
-        raise CheckFailure(
-            f"two-sided difference {context['report'].difference!r} is not below {check['value']}"
-        )
-
-
-def _check_exact_product(check, context):
-    if not context["report"].exact_at_every_index:
-        raise CheckFailure("per-index order identity failed")
-
-
-def _check_residual_below(check, context):
-    if not context["report"].residual < check["value"]:
-        raise CheckFailure(f"residual {context['report'].residual!r} too large")
-
-
-def _check_exact_rows(check, context):
-    if not context["report"].exact_at_every_index:
-        raise CheckFailure("per-index bridge identity failed")
-
-
-def _check_tails(check, context):
-    report = context["report"]
-    tol = check.get("tol", 1e-9)
-    for tail in (report.algebraic_tail, report.topological_tail):
-        if abs(tail - check["value"]) > tol:
-            raise CheckFailure(f"tail {tail!r} differs from {check['value']!r}")
-
-
-def _check_witness_valid(check, context):
-    if not context["ok"]:
-        raise CheckFailure(context.get("why", "witness invalid"))
-
-
-def _check_precision_met(check, context):
-    for row in context["values"]:
-        if not row[-1]:
-            raise CheckFailure(f"precision missed at {row}")
-
-
-def _check_all_hold(check, context):
-    bad = [row for row in context["values"] if not row[-1]]
-    if bad:
-        raise CheckFailure(f"{len(bad)} violations, first: {bad[0]}")
-
-
-def _check_tail_defect_below(check, context):
-    report = context["report"]
-    if not report.tail_max() < Fraction(check["value"]).limit_denominator(10**9):
-        raise CheckFailure(f"tail defect {report.tail_max()} is not below {check['value']}")
-
-
-_CHECKS = {
-    "tail": _check_tail,
-    "tail_below": _check_tail_below,
-    "every_ratio": _check_every_ratio,
-    "counts_power": _check_counts_power,
-    "all_at_least": _check_all_at_least,
-    "all_below": _check_all_below,
-    "difference_below": _check_difference_below,
-    "exact_product": _check_exact_product,
-    "residual_below": _check_residual_below,
-    "exact_rows": _check_exact_rows,
-    "tails": _check_tails,
-    "witness_valid": _check_witness_valid,
-    "precision_met": _check_precision_met,
-    "all_hold": _check_all_hold,
-    "tail_defect_below": _check_tail_defect_below,
+# check type -> (the kinds whose run context it reads, Spec(its fields, its test))
+_RATIOS = ("entropy", "integral")
+_VALUE, _TOL = {"value": NUM}, {"value": NUM, "tol?": NONNEG}
+CHECKS = {
+    "tail": (_RATIOS, Spec(_TOL, lambda c, x: _near(c, [("tail", x["estimate"].tail)]))),
+    "tail_below": (_RATIOS, Spec(_VALUE, lambda c, x: _below(c, [("tail", x["estimate"].tail)]))),
+    "every_ratio": (_RATIOS, Spec(
+        _TOL, lambda c, x: _near(c, [(f"row {r.index}: ratio", r.ratio) for r in x["estimate"].rows]))),
+    "counts_power": (("entropy",), Spec({"base": INT, "scale?": INT, "offset?": INT}, _check_counts_power)),
+    "all_at_least": (("semidirect-defect",), Spec(_VALUE, _check_all_at_least)),
+    "all_below": (("semidirect-defect",), Spec(
+        _VALUE, lambda c, x: _below(c, [(f"value {row}", row[-1]) for row in x["values"]], rational=True))),
+    "difference_below": (("fubini",), Spec(
+        _VALUE, lambda c, x: _below(c, [("two-sided difference", x["report"].difference)]))),
+    "exact_product": (("addition",), Spec(
+        {}, lambda c, x: _holds([("per-index order identity failed", x["report"].exact_at_every_index)]))),
+    "residual_below": (("addition",), Spec(_VALUE, lambda c, x: _below(c, [("residual", x["report"].residual)]))),
+    "exact_rows": (("bridge",), Spec(
+        {}, lambda c, x: _holds([("per-index bridge identity failed", x["report"].exact_at_every_index)]))),
+    "tails": (("bridge",), Spec(
+        _TOL, lambda c, x: _near(c, [("tail", x["report"].algebraic_tail), ("tail", x["report"].topological_tail)]))),
+    "witness_valid": (("tiling",), Spec({}, lambda c, x: _holds([(x.get("why", "witness invalid"), x["ok"])]))),
+    "precision_met": (("canonical-net",), Spec(
+        {}, lambda c, x: _holds((f"precision missed at {row}", row[-1]) for row in x["values"]))),
+    "all_hold": (("duality-props",), Spec({}, lambda c, x: _holds((f"violation at {row}", row[-1]) for row in x["values"]))),
+    "tail_defect_below": (("folner-verify",), Spec(
+        _VALUE, lambda c, x: _below(c, [("tail defect", x["report"].tail_max())], rational=True))),
 }
+
+# kind -> its own fields; a group comes before the fields that use its types
+_COMMON = {"name?": TEXT, "demonstrates?": TEXT, "prefix?": POS, "budget?": NAT, "plot?": FLAG}
+_ACTION = {"monoid": "monoid", "group": "group", "action": "action", "seed": "seed", "net": "net"}
+KINDS = {
+    "folner-verify": {"monoid": "monoid", "test": [[INT]], "net": "net", "prefix?": PREFIX},
+    "canonical-net": {"monoid": "monoid", "requests": ["request"]},
+    "tiling": {"dim": POS, "region": POS, "tiles": [POS], "epsilon": RATIO},
+    "semidirect-defect": {"element": Items(INT, 2, 3), "pairs": [Items(POS, 2, 2)]},
+    "integral": {"monoid": "monoid", "function": "function", "net": "net", "prefix?": PREFIX},
+    "fubini": {"monoid": "monoid", "target": "group", "action": "action", "seed": "seed", "hom": "hom",
+               "prefix?": PREFIX, "c_prefix?": PREFIX, "n_prefix?": PREFIX},
+    "entropy": _ACTION,
+    "addition": {"monoid": "monoid", "group": "group", "action": "action", "subgroup": "seed", "net": "net"},
+    "bridge": _ACTION,
+    "duality-props": {"groups": [[POS]]},
+}
+SCENARIO = OneOf("kind", {
+    kind: Spec({**_COMMON, **fields, "checks?": [
+        OneOf("type", {name: spec for name, (kinds, spec) in CHECKS.items() if kind in kinds})
+    ]})
+    for kind, fields in KINDS.items()
+})
+
+
+def _need(ok, path, problem):
+    if not ok:
+        raise SchemaError(f"{path or 'scenario'} {problem}")
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _variant(typ, value):
+    """The Spec that the object ``value`` selects, or None."""
+    if isinstance(typ, Spec):
+        return typ
+    if typ.tag is None:
+        tag = next(iter(value)) if len(value) == 1 else None
+    else:
+        tag = value.get(typ.tag)
+    return typ.variants.get(tag) if isinstance(tag, str) else None
+
+
+def _walk(value, typ, path, env):
+    """Check ``value`` against ``typ``; a SchemaError names the JSON path."""
+    if isinstance(typ, str):
+        _need(typ in SPECS or typ in env, path, "is only defined on a direct-sum group")
+        typ = SPECS[typ] if typ in SPECS else env[typ]
+    if isinstance(typ, Scalar):
+        _need(typ.ok(value), path, f"must be {typ.what}, got {value!r}")
+    elif isinstance(typ, (Spec, OneOf)):
+        _need(isinstance(value, dict), path, "must be an object")
+        spec = _variant(typ, value)
+        tag = typ.tag if isinstance(typ, OneOf) else None
+        if spec is None:
+            raise SchemaError(
+                f"{_join(path, tag)} must be one of {sorted(typ.variants)}, got {value.get(tag)!r}" if tag
+                else f"{path} needs exactly one of the keys {sorted(typ.variants)}"
+            )
+        fields = {k.rstrip("?"): (t, k.endswith("?")) for k, t in spec.fields.items()}
+        for key in value:
+            _need(key in fields or key == tag, _join(path, key), f"is not a field here; fields: {sorted(fields)}")
+        env.update(spec.env)
+        for key, (t, optional) in fields.items():
+            if key in value:
+                _walk(value[key], t, _join(path, key), env)
+            else:
+                _need(optional, _join(path, key), "is required")
+    else:
+        item, lo, hi = Items(*typ) if isinstance(typ, list) else typ
+        if hi is None:
+            size = f" of at least {lo}" if lo else ""
+        else:
+            size = f" of {lo}" if lo == hi else f" of {lo} to {hi}"
+        ok = isinstance(value, list) and lo <= len(value) and (hi is None or len(value) <= hi)
+        _need(ok, path, f"must be a list{size}")
+        for i, entry in enumerate(value):
+            _walk(entry, item, f"{path}[{i}]", env)
+
+
+def _build(name, *args):
+    """The library object for the checked spec ``args[-1]`` of SPECS[name],
+    built over the objects ``args[:-1]``."""
+    return _variant(SPECS[name], args[-1]).fn(*args)
+
+
+parse_monoid = partial(_build, "monoid")
+parse_group = partial(_build, "group")
+parse_action = partial(_build, "action")
+parse_seed = partial(_build, "seed")
+parse_net = partial(_build, "net")
+
+
+def _product_net(monoid):
+    if not (isinstance(monoid, ProductMonoid) and len(monoid.parts) == 2):
+        raise MonoidMismatchError("product nets need a product of two monoids")
+    return product_net(box_net(monoid.parts[0]), box_net(monoid.parts[1]), monoid)
+
+
+def run_checks(checks, context):
+    for check in checks or []:
+        _, spec = CHECKS[check["type"]]
+        spec.fn(check, context)
 
 
 # ---------------------------------------------------------------------------
 # kind runners: each returns (csv_text, context)
 
 
-def _run_entropy(sc, prefix, budget):
+def _action_parts(sc, seed_field="seed"):
     monoid = parse_monoid(sc["monoid"])
     group = parse_group(sc["group"])
     action = parse_action(monoid, group, sc["action"])
-    seed = parse_seed(group, sc["seed"])
-    net = parse_net(monoid, sc["net"])
+    return action, parse_seed(group, sc[seed_field]), parse_net(monoid, sc["net"])
+
+
+def _run_entropy(sc, prefix, budget):
+    action, seed, net = _action_parts(sc)
     est = h_alg_estimate(action, seed, net, prefix, budget)
     return est.to_csv(), {"estimate": est.estimate, "counts": est.counts}
 
 
 def _run_integral(sc, prefix, budget):
     monoid = parse_monoid(sc["monoid"])
-    fn_spec = sc["function"]
-    _expect(isinstance(fn_spec, dict) and "kind" in fn_spec, "function spec needs a kind")
-    if fn_spec["kind"] == "card":
-        f = card(monoid)
-    elif fn_spec["kind"] == "constant":
-        f = constant(monoid, float(fn_spec["a"]))
-    elif fn_spec["kind"] == "card_pi":
-        f = card_pi(parse_hom(monoid, fn_spec["hom"]))
-    else:
-        raise SchemaError(f"unknown function kind {fn_spec['kind']!r}")
+    f = _build("function", monoid, sc["function"])
     net = parse_net(monoid, sc["net"])
     est = integral(f, net, prefix)
     return est.to_csv(), {"estimate": est}
@@ -392,10 +409,9 @@ def _run_fubini(sc, prefix, budget):
     action = parse_action(monoid, group, sc["action"])
     seed = parse_seed(group, sc["seed"])
     f = trajectory_function(action, seed, budget)
-    pi = parse_hom(monoid, sc["hom"])
+    pi = _build("hom", monoid, sc["hom"])
     sigma = find_good_section(pi)
-    _expect(isinstance(monoid, ProductMonoid), "the two-variable check runs on a product")
-    s_net = product_net(box_net(monoid.parts[0]), box_net(monoid.parts[1]), monoid)
+    s_net = _product_net(monoid)
     c_net = box_net(pi.target)
     report = fubini_check(
         f, pi, sigma, s_net, c_net, None, prefix,
@@ -411,15 +427,11 @@ def _run_fubini(sc, prefix, budget):
 
 
 def _run_addition(sc, prefix, budget):
-    monoid = parse_monoid(sc["monoid"])
-    group = parse_group(sc["group"])
-    action = parse_action(monoid, group, sc["action"])
-    b = parse_seed(group, sc["subgroup"])
-    net = parse_net(monoid, sc["net"])
+    action, b, net = _action_parts(sc, "subgroup")
     sub, quo, _ = quotient_and_sub_actions(action, b)
     report = addition_check(
         action, b, net, prefix,
-        _default_generator_subgroup(group),
+        _default_generator_subgroup(action.group),
         _default_generator_subgroup(sub.group),
         _default_generator_subgroup(quo.group),
     )
@@ -449,41 +461,33 @@ def _default_generator_subgroup(group):
         return Subgroup.generated(group, gens)
     if isinstance(group, FiniteProduct):
         return Subgroup.full(group)
-    raise SchemaError("no default generator subgroup for this group")
+    raise GroupMismatchError("no default generator subgroup for this group")
 
 
 def _run_bridge(sc, prefix, budget):
-    monoid = parse_monoid(sc["monoid"])
-    group = parse_group(sc["group"])
-    action = parse_action(monoid, group, sc["action"])
-    seed = parse_seed(group, sc["seed"])
-    net = parse_net(monoid, sc["net"])
+    action, seed, net = _action_parts(sc)
     report = bridge_check(action, seed, net, prefix)
     return report.to_csv(), {"report": report}
 
 
 def _run_semidirect(sc, prefix, budget):
-    element = tuple(int(x) for x in sc["element"])
+    element = tuple(sc["element"])
     values = []
     rows = []
     for n, m in sc["pairs"]:
-        delta = semidirect_defect(int(n), int(m), element, budget)
-        values.append((int(n), int(m), delta))
+        delta = semidirect_defect(n, m, element, budget)
+        values.append((n, m, delta))
         rows.append([n, m, repr(float(delta))])
     return csv_table("n,m,defect", rows, "\n"), {"values": values}
 
 
 def _run_tiling(sc, prefix, budget):
-    dim = int(sc["dim"])
-    monoid = FreeAbelian(dim)
-    side = int(sc["region"])
-    region = MSubset(monoid, frozenset(
-        tuple(c) for c in _box_coords(side, dim)
-    ))
-    tiles = [
-        MSubset(monoid, frozenset(tuple(c) for c in _box_coords(int(t), dim)))
-        for t in sc["tiles"]
-    ]
+    monoid = FreeAbelian(sc["dim"])
+
+    def box(side):
+        return MSubset(monoid, frozenset(iproduct(range(side), repeat=sc["dim"])))
+
+    region, tiles = box(sc["region"]), [box(side) for side in sc["tiles"]]
     eps = Fraction(sc["epsilon"])
     witness = greedy_tiler(region, tiles, eps)
     if witness is None:
@@ -494,12 +498,6 @@ def _run_tiling(sc, prefix, budget):
     row = [report.d, report.u, report.b, report.disjoint, report.within,
            report.inside, report.covers, report.mass, rem]
     return csv_table(header, [row], "\n"), {"ok": report.ok and rem}
-
-
-def _box_coords(side, dim):
-    from itertools import product as ip
-
-    return ip(range(side), repeat=dim)
 
 
 def _run_folner_verify(sc, prefix, budget):
@@ -515,9 +513,8 @@ def _run_canonical(sc, prefix, budget):
     net = canonical_net(monoid)
     values = []
     for req in sc["requests"]:
-        _expect(set(req) <= {"test", "n"}, f"unknown keys in {req}")
         e = MSubset.of(monoid, [tuple(x) for x in req["test"]])
-        n = int(req["n"])
+        n = req["n"]
         f = net.at(e, n)
         worst = max((sym_diff_ratio(f, s) for s in e), default=Fraction(0))
         values.append((n, len(f), worst, worst <= Fraction(1, n)))
@@ -528,7 +525,7 @@ def _run_canonical(sc, prefix, budget):
 def _run_duality_props(sc, prefix, budget):
     values = []
     for factors in sc["groups"]:
-        g = FiniteProduct(tuple(int(n) for n in factors))
+        g = FiniteProduct(tuple(factors))
         subs = subgroup_lattice(g)
         order_law = double = True
         for gens, elems in subs:
@@ -606,33 +603,28 @@ def load_scenario(source: str) -> dict:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise SchemaError(f"not valid JSON: {err}") from err
-    _expect(isinstance(data, dict), "scenario must be a JSON object")
+    _need(isinstance(data, dict), "", "must be a JSON object")
     return dict(data, name=data.get("name", path.stem))
 
 
 def validate_scenario(sc: dict):
-    _expect("kind" in sc, "scenario needs a kind")
-    kind = sc["kind"]
-    _expect(kind in KINDS, f"unknown kind {kind!r}")
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
-    unknown = set(sc) - allowed
-    _expect(not unknown, f"unknown keys for {kind}: {sorted(unknown)}")
-    return kind
+    """Check the whole scenario, its checks included; returns its kind."""
+    _walk(sc, SCENARIO, "", {})
+    return sc["kind"]
 
 
 def run_scenario(source: str, out_dir=None, prefix=None, budget=None, plot=False, log_base=None):
     """Run one scenario; returns (exit_code, message)."""
     try:
-        _expect(
+        _need(
             log_base is None or (log_base > 0 and log_base != 1),
-            f"--log-base must be positive and not 1, got {log_base}",
+            "--log-base", f"must be positive and not 1, got {log_base}",
         )
         sc = load_scenario(source)
+        # an option replaces its scenario field and is checked as that field
+        sc.update({k: v for k, v in (("prefix", prefix), ("budget", budget)) if v is not None})
         kind = validate_scenario(sc)
-        prefix = int(prefix if prefix is not None else sc.get("prefix", 8))
-        _expect(prefix >= 1, f"prefix (--prefix or the scenario field) must be >= 1, got {prefix}")
-        budget = int(budget if budget is not None else sc.get("budget", 10**7))
-        csv_text, context = _RUNNERS[kind](sc, prefix, budget)
+        csv_text, context = _RUNNERS[kind](sc, sc.get("prefix", 8), sc.get("budget", 10**7))
         if log_base is not None and "estimate" in context:
             scale = math.log(float(log_base))
             extra = ",".join(repr(r.ratio / scale) for r in context["estimate"].rows)
@@ -682,7 +674,8 @@ def main(argv=None) -> int:
             print(f"unknown kind {args.what!r}; kinds: {', '.join(KINDS)}", file=sys.stderr)
             return 2
         print(f"kind: {args.what}")
-        print(f"fields: {sorted(_COMMON_KEYS | _KIND_KEYS[args.what])}")
+        fields = SCENARIO.variants[args.what].fields
+        print(f"fields: {sorted(['kind', *(key.rstrip('?') for key in fields)])}")
         examples = [n for n, s in BUILTINS.items() if s["kind"] == args.what]
         if examples:
             print(f"builtin examples: {', '.join(sorted(examples))}")

@@ -29,7 +29,6 @@ from .monoid import (
     Section,
     SemidirectZZ,
     boundary,
-    exact_ratio,
     set_product,
 )
 from .tables import csv_table
@@ -412,7 +411,7 @@ def is_eps_disjoint(family, eps):
     exist with (1 - eps)|Y_j| <= |Z_j|.  Existence is a flow-feasibility
     question on the element-set incidence graph.
     """
-    eps = exact_ratio(eps)
+    eps = Fraction(eps)
     family = list(family)
     need = []
     for y in family:
@@ -478,7 +477,7 @@ class TilingReport:
 
 def check_tiling(d_set: MSubset, witness: TilingWitness, eps) -> TilingReport:
     """Verify the tiling clauses exactly and report all margins."""
-    eps = exact_ratio(eps)
+    eps = Fraction(eps)
     monoid = d_set.monoid
     placed = []
     within = True
@@ -520,7 +519,7 @@ def greedy_tiler(d_set: MSubset, tiles, eps, *, validate=True):
     the uncovered fraction drops below eps.  The returned witness is always
     re-validated with check_tiling; None when the bound is unreachable.
     """
-    eps = exact_ratio(eps)
+    eps = Fraction(eps)
     monoid = d_set.monoid
     tiles = sorted(tiles, key=len, reverse=True)
     d_elems = d_set.elements
@@ -569,7 +568,7 @@ def filling_hypotheses(tiles, d_set: MSubset, eps) -> FillingReport:
     """Exact check of the two boundary-ratio hypotheses that feed the
     filling argument: |bd_{F_j}(F_k)|/|F_k| <= eps^{2N}/|F_j| for j < k and
     |bd_{F_j}(D)|/|D| <= eps^{2N}."""
-    eps = exact_ratio(eps)
+    eps = Fraction(eps)
     tiles = list(tiles)
     n = len(tiles)
     power = eps**(2 * n)

@@ -23,21 +23,6 @@ from .errors import (
 )
 
 
-def exact_ratio(eps) -> Fraction:
-    """Exact rational value of a tolerance parameter.
-
-    Fractions, ints, and numeric strings pass through exactly; floats are
-    converted to their exact binary value.
-    """
-    if isinstance(eps, Fraction):
-        return eps
-    if isinstance(eps, int):
-        return Fraction(eps)
-    if isinstance(eps, str):
-        return Fraction(eps)
-    return Fraction(eps)
-
-
 class MonoidBase:
     """Minimal monoid protocol: identity, multiplication, membership."""
 
@@ -434,7 +419,7 @@ def eps_equiv(F: MSubset, Fp: MSubset, eps) -> bool:
     _same_monoid(F, Fp)
     if len(F.elements) != len(Fp.elements):
         return False
-    return len(F.elements ^ Fp.elements) <= exact_ratio(eps) * len(F.elements)
+    return len(F.elements ^ Fp.elements) <= Fraction(eps) * len(F.elements)
 
 
 def boundary(D: MSubset, E: MSubset) -> MSubset:
@@ -579,6 +564,8 @@ def _sub_family(src: Monoid, coords):
 
 def projection_hom(source: Monoid, coords, target=None) -> MonoidHom:
     coords = tuple(coords)
+    if not all(0 <= c < source.dim for c in coords):
+        raise MonoidMismatchError(f"coordinates {coords} are not all below dim {source.dim}")
     inferred, _ = _sub_family(source, coords)
     if target is None:
         target = inferred
