@@ -281,6 +281,7 @@ class Action:
         self.group = group
         self.gen_endos = tuple(gen_endos)
         self._cache = {}
+        self._inverses = {}
         if validate:
             self._validate()
 
@@ -312,15 +313,39 @@ class Action:
                     )
 
     def endo(self, s) -> Endomorphism:
-        if s in self._cache:
-            return self._cache[s]
+        """alpha(s), cached by exponent vector.  Nets add one generator step
+        at a time, so a cached neighbour s - g_j (s + g_j for a negative
+        exponent) gives alpha(s) with one compose; otherwise it is built
+        from generator powers."""
         exponents = self.monoid.generator_exponents(s)
-        acc = identity_endo(self.group)
-        for phi, k in zip(self.gen_endos, exponents):
-            if k:
-                acc = acc.compose(phi.power(k))
-        self._cache[s] = acc
+        cache = self._cache
+        acc = cache.get(exponents)
+        if acc is not None:
+            return acc
+        for j, k in enumerate(exponents):
+            if not k:
+                continue
+            step = 1 if k > 0 else -1
+            near = cache.get(exponents[:j] + (k - step,) + exponents[j + 1 :])
+            if near is not None:
+                acc = near.compose(self._generator_step(j, step))
+                break
+        else:
+            acc = identity_endo(self.group)
+            for phi, k in zip(self.gen_endos, exponents):
+                if k:
+                    acc = acc.compose(phi.power(k))
+        cache[exponents] = acc
         return acc
+
+    def _generator_step(self, j, step):
+        """phi_j for step 1, its inverse (computed once) for step -1."""
+        if step > 0:
+            return self.gen_endos[j]
+        inv = self._inverses.get(j)
+        if inv is None:
+            inv = self._inverses[j] = self.gen_endos[j].inverse()
+        return inv
 
     def apply(self, s, x):
         return self.endo(s).apply(x)

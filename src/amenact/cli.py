@@ -482,6 +482,9 @@ def _run_semidirect(sc, prefix, budget):
 
 
 def _run_tiling(sc, prefix, budget):
+    cells = sc["region"] ** sc["dim"]
+    if cells > budget:
+        raise BudgetExceededError(f"tiling region has {cells} cells, over the budget of {budget}")
     monoid = FreeAbelian(sc["dim"])
 
     def box(side):
@@ -617,8 +620,8 @@ def run_scenario(source: str, out_dir=None, prefix=None, budget=None, plot=False
     """Run one scenario; returns (exit_code, message)."""
     try:
         _need(
-            log_base is None or (log_base > 0 and log_base != 1),
-            "--log-base", f"must be positive and not 1, got {log_base}",
+            log_base is None or (math.isfinite(log_base) and log_base > 0 and log_base != 1),
+            "--log-base", f"must be finite, positive and not 1, got {log_base}",
         )
         sc = load_scenario(source)
         # an option replaces its scenario field and is checked as that field

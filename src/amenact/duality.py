@@ -110,22 +110,10 @@ def dual_action(alpha: Action) -> Action:
 
 
 def cotrajectory(gamma: Action, f_set: MSubset, u: Subgroup) -> Subgroup:
-    """C_F(gamma, U) = intersection of gamma(s)^{-1}(U) over s in F.
-
-    Each gamma(s)^{-1}(U) is the preimage of U's lattice under the images
-    of the unit vectors.
-    """
-    group = gamma.group
-    if not isinstance(group, FiniteProduct):
-        raise GroupMismatchError("use windowed cotrajectories on profinite spaces")
-    k = len(group.factors)
-    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    _, u_basis, _, _ = u._flat()
-    acc = [list(e) for e in units]
-    for s in f_set.elements:
-        images = [list(gamma.apply(s, e)) for e in units]
-        acc = lattices.intersect(acc, _preimage(images, u_basis, k), k)
-    return Subgroup.generated(group, [tuple(r) for r in acc])
+    """C_F(gamma, U) = intersection of gamma(s)^{-1}(U) over s in F."""
+    acc = _GrowingCotrajectory(gamma, u)
+    acc.advance(f_set.elements)
+    return Subgroup.generated(gamma.group, [tuple(r) for r in acc.basis])
 
 
 @dataclass
@@ -251,54 +239,131 @@ class ProfiniteShiftAction:
 def cotrajectory_window(
     gamma: ProfiniteShiftAction, f_set: MSubset, u: OpenSubgroup
 ) -> OpenSubgroup:
-    """C_F(gamma, U) for the shift action, as one merged constraint."""
-    space = gamma.space
-    k = len(space.base.factors)
-    union: set = set()
-    translated = []
-    for s in sorted(f_set.elements):
-        moved = gamma.translate_support(u.support, s)
-        translated.append((moved, u.rows))
-        union.update(moved)
-    union = tuple(sorted(union))
-    pos = {i: t for t, i in enumerate(union)}
-    d = len(union) * k
-    factors = space.base.factors
+    """C_F(gamma, U) for the shift action, as one merged constraint over the
+    sorted union of the translated supports."""
+    acc = _GrowingCotrajectory(gamma, u)
+    acc.advance(f_set.elements)
+    k = len(gamma.space.base.factors)
+    union = tuple(sorted(acc.pos))
+    cols = [acc.pos[i] + t for i in union for t in range(k)]
+    basis = lattices.hnf([[row[c] for c in cols] for row in acc.basis], len(cols))
+    return OpenSubgroup(gamma.space, union, tuple(tuple(r) for r in basis))
 
-    def preimage_rows(moved, rows):
-        out = []
-        covered = set(moved)
-        for row in rows:
-            placed = [0] * d
-            for t, i in enumerate(moved):
-                at = pos[i] * k
-                placed[at : at + k] = row[t * k : (t + 1) * k]
-            out.append(placed)
-        for i in union:
-            if i not in covered:
-                at = pos[i] * k
-                for t in range(k):
-                    unit = [0] * d
-                    unit[at + t] = 1
-                    out.append(unit)
-        return out
 
+def _meet_preimage(basis, images, target_rows, image_dim: int):
+    """HNF of {x in L : the image of x lies in L'}, for L the row lattice of
+    a full-rank HNF ``basis`` (row j has its pivot in column j), images[r]
+    the image of basis[r] under a linear map to Z^image_dim, and L' the row
+    lattice of ``target_rows``, which must keep the intersection of full
+    rank.
+
+    Rows with a zero image lie in the preimage already; the others enter
+    one kernel, whose heads are multiplied back into those rows.  Only the
+    rows from the first moved pivot c on change, so ``hnf`` runs on that
+    trailing block.  The rows above it stay reduced: a sublattice's pivots
+    are multiples of the old ones, so the result is already in HNF.
+    """
+    dim = len(basis)
+    moved = [j for j, img in enumerate(images) if any(img)]
+    if not moved:
+        return basis
+    c = moved[0]
+    tail = [basis[j][c:] for j in range(c, dim) if not any(images[j])]
+    for combo in _preimage([images[j] for j in moved], target_rows, image_dim):
+        vec = [0] * (dim - c)
+        for a, j in zip(combo, moved):
+            if a:
+                vec = [v + a * x for v, x in zip(vec, basis[j][c:])]
+        tail.append(vec)
+    return basis[:c] + [[0] * c + r for r in lattices.hnf(tail, dim - c)]
+
+
+class _GrowingCotrajectory:
+    """C_F(gamma, U) as one HNF basis that grows along a net.
+
+    ``advance(F)`` meets the basis with gamma(s)^{-1}(U) only for s new
+    since the previous F, and starts over when the previous F is not inside
+    F.  The basis always contains the modulus rows, so [K : C_F] is the
+    product of its pivots.  ``gamma`` is an Action on a finite character
+    group K (U a Subgroup) or a ProfiniteShiftAction (U an OpenSubgroup).
+    In the windowed case an index gets a block of k unconstrained unit rows
+    when a translated support first reaches it (``pos`` holds the first
+    column of each block, in order of first appearance), so earlier rows
+    stay valid and only the k |supp U| moved columns are constrained.
+    """
+
+    def __init__(self, gamma, u):
+        self.gamma = gamma
+        self.windowed = isinstance(gamma, ProfiniteShiftAction)
+        if self.windowed:
+            self.factors = gamma.space.base.factors
+            self.support = u.support
+            self.image_dim = len(u.support) * len(self.factors)
+            # the moduli keep every intersection of full rank, whatever rows U lists
+            moduli = _moduli_rows(self.factors * len(u.support))
+            self.target = [list(r) for r in u.rows] + moduli
+        elif isinstance(gamma.group, FiniteProduct):
+            self.factors = gamma.group.factors
+            self.target = u._flat()[1]
+            self.image_dim = len(self.factors)
+        else:
+            raise GroupMismatchError("use windowed cotrajectories on profinite spaces")
+        self._reset()
+
+    def _reset(self):
+        self.pos = {}
+        d = 0 if self.windowed else len(self.factors)
+        self.basis = [[int(i == j) for j in range(d)] for i in range(d)]
+        self._done = frozenset()
+
+    def advance(self, f_elements: frozenset):
+        if not self._done <= f_elements:
+            self._reset()
+        for s in sorted(f_elements - self._done):
+            images = self._images(s)  # before reading self.basis: it may grow
+            self.basis = _meet_preimage(self.basis, images, self.target, self.image_dim)
+        self._done = f_elements
+
+    def _images(self, s):
+        """The image of each basis row in the space of U's constraint rows;
+        in the windowed case an index the moved support newly reaches first
+        gets its block of unit rows."""
+        n = self.factors
+        if not self.windowed:
+            apply = self.gamma.apply
+            return [list(apply(s, tuple(v % m for v, m in zip(row, n)))) for row in self.basis]
+        k = len(n)
+        moved = self.gamma.translate_support(self.support, s)
+        for i in moved:
+            if i not in self.pos:
+                d = self.pos[i] = len(self.basis)
+                for row in self.basis:
+                    row.extend([0] * k)
+                self.basis.extend([int(j == d + t) for j in range(d + k)] for t in range(k))
+        cols = [self.pos[i] + t for i in moved for t in range(k)]
+        return [[row[c] for c in cols] for row in self.basis]
+
+    def index(self) -> int:
+        return lattices.lattice_index(self.basis, len(self.basis))
+
+
+def _cotrajectory_indices(gamma, u, net: FolnerNet, prefix: int):
+    """Yield (F_i, [K : C_{F_i}(gamma, U)]) for i = 1..prefix, from one
+    accumulator along an increasing net (a fresh one per index otherwise);
+    a window escape names the net index and the largest valid prefix."""
     acc = None
-    for moved, rows in translated:
-        pre = preimage_rows(moved, rows)
-        acc = pre if acc is None else lattices.intersect(acc, pre, d)
-    if acc is None:
-        acc = [[factors[t % k] if j == t else 0 for j in range(d)] for t in range(d)]
-    basis = lattices.hnf(acc, d)
-    return OpenSubgroup(space, union, tuple(tuple(r) for r in basis))
-
-
-def _cotrajectory_index(gamma, f_set: MSubset, u) -> int:
-    """[K : C_F(gamma, U)] for an Action on a finite character group (U a
-    Subgroup) or a ProfiniteShiftAction (U an OpenSubgroup)."""
-    if isinstance(gamma, ProfiniteShiftAction):
-        return cotrajectory_window(gamma, f_set, u).index_in_space()
-    return gamma.group.order // cotrajectory(gamma, f_set, u).order()
+    for i in range(1, prefix + 1):
+        fi = net.subset(i)
+        if acc is None or not net.increasing:
+            acc = _GrowingCotrajectory(gamma, u)
+        try:
+            acc.advance(fi.elements)
+        except WindowEscapeError as err:
+            raise WindowEscapeError(
+                f"window escape at net index {i}; largest valid prefix is {i - 1}",
+                element=err.element,
+            ) from err
+        yield fi, acc.index()
 
 
 def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
@@ -309,15 +374,7 @@ def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
     escape reports the largest valid prefix.
     """
     est = IntegralEstimate("h_top")
-    for i in range(1, prefix + 1):
-        fi = net.subset(i)
-        try:
-            index = _cotrajectory_index(gamma, fi, u)
-        except WindowEscapeError as err:
-            raise WindowEscapeError(
-                f"window escape at net index {i}; largest valid prefix is {i - 1}",
-                element=err.element,
-            ) from err
+    for i, (fi, index) in enumerate(_cotrajectory_indices(gamma, u, net, prefix), start=1):
         value = math.log(index)
         est.rows.append(IntegralRow(i, len(fi), value, value / len(fi)))
     return est
@@ -360,30 +417,37 @@ class BridgeReport:
         return csv_table("index,size,ell_trajectory,log_index,difference", rows)
 
 
+def _dual_pair(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int):
+    """(gamma, U): the dual action and U = B-perp, on a window that holds
+    every translate of B's support by F_1, ..., F_prefix for direct sums."""
+    group = alpha.group
+    if isinstance(group, FiniteProduct):
+        return dual_action(alpha), annihilator(b)
+    if not isinstance(group, DirectSum):
+        raise GroupMismatchError(f"no bridge mode for {group}")
+    for phi in alpha.gen_endos:
+        if not isinstance(phi, ShiftEndo) or phi.base is not None:
+            raise UndecidableFamilyError("bridge on direct sums needs pure shifts")
+    support = sorted({i for g in b.gens for i, _ in g})
+    extent = set(support)
+    subsets = [net.subset(prefix)] if net.increasing else net.prefix(prefix)
+    for s in set().union(*(f.elements for f in subsets)):
+        for i in support:
+            extent.add(group.index.op(i, s))
+    space = WindowedProfinite(group.base, group.index, tuple(sorted(extent)))
+    return ProfiniteShiftAction(space, alpha.monoid), annihilator_window(space, b)
+
+
 def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> BridgeReport:
     """Pair the subgroup seed with its annihilator and compare trajectory
     length against cotrajectory log-index at every net index, exactly."""
-    group = alpha.group
-    if isinstance(group, FiniteProduct):
-        gamma, u = dual_action(alpha), annihilator(b)
-    elif isinstance(group, DirectSum):
-        for phi in alpha.gen_endos:
-            if not isinstance(phi, ShiftEndo) or phi.base is not None:
-                raise UndecidableFamilyError("bridge on direct sums needs pure shifts")
-        support = sorted({i for g in b.gens for i, _ in g})
-        extent = set(support)
-        for s in net.subset(prefix).elements:
-            for i in support:
-                extent.add(group.index.op(i, s))
-        space = WindowedProfinite(group.base, group.index, tuple(sorted(extent)))
-        gamma = ProfiniteShiftAction(space, alpha.monoid)
-        u = annihilator_window(space, b)
-    else:
-        raise GroupMismatchError(f"no bridge mode for {group}")
+    gamma, u = _dual_pair(alpha, b, net, prefix)
     rows = []
     exact = True
-    for i, (fi, order) in enumerate(_trajectory_orders(alpha, b, net, prefix), start=1):
-        index = _cotrajectory_index(gamma, fi, u)
+    sides = zip(
+        _trajectory_orders(alpha, b, net, prefix), _cotrajectory_indices(gamma, u, net, prefix)
+    )
+    for i, ((fi, order), (_, index)) in enumerate(sides, start=1):
         exact = exact and order == index
         rows.append(BridgeRow(i, len(fi), ell_of_order(order), ell_of_order(index)))
     return BridgeReport(rows, exact)

@@ -137,9 +137,8 @@ def lattice_index(basis, dim: int):
     if len(basis) < dim:
         return None
     idx = 1
-    for row in basis:
-        col = next(i for i, x in enumerate(row) if x)
-        idx *= row[col]
+    for i, row in enumerate(basis):  # full rank: row i has its pivot in column i
+        idx *= row[i]
     return idx
 
 
@@ -175,10 +174,15 @@ def snf_diagonal(rows, dim: int):
     mat = [list(r) for r in rows if any(r)]
     v = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
 
+    def combination(a, b):
+        # (x, y, a/g, b/g) for g = gcd(a, b); when a divides b the pivot
+        # stays put (x, y = 1, 0), or equal entries would swap roles forever
+        g, x, y = (a, 1, 0) if b % a == 0 else _ext_gcd(a, b)
+        return x, y, a // g, b // g
+
     def col_combine(ci, cj, a, b):
         # (col ci, col cj) <- unimodular combination; mirror on V columns.
-        g, x, y = _ext_gcd(a, b)
-        am, bm = a // g, b // g
+        x, y, am, bm = combination(a, b)
         for row in mat:
             p, q = row[ci], row[cj]
             row[ci] = x * p + y * q
@@ -189,8 +193,7 @@ def snf_diagonal(rows, dim: int):
             row[cj] = am * q - bm * p
 
     def row_combine(ri, rj, a, b):
-        g, x, y = _ext_gcd(a, b)
-        am, bm = a // g, b // g
+        x, y, am, bm = combination(a, b)
         rp, rq = mat[ri], mat[rj]
         mat[ri] = [x * p + y * q for p, q in zip(rp, rq)]
         mat[rj] = [am * q - bm * p for p, q in zip(rp, rq)]

@@ -21,6 +21,7 @@ from amenact.abelian import (
     subgroup_join,
     subgroup_order,
 )
+from amenact.duality import subgroup_lattice
 from amenact.errors import (
     GroupMismatchError,
     InconsistentSubgroupError,
@@ -289,6 +290,40 @@ def test_snf_section_uses_the_inverse_cached_at_construction(group, gens, monkey
     monkeypatch.setattr(lattices, "unimodular_inverse", refuse)
     for t in q.elements():
         assert proj(proj.section(t)) == t
+
+
+@pytest.mark.parametrize("factors", [(4,), (2, 4), (4, 6), (3, 9), (2, 2, 2)])
+def test_section_is_a_right_inverse_on_every_subgroup(factors):
+    # the trivial subgroup gives the identity kind, every other one snf
+    group = FiniteProduct(factors)
+    kinds = set()
+    for gens, _ in subgroup_lattice(group):
+        q, proj = quotient_group(group, Subgroup.generated(group, gens))
+        kinds.add(proj.kind)
+        for t in q.elements():
+            x = proj.section(t)
+            assert group.contains(x) and proj(x) == t
+    assert kinds == {"identity", "snf"}
+
+
+def test_section_of_direct_sum_and_free_quotients():
+    base = FiniteProduct((2, 3))
+    a = DirectSum(base, FreeAbelian(1))
+    q, proj = quotient_group(a, Subgroup.percoord(a, Subgroup.full(base)))
+    assert proj.kind == "trivial" and list(q.elements()) == [()]
+    assert proj.section(()) == a.zero and proj(proj.section(())) == ()
+    rng = random.Random(11)
+    cases = [
+        (a, Subgroup.generated(a, []), "identity"),
+        (a, Subgroup.percoord(a, Subgroup.generated(base, [(0, 1)])), "percoord"),
+        (FreeZ(3), Subgroup.generated(FreeZ(3), [(0, 1, 0)]), "drop"),
+    ]
+    for group, b, kind in cases:
+        q, proj = quotient_group(group, b)
+        assert proj.kind == kind
+        for _ in range(40):
+            t = q.sample(rng, 3)
+            assert proj(proj.section(t)) == t
 
 
 # --- subgroup_as_group ------------------------------------------------------

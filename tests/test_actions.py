@@ -46,6 +46,7 @@ from amenact.monoid import (
     FreeAbelian,
     FreeCommutative,
     MSubset,
+    ProductMonoid,
     scale_hom,
 )
 
@@ -115,6 +116,76 @@ def test_endo_power_table():
     alpha = m4_action()
     assert alpha.endo((3,)).apply((1,)) == (64,)
     assert alpha.apply((0,), (5,)) == (5,)
+
+
+def _endo_by_powers(alpha, s):
+    """alpha(s) as the product of generator powers, each by repeated squaring."""
+    acc = identity_endo(alpha.group)
+    for phi, k in zip(alpha.gen_endos, alpha.monoid.generator_exponents(s)):
+        if k:
+            acc = acc.compose(phi.power(k))
+    return acc
+
+
+def _z2_on_z2():
+    z2 = FreeZ(2)
+    phi = MatrixEndo(z2, ((2, 1), (1, 1)))
+    return Action(FreeAbelian(2), z2, [phi, phi.compose(scalar_endo(z2, -1))])
+
+
+def _n2_on_finite():
+    g = FiniteProduct((8, 4))
+    return Action(FreeCommutative(2), g, [MatrixEndo(g, ((3, 2), (1, 1))), scalar_endo(g, 5)])
+
+
+def _finite_part_product():
+    g = FiniteProduct((7,))
+    monoid = ProductMonoid((FiniteAbelianMonoid((3,)), FreeAbelian(1)))
+    return Action(monoid, g, [scalar_endo(g, 2), scalar_endo(g, 3)])
+
+
+def _z2_shifts_with_bases():
+    group = DirectSum(FiniteProduct((6, 6)), Z1)
+    fibonacci = MatrixEndo(group.base, ((0, 1), (1, 1)))
+    return Action(FreeAbelian(2), group, [
+        shift_endo(group, (1,), fibonacci), shift_endo(group, (0,), scalar_endo(group.base, -1)),
+    ])
+
+
+ENDO_CASES = {
+    "Z2-on-Z2": _z2_on_z2,
+    "N2-on-Z8xZ4": _n2_on_finite,
+    "Z3xZ-on-Z7": _finite_part_product,
+    "Z2-shifts-with-bases": _z2_shifts_with_bases,
+}
+
+
+@pytest.mark.parametrize("name", ENDO_CASES)
+def test_endo_from_cached_neighbour_matches_repeated_squaring(name, monkeypatch):
+    alpha = ENDO_CASES[name]()
+    endo_type = type(alpha.gen_endos[0])
+    composes = []
+    original = endo_type.compose
+    monkeypatch.setattr(endo_type, "compose", lambda a, b: composes.append(1) or original(a, b))
+    net = box_net(alpha.monoid)
+    built = {s: alpha.endo(s) for i in range(1, 6) for s in sorted(net.subset(i).elements)}
+    monkeypatch.undo()
+    # along a box net almost every element is one compose from a cached one
+    assert len(composes) <= 2 * len(built)
+    assert any(k < 0 for s in built for k in s) == alpha.monoid.is_group
+    for s, endo in built.items():
+        assert endo == _endo_by_powers(alpha, s), s
+
+
+def test_endo_far_from_every_cached_element_needs_no_recursion():
+    g = FiniteProduct((101,))
+    alpha = Action(Z1, g, [scalar_endo(g, 3)])
+    far = 10**6
+    assert alpha.endo((far,)) == _endo_by_powers(alpha, (far,))
+    assert alpha.endo((-far,)) == _endo_by_powers(alpha, (-far,))
+    # walks outward from 0 build each step from the last one
+    for k in (*range(3000), *range(0, -3000, -1)):
+        assert alpha.endo((k,)).apply((1,)) == (pow(3, k, 101),)
 
 
 @pytest.mark.parametrize("rows,unit", [

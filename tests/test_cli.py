@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,16 @@ def test_budget_exceeded_exits_three():
     assert code == 3 and "budget" in message
 
 
+def test_tiling_budget_caps_the_region_cells(tmp_path):
+    code, message = run_scenario("tiling-square", out_dir=tmp_path, budget=10)
+    assert code == 3 and "10000 cells" in message
+    assert not (tmp_path / "tiling-square.csv").exists()
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(dict(BUILTINS["tiling-square"], region=12, tiles=[3])))
+    assert run_scenario(str(small), budget=143)[0] == 3
+    assert run_scenario(str(small), budget=144)[0] in (0, 1)
+
+
 def test_missing_file_is_schema_error():
     assert run_scenario("definitely-not-a-scenario")[0] == 2
 
@@ -128,7 +139,7 @@ def test_construction_errors_exit_two():
         assert label == "invalid scenario" and detail, path.name
 
 
-@pytest.mark.parametrize("log_base", [1, 1.0, 0, -2.0])
+@pytest.mark.parametrize("log_base", [1, 1.0, 0, -2.0, math.inf, -math.inf, math.nan])
 def test_bad_log_base_is_schema_error(tmp_path, log_base):
     code, message = run_scenario("example-doubling", out_dir=tmp_path, log_base=log_base)
     assert code == 2 and "--log-base" in message
@@ -150,6 +161,7 @@ def test_bad_prefix_field_is_schema_error(tmp_path):
 
 def test_main_rejects_bad_numbers(capsys):
     assert main(["run", "example-doubling", "--log-base", "1"]) == 2
+    assert main(["run", "example-doubling", "--log-base", "inf"]) == 2
     assert main(["run", "example-doubling", "--prefix", "0"]) == 2
     assert "schema error" in capsys.readouterr().err
 

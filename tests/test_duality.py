@@ -7,12 +7,17 @@ from itertools import product as iproduct
 
 import pytest
 
+from amenact import cli, lattices
 from amenact.abelian import DirectSum, FiniteProduct, Subgroup
 from amenact.actions import Action, MatrixEndo, identity_endo, scalar_endo, shift_endo
 from amenact.duality import (
     DualGroup,
+    OpenSubgroup,
     ProfiniteShiftAction,
     WindowedProfinite,
+    _cotrajectory_indices,
+    _dual_pair,
+    _GrowingCotrajectory,
     annihilator,
     bridge_check,
     cotrajectory,
@@ -25,8 +30,14 @@ from amenact.duality import (
     vanishing_subgroup,
 )
 from amenact.errors import GroupMismatchError, WindowEscapeError
-from amenact.folner import box_net
-from amenact.monoid import FiniteAbelianMonoid, FreeAbelian, FreeCommutative, MSubset
+from amenact.folner import FolnerNet, box_net
+from amenact.monoid import (
+    FiniteAbelianMonoid,
+    FreeAbelian,
+    FreeCommutative,
+    MSubset,
+    ProductMonoid,
+)
 from test_acceptance import _abelian_types
 
 N1 = FreeCommutative(1)
@@ -441,3 +452,181 @@ def test_duality_on_a_group_of_order_two_to_the_eighteen():
         alpha = Action(N1, g, [endo])
         for k in range(1, 4):
             assert ct_check(alpha, b, ms(N1, [(i,) for i in range(k)])).equal
+
+
+# --- the growing cotrajectory against the from-scratch intersection ------------
+# The library grows one Hermite basis along a net; these oracles rebuild
+# C_F(gamma, U) at every index with one lattices.intersect per element of F.
+
+
+def _scratch_preimage(images, target_rows, dim):
+    m = len(images)
+    return [c[:m] for c in lattices.kernel(images + target_rows, dim)]
+
+
+def _scratch_cotrajectory(gamma, f_set, u):
+    """C_F(gamma, U) of an Action on a finite product, as an HNF basis."""
+    k = len(gamma.group.factors)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    _, u_basis, _, _ = u._flat()
+    acc = [list(e) for e in units]
+    for s in f_set.elements:
+        images = [list(gamma.apply(s, e)) for e in units]
+        acc = lattices.intersect(acc, _scratch_preimage(images, u_basis, k), k)
+    return lattices.hnf(acc, k)
+
+
+def _scratch_cotrajectory_window(gamma, f_set, u):
+    """C_F(gamma, U) of a ProfiniteShiftAction, over the sorted union of the
+    translated supports, every preimage padded with unit rows."""
+    k = len(gamma.space.base.factors)
+    translated = [gamma.translate_support(u.support, s) for s in sorted(f_set.elements)]
+    union = tuple(sorted({i for moved in translated for i in moved}))
+    pos = {i: t for t, i in enumerate(union)}
+    d = len(union) * k
+    acc = [[int(i == j) for j in range(d)] for i in range(d)]
+    for moved in translated:
+        pre = []
+        for row in u.rows:
+            placed = [0] * d
+            for t, i in enumerate(moved):
+                placed[pos[i] * k : (pos[i] + 1) * k] = row[t * k : (t + 1) * k]
+            pre.append(placed)
+        for i in union:
+            if i not in moved:
+                pre.extend([int(j == pos[i] * k + t) for j in range(d)] for t in range(k))
+        acc = lattices.intersect(acc, pre, d)
+    return OpenSubgroup(gamma.space, union, tuple(tuple(r) for r in lattices.hnf(acc, d)))
+
+
+def _scratch_index(gamma, f_set, u):
+    if isinstance(gamma, ProfiniteShiftAction):
+        return _scratch_cotrajectory_window(gamma, f_set, u).index_in_space()
+    k = len(gamma.group.factors)
+    return lattices.lattice_index(_scratch_cotrajectory(gamma, f_set, u), k)
+
+
+def _assert_matches_scratch(gamma, u, net, prefix):
+    indices = list(_cotrajectory_indices(gamma, u, net, prefix))
+    assert len(indices) == prefix
+    acc = _GrowingCotrajectory(gamma, u)
+    for i, (fi, index) in enumerate(indices, start=1):
+        assert fi == net.subset(i)
+        assert index == _scratch_index(gamma, fi, u), i
+        # the accumulator's basis stays in Hermite normal form
+        acc.advance(fi.elements)
+        assert acc.basis == lattices.hnf(acc.basis, len(acc.basis))
+        if isinstance(gamma, ProfiniteShiftAction):
+            assert cotrajectory_window(gamma, fi, u) == _scratch_cotrajectory_window(gamma, fi, u)
+        else:
+            scratch = _scratch_cotrajectory(gamma, fi, u)
+            expected = Subgroup.generated(gamma.group, [tuple(r) for r in scratch])
+            assert cotrajectory(gamma, fi, u).canonical_key() == expected.canonical_key()
+
+
+BRIDGE_BUILTINS = sorted(name for name, sc in cli.BUILTINS.items() if sc["kind"] == "bridge")
+
+
+def test_bridge_builtins_are_covered():
+    assert "bridge-bernoulli" in BRIDGE_BUILTINS
+
+
+@pytest.mark.parametrize("name", BRIDGE_BUILTINS)
+def test_cotrajectory_accumulator_matches_scratch_on_builtin_bridges(name):
+    alpha, b, net = cli._action_parts(cli.BUILTINS[name])
+    prefix = max(cli.BUILTINS[name].get("prefix", 8), 16)
+    gamma, u = _dual_pair(alpha, b, net, prefix)
+    _assert_matches_scratch(gamma, u, net, prefix)
+    assert bridge_check(alpha, b, net, prefix).exact_at_every_index
+
+
+def _two_block_shift(index):
+    """A shift on (Z/2 x Z/4)^(index) with a seed spread over three indices,
+    so translated supports overlap and constrain old columns as well."""
+    group = DirectSum(FiniteProduct((2, 4)), index)
+    gens = [frozenset({((0,) * index.dim, (1, 2)), ((2,) + (0,) * (index.dim - 1), (0, 1))}),
+            frozenset({((1,) + (0,) * (index.dim - 1), (1, 1))})]
+    moves = [tuple(int(i == j) for j in range(index.dim)) for i in range(index.dim)]
+    alpha = Action(index, group, [shift_endo(group, m) for m in moves])
+    return alpha, Subgroup.generated(group, gens)
+
+
+@pytest.mark.parametrize(
+    "index, prefix", [(Z1, 5), (N1, 8), (FreeCommutative(2), 4)], ids=["Z", "N", "N2"]
+)
+def test_cotrajectory_accumulator_matches_scratch_on_overlapping_supports(index, prefix):
+    alpha, b = _two_block_shift(index)
+    net = box_net(index)
+    gamma, u = _dual_pair(alpha, b, net, prefix)
+    _assert_matches_scratch(gamma, u, net, prefix)
+    assert bridge_check(alpha, b, net, prefix).exact_at_every_index
+
+
+def _sliding_net(monoid, width):
+    """F_i = {i, ..., i + width - 1} on N: consecutive sets overlap but are
+    not nested, so every index starts the accumulator over."""
+    return FolnerNet(monoid, lambda i: ms(monoid, [(i + t,) for t in range(width)]), "sliding")
+
+
+def test_cotrajectory_accumulator_restarts_on_a_sliding_net():
+    alpha, b = _two_block_shift(N1)
+    net = _sliding_net(N1, 3)
+    gamma, u = _dual_pair(alpha, b, net, 6)
+    _assert_matches_scratch(gamma, u, net, 6)
+    assert bridge_check(alpha, b, net, 6).exact_at_every_index
+    g = FiniteProduct((4, 6))
+    rng = random.Random("sliding")
+    gamma = Action(N1, g, [random_endomorphism(g, rng)])
+    u = Subgroup.generated(g, [(2, 3)])
+    _assert_matches_scratch(gamma, u, net, 6)
+
+
+def test_cotrajectory_accumulator_starts_over_when_the_last_set_is_not_inside():
+    # one accumulator driven by hand: nested, then a jump, then nested again
+    alpha, b = _two_block_shift(Z1)
+    sets = [[(0,)], [(0,), (1,)], [(3,), (4,)], [(2,), (3,), (4,)], [(-1,)]]
+    net = FolnerNet(Z1, lambda i: ms(Z1, sets[i - 1]), "jumps")
+    gamma, u = _dual_pair(alpha, b, net, len(sets))
+    acc = _GrowingCotrajectory(gamma, u)
+    for items in sets:
+        f = ms(Z1, items)
+        acc.advance(f.elements)
+        assert acc.index() == _scratch_index(gamma, f, u), items
+
+
+def test_cotrajectory_accumulator_matches_scratch_on_every_group_of_order_64_or_less():
+    rng = random.Random("criterion-10 groups")
+    net = box_net(N1)
+    for factors in _abelian_types(64):
+        g = FiniteProduct(factors)
+        subs = _all_subgroups(factors)
+        for _ in range(2):
+            gamma = Action(N1, g, [random_endomorphism(g, rng)])
+            u = Subgroup.generated(g, subs[rng.randrange(len(subs))][0])
+            indices = [index for _, index in _cotrajectory_indices(gamma, u, net, 4)]
+            expected = [_scratch_index(gamma, net.subset(i), u) for i in range(1, 5)]
+            assert indices == expected, factors
+
+
+def test_cotrajectory_accumulator_on_a_product_monoid_with_a_finite_part():
+    monoid = ProductMonoid((FiniteAbelianMonoid((2,)), FreeAbelian(1)))
+    g = FiniteProduct((3, 9))
+    alpha = Action(monoid, g, [scalar_endo(g, -1), MatrixEndo(g, ((1, 0), (3, 1)))])
+    b = Subgroup.generated(g, [(1, 1)])
+    net = box_net(monoid)
+    gamma, u = _dual_pair(alpha, b, net, 4)
+    _assert_matches_scratch(gamma, u, net, 4)
+    assert bridge_check(alpha, b, net, 4).exact_at_every_index
+
+
+def test_bridge_bernoulli_makes_one_kernel_and_no_intersection_per_new_element(monkeypatch):
+    calls = {"kernel": 0, "intersect": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(lattices, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(lattices, name, counted)
+    alpha, b, net = cli._action_parts(cli.BUILTINS["bridge-bernoulli"])
+    assert bridge_check(alpha, b, net, 40).exact_at_every_index
+    # one kernel per element of F_40, one for the annihilator
+    assert calls == {"kernel": len(net.subset(40)) + 1, "intersect": 0}

@@ -130,6 +130,18 @@ def test_snf_projection_realizes_the_quotient(seed):
         assert left == right
 
 
+def test_snf_with_equal_pivot_and_entry_terminates():
+    # equal entries in the pivot row and column used to swap places forever
+    full = [[0, 1, 1], [1, 0, 1], [2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    diag, v = lattices.snf_diagonal(full, 3)
+    assert diag == [1, 1, 2]
+    assert lattices.hnf(v, 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    basis = lattices.hnf(full, 3)
+    for vec in product(range(2), repeat=3):
+        img = [sum(vec[i] * v[i][j] for i in range(3)) for j in range(3)]
+        assert (img[2] % 2 == 0) == lattices.contains(basis, vec)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_unimodular_inverse_of_elementary_products(seed):
     rng = random.Random(4000 + seed)
