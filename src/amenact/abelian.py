@@ -283,20 +283,6 @@ class DirectSum(AbelianGroup):
     def sort_key(self, x):
         return tuple(sorted(x))
 
-    def window_elements(self, scale: int, cap: int = 4096):
-        """All elements supported inside the index window of the given scale."""
-        idx = sorted(self.index.window(scale).elements)
-        total = self.base.order ** len(idx)
-        if total > cap:
-            raise BudgetExceededError(f"window of size {total} exceeds cap {cap}")
-        vals = list(self.base.elements())
-        out = []
-        for combo in iproduct(vals, repeat=len(idx)):
-            out.append(frozenset(
-                (i, v) for i, v in zip(idx, combo) if v != self.base.zero
-            ))
-        return frozenset(out)
-
     def sample(self, rng, bound):
         idx = sorted(self.index.window(bound).elements)
         out = {}
@@ -391,13 +377,12 @@ class Subgroup:
     invariant subgroups like 2A enter the Addition Theorem checks.
     """
 
-    def __init__(self, group, kind, gens=(), base_subgroup=None, _window=None):
+    def __init__(self, group, kind, gens=(), base_subgroup=None):
         self.group = group
         self.kind = kind
         self.gens = tuple(gens)
         self.base_subgroup = base_subgroup
         self._data = None
-        self._forced_window = _window
 
     # construction ---------------------------------------------------------
 
@@ -448,10 +433,7 @@ class Subgroup:
             order = g.order // lattices.lattice_index(basis, k)
             self._data = (k, basis, order, None)
         elif isinstance(g, DirectSum):
-            window = self._forced_window
-            if window is None:
-                window = sorted({i for x in self.gens for i, _ in x})
-            window = tuple(window)
+            window = tuple(sorted({i for x in self.gens for i, _ in x}))
             flat_gens = [_flatten(g, x, window) for x in self.gens]
             k = len(window) * len(g.base.factors)
             rows = flat_gens + _moduli_rows(g.base.factors * len(window))

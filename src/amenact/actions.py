@@ -627,20 +627,20 @@ def _trajectory_orders(alpha: Action, seed: Subgroup, net: FolnerNet, prefix: in
     """Yield (F_i, |T_{F_i}(alpha, B)|) for i = 1..prefix.
 
     Finitely generated seeds of finite products and direct sums share one
-    growing echelon basis along an increasing net; coordinatewise seeds
-    and free groups take ``subgroup_trajectory`` at every index.
+    growing echelon basis along the net (it starts over wherever F_{i-1}
+    is not inside F_i); coordinatewise seeds and free groups take
+    ``subgroup_trajectory`` at every index.
     """
-    growing = seed.kind == "fg" and isinstance(alpha.group, (FiniteProduct, DirectSum))
     traj = None
+    if seed.kind == "fg" and isinstance(alpha.group, (FiniteProduct, DirectSum)):
+        traj = _GrowingTrajectory(alpha, seed)
     for i in range(1, prefix + 1):
         fi = net.subset(i)
-        if not growing:
+        if traj is None:
             yield fi, subgroup_trajectory(alpha, fi, seed).order()
-            continue
-        if traj is None or not net.increasing:
-            traj = _GrowingTrajectory(alpha, seed)
-        traj.advance(fi.elements)
-        yield fi, traj.order()
+        else:
+            traj.advance(fi.elements)
+            yield fi, traj.order()
 
 
 # ---------------------------------------------------------------------------
@@ -724,17 +724,21 @@ class EntReport:
     note: str = ""
 
 
-def _window_certificate(alpha, seed: Subgroup, scale: int, cap: int = 4096):
+def _window_certificate(alpha, seed: Subgroup, scale: int):
     """Check that the full trajectory of the seed exhausts the torsion part
-    over a bounded window: every window element must land in T_F(seed) for
-    a matching monoid window F."""
+    over a bounded window: the window's generators must land in T_F(seed)
+    for a matching monoid window F.  T_F is a subgroup, so it then holds
+    every window element, and none is enumerated."""
     group = alpha.group
     if isinstance(group, FiniteProduct):
-        targets = set(group.elements()) if group.order <= cap else None
-        if targets is None:
-            raise BudgetExceededError("certificate window exceeds the cap")
+        targets = Subgroup.full(group).gens
     elif isinstance(group, DirectSum):
-        targets = set(group.window_elements(scale, cap))
+        units = Subgroup.full(group.base).gens
+        targets = [
+            group.basis_vector(i, u)
+            for i in sorted(group.index.window(scale).elements)
+            for u in units
+        ]
     else:
         raise GroupMismatchError("certificates need torsion groups")
     traj = _GrowingTrajectory(alpha, seed) if seed.kind == "fg" else None
@@ -851,8 +855,6 @@ def quotient_and_sub_actions(alpha: Action, b: Subgroup):
                 sub_endos.append(ShiftEndo(b_group, phi.shift, sub_base))
             else:
                 sub_endos.append(identity_endo(b_group))
-        elif isinstance(phi, ShiftEndo):
-            sub_endos.append(_induced_sum_endo(alpha.group, b_group, embed, express, phi))
         else:
             sub_endos.append(_induced_matrix(b_group, embed, express, phi))
 
@@ -881,12 +883,6 @@ def quotient_and_sub_actions(alpha: Action, b: Subgroup):
         "projection": proj,
     }
     return sub_action, quo_action, context
-
-
-def _induced_sum_endo(big_group, b_group, embed, express, phi):
-    if isinstance(b_group, FiniteProduct):
-        return _induced_matrix(b_group, embed, express, phi)
-    raise UndecidableFamilyError("finitely generated direct-sum subactions need shifts")
 
 
 def _induced_quotient_matrix(proj: QuotientProjection, phi: MatrixEndo) -> Endomorphism:

@@ -349,13 +349,12 @@ class _GrowingCotrajectory:
 
 def _cotrajectory_indices(gamma, u, net: FolnerNet, prefix: int):
     """Yield (F_i, [K : C_{F_i}(gamma, U)]) for i = 1..prefix, from one
-    accumulator along an increasing net (a fresh one per index otherwise);
-    a window escape names the net index and the largest valid prefix."""
-    acc = None
+    accumulator along the net (it starts over wherever F_{i-1} is not
+    inside F_i); a window escape names the net index and the largest valid
+    prefix."""
+    acc = _GrowingCotrajectory(gamma, u)
     for i in range(1, prefix + 1):
         fi = net.subset(i)
-        if acc is None or not net.increasing:
-            acc = _GrowingCotrajectory(gamma, u)
         try:
             acc.advance(fi.elements)
         except WindowEscapeError as err:
@@ -430,8 +429,7 @@ def _dual_pair(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int):
             raise UndecidableFamilyError("bridge on direct sums needs pure shifts")
     support = sorted({i for g in b.gens for i, _ in g})
     extent = set(support)
-    subsets = [net.subset(prefix)] if net.increasing else net.prefix(prefix)
-    for s in set().union(*(f.elements for f in subsets)):
+    for s in set().union(*(f.elements for f in net.prefix(prefix))):
         for i in support:
             extent.add(group.index.op(i, s))
     space = WindowedProfinite(group.base, group.index, tuple(sorted(extent)))

@@ -40,11 +40,10 @@ CANONICAL_SEARCH_BUDGET = 2**16
 class FolnerNet:
     """Lazily generated, memoized sequence of finite subsets."""
 
-    def __init__(self, monoid, generate, label="net", increasing=False):
+    def __init__(self, monoid, generate, label="net"):
         self.monoid = monoid
         self._generate = generate
         self.label = label
-        self.increasing = increasing
         self._cache = {}
 
     def subset(self, i: int) -> MSubset:
@@ -67,14 +66,14 @@ def box_net(monoid) -> FolnerNet:
     if isinstance(monoid, FreeCommutative):
         def gen(n):
             return MSubset(monoid, frozenset(iproduct(range(n), repeat=monoid.dim)))
-        return FolnerNet(monoid, gen, "boxes", increasing=True)
+        return FolnerNet(monoid, gen, "boxes")
     if isinstance(monoid, FreeAbelian):
         def gen(n):
             return MSubset(monoid, frozenset(iproduct(range(-n, n + 1), repeat=monoid.dim)))
-        return FolnerNet(monoid, gen, "boxes", increasing=True)
+        return FolnerNet(monoid, gen, "boxes")
     if isinstance(monoid, FiniteAbelianMonoid):
         whole = MSubset(monoid, frozenset(monoid.elements()))
-        return FolnerNet(monoid, lambda n: whole, "constant", increasing=True)
+        return FolnerNet(monoid, lambda n: whole, "constant")
     if isinstance(monoid, ProductMonoid):
         nets = [box_net(p) for p in monoid.parts]
 
@@ -82,7 +81,7 @@ def box_net(monoid) -> FolnerNet:
             grids = [sorted(net.subset(n).elements) for net in nets]
             return MSubset(monoid, frozenset(sum(c, ()) for c in iproduct(*grids)))
 
-        return FolnerNet(monoid, gen, "boxes", increasing=True)
+        return FolnerNet(monoid, gen, "boxes")
     raise UndecidableFamilyError(f"no box net for {monoid}")
 
 
@@ -145,12 +144,7 @@ def translate_net(net: FolnerNet, e: MSubset) -> FolnerNet:
     """Index-wise right product F_i E."""
     if e.monoid != net.monoid:
         raise MonoidMismatchError("translate set lives in a different monoid")
-    return FolnerNet(
-        net.monoid,
-        lambda i: set_product(net.subset(i), e),
-        f"{net.label}*E",
-        increasing=net.increasing,
-    )
+    return FolnerNet(net.monoid, lambda i: set_product(net.subset(i), e), f"{net.label}*E")
 
 
 class CanonicalNet:
@@ -198,9 +192,7 @@ class CanonicalNet:
             if not isinstance(self.monoid, FiniteAbelianMonoid):
                 gens += self.monoid.generators()
             e = MSubset(self.monoid, frozenset(gens))
-        return FolnerNet(
-            self.monoid, lambda n: self.at(e, n), "canonical", increasing=True
-        )
+        return FolnerNet(self.monoid, lambda n: self.at(e, n), "canonical")
 
 
 def canonical_net(monoid) -> CanonicalNet:
@@ -244,13 +236,13 @@ def kernel_box_net(pi: MonoidHom) -> FolnerNet:
     n_mon, embed = pi.kernel_embedding()
     if n_mon.dim == 0:
         one = MSubset(pi.source, frozenset({pi.source.identity}))
-        return FolnerNet(pi.source, lambda i: one, "ker-boxes", increasing=True)
+        return FolnerNet(pi.source, lambda i: one, "ker-boxes")
     inner = box_net(n_mon)
 
     def gen(i):
         return MSubset(pi.source, frozenset(embed(t) for t in inner.subset(i).elements))
 
-    return FolnerNet(pi.source, gen, "ker-boxes", increasing=True)
+    return FolnerNet(pi.source, gen, "ker-boxes")
 
 
 def _solve_left_factor(monoid, w1, w2):

@@ -23,12 +23,15 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def hnf(rows, dim: int) -> list[list[int]]:
-    """Row-style Hermite normal form of the lattice spanned by ``rows``.
+def _echelon(rows, dim: int):
+    """Gcd-pivot elimination on the first ``dim`` columns of ``rows``.
 
-    Returns echelon rows with positive pivots in strictly increasing
-    columns; entries above each pivot are reduced into [0, pivot).
-    Zero rows are dropped, so the result is a basis.
+    Any further columns ride along with every row operation, the reduction
+    above pivots included, so a trailing identity block records the
+    transform.  Returns (pivot rows, leftover rows): the pivot rows have
+    positive pivots in strictly increasing columns with the entries above
+    each pivot reduced into [0, pivot); the leftover rows are zero in the
+    first ``dim`` columns.  All-zero rows are dropped.
     """
     work = [list(r) for r in rows if any(r)]
     result: list[list[int]] = []
@@ -58,10 +61,26 @@ def hnf(rows, dim: int) -> list[list[int]]:
         for prev in result:
             q = prev[col] // p
             if q:
-                for j in range(col, dim):
+                for j in range(col, len(prev)):
                     prev[j] -= q * pivot_row[j]
         result.append(pivot_row)
-    return result
+    return result, work
+
+
+def _with_identity(rows):
+    """Each row followed by its unit vector: [rows | I]."""
+    m = len(rows)
+    return [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+
+
+def hnf(rows, dim: int) -> list[list[int]]:
+    """Row-style Hermite normal form of the lattice spanned by ``rows``.
+
+    Returns echelon rows with positive pivots in strictly increasing
+    columns; entries above each pivot are reduced into [0, pivot).
+    Zero rows are dropped, so the result is a basis.
+    """
+    return _echelon(rows, dim)[0]
 
 
 def hnf_with_transform(rows, dim: int):
@@ -71,49 +90,14 @@ def hnf_with_transform(rows, dim: int):
     len(rows) x len(rows).  Rows of U opposite the zero rows of H span the
     integer kernel of the row matrix.
     """
-    m = len(rows)
-    work = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    order: list[int] = []
-    live = list(range(m))
-    for col in range(dim):
-        pivot_i = None
-        for i in live:
-            if work[i][col] == 0:
-                continue
-            if pivot_i is None:
-                pivot_i = i
-            else:
-                a, b = work[pivot_i][col], work[i][col]
-                g, x, y = _ext_gcd(a, b)
-                am, bm = a // g, b // g
-                rp, ri = work[pivot_i], work[i]
-                up, ui = u[pivot_i], u[i]
-                work[pivot_i] = [x * p + y * q for p, q in zip(rp, ri)]
-                work[i] = [am * q - bm * p for p, q in zip(rp, ri)]
-                u[pivot_i] = [x * p + y * q for p, q in zip(up, ui)]
-                u[i] = [am * q - bm * p for p, q in zip(up, ui)]
-        if pivot_i is None:
-            continue
-        if work[pivot_i][col] < 0:
-            work[pivot_i] = [-v for v in work[pivot_i]]
-            u[pivot_i] = [-v for v in u[pivot_i]]
-        p = work[pivot_i][col]
-        for j in order:
-            q = work[j][col] // p
-            if q:
-                work[j] = [a - q * b for a, b in zip(work[j], work[pivot_i])]
-                u[j] = [a - q * b for a, b in zip(u[j], u[pivot_i])]
-        order.append(pivot_i)
-        live.remove(pivot_i)
-    perm = order + live
-    return [work[i] for i in perm], [u[i] for i in perm]
+    pivots, rest = _echelon(_with_identity(rows), dim)
+    both = pivots + rest
+    return [r[:dim] for r in both], [r[dim:] for r in both]
 
 
 def kernel(rows, dim: int) -> list[list[int]]:
     """Basis of {v : v * rows = 0} for the given row matrix."""
-    h, u = hnf_with_transform(rows, dim)
-    return [u[i] for i in range(len(rows)) if not any(h[i])]
+    return [r[dim:] for r in _echelon(_with_identity(rows), dim)[1]]
 
 
 def reduce_mod(basis, vec):
@@ -143,23 +127,13 @@ def lattice_index(basis, dim: int):
 
 
 def intersect(rows1, rows2, dim: int) -> list[list[int]]:
-    """Basis (HNF) of the intersection of two row lattices in Z^dim."""
-    b1 = hnf(rows1, dim)
-    b2 = hnf(rows2, dim)
-    if not b1 or not b2:
-        return []
-    stacked = b1 + b2
-    combos = kernel(stacked, dim)
-    n1 = len(b1)
-    gens = []
-    for combo in combos:
-        vec = [0] * dim
-        for c, row in zip(combo[:n1], b1):
-            if c:
-                for j in range(dim):
-                    vec[j] += c * row[j]
-        gens.append(vec)
-    return hnf(gens, dim)
+    """Basis (HNF) of the intersection of two row lattices in Z^dim.
+
+    The rows [r1 | r1] and [r2 | 0] span a lattice whose vectors with a
+    zero first block are exactly [0 | x] for x in the intersection.
+    """
+    stacked = [list(r) * 2 for r in rows1] + [list(r) + [0] * dim for r in rows2]
+    return hnf([r[dim:] for r in _echelon(stacked, dim)[1]], dim)
 
 
 def snf_diagonal(rows, dim: int):
@@ -170,113 +144,43 @@ def snf_diagonal(rows, dim: int):
     {diag[i] * e_i} under x -> x @ V.  diag entries are >= 0, padded with 0
     up to dim, and satisfy the divisibility chain diag[i] | diag[i+1]
     whenever both are nonzero.
+
+    Row passes (``hnf``) alternate with column passes, which eliminate on
+    the columns of the r x dim matrix with the rows of V^T riding along,
+    until the matrix is diagonal; a diagonal entry that does not divide the
+    next one takes the next row in and the passes go on.  This ends: each
+    pass replaces the leading entry of the unfinished block by a divisor of
+    it, and once a pass keeps that entry, its row and column are clear after
+    the next row pass and the block shrinks.
     """
-    mat = [list(r) for r in rows if any(r)]
-    v = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-
-    def combination(a, b):
-        # (x, y, a/g, b/g) for g = gcd(a, b); when a divides b the pivot
-        # stays put (x, y = 1, 0), or equal entries would swap roles forever
-        g, x, y = (a, 1, 0) if b % a == 0 else _ext_gcd(a, b)
-        return x, y, a // g, b // g
-
-    def col_combine(ci, cj, a, b):
-        # (col ci, col cj) <- unimodular combination; mirror on V columns.
-        x, y, am, bm = combination(a, b)
-        for row in mat:
-            p, q = row[ci], row[cj]
-            row[ci] = x * p + y * q
-            row[cj] = am * q - bm * p
-        for row in v:
-            p, q = row[ci], row[cj]
-            row[ci] = x * p + y * q
-            row[cj] = am * q - bm * p
-
-    def row_combine(ri, rj, a, b):
-        x, y, am, bm = combination(a, b)
-        rp, rq = mat[ri], mat[rj]
-        mat[ri] = [x * p + y * q for p, q in zip(rp, rq)]
-        mat[rj] = [am * q - bm * p for p, q in zip(rp, rq)]
-
-    t = 0
-    while t < min(len(mat), dim):
-        # move a nonzero entry into (t, t)
-        found = None
-        for i in range(t, len(mat)):
-            for j in range(t, dim):
-                if mat[i][j]:
-                    found = (i, j)
-                    break
-            if found:
+    mat = hnf(rows, dim)
+    r = len(mat)
+    v_t = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    while True:
+        if all(x == 0 for i, row in enumerate(mat) for j, x in enumerate(row) if j != i):
+            bad = next((i for i in range(r - 1) if mat[i + 1][i + 1] % mat[i][i]), None)
+            if bad is None:
                 break
-        if found is None:
-            break
-        i, j = found
-        if i != t:
-            mat[t], mat[i] = mat[i], mat[t]
-        if j != t:
-            for row in mat:
-                row[t], row[j] = row[j], row[t]
-            for row in v:
-                row[t], row[j] = row[j], row[t]
-        while True:
-            for i in range(t + 1, len(mat)):
-                if mat[i][t]:
-                    row_combine(t, i, mat[t][t], mat[i][t])
-            dirty = False
-            for j in range(t + 1, dim):
-                if mat[t][j]:
-                    col_combine(t, j, mat[t][t], mat[t][j])
-                    dirty = True
-            if dirty or any(mat[i][t] for i in range(t + 1, len(mat))):
-                continue
-            # force the pivot to divide the rest of the submatrix; this is
-            # what makes the final diagonal a divisibility chain
-            p = mat[t][t]
-            offender = None
-            for i in range(t + 1, len(mat)):
-                for j in range(t + 1, dim):
-                    if mat[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            mat[t] = [a + b for a, b in zip(mat[t], mat[offender])]
-        if mat[t][t] < 0:
-            mat[t] = [-a for a in mat[t]]
-        t += 1
-
-    diag = [mat[i][i] if i < len(mat) and i < dim else 0 for i in range(dim)]
-    return diag, v
+            mat[bad][bad + 1] = mat[bad + 1][bad + 1]
+        pivots, rest = _echelon([[row[j] for row in mat] + v_t[j] for j in range(dim)], r)
+        cols = pivots + rest
+        v_t = [c[r:] for c in cols]
+        mat = hnf([[c[i] for c in cols] for i in range(r)], dim)
+    diag = [mat[i][i] if i < r else 0 for i in range(dim)]
+    return diag, [list(col) for col in zip(*v_t)]
 
 
 def express(rows, dim: int, vec):
     """Coefficients c with c * rows = vec, or None when vec is outside.
 
-    Works for any generating set (rows need not be a basis).
+    Works for any generating set (rows need not be a basis): ``vec``
+    reduced against the pivot rows of [rows | I] leaves [0 | -c].
     """
-    h, u = hnf_with_transform(rows, dim)
-    v = list(vec)
-    qs = [0] * len(rows)
-    for i, row in enumerate(h):
-        if not any(row):
-            continue
-        col = next(j for j, x in enumerate(row) if x)
-        q = v[col] // row[col]
-        if q:
-            for j in range(col, dim):
-                v[j] -= q * row[j]
-        qs[i] = q
-    if any(v):
+    pivots, _ = _echelon(_with_identity(rows), dim)
+    v = reduce_mod(pivots, list(vec) + [0] * len(rows))
+    if any(v[:dim]):
         return None
-    combo = [0] * len(rows)
-    for i, q in enumerate(qs):
-        if q:
-            for j in range(len(rows)):
-                combo[j] += q * u[i][j]
-    return combo
+    return [-x for x in v[dim:]]
 
 
 class ModularEchelon:

@@ -71,6 +71,18 @@ def test_budget_exceeded_exits_three():
     assert code == 3 and "budget" in message
 
 
+def test_addition_certifies_windows_past_the_former_cap(tmp_path):
+    # a window of (Z/6 x Z/6)^(Z) at scale 1 has 6^6 = 46656 elements, past the
+    # 4096 the certificate once enumerated (it exited 3)
+    scenario = REPO / "tests" / "scenarios" / "addition-z6-squared.json"
+    code, message = run_scenario(str(scenario), out_dir=tmp_path)
+    assert code == 0, message
+    lines = (tmp_path / "addition-z6-squared.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("values")]
+    assert len(rows) == 6 and all(row[-1] == "True" for row in rows)
+    assert rows[0][2:5] == ["46656", "729", "64"]
+
+
 def test_tiling_budget_caps_the_region_cells(tmp_path):
     code, message = run_scenario("tiling-square", out_dir=tmp_path, budget=10)
     assert code == 3 and "10000 cells" in message

@@ -167,6 +167,200 @@ def test_unimodular_inverse_refuses_other_matrices(mat):
         lattices.unimodular_inverse(mat)
 
 
+# --- the former separate elimination loops, kept as oracles ---------------------
+
+
+def former_hnf_with_transform(rows, dim):
+    """Oracle: the former parallel-U elimination loop."""
+    m = len(rows)
+    work = [list(r) for r in rows]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    order = []
+    live = list(range(m))
+    for col in range(dim):
+        pivot_i = None
+        for i in live:
+            if work[i][col] == 0:
+                continue
+            if pivot_i is None:
+                pivot_i = i
+            else:
+                a, b = work[pivot_i][col], work[i][col]
+                g, x, y = lattices._ext_gcd(a, b)
+                am, bm = a // g, b // g
+                rp, ri = work[pivot_i], work[i]
+                up, ui = u[pivot_i], u[i]
+                work[pivot_i] = [x * p + y * q for p, q in zip(rp, ri)]
+                work[i] = [am * q - bm * p for p, q in zip(rp, ri)]
+                u[pivot_i] = [x * p + y * q for p, q in zip(up, ui)]
+                u[i] = [am * q - bm * p for p, q in zip(up, ui)]
+        if pivot_i is None:
+            continue
+        if work[pivot_i][col] < 0:
+            work[pivot_i] = [-v for v in work[pivot_i]]
+            u[pivot_i] = [-v for v in u[pivot_i]]
+        p = work[pivot_i][col]
+        for j in order:
+            q = work[j][col] // p
+            if q:
+                work[j] = [a - q * b for a, b in zip(work[j], work[pivot_i])]
+                u[j] = [a - q * b for a, b in zip(u[j], u[pivot_i])]
+        order.append(pivot_i)
+        live.remove(pivot_i)
+    perm = order + live
+    return [work[i] for i in perm], [u[i] for i in perm]
+
+
+def former_kernel(rows, dim):
+    h, u = former_hnf_with_transform(rows, dim)
+    return [u[i] for i in range(len(rows)) if not any(h[i])]
+
+
+def former_express(rows, dim, vec):
+    """Oracle: the former reduction loop over the transform's rows."""
+    h, u = former_hnf_with_transform(rows, dim)
+    v = list(vec)
+    qs = [0] * len(rows)
+    for i, row in enumerate(h):
+        if not any(row):
+            continue
+        col = next(j for j, x in enumerate(row) if x)
+        q = v[col] // row[col]
+        if q:
+            for j in range(col, dim):
+                v[j] -= q * row[j]
+        qs[i] = q
+    if any(v):
+        return None
+    combo = [0] * len(rows)
+    for i, q in enumerate(qs):
+        if q:
+            for j in range(len(rows)):
+                combo[j] += q * u[i][j]
+    return combo
+
+
+def former_intersect(rows1, rows2, dim):
+    """Oracle: the former route, heads of kernel vectors of the stacked bases."""
+    b1 = lattices.hnf(rows1, dim)
+    b2 = lattices.hnf(rows2, dim)
+    if not b1 or not b2:
+        return []
+    gens = []
+    for combo in former_kernel(b1 + b2, dim):
+        gens.append([sum(c * row[j] for c, row in zip(combo, b1)) for j in range(dim)])
+    return lattices.hnf(gens, dim)
+
+
+def former_snf_diagonal(rows, dim):
+    """Oracle: the former row/column/offender loop."""
+    mat = [list(r) for r in rows if any(r)]
+    v = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+
+    def combination(a, b):
+        g, x, y = (a, 1, 0) if b % a == 0 else lattices._ext_gcd(a, b)
+        return x, y, a // g, b // g
+
+    def col_combine(ci, cj, a, b):
+        x, y, am, bm = combination(a, b)
+        for row in mat + v:
+            p, q = row[ci], row[cj]
+            row[ci] = x * p + y * q
+            row[cj] = am * q - bm * p
+
+    def row_combine(ri, rj, a, b):
+        x, y, am, bm = combination(a, b)
+        rp, rq = mat[ri], mat[rj]
+        mat[ri] = [x * p + y * q for p, q in zip(rp, rq)]
+        mat[rj] = [am * q - bm * p for p, q in zip(rp, rq)]
+
+    t = 0
+    while t < min(len(mat), dim):
+        found = next(
+            ((i, j) for i in range(t, len(mat)) for j in range(t, dim) if mat[i][j]), None
+        )
+        if found is None:
+            break
+        i, j = found
+        mat[t], mat[i] = mat[i], mat[t]
+        for row in mat + v:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            for i in range(t + 1, len(mat)):
+                if mat[i][t]:
+                    row_combine(t, i, mat[t][t], mat[i][t])
+            dirty = False
+            for j in range(t + 1, dim):
+                if mat[t][j]:
+                    col_combine(t, j, mat[t][t], mat[t][j])
+                    dirty = True
+            if dirty or any(mat[i][t] for i in range(t + 1, len(mat))):
+                continue
+            p = mat[t][t]
+            offender = next(
+                (i for i in range(t + 1, len(mat)) for j in range(t + 1, dim) if mat[i][j] % p),
+                None,
+            )
+            if offender is None:
+                break
+            mat[t] = [a + b for a, b in zip(mat[t], mat[offender])]
+        if mat[t][t] < 0:
+            mat[t] = [-a for a in mat[t]]
+        t += 1
+    return [mat[i][i] if i < len(mat) and i < dim else 0 for i in range(dim)], v
+
+
+def random_matrix(rng, dim, nrows):
+    """Entries in [-9, 9], some zero rows, and sometimes a dependent row."""
+    rows = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(nrows)]
+    for row in rows:
+        if rng.random() < 0.15:
+            row[:] = [0] * dim
+    if nrows >= 2 and rng.random() < 0.4:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    return rows
+
+
+def oracle_cases(seed):
+    rng = random.Random(6000 + seed)
+    for _ in range(20):
+        dim = rng.randint(1, 6)
+        yield rng, dim, random_matrix(rng, dim, rng.randint(0, 7))
+    if seed == 0:
+        yield rng, 8, random_matrix(rng, 8, 20)
+
+
+def check_snf(rows, dim):
+    diag, v = lattices.snf_diagonal(rows, dim)
+    assert diag == former_snf_diagonal(rows, dim)[0]
+    nonzero = [d for d in diag if d]
+    assert all(d > 0 for d in nonzero) and diag == nonzero + [0] * (dim - len(nonzero))
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    assert lattices.hnf(v, dim) == identity
+    image = [[sum(x * v[i][j] for i, x in enumerate(row)) for j in range(dim)] for row in rows]
+    diagonal = [[d if i == j else 0 for j in range(dim)] for i, d in enumerate(diag)]
+    assert lattices.hnf(image, dim) == lattices.hnf(diagonal, dim)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernels_match_the_former_loops(seed):
+    for rng, dim, rows in oracle_cases(seed):
+        assert lattices.hnf_with_transform(rows, dim) == former_hnf_with_transform(rows, dim)
+        assert lattices.kernel(rows, dim) == former_kernel(rows, dim)
+        outside = [rng.randint(-9, 9) for _ in range(dim)]
+        coeffs = [rng.randint(-3, 3) for _ in rows]
+        inside = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]
+        for vec in (outside, inside):
+            assert lattices.express(rows, dim, vec) == former_express(rows, dim, vec)
+        combo = lattices.express(rows, dim, inside)
+        assert [sum(c * row[j] for c, row in zip(combo, rows)) for j in range(dim)] == inside
+        other = random_matrix(rng, dim, rng.randint(0, 5))
+        assert lattices.intersect(rows, other, dim) == former_intersect(rows, other, dim)
+        check_snf(rows, dim)
+
+
 # --- the growing modular echelon basis ----------------------------------------
 
 ENGINE_MODULI = [1, 2, 4, 6, 12, 9, 2 * 3 * 5]
