@@ -2,7 +2,8 @@
 
 An action is defined by one endomorphism per canonical monoid generator;
 group families additionally require the generators to be automorphisms.
-Trajectory growth is computed exactly: elementwise for finite seed sets,
+Trajectory growth is computed exactly: for finite seed sets as one sumset
+along the net (a bitset on Z while it is dense enough, tuples otherwise),
 and for subgroup seeds through one modular echelon basis that grows along
 the net (exact big-integer orders), which is what keeps the box-scale
 checks of the addition and vanishing laws cheap.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import lattices
 from .abelian import (
@@ -481,39 +483,82 @@ def trajectory(
         raise GroupMismatchError("X lives in a different group")
     if not x.elements:
         raise ValueError("the seed set must be nonempty")
-    return FiniteSubset(alpha.group, _IncrementalTrajectory(alpha, x, budget).advance(f_set))
+    inc = _IncrementalTrajectory(alpha, x, budget)
+    inc.advance(f_set)
+    return FiniteSubset(alpha.group, inc.elements())
 
 
 class _IncrementalTrajectory:
-    """One-slot cache exploiting T_{F u D} = T_F + T_D on increasing nets."""
+    """T_F(X) along a net, exploiting T_{F u D} = T_F + T_D: ``advance(F)``
+    adds only the images alpha(s)(X) for s new since the previous F when
+    that F lies inside this one, and starts over from T_empty = {0}
+    otherwise.
+
+    On Z the sum is a bitset: bit i of ``_bits`` stands for the point
+    ``_low + i``, so adding an image Y is the OR of |Y| shifts and the
+    count is a popcount.  A sum whose span would pass 64 bits per pair
+    x + y that the tuple route would add, and 2^23 bits (1 MB) in any case,
+    unpacks once and goes on with ``group.sumset``: the only route for
+    sparse sets on Z and for every other group.
+    """
 
     def __init__(self, alpha, x: FiniteSubset, budget):
         self.alpha = alpha
         self.x = x
         self.budget = budget
-        self._last_f = frozenset()
-        self._last_t = None
+        self._packs = alpha.group == FreeZ(1)
+        self._last_f = None
+        self._start()
 
-    def advance(self, f_set: MSubset) -> frozenset:
-        """The elements of T_F(X), summing only the images for s new since
-        the previous F when that F lies inside this one."""
-        group = self.alpha.group
-        if self._last_t is not None and self._last_f <= f_set.elements:
-            acc = self._last_t
+    def _start(self):
+        self.count = 1
+        if self._packs:
+            self._set, self._bits, self._low = None, 1, 0
+        else:
+            self._set = frozenset([self.alpha.group.zero])
+
+    def advance(self, f_set: MSubset) -> int:
+        """|T_F(X)|; raises ``BudgetExceededError`` carrying the element s
+        of F whose image took the count past the budget."""
+        if self._last_f is not None and self._last_f <= f_set.elements:
             new = f_set.elements - self._last_f
         else:
-            acc = None
+            self._start()
             new = f_set.elements
+        self._last_f = None  # an unfinished advance leaves nothing to extend
         for s in sorted(new):
-            img = self.alpha.apply_set(s, self.x.elements)
-            acc = img if acc is None else group.sumset(acc, img)
-            if len(acc) > self.budget:
+            self._add(self.alpha.apply_set(s, self.x.elements))
+            if self.count > self.budget:
                 raise BudgetExceededError(
                     f"trajectory exceeded {self.budget} elements", completed=s
                 )
         self._last_f = f_set.elements
-        self._last_t = acc
-        return acc
+        return self.count
+
+    def _add(self, img: frozenset):
+        if self._set is None:
+            ys = [y for (y,) in img]
+            low = min(ys)
+            span = self._bits.bit_length() + max(ys) - low
+            if span <= 64 * max(self.count * len(ys), 1 << 17):
+                bits, acc = self._bits, 0
+                for y in ys:
+                    acc |= bits << (y - low)
+                self._bits, self._low = acc, self._low + low
+                self.count = acc.bit_count()
+                return
+            self._set = self.elements()
+        self._set = self.alpha.group.sumset(self._set, img)
+        self.count = len(self._set)
+
+    def elements(self) -> frozenset:
+        """The elements of the current T_F(X)."""
+        if self._set is not None:
+            return self._set
+        # the k-th one bit ends the k-th run of zeros, counting from bit 0
+        runs = bin(self._bits)[:1:-1].split("1")[:-1]
+        before = self._low - 1
+        return frozenset((before + end,) for end in accumulate(len(run) + 1 for run in runs))
 
 
 def trajectory_function(
@@ -523,7 +568,7 @@ def trajectory_function(
     inc = _IncrementalTrajectory(alpha, x, budget)
     return SetFunction(
         alpha.monoid,
-        lambda f: math.log(len(inc.advance(f))),
+        lambda f: math.log(inc.advance(f)),
         f"traj({len(x)} pts)",
         probe=False,
     )
@@ -682,8 +727,10 @@ def h_alg_estimate(
     """Entropy ratio table for a finite seed set or a subgroup seed.
 
     Subgroup seeds ride the canonical-form machinery (orders stay exact
-    even when they are astronomically large); set seeds materialize the
-    trajectory elementwise under the element budget.
+    even when they are astronomically large); set seeds grow one sumset
+    along the net under the element budget.  On Z it is a bitset counted
+    by popcount, so no tuple is made unless the sum is too sparse to pack
+    (see ``_IncrementalTrajectory``).
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
@@ -693,7 +740,7 @@ def h_alg_estimate(
     elif isinstance(seed, FiniteSubset):
         inc = _IncrementalTrajectory(alpha, seed, budget)
         subsets = map(net.subset, range(1, prefix + 1))
-        pairs = ((fi, len(inc.advance(fi))) for fi in subsets)
+        pairs = ((fi, inc.advance(fi)) for fi in subsets)
         seed_label = f"set({len(seed)})"
     else:
         raise GroupMismatchError("seed must be a FiniteSubset or a Subgroup")

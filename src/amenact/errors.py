@@ -37,8 +37,9 @@ class UndecidableFamilyError(AmenactError):
 class BudgetExceededError(AmenactError):
     """An element or search budget was exhausted.
 
-    ``completed`` holds the largest index/size that finished before the
-    budget ran out, when that is meaningful.
+    ``completed``, when set, names where the work stopped: a trajectory
+    sets it to the monoid element s whose image alpha(s)(X) took the
+    count past the budget (the elements before s in sorted order finished).
     """
 
     def __init__(self, message, completed=None):

@@ -499,6 +499,11 @@ def remtil_check(d_set: MSubset, witness: TilingWitness, eps) -> bool:
     report = check_tiling(d_set, witness, eps)
     if not report.ok:
         raise InvalidWitnessError("witness fails the tiling clauses")
+    return _reciprocal_gap_ok(report)
+
+
+def _reciprocal_gap_ok(report: TilingReport) -> bool:
+    """The remtil clauses, read off a valid witness's report."""
     if report.u > report.b:
         return False
     return abs(Fraction(1, report.d) - Fraction(1, report.b)) < 2 * report.eps / report.b
@@ -507,9 +512,12 @@ def remtil_check(d_set: MSubset, witness: TilingWitness, eps) -> bool:
 def greedy_tiler(d_set: MSubset, tiles, eps, *, validate=True):
     """Greedy largest-first placement of disjoint translates s F_j inside D.
 
-    Scans centers in the monoid's canonical element order; stops as soon as
-    the uncovered fraction drops below eps.  The returned witness is always
-    re-validated with check_tiling; None when the bound is unreachable.
+    Scans centers in the monoid's canonical element order; a center is
+    rejected at the first cell of s F_j outside D or already covered.
+    Stops as soon as the uncovered fraction drops below eps.  With
+    ``validate`` the witness is checked with check_tiling and None is
+    returned when it fails (the bound is unreachable); without, the caller
+    checks it.
     """
     eps = Fraction(eps)
     monoid = d_set.monoid
@@ -525,10 +533,9 @@ def greedy_tiler(d_set: MSubset, tiles, eps, *, validate=True):
         if not done:
             t_elems = sorted(tile.elements)
             for s in sorted(d_elems):
-                placed = [op(s, t) for t in t_elems]
-                if any(p not in d_elems or p in covered for p in placed):
+                if any((p := op(s, t)) not in d_elems or p in covered for t in t_elems):
                     continue
-                covered.update(placed)
+                covered.update(op(s, t) for t in t_elems)
                 chosen.add(s)
                 if Fraction(d - len(covered)) < eps * d:
                     done = True

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from amenact.abelian import (
 )
 from amenact.actions import (
     Action,
+    _IncrementalTrajectory,
     GeneratorCertificate,
     GroupIso,
     MatrixEndo,
@@ -39,7 +41,7 @@ from amenact.actions import (
     trajectory_function,
 )
 from amenact.duality import random_endomorphism
-from amenact.errors import MonoidMismatchError, NotInvariantError
+from amenact.errors import BudgetExceededError, MonoidMismatchError, NotInvariantError
 from amenact.folner import FolnerNet, box_net, translate_net
 from amenact.integral import sample_axioms
 from amenact.monoid import (
@@ -244,6 +246,150 @@ def test_trajectory_sum_splits_over_seed_sums():
         left = trajectory(alpha, f, minkowski_sum(x, y))
         right = minkowski_sum(trajectory(alpha, f, x), trajectory(alpha, f, y))
         assert left.elements == right.elements
+
+
+# --- packed trajectories on Z against the former tuple accumulator ------------
+
+class TupleTrajectory:
+    """The former accumulator: one ``group.sumset`` of tuples per new s."""
+
+    def __init__(self, alpha, x, budget=10**7):
+        self.alpha, self.x, self.budget = alpha, x, budget
+        self._last_f = frozenset()
+        self._last_t = None
+
+    def advance(self, f_set):
+        group = self.alpha.group
+        if self._last_t is not None and self._last_f <= f_set.elements:
+            acc = self._last_t
+            new = f_set.elements - self._last_f
+        else:
+            acc = None
+            new = f_set.elements
+        for s in sorted(new):
+            img = self.alpha.apply_set(s, self.x.elements)
+            acc = img if acc is None else group.sumset(acc, img)
+            if len(acc) > self.budget:
+                raise BudgetExceededError("trajectory over budget", completed=s)
+        self._last_f = f_set.elements
+        self._last_t = acc
+        return acc
+
+
+def packed_route_along(alpha, x, net, prefix):
+    """Compare with the oracle at every index; returns, per index, whether
+    the accumulator was still packed."""
+    inc, oracle = _IncrementalTrajectory(alpha, x, 10**7), TupleTrajectory(alpha, x)
+    packed = []
+    for i in range(1, prefix + 1):
+        fi = net.subset(i)
+        want = oracle.advance(fi)
+        assert inc.advance(fi) == len(want), i
+        assert inc.elements() == want, i
+        packed.append(inc._set is None)
+    return packed
+
+
+def sliding_net(monoid, dim=1):
+    # [n, 2n]^dim: never nested, so every index starts over
+    return FolnerNet(
+        monoid,
+        lambda n: MSubset(monoid, frozenset(itertools.product(range(n, 2 * n + 1), repeat=dim))),
+        "sliding",
+    )
+
+
+SCALAR_SEEDS = [[0, 1], [-2, 0, 3], [-5, -4, 7], [-1, 1], [3]]
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 10, -3])
+def test_packed_trajectory_matches_tuples_for_scalar_actions(a):
+    alpha = Action(N1, Z, [scalar_endo(Z, a)])
+    for points in SCALAR_SEEDS:
+        x = FiniteSubset.of(Z, [(p,) for p in points])
+        prefix = 7 if abs(a) == 10 else 9
+        assert packed_route_along(alpha, x, box_net(N1), prefix)
+        packed_route_along(alpha, x, sliding_net(N1), 5)
+        packed_route_along(alpha, x, translate_net(box_net(N1), ms(N1, [(2,), (0,)])), 6)
+
+
+def test_packed_trajectory_on_two_generators_and_a_group():
+    n2 = FreeCommutative(2)
+    alpha = Action(n2, Z, [scalar_endo(Z, 2), scalar_endo(Z, -3)])
+    x = FiniteSubset.of(Z, [(-1,), (0,), (2,)])
+    assert all(packed_route_along(alpha, x, box_net(n2), 4))
+    packed_route_along(alpha, x, sliding_net(n2, 2), 3)
+    beta = Action(Z1, Z, [scalar_endo(Z, -1)])
+    packed_route_along(beta, x, box_net(Z1), 5)
+
+
+def test_packed_trajectory_switches_to_tuples_mid_advance():
+    # x -> 10x on {0, 1}: 2^n points over a span of about 10^n
+    alpha = Action(N1, Z, [scalar_endo(Z, 10)])
+    x = FiniteSubset.of(Z, [(0,), (1,)])
+    jumps = {1: interval(3), 2: interval(10), 3: interval(12), 4: interval(2)}
+    net = FolnerNet(N1, jumps.__getitem__, "jumps")
+    # packed at {0,1,2}, unpacked inside the advance to {0..9}, and packed
+    # again after the restart at {0,1}
+    assert packed_route_along(alpha, x, net, 4) == [True, False, False, True]
+
+
+@pytest.mark.parametrize("points, budget, stop", [
+    ([0, 1, 4, 5], 1000, 6),  # x -> 4x, packed throughout
+    ([0, 1], 200, 7),         # x -> 10x, over budget in the step that unpacks
+    ([0, 10**15], 40, 5),     # x -> 10x, tuples from the start
+])
+def test_budget_stops_at_the_same_element_on_both_routes(points, budget, stop):
+    a = 4 if points[-1] == 5 else 10
+    alpha = Action(N1, Z, [scalar_endo(Z, a)])
+    x = FiniteSubset.of(Z, [(p,) for p in points])
+    stops = []
+    for inc in (_IncrementalTrajectory(alpha, x, budget), TupleTrajectory(alpha, x, budget)):
+        with pytest.raises(BudgetExceededError) as err:
+            for i in range(1, 12):
+                inc.advance(interval(i))
+        stops.append(err.value.completed)
+    assert stops == [(stop,), (stop,)]
+    # an advance cut short by the budget is not extended later
+    inc = _IncrementalTrajectory(alpha, x, budget)
+    inc.advance(interval(2))
+    with pytest.raises(BudgetExceededError):
+        inc.advance(interval(stop + 1))
+    assert inc.advance(interval(stop)) == len(TupleTrajectory(alpha, x).advance(interval(stop)))
+
+
+def test_sparse_sums_on_z_leave_the_packed_route():
+    alpha = Action(N1, Z, [scalar_endo(Z, 10)])
+    x = FiniteSubset.of(Z, [(0,), (1,)])
+    oracle = TupleTrajectory(alpha, x)
+    start = time.perf_counter()
+    for i in range(1, 21):
+        want = oracle.advance(interval(i))
+    tuple_seconds = time.perf_counter() - start
+    inc = _IncrementalTrajectory(alpha, x, 10**7)
+    start = time.perf_counter()
+    counts = [inc.advance(interval(i)) for i in range(1, 21)]
+    packed_seconds = time.perf_counter() - start
+    assert counts == [2**i for i in range(1, 21)]
+    assert inc._set is not None and inc.elements() == want
+    assert packed_seconds < 2 * tuple_seconds + 0.5
+
+
+def test_far_apart_seed_is_never_packed():
+    # packing {0, 10^15} would need a 10^15-bit integer
+    alpha = Action(N1, Z, [scalar_endo(Z, 2)])
+    x = FiniteSubset.of(Z, [(0,), (10**15,)])
+    assert packed_route_along(alpha, x, box_net(N1), 6) == [False] * 6
+
+
+@pytest.mark.parametrize("name", ["example-wide-seed", "example-doubling", "fubini-product"])
+def test_set_seed_builtins_stay_packed(name, tmp_path, monkeypatch):
+    def tuple_route(self, xs, ys):
+        raise AssertionError(f"{name} left the packed route")
+
+    monkeypatch.setattr(FreeZ, "sumset", tuple_route)
+    code, message = cli.run_scenario(name, out_dir=tmp_path)
+    assert code == 0, message
 
 
 def test_subgroup_trajectory_shift_span():

@@ -93,6 +93,35 @@ def test_tiling_budget_caps_the_region_cells(tmp_path):
     assert run_scenario(str(small), budget=144)[0] in (0, 1)
 
 
+def test_budget_message_names_the_element_that_ran_out(tmp_path):
+    # counts 4, 12, ..., 972 at s = 0..5; the image of s = 6 makes 2916
+    code, message = run_scenario("example-wide-seed", out_dir=tmp_path, budget=1000)
+    assert code == 3
+    assert message == "budget exceeded: trajectory exceeded 1000 elements (ran out at (6,))"
+    assert not (tmp_path / "example-wide-seed.csv").exists()
+
+
+def test_tiling_checks_its_witness_once(tmp_path, monkeypatch):
+    from amenact import cli, folner
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return folner.check_tiling(*args)
+
+    monkeypatch.setattr(cli, "check_tiling", counted)
+    monkeypatch.setattr(folner, "remtil_check", None)
+    assert run_scenario("tiling-square", out_dir=tmp_path)[0] == 0
+    assert len(calls) == 1
+    unreachable = tmp_path / "unreachable.json"
+    unreachable.write_text(json.dumps(dict(BUILTINS["tiling-square"], region=5, tiles=[3])))
+    code, message = run_scenario(str(unreachable), out_dir=tmp_path)
+    assert code == 1 and "greedy pass missed the bound" in message
+    assert (tmp_path / "unreachable.csv").read_text() == "status\nno-witness\n"
+    assert len(calls) == 2
+
+
 def test_missing_file_is_schema_error():
     assert run_scenario("definitely-not-a-scenario")[0] == 2
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -356,6 +356,70 @@ def test_greedy_tiler_oversized_tiles_give_none():
     d = ms(N1, [(i,) for i in range(3)])
     big = ms(N1, [(i,) for i in range(5)])
     assert greedy_tiler(d, [big], Fraction(1, 10)) is None
+
+
+def eager_greedy_tiler(d_set, tiles, eps):
+    """The former scan: every cell of s F_j is placed before any is tested."""
+    eps = Fraction(eps)
+    monoid = d_set.monoid
+    tiles = sorted(tiles, key=len, reverse=True)
+    d_elems = d_set.elements
+    d = len(d_elems)
+    covered, centers, done = set(), [], False
+    for tile in tiles:
+        chosen = set()
+        if not done:
+            t_elems = sorted(tile.elements)
+            for s in sorted(d_elems):
+                placed = [monoid.op(s, t) for t in t_elems]
+                if any(p not in d_elems or p in covered for p in placed):
+                    continue
+                covered.update(placed)
+                chosen.add(s)
+                if Fraction(d - len(covered)) < eps * d:
+                    done = True
+                    break
+        centers.append(MSubset(monoid, frozenset(chosen)))
+    witness = TilingWitness(tuple(tiles), tuple(centers))
+    return witness if check_tiling(d_set, witness, eps).ok else None
+
+
+def box(monoid, sides, corner=None):
+    corner = corner or (0,) * len(sides)
+    return ms(monoid, product(*(range(c, c + n) for c, n in zip(corner, sides))))
+
+
+def tiler_cases():
+    holed = box(Z2, (12, 12)).elements - {(3, 3), (3, 4), (7, 9), (11, 0)}
+    yield "interval", box(N1, (17,)), [box(N1, (5,)), box(N1, (2,))], Fraction(1, 20)
+    yield "interval-exact", box(N1, (12,)), [box(N1, (3,))], Fraction(1, 2)
+    yield "square-with-holes", MSubset(Z2, holed), [box(Z2, (4, 4)), box(Z2, (2, 2))], Fraction(1, 4)
+    yield (
+        "negative-corner", box(Z2, (9, 7), (-5, -3)),
+        [box(Z2, (3, 2), (-1, -1)), box(Z2, (1, 1))], Fraction(1, 10),
+    )
+    yield (
+        "no-identity", box(Z2, (10, 10), (-4, -4)),
+        [ms(Z2, [(1, 2), (2, 2), (1, 3)]), ms(Z2, [(-1, 0)])], Fraction(1, 5),
+    )
+    yield (
+        "gapped-tile", box(Z1, (20,), (-9,)),
+        [ms(Z1, [(-1,), (1,), (2,)]), box(Z1, (2,), (3,))], Fraction(1, 3),
+    )
+    yield "unreachable", box(Z2, (5, 5)), [box(Z2, (3, 3))], Fraction(1, 10)
+    yield "oversized", box(N1, (3,)), [box(N1, (5,))], Fraction(1, 10)
+
+
+@pytest.mark.parametrize("case", list(tiler_cases()), ids=lambda case: case[0])
+def test_greedy_tiler_matches_the_eager_scan(case):
+    name, d, tiles, eps = case
+    want = eager_greedy_tiler(d, tiles, eps)
+    assert greedy_tiler(d, tiles, eps) == want
+    if want is None:
+        assert name in ("unreachable", "oversized")
+        assert not check_tiling(d, greedy_tiler(d, tiles, eps, validate=False), eps).ok
+    else:
+        assert greedy_tiler(d, tiles, eps, validate=False) == want
 
 
 def test_filling_hypotheses_tiny_tiles_in_huge_box():
