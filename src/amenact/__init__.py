@@ -9,8 +9,8 @@ The library computes, in exact arithmetic wherever a number is asserted:
 * trajectory-growth entropy of monoid actions on discrete abelian groups,
   including induced actions on invariant subgroups and quotients and the
   additivity identity over torsion groups;
-* character duality for finite products and windowed profinite duals,
-  pairing trajectory orders with cotrajectory indices.
+* character duality for finite products and for the compact duals of
+  direct sums, pairing trajectory orders with cotrajectory indices.
 
 The ``amenact`` command line runs scenario files against these pieces and
 writes exact CSV tables; see ``amenact list``.
@@ -59,7 +59,6 @@ from .duality import (
     DualGroup,
     OpenSubgroup,
     ProfiniteShiftAction,
-    WindowedProfinite,
     annihilator,
     annihilator_window,
     bridge_check,

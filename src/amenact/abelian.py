@@ -652,20 +652,12 @@ def subgroup_as_group(B: Subgroup):
         return FiniteProduct(()), (lambda t: g.zero), (lambda y: ())
     m, k = len(gens), len(g.factors)
     stacked = gens + _moduli_rows(g.factors)
-    combos = lattices.kernel(stacked, k)
-    relations = [c[:m] for c in combos]
-    diag, v = lattices.snf_diagonal(relations, m)
-    v_inv = lattices.unimodular_inverse(v)
-    kept = [i for i, d in enumerate(diag) if d != 1]
-    new = FiniteProduct(tuple(diag[i] for i in kept))
+    relations = [c[:m] for c in lattices.kernel(stacked, k)]
+    new, proj = _snf_quotient(FreeZ(m), relations, m)
 
     def embed(t):
-        coeff = [0] * m
-        for ti, i in zip(t, kept):
-            for j in range(m):
-                coeff[j] += ti * v_inv[i][j]
         out = g.zero
-        for c, gen in zip(coeff, gens):
+        for c, gen in zip(proj.section(t), gens):
             out = g.add(out, g.scalar(c, tuple(gen)))
         return out
 
@@ -673,9 +665,7 @@ def subgroup_as_group(B: Subgroup):
         combo = lattices.express(stacked, k, list(y))
         if combo is None:
             raise GroupMismatchError("element is outside the subgroup")
-        a = combo[:m]
-        img = [sum(a[i] * v[i][j] for i in range(m)) for j in range(m)]
-        return tuple(img[i] % diag[i] for i in kept)
+        return proj(combo[:m])
 
     return new, embed, express
 

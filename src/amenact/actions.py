@@ -22,7 +22,6 @@ from .abelian import (
     FiniteProduct,
     FiniteSubset,
     FreeZ,
-    QuotientProjection,
     Subgroup,
     _moduli_rows,
     ell_of_order,
@@ -276,7 +275,7 @@ def shift_endo(group: DirectSum, move, base: MatrixEndo | None = None) -> ShiftE
 class Action:
     """A left action by endomorphisms over a commutative acting monoid."""
 
-    def __init__(self, monoid, group, gen_endos, validate=True):
+    def __init__(self, monoid, group, gen_endos):
         if isinstance(monoid, SemidirectZZ):
             raise UndecidableFamilyError("semidirect acting monoids are not supported")
         self.monoid = monoid
@@ -284,8 +283,7 @@ class Action:
         self.gen_endos = tuple(gen_endos)
         self._cache = {}
         self._inverses = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         gens = self.monoid.generators()
@@ -866,14 +864,12 @@ def _check_invariant(alpha: Action, b: Subgroup):
                     )
 
 
-def _induced_matrix(group_small, embed, express, phi):
-    k = len(group_small.factors) if isinstance(group_small, FiniteProduct) else group_small.rank
-    cols = []
-    for j in range(k):
-        image = phi.apply(embed(_unit(k, j)))
-        cols.append(express(image))
-    rows = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return MatrixEndo(group_small, rows)
+def _matrix_of(group, column) -> MatrixEndo:
+    """The matrix endomorphism of a flat group whose j-th column is
+    column(e_j)."""
+    k = len(group.factors) if isinstance(group, FiniteProduct) else group.rank
+    cols = [column(_unit(k, j)) for j in range(k)]
+    return MatrixEndo(group, tuple(tuple(col[i] for col in cols) for i in range(k)))
 
 
 def quotient_and_sub_actions(alpha: Action, b: Subgroup):
@@ -897,13 +893,13 @@ def quotient_and_sub_actions(alpha: Action, b: Subgroup):
                 sub_base = None
             else:
                 b0_group, b0_embed, b0_express = subgroup_as_group(b.base_subgroup)
-                sub_base = _induced_matrix(b0_group, b0_embed, b0_express, phi.base)
+                sub_base = _matrix_of(b0_group, lambda e: b0_express(phi.base.apply(b0_embed(e))))
             if isinstance(b_group, DirectSum):
                 sub_endos.append(ShiftEndo(b_group, phi.shift, sub_base))
             else:
                 sub_endos.append(identity_endo(b_group))
         else:
-            sub_endos.append(_induced_matrix(b_group, embed, express, phi))
+            sub_endos.append(_matrix_of(b_group, lambda e: express(phi.apply(embed(e)))))
 
         # induced endomorphism on A/B, by projection shape
         if proj.kind == "identity":
@@ -915,10 +911,12 @@ def quotient_and_sub_actions(alpha: Action, b: Subgroup):
             if phi.base is None:
                 quo_base = None
             else:
-                quo_base = _induced_quotient_matrix(base_proj, phi.base)
+                quo_base = _matrix_of(
+                    base_proj.target, lambda e: base_proj(phi.base.apply(base_proj.section(e)))
+                )
             quo_endos.append(ShiftEndo(q_group, phi.shift, quo_base))
         else:
-            quo_endos.append(_induced_quotient_matrix(proj, phi))
+            quo_endos.append(_matrix_of(q_group, lambda e: proj(phi.apply(proj.section(e)))))
 
     sub_action = Action(alpha.monoid, b_group, sub_endos)
     quo_action = Action(alpha.monoid, q_group, quo_endos)
@@ -930,19 +928,6 @@ def quotient_and_sub_actions(alpha: Action, b: Subgroup):
         "projection": proj,
     }
     return sub_action, quo_action, context
-
-
-def _induced_quotient_matrix(proj: QuotientProjection, phi: MatrixEndo) -> Endomorphism:
-    q = proj.target
-    if isinstance(q, FiniteProduct) and not q.factors:
-        return identity_endo(q)
-    k = len(q.factors) if isinstance(q, FiniteProduct) else q.rank
-    cols = []
-    for j in range(k):
-        x = proj.section(_unit(k, j))
-        cols.append(proj(phi.apply(x)))
-    rows = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return MatrixEndo(q, rows)
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 The dual of prod Z/n_i is the same product, paired by
 <x, chi> = sum x_i chi_i / n_i mod 1 (kept as an exact integer test).
-Compact duals of direct sums are handled through finite windows of the
-full product; out-of-window queries are refused rather than truncated, so
-every reported index is exact.
+The compact dual K^I of a direct sum K^(I) is named by the direct sum;
+its open subgroups constrain finitely many coordinates, and a cotrajectory
+adds a coordinate when a translated constraint first reaches it, so every
+reported index is exact and nothing is truncated.
 """
 
 from __future__ import annotations
@@ -33,12 +34,14 @@ from .errors import (
     BudgetExceededError,
     GroupMismatchError,
     UndecidableFamilyError,
-    WindowEscapeError,
 )
 from .folner import FolnerNet
 from .integral import IntegralEstimate, IntegralRow
 from .monoid import MSubset
 from .tables import csv_table
+
+SUBGROUP_LATTICE_BUDGET = 2**13  # the largest group order subgroup_lattice enumerates
+
 
 @dataclass(frozen=True)
 class DualGroup:
@@ -137,39 +140,21 @@ def ct_check(alpha: Action, b: Subgroup, f_set: MSubset) -> CtReport:
 
 
 # ---------------------------------------------------------------------------
-# windowed profinite duals
-
-
-@dataclass(frozen=True)
-class WindowedProfinite:
-    """A finite window K_W = prod_{i in W} base of the full product group.
-
-    Operations must keep every constraint coordinate inside the window;
-    nothing is silently truncated.
-    """
-
-    base: FiniteProduct
-    index: object  # the index monoid of the discrete side
-    window: tuple  # sorted index elements
-
-    @property
-    def order(self):
-        return self.base.order ** len(self.window)
-
-    def contains_index(self, i) -> bool:
-        return i in self.window
+# compact duals K^I of direct sums K^(I), named by the DirectSum itself as
+# DualGroup names a finite product's characters by the product
 
 
 @dataclass(frozen=True)
 class OpenSubgroup:
-    """An open subgroup cut out by congruences on finitely many coordinates.
+    """An open subgroup of K^I cut out by congruences on finitely many
+    coordinates; ``space`` is the direct sum K^(I) that K^I is dual to.
 
     ``support`` lists the constrained indices; ``rows`` is a lattice basis
     (including the modulus rows) over the flattened support coordinates:
     membership of chi means its support-restriction lies in the row lattice.
     """
 
-    space: WindowedProfinite
+    space: DirectSum
     support: tuple
     rows: tuple
 
@@ -180,17 +165,14 @@ class OpenSubgroup:
         idx = lattices.lattice_index(lattices.hnf([list(r) for r in self.rows], dim), dim)
         return idx
 
-    def log_index(self) -> float:
-        return ell_of_order(self.index_in_space())
 
-
-def vanishing_subgroup(space: WindowedProfinite, coords, base_subgroup: Subgroup) -> OpenSubgroup:
+def vanishing_subgroup(space: DirectSum, coords, base_subgroup: Subgroup) -> OpenSubgroup:
     """{chi : chi_i in B0 for the listed i}; B0 a subgroup of the base."""
     coords = tuple(sorted(tuple(c) for c in coords))
     k = len(space.base.factors)
     for c in coords:
-        if not space.contains_index(c):
-            raise WindowEscapeError(f"coordinate {c} is outside the window", element=c)
+        if not space.index.contains(c):
+            raise GroupMismatchError(f"coordinate {c} is not in the index monoid {space.index}")
     _, basis, _, _ = Subgroup.generated(space.base, base_subgroup.gens)._flat()
     blocks = []
     for t in range(len(coords)):
@@ -201,18 +183,16 @@ def vanishing_subgroup(space: WindowedProfinite, coords, base_subgroup: Subgroup
     return OpenSubgroup(space, coords, tuple(tuple(r) for r in blocks))
 
 
-def annihilator_window(space: WindowedProfinite, b: Subgroup) -> OpenSubgroup:
-    """The annihilator of a finitely supported subgroup of the direct sum,
-    realized as congruence constraints over the union of supports."""
+def annihilator_window(space: DirectSum, b: Subgroup) -> OpenSubgroup:
+    """The annihilator in K^I of a finitely supported subgroup of the direct
+    sum ``space`` = K^(I), as congruence constraints over the union of its
+    generators' supports."""
     group = b.group
-    if not isinstance(group, DirectSum) or group.base != space.base:
+    if group != space:
         raise GroupMismatchError("subgroup must live in the matching direct sum")
     if b.kind != "fg":
-        raise UndecidableFamilyError("windowed annihilators need finite support")
+        raise UndecidableFamilyError("profinite annihilators need finite support")
     support = tuple(sorted({i for g in b.gens for i, _ in g}))
-    for c in support:
-        if not space.contains_index(c):
-            raise WindowEscapeError(f"support {c} is outside the window", element=c)
     factors = space.base.factors * len(support)
     flat = [_flatten(group, g, support) for g in b.gens]
     basis = _annihilator_basis(factors, flat)
@@ -220,20 +200,16 @@ def annihilator_window(space: WindowedProfinite, b: Subgroup) -> OpenSubgroup:
 
 
 class ProfiniteShiftAction:
-    """The adjoint index-translation action on a windowed product: the dual
-    of the shift on the direct sum moves constraints forward by s."""
+    """The adjoint index-translation action on K^I, ``space`` = K^(I): the
+    dual of the shift on the direct sum moves constraints forward by s."""
 
-    def __init__(self, space: WindowedProfinite, monoid):
+    def __init__(self, space: DirectSum, monoid):
         self.space = space
         self.monoid = monoid
 
     def translate_support(self, support, s):
-        index = self.space.index
-        moved = tuple(sorted(index.op(i, s) for i in support))
-        for c in moved:
-            if not self.space.contains_index(c):
-                raise WindowEscapeError(f"translate by {s} escapes the window", element=s)
-        return moved
+        op = self.space.index.op
+        return tuple(sorted(op(i, s) for i in support))
 
 
 def cotrajectory_window(
@@ -286,16 +262,17 @@ class _GrowingCotrajectory:
     F.  The basis always contains the modulus rows, so [K : C_F] is the
     product of its pivots.  ``gamma`` is an Action on a finite character
     group K (U a Subgroup) or a ProfiniteShiftAction (U an OpenSubgroup).
-    In the windowed case an index gets a block of k unconstrained unit rows
-    when a translated support first reaches it (``pos`` holds the first
-    column of each block, in order of first appearance), so earlier rows
-    stay valid and only the k |supp U| moved columns are constrained.
+    On K^I an index gets a block of k unconstrained unit rows when a
+    translated support first reaches it (``pos`` holds the first column of
+    each block, in order of first appearance, and is the only record of
+    which coordinates exist), so earlier rows stay valid and only the
+    k |supp U| moved columns are constrained.
     """
 
     def __init__(self, gamma, u):
         self.gamma = gamma
-        self.windowed = isinstance(gamma, ProfiniteShiftAction)
-        if self.windowed:
+        self.profinite = isinstance(gamma, ProfiniteShiftAction)
+        if self.profinite:
             self.factors = gamma.space.base.factors
             self.support = u.support
             self.image_dim = len(u.support) * len(self.factors)
@@ -307,12 +284,12 @@ class _GrowingCotrajectory:
             self.target = u._flat()[1]
             self.image_dim = len(self.factors)
         else:
-            raise GroupMismatchError("use windowed cotrajectories on profinite spaces")
+            raise GroupMismatchError("use a ProfiniteShiftAction on the dual of a direct sum")
         self._reset()
 
     def _reset(self):
         self.pos = {}
-        d = 0 if self.windowed else len(self.factors)
+        d = 0 if self.profinite else len(self.factors)
         self.basis = [[int(i == j) for j in range(d)] for i in range(d)]
         self._done = frozenset()
 
@@ -326,10 +303,10 @@ class _GrowingCotrajectory:
 
     def _images(self, s):
         """The image of each basis row in the space of U's constraint rows;
-        in the windowed case an index the moved support newly reaches first
-        gets its block of unit rows."""
+        on K^I an index the moved support first reaches gets its block of
+        unit rows."""
         n = self.factors
-        if not self.windowed:
+        if not self.profinite:
             apply = self.gamma.apply
             return [list(apply(s, tuple(v % m for v, m in zip(row, n)))) for row in self.basis]
         k = len(n)
@@ -350,18 +327,12 @@ class _GrowingCotrajectory:
 def _cotrajectory_indices(gamma, u, net: FolnerNet, prefix: int):
     """Yield (F_i, [K : C_{F_i}(gamma, U)]) for i = 1..prefix, from one
     accumulator along the net (it starts over wherever F_{i-1} is not
-    inside F_i); a window escape names the net index and the largest valid
-    prefix."""
+    inside F_i); on K^I the index is taken over the coordinates that some
+    translate of U's support has reached, every other one being free."""
     acc = _GrowingCotrajectory(gamma, u)
     for i in range(1, prefix + 1):
         fi = net.subset(i)
-        try:
-            acc.advance(fi.elements)
-        except WindowEscapeError as err:
-            raise WindowEscapeError(
-                f"window escape at net index {i}; largest valid prefix is {i - 1}",
-                element=err.element,
-            ) from err
+        acc.advance(fi.elements)
         yield fi, acc.index()
 
 
@@ -369,8 +340,8 @@ def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
     """Ratio table log [K : C_{F_i}(gamma, U)] / |F_i|.
 
     ``gamma`` is either an Action on a finite character group (with U a
-    Subgroup) or a ProfiniteShiftAction (with U an OpenSubgroup); a window
-    escape reports the largest valid prefix.
+    Subgroup) or a ProfiniteShiftAction on K^I (with U an OpenSubgroup),
+    whose coordinates enter as translated supports first reach them.
     """
     est = IntegralEstimate("h_top")
     for i, (fi, index) in enumerate(_cotrajectory_indices(gamma, u, net, prefix), start=1):
@@ -416,9 +387,9 @@ class BridgeReport:
         return csv_table("index,size,ell_trajectory,log_index,difference", rows)
 
 
-def _dual_pair(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int):
-    """(gamma, U): the dual action and U = B-perp, on a window that holds
-    every translate of B's support by F_1, ..., F_prefix for direct sums."""
+def _dual_pair(alpha: Action, b: Subgroup):
+    """(gamma, U): the dual action and U = B-perp, on the finite dual of a
+    finite product or on the compact dual K^I of a direct sum K^(I)."""
     group = alpha.group
     if isinstance(group, FiniteProduct):
         return dual_action(alpha), annihilator(b)
@@ -427,19 +398,13 @@ def _dual_pair(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int):
     for phi in alpha.gen_endos:
         if not isinstance(phi, ShiftEndo) or phi.base is not None:
             raise UndecidableFamilyError("bridge on direct sums needs pure shifts")
-    support = sorted({i for g in b.gens for i, _ in g})
-    extent = set(support)
-    for s in set().union(*(f.elements for f in net.prefix(prefix))):
-        for i in support:
-            extent.add(group.index.op(i, s))
-    space = WindowedProfinite(group.base, group.index, tuple(sorted(extent)))
-    return ProfiniteShiftAction(space, alpha.monoid), annihilator_window(space, b)
+    return ProfiniteShiftAction(group, alpha.monoid), annihilator_window(group, b)
 
 
 def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> BridgeReport:
     """Pair the subgroup seed with its annihilator and compare trajectory
     length against cotrajectory log-index at every net index, exactly."""
-    gamma, u = _dual_pair(alpha, b, net, prefix)
+    gamma, u = _dual_pair(alpha, b)
     rows = []
     exact = True
     sides = zip(
@@ -451,14 +416,14 @@ def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> Bri
     return BridgeReport(rows, exact)
 
 
-def subgroup_lattice(group: FiniteProduct, bound: int = 2**13):
+def subgroup_lattice(group: FiniteProduct):
     """Every subgroup of a small finite product, as (gens, elements) pairs.
 
     Breadth-first closure over one-element extensions; feasible up to a few
     thousand subgroups.
     """
-    if group.order > bound:
-        raise BudgetExceededError(f"subgroup enumeration beyond {bound} elements")
+    if group.order > SUBGROUP_LATTICE_BUDGET:
+        raise BudgetExceededError(f"subgroup enumeration beyond {SUBGROUP_LATTICE_BUDGET} elements")
     add = group.add
     zero = group.zero
     all_elements = list(group.elements())

@@ -51,14 +51,6 @@ class SearchBudgetError(BudgetExceededError):
     """A bounded search (canonical-net box scan) exhausted its budget."""
 
 
-class WindowEscapeError(AmenactError):
-    """A profinite-window operation needed coordinates outside the window."""
-
-    def __init__(self, message, element=None):
-        super().__init__(message)
-        self.element = element
-
-
 class InvalidWitnessError(AmenactError):
     """A tiling witness failed the checks required before a derived test."""
 

@@ -60,29 +60,20 @@ class FolnerNet:
         return f"FolnerNet({self.label} on {self.monoid})"
 
 
-def box_net(monoid) -> FolnerNet:
-    """The standard box sequence: [0,n)^d for N^d, [-n,n]^d for Z^d, the
-    whole group for finite S, and componentwise boxes for products."""
-    if isinstance(monoid, FreeCommutative):
-        def gen(n):
-            return MSubset(monoid, frozenset(iproduct(range(n), repeat=monoid.dim)))
-        return FolnerNet(monoid, gen, "boxes")
-    if isinstance(monoid, FreeAbelian):
-        def gen(n):
-            return MSubset(monoid, frozenset(iproduct(range(-n, n + 1), repeat=monoid.dim)))
-        return FolnerNet(monoid, gen, "boxes")
-    if isinstance(monoid, FiniteAbelianMonoid):
-        whole = MSubset(monoid, frozenset(monoid.elements()))
-        return FolnerNet(monoid, lambda n: whole, "constant")
+def _has_folner_boxes(monoid) -> bool:
     if isinstance(monoid, ProductMonoid):
-        nets = [box_net(p) for p in monoid.parts]
+        return all(_has_folner_boxes(p) for p in monoid.parts)
+    return isinstance(monoid, (FreeCommutative, FreeAbelian, FiniteAbelianMonoid))
 
-        def gen(n):
-            grids = [sorted(net.subset(n).elements) for net in nets]
-            return MSubset(monoid, frozenset(sum(c, ()) for c in iproduct(*grids)))
 
-        return FolnerNet(monoid, gen, "boxes")
-    raise UndecidableFamilyError(f"no box net for {monoid}")
+def box_net(monoid) -> FolnerNet:
+    """The standard box sequence F_n = monoid.window(n): [0,n)^d for N^d,
+    [-n,n]^d for Z^d, the whole group for finite S, and componentwise boxes
+    for products.  The shear product's boxes are not Folner."""
+    if not _has_folner_boxes(monoid):
+        raise UndecidableFamilyError(f"no box net for {monoid}")
+    label = "constant" if isinstance(monoid, FiniteAbelianMonoid) else "boxes"
+    return FolnerNet(monoid, monoid.window, label)
 
 
 @dataclass(frozen=True)

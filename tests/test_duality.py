@@ -14,7 +14,6 @@ from amenact.duality import (
     DualGroup,
     OpenSubgroup,
     ProfiniteShiftAction,
-    WindowedProfinite,
     _cotrajectory_indices,
     _dual_pair,
     _GrowingCotrajectory,
@@ -29,7 +28,7 @@ from amenact.duality import (
     subgroup_lattice,
     vanishing_subgroup,
 )
-from amenact.errors import GroupMismatchError, WindowEscapeError
+from amenact.errors import GroupMismatchError
 from amenact.folner import FolnerNet, box_net
 from amenact.monoid import (
     FiniteAbelianMonoid,
@@ -198,21 +197,28 @@ def test_ct_random_sample(factors):
         assert report.equal
 
 
-# --- windowed profinite ------------------------------------------------------------
+# --- profinite duals of direct sums ------------------------------------------------
 
-def shift_space(p=2, width=8, index=N1):
-    return WindowedProfinite(FiniteProduct((p,)), index, tuple((i,) for i in range(width)))
+def shift_space(p=2):
+    """The direct sum (Z/p)^(N), naming its compact dual (Z/p)^N."""
+    return DirectSum(FiniteProduct((p,)), N1)
 
 
 def test_vanishing_subgroup_index():
-    space = shift_space(3, 6)
+    space = shift_space(3)
     base0 = Subgroup.trivial(space.base)
     u = vanishing_subgroup(space, [(0,)], base0)
     assert u.index_in_space() == 3
 
 
+def test_vanishing_subgroup_refuses_a_coordinate_outside_the_index_monoid():
+    space = shift_space(2)
+    with pytest.raises(GroupMismatchError):
+        vanishing_subgroup(space, [(-1,)], Subgroup.trivial(space.base))
+
+
 def test_cotrajectory_window_shift_stacks_constraints():
-    space = shift_space(2, 8)
+    space = shift_space(2)
     gamma = ProfiniteShiftAction(space, N1)
     u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
     for n in (1, 2, 5):
@@ -221,8 +227,8 @@ def test_cotrajectory_window_shift_stacks_constraints():
 
 
 def test_cotrajectory_window_brute_force_oracle():
-    # count solutions over the window group directly
-    space = shift_space(2, 5)
+    # count solutions over K^{0..4} directly
+    space = shift_space(2)
     gamma = ProfiniteShiftAction(space, N1)
     u = vanishing_subgroup(space, [(0,), (2,)], Subgroup.trivial(space.base))
     f = ms(N1, [(0,), (1,)])
@@ -238,21 +244,39 @@ def test_cotrajectory_window_brute_force_oracle():
     assert cot.index_in_space() == 2**5 // count
 
 
-def test_window_escape_is_loud():
-    space = shift_space(2, 3)
+def test_cotrajectory_window_reaches_new_coordinates_exactly():
+    # F = {0, 3} moves U's constraint at 0 to 3: the coordinates 0..3 all
+    # exist at once, and the index is the brute-force one over K^{0..3}
+    space = shift_space(2)
     gamma = ProfiniteShiftAction(space, N1)
     u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
-    with pytest.raises(WindowEscapeError):
-        cotrajectory_window(gamma, ms(N1, [(0,), (3,)]), u)
+    f = ms(N1, [(0,), (3,)])
+    cot = cotrajectory_window(gamma, f, u)
+    count = sum(
+        all(vec[s] == 0 for (s,) in f.elements) for vec in iproduct(range(2), repeat=4)
+    )
+    assert cot.support == ((0,), (3,))
+    assert cot.index_in_space() == 2**4 // count == 4
 
 
 def test_h_top_shift_is_log_p():
-    space = shift_space(5, 10)
+    space = shift_space(5)
     gamma = ProfiniteShiftAction(space, N1)
     u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
     est = h_top_estimate(gamma, u, box_net(N1), 8)
     for row in est.rows:
         assert row.ratio == pytest.approx(math.log(5))
+
+
+def test_h_top_shift_is_log_p_at_prefix_30():
+    # no extent is fixed in advance: F_30 = [0, 30) reaches 30 coordinates
+    space = shift_space(3)
+    gamma = ProfiniteShiftAction(space, N1)
+    u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
+    est = h_top_estimate(gamma, u, box_net(N1), 30)
+    assert len(est.rows) == 30
+    for row in est.rows:
+        assert row.ratio == pytest.approx(math.log(3))
 
 
 def test_h_top_trivial_action_on_finite_group_vanishes():
@@ -535,7 +559,7 @@ def test_bridge_builtins_are_covered():
 def test_cotrajectory_accumulator_matches_scratch_on_builtin_bridges(name):
     alpha, b, net = cli._action_parts(cli.BUILTINS[name])
     prefix = max(cli.BUILTINS[name].get("prefix", 8), 16)
-    gamma, u = _dual_pair(alpha, b, net, prefix)
+    gamma, u = _dual_pair(alpha, b)
     _assert_matches_scratch(gamma, u, net, prefix)
     assert bridge_check(alpha, b, net, prefix).exact_at_every_index
 
@@ -557,7 +581,7 @@ def _two_block_shift(index):
 def test_cotrajectory_accumulator_matches_scratch_on_overlapping_supports(index, prefix):
     alpha, b = _two_block_shift(index)
     net = box_net(index)
-    gamma, u = _dual_pair(alpha, b, net, prefix)
+    gamma, u = _dual_pair(alpha, b)
     _assert_matches_scratch(gamma, u, net, prefix)
     assert bridge_check(alpha, b, net, prefix).exact_at_every_index
 
@@ -571,7 +595,7 @@ def _sliding_net(monoid, width):
 def test_cotrajectory_accumulator_restarts_on_a_sliding_net():
     alpha, b = _two_block_shift(N1)
     net = _sliding_net(N1, 3)
-    gamma, u = _dual_pair(alpha, b, net, 6)
+    gamma, u = _dual_pair(alpha, b)
     _assert_matches_scratch(gamma, u, net, 6)
     assert bridge_check(alpha, b, net, 6).exact_at_every_index
     g = FiniteProduct((4, 6))
@@ -586,7 +610,7 @@ def test_cotrajectory_accumulator_starts_over_when_the_last_set_is_not_inside():
     alpha, b = _two_block_shift(Z1)
     sets = [[(0,)], [(0,), (1,)], [(3,), (4,)], [(2,), (3,), (4,)], [(-1,)]]
     net = FolnerNet(Z1, lambda i: ms(Z1, sets[i - 1]), "jumps")
-    gamma, u = _dual_pair(alpha, b, net, len(sets))
+    gamma, u = _dual_pair(alpha, b)
     acc = _GrowingCotrajectory(gamma, u)
     for items in sets:
         f = ms(Z1, items)
@@ -614,7 +638,7 @@ def test_cotrajectory_accumulator_on_a_product_monoid_with_a_finite_part():
     alpha = Action(monoid, g, [scalar_endo(g, -1), MatrixEndo(g, ((1, 0), (3, 1)))])
     b = Subgroup.generated(g, [(1, 1)])
     net = box_net(monoid)
-    gamma, u = _dual_pair(alpha, b, net, 4)
+    gamma, u = _dual_pair(alpha, b)
     _assert_matches_scratch(gamma, u, net, 4)
     assert bridge_check(alpha, b, net, 4).exact_at_every_index
 

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from amenact.errors import BudgetExceededError, InvalidWitnessError
+from amenact.errors import BudgetExceededError, InvalidWitnessError, UndecidableFamilyError
 from amenact.folner import (
     FolnerNet,
     TilingWitness,
@@ -53,6 +53,32 @@ def test_box_net_families():
     g = FiniteAbelianMonoid((2, 3))
     assert box_net(g).subset(7).elements == set(g.elements())
     assert len(box_net(Z2).subset(2)) == 25
+
+
+@pytest.mark.parametrize(
+    "monoid, label",
+    [
+        (N1, "boxes"),
+        (FreeCommutative(2), "boxes"),
+        (Z1, "boxes"),
+        (Z2, "boxes"),
+        (FiniteAbelianMonoid((2, 3)), "constant"),
+        (ProductMonoid((N1, Z1)), "boxes"),
+        (ProductMonoid((FiniteAbelianMonoid((2,)), FreeAbelian(1))), "boxes"),
+    ],
+)
+def test_box_net_is_the_monoid_window(monoid, label):
+    net = box_net(monoid)
+    assert net.label == label
+    for n in range(1, 7):
+        assert net.subset(n) == monoid.window(n)
+
+
+@pytest.mark.parametrize("monoid", [SemidirectZZ(), ProductMonoid((N1, SemidirectZZ()))])
+def test_box_net_refuses_the_shear_product(monoid):
+    # the shear product's boxes are not Folner, alone or as a product part
+    with pytest.raises(UndecidableFamilyError):
+        box_net(monoid)
 
 
 def test_verify_folner_boxes_of_Z():
