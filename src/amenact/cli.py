@@ -26,6 +26,7 @@ from itertools import product as iproduct
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from . import lattices
 from .abelian import DirectSum, FiniteProduct, FiniteSubset, FreeZ, Subgroup
 from .actions import (
     Action,
@@ -529,21 +530,17 @@ def _run_duality_props(sc, prefix, budget):
     values = []
     for factors in sc["groups"]:
         g = FiniteProduct(tuple(factors))
-        subs = subgroup_lattice(g)
-        order_law = double = True
-        for gens, elems in subs:
-            b = Subgroup.generated(g, gens)
-            perp = annihilator(b)
-            order_law = order_law and b.order() * perp.order() == g.order
-            double = double and annihilator(perp).elements() == elems
-        sum_law = True
-        for gens1, _ in subs[: min(len(subs), 12)]:
-            for gens2, _ in subs[: min(len(subs), 12)]:
-                b1 = Subgroup.generated(g, gens1)
-                b2 = Subgroup.generated(g, gens2)
-                lhs = annihilator(b1.join(b2)).elements()
-                rhs = annihilator(b1).elements() & annihilator(b2).elements()
-                sum_law = sum_law and lhs == rhs
+        subs = [Subgroup.generated(g, gens) for gens, _ in subgroup_lattice(g)]
+        pairs = [(b, annihilator(b)) for b in subs]
+        order_law = all(b.order() * perp.order() == g.order for b, perp in pairs)
+        double = all(annihilator(perp) == b for b, perp in pairs)
+        # (B1 + B2)-perp against B1-perp meet B2-perp, as canonical HNFs
+        sum_law = all(
+            annihilator(b1.join(b2))._flat()[1]
+            == lattices.intersect(p1._flat()[1], p2._flat()[1], len(factors))
+            for b1, p1 in pairs[:12]
+            for b2, p2 in pairs[:12]
+        )
         ok = order_law and double and sum_law
         values.append((tuple(factors), len(subs), order_law, double, sum_law, ok))
     header = "group,subgroups,order_law,double_annihilator,sum_law,ok"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iproduct
 
 from . import lattices
 from .abelian import (
@@ -41,6 +42,7 @@ from .monoid import MSubset
 from .tables import csv_table
 
 SUBGROUP_LATTICE_BUDGET = 2**13  # the largest group order subgroup_lattice enumerates
+SUBGROUP_COUNT_BUDGET = 2**16  # the most subgroups subgroup_lattice lists
 
 
 @dataclass(frozen=True)
@@ -419,40 +421,35 @@ def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> Bri
 def subgroup_lattice(group: FiniteProduct):
     """Every subgroup of a small finite product, as (gens, elements) pairs.
 
-    Breadth-first closure over one-element extensions; feasible up to a few
-    thousand subgroups.
+    The subgroups of prod Z/n_j are the lattices diag(n) <= L <= Z^k, and
+    each is listed once, as its Hermite normal form built from the last
+    column back: row j is p_j e_j plus a tail whose entry in each later
+    column l lies in [0, p_l), with p_j | n_j, and the row stays iff
+    (n_j / p_j) tail lies in the lattice of the rows below (which is
+    n_j e_j in L).  The forms on the last columns are the subgroups of a
+    direct factor, never more than the whole group has, so the count
+    budget is checked as they grow.
     """
     if group.order > SUBGROUP_LATTICE_BUDGET:
         raise BudgetExceededError(f"subgroup enumeration beyond {SUBGROUP_LATTICE_BUDGET} elements")
-    add = group.add
-    zero = group.zero
-    all_elements = list(group.elements())
-    trivial = frozenset({zero})
-    seen = {trivial: ()}
-    frontier = [(trivial, ())]
-    while frontier:
-        nxt = []
-        for elems, gens in frontier:
-            # <H, y> = <H, x> for every y in the coset x + H, so one x per
-            # coset suffices; the first one met keeps the generator order
-            covered = set(elems)
-            for x in all_elements:
-                if x in covered:
-                    continue
-                coset = {add(h, x) for h in elems}
-                covered |= coset
-                new = coset | elems
-                shift = add(x, x)
-                while shift not in elems:
-                    new.update(add(h, shift) for h in elems)
-                    shift = add(shift, x)
-                newf = frozenset(new)
-                if newf not in seen:
-                    entry = (newf, gens + (x,))
-                    seen[newf] = entry[1]
-                    nxt.append(entry)
-        frontier = nxt
-    return [(gens, elems) for elems, gens in seen.items()]
+    n = group.factors
+    forms = [[]]
+    for j in reversed(range(len(n))):
+        grown = []
+        for rows in forms:
+            tails = list(iproduct(*(range(row[l]) for l, row in enumerate(rows, j + 1))))
+            for p in (d for d in range(1, n[j] + 1) if n[j] % d == 0):
+                for tail in tails:
+                    if lattices.contains(rows, [0] * (j + 1) + [n[j] // p * t for t in tail]):
+                        grown.append([[0] * j + [p, *tail]] + rows)
+            if len(grown) > SUBGROUP_COUNT_BUDGET:
+                raise BudgetExceededError(f"subgroup enumeration beyond {SUBGROUP_COUNT_BUDGET} subgroups")
+        forms = grown
+    out = []
+    for rows in forms:
+        gens = tuple(g for row in rows if any(g := tuple(x % m for x, m in zip(row, n))))
+        out.append((gens, Subgroup.generated(group, gens).elements()))
+    return out
 
 
 def random_endomorphism(group: FiniteProduct, rng) -> MatrixEndo:

@@ -1,8 +1,11 @@
 """CLI: exit codes, schema rejection, artifacts, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,43 @@ def test_budget_message_names_the_element_that_ran_out(tmp_path):
     assert code == 3
     assert message == "budget exceeded: trajectory exceeded 1000 elements (ran out at (6,))"
     assert not (tmp_path / "example-wide-seed.csv").exists()
+
+
+def test_duality_props_stops_at_the_subgroup_count_budget(tmp_path):
+    # (Z/2)^13 is inside the order cap but has far more subgroups than the
+    # count budget; the enumeration once ran without end here
+    scenario = tmp_path / "elementary.json"
+    scenario.write_text(json.dumps({"kind": "duality-props", "groups": [[2] * 13]}))
+    start = time.perf_counter()
+    code, message = run_scenario(str(scenario))
+    assert code == 3 and "65536 subgroups" in message
+    assert time.perf_counter() - start < 30
+
+
+def _duality_props_columns(tmp_path):
+    code, message = run_scenario("duality-props-small", out_dir=tmp_path)
+    assert code == 1 and "violation at" in message
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "duality-props-small.csv").read_text())))
+    return {column: {row[column] for row in rows} for column in rows[0]}
+
+
+def test_duality_laws_fail_with_a_wrong_annihilator(tmp_path, monkeypatch):
+    from amenact import cli
+    from amenact.abelian import Subgroup
+
+    monkeypatch.setattr(cli, "annihilator", lambda b: Subgroup.full(b.group))
+    columns = _duality_props_columns(tmp_path)
+    assert columns["order_law"] == columns["double_annihilator"] == {"False"}
+
+
+def test_sum_law_fails_with_a_wrong_intersection(tmp_path, monkeypatch):
+    from amenact import lattices
+
+    # B1-perp in place of B1-perp meet B2-perp
+    monkeypatch.setattr(lattices, "intersect", lambda rows1, rows2, dim: lattices.hnf(rows1, dim))
+    columns = _duality_props_columns(tmp_path)
+    assert columns["sum_law"] == {"False"}
+    assert columns["order_law"] == columns["double_annihilator"] == {"True"}
 
 
 def test_tiling_checks_its_witness_once(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
@@ -416,11 +417,71 @@ def _all_subgroups(factors):
     return out
 
 
+def _bfs_subgroups(group):
+    """The element set of every subgroup, by breadth-first closure over
+    one-element extensions (one extension per coset)."""
+    add = group.add
+    all_elements = list(group.elements())
+    seen = {frozenset({group.zero})}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for elems in frontier:
+            covered = set(elems)
+            for x in all_elements:
+                if x in covered:
+                    continue
+                coset = {add(h, x) for h in elems}
+                covered |= coset
+                new = coset | elems
+                shift = add(x, x)
+                while shift not in elems:
+                    new.update(add(h, shift) for h in elems)
+                    shift = add(shift, x)
+                newf = frozenset(new)
+                if newf not in seen:
+                    seen.add(newf)
+                    nxt.append(newf)
+        frontier = nxt
+    return seen
+
+
 @pytest.mark.parametrize("factors", [(8,), (2, 4), (2, 2, 2), (3, 9), (2, 6), (4, 4)])
 def test_goursat_oracle_lists_the_subgroup_lattice(factors):
     mine = sorted(sorted(elems) for _, elems in _all_subgroups(factors))
     lattice = sorted(sorted(elems) for _, elems in subgroup_lattice(FiniteProduct(factors)))
     assert mine == lattice
+
+
+def test_hermite_forms_list_the_bfs_subgroups_once_each():
+    for factors in _abelian_types(64) + [(2, 64), (4, 4, 8), (9, 27), (2, 60)]:
+        group = FiniteProduct(factors)
+        listed = [frozenset(elems) for _, elems in subgroup_lattice(group)]
+        assert len(set(listed)) == len(listed), factors
+        assert set(listed) == _bfs_subgroups(group), factors
+
+
+def _gaussian_binomial(k, m, p):
+    num = den = 1
+    for i in range(m):
+        num *= p ** (k - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4), (5, 3), (7, 2)]
+)
+def test_elementary_subgroup_counts_are_gaussian_binomials(p, k):
+    # (Z/p)^k has [k choose m]_p subgroups of order p^m
+    counts = Counter(len(elems) for _, elems in subgroup_lattice(FiniteProduct((p,) * k)))
+    assert counts == {p**m: _gaussian_binomial(k, m, p) for m in range(k + 1)}
+
+
+def test_cyclic_group_at_the_order_cap_lists_its_subgroups():
+    # Z/2^13: one subgroup per divisor; the element-set search never ended here
+    subs = subgroup_lattice(FiniteProduct((2**13,)))
+    assert sorted(len(elems) for _, elems in subs) == [2**m for m in range(14)]
 
 
 def test_annihilator_matches_enumeration_on_every_group_of_order_64_or_less():
