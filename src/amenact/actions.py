@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 
 from . import lattices
 from .abelian import (
@@ -35,10 +36,11 @@ from .errors import (
     NotInvariantError,
     UndecidableFamilyError,
 )
-from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, translate_net
+from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, box_net, translate_net
 from .integral import IntegralEstimate, IntegralRow, SetFunction
 from .monoid import (
     FiniteAbelianMonoid,
+    FreeAbelian,
     MonoidHom,
     MSubset,
     ProductMonoid,
@@ -190,34 +192,22 @@ class ShiftEndo(Endomorphism):
     shift: tuple
     base: MatrixEndo | None = None  # None = identity on the base
 
-    def _base_apply(self):
-        if self.base is None:
-            return lambda v: v
-        return self.base.apply
-
     def apply(self, x):
-        index = self.group.index
-        move = self.shift
-        bapply = self._base_apply()
+        if self.base is None and not any(self.shift):
+            return x
+        # i -> i + shift is injective, so no two coordinates land together
+        index, move = self.group.index, self.shift
+        everywhere = isinstance(index, FreeAbelian)  # Z^d holds every translate
+        bapply = None if self.base is None else self.base.apply
         bzero = self.group.base.zero
-        out = {}
+        out = []
         for i, v in x:
-            j = tuple(a + b for a, b in zip(i, move))
-            if not index.contains(j):
-                continue
-            w = bapply(v)
-            if w == bzero:
-                continue
-            cur = out.get(j)
-            if cur is None:
-                out[j] = w
-            else:
-                w2 = self.group.base.add(cur, w)
-                if w2 == bzero:
-                    del out[j]
-                else:
-                    out[j] = w2
-        return frozenset(out.items())
+            j = tuple(map(add, i, move))
+            if everywhere or index.contains(j):
+                w = v if bapply is None else bapply(v)
+                if w != bzero:
+                    out.append((j, w))
+        return frozenset(out)
 
     def compose(self, other):
         if not isinstance(other, ShiftEndo) or other.group != self.group:
@@ -390,6 +380,10 @@ class ConjugatedAction(Action):
             self._cache[t] = _SandwichEndo(self.group, self.xi, inner)
         return self._cache[t]
 
+    def _generator_step(self, j, step):
+        g = self.monoid.generators()[j]
+        return self.endo(g if step > 0 else self.monoid.inverse(g))
+
 
 @dataclass(frozen=True)
 class _SandwichEndo(Endomorphism):
@@ -506,30 +500,36 @@ class _IncrementalTrajectory:
         self.budget = budget
         self._packs = alpha.group == FreeZ(1)
         self._last_f = None
-        self._start()
+        self.reset()
 
-    def _start(self):
+    def reset(self):
+        """Start over from T_empty = {0}."""
         self.count = 1
         if self._packs:
             self._set, self._bits, self._low = None, 1, 0
         else:
             self._set = frozenset([self.alpha.group.zero])
 
-    def advance(self, f_set: MSubset) -> int:
-        """|T_F(X)|; raises ``BudgetExceededError`` carrying the element s
-        of F whose image took the count past the budget."""
-        if self._last_f is not None and self._last_f <= f_set.elements:
-            new = f_set.elements - self._last_f
-        else:
-            self._start()
-            new = f_set.elements
-        self._last_f = None  # an unfinished advance leaves nothing to extend
-        for s in sorted(new):
+    def extend(self, added):
+        """Add alpha(s)(X) for s in ``added``, in sorted order; raises
+        ``BudgetExceededError`` carrying the element s whose image took the
+        count past the budget."""
+        for s in sorted(added):
             self._add(self.alpha.apply_set(s, self.x.elements))
             if self.count > self.budget:
                 raise BudgetExceededError(
                     f"trajectory exceeded {self.budget} elements", completed=s
                 )
+
+    def advance(self, f_set: MSubset) -> int:
+        """|T_F(X)|, extending the previous F when it lies inside F."""
+        if self._last_f is not None and self._last_f <= f_set.elements:
+            new = f_set.elements - self._last_f
+        else:
+            self.reset()
+            new = f_set.elements
+        self._last_f = None  # an unfinished advance leaves nothing to extend
+        self.extend(new)
         self._last_f = f_set.elements
         return self.count
 
@@ -608,57 +608,91 @@ class _GrowingTrajectory:
     """T_F(alpha, B) for a finitely generated seed B of a FiniteProduct or
     DirectSum, as one growing ``lattices.ModularEchelon``.
 
-    ``advance(F)`` inserts only the images alpha(s)(g) for s new since the
-    previous F, and starts over when the previous F is not inside F.  On a
-    DirectSum each index gets its block of columns when an image first
-    touches it, so earlier echelon rows stay valid.
+    ``extend(added)`` inserts the images alpha(s)(g) of the seed generators
+    g for each s in ``added`` (a net shell).  The acting monoid is
+    commutative, so alpha(s)(g) = phi_j^{+-1}(alpha(s -+ e_j)(g)): an
+    element takes its images from a neighbour in the previous or the
+    current shell with one generator step (the rule ``Action.endo`` uses),
+    and only an element with no such neighbour builds alpha(s).  Elements
+    go by increasing l1 norm of their exponents, so on box nets only the
+    identity builds one.  An image already met in either shell is not
+    inserted again.  On a DirectSum each index gets its block of columns
+    when an image first touches it, so earlier echelon rows stay valid.
+    Every element visited counts against ``budget``, restarts included.
     """
 
-    def __init__(self, alpha: Action, seed: Subgroup):
-        if seed.group != alpha.group:
-            raise GroupMismatchError("subgroup lives in a different group")
+    def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
         self.alpha = alpha
         self.seed = seed
-        self._reset()
+        self.budget = budget
+        self.visited = 0
+        self.reset()
 
-    def _reset(self):
+    def reset(self):
         group = self.alpha.group
         if isinstance(group, DirectSum):
             self._echelon = lattices.ModularEchelon()
             self._pos = {}
         else:
             self._echelon = lattices.ModularEchelon(group.factors)
-        self._done = frozenset()
+        self._images = {}  # exponent vector -> seed images, current shell
+        self._before = {}  # the same for the previous shell
+        self._seen, self._seen_before = set(), set()  # images met in those shells
 
-    def advance(self, f_elements: frozenset):
-        if not self._done <= f_elements:
-            self._reset()
-        for s in sorted(f_elements - self._done):
-            endo = self.alpha.endo(s)
-            for g in self.seed.gens:
-                self._echelon.insert(self._flat(endo.apply(g), grow=True))
-        self._done = f_elements
+    def extend(self, added):
+        self._before, self._images = self._images, {}
+        self._seen_before, self._seen = self._seen, set()
+        seen, seen_before = self._seen, self._seen_before
+        exponents = self.alpha.monoid.generator_exponents
+        steps = [(exponents(s), s) for s in added]
+        steps.sort(key=lambda step: (sum(map(abs, step[0])), step[0]))
+        for e, s in steps:
+            self.visited += 1
+            if self.visited > self.budget:
+                raise BudgetExceededError(
+                    f"subgroup trajectory visited more than {self.budget} monoid elements",
+                    completed=s,
+                )
+            images = self._images[e] = self._seed_images(e, s)
+            for x in images:
+                if x not in seen:
+                    seen.add(x)
+                    if x not in seen_before:
+                        self._echelon.insert(self._flat(x, grow=True))
+
+    def _seed_images(self, e, s):
+        for j, k in enumerate(e):
+            if not k:
+                continue
+            step = 1 if k > 0 else -1
+            near = e[:j] + (k - step,) + e[j + 1 :]
+            images = self._images.get(near)
+            if images is None:
+                images = self._before.get(near)
+            if images is not None:
+                apply = self.alpha._generator_step(j, step).apply
+                return [apply(x) for x in images]
+        endo = self.alpha.endo(s)
+        return [endo.apply(g) for g in self.seed.gens]
 
     def _flat(self, x, grow=False):
-        """Coordinates of x, or None when x leaves the columns (grow=False)."""
+        """Column -> nonzero coordinate of x, or None when x leaves the
+        columns (grow=False)."""
         group = self.alpha.group
         if not isinstance(group, DirectSum):
-            return x
+            return {j: a for j, a in enumerate(x) if a}
         factors = group.base.factors
-        k = len(factors)
         pos = self._pos
         for i, _ in x:
             if i not in pos:
                 if not grow:
                     return None
-                pos[i] = len(pos) * k
+                pos[i] = self._echelon.dim
                 self._echelon.add_columns(factors)
-        out = [0] * self._echelon.dim
-        for i, v in x:
-            out[pos[i] : pos[i] + k] = v
-        return out
+        return {pos[i] + t: a for i, v in x for t, a in enumerate(v) if a}
 
-    def order(self) -> int:
+    @property
+    def count(self) -> int:
         return self._echelon.order()
 
     def contains(self, x) -> bool:
@@ -666,24 +700,70 @@ class _GrowingTrajectory:
         return flat is not None and self._echelon.contains(flat)
 
 
-def _trajectory_orders(alpha: Action, seed: Subgroup, net: FolnerNet, prefix: int):
-    """Yield (F_i, |T_{F_i}(alpha, B)|) for i = 1..prefix.
+class _ScratchTrajectory:
+    """T_F(alpha, B) for coordinatewise seeds and seeds of free groups:
+    ``subgroup_trajectory`` over all of F after every extension.  Each
+    extension visits all of F against ``budget``."""
+
+    def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
+        self.alpha = alpha
+        self.seed = seed
+        self.budget = budget
+        self.visited = 0
+        self.reset()
+
+    def reset(self):
+        self._f = frozenset()
+        self._t = None
+
+    def extend(self, added):
+        self._f |= added
+        self.visited += len(self._f)
+        if self.visited > self.budget:
+            raise BudgetExceededError(
+                f"subgroup trajectory visited more than {self.budget} monoid elements"
+            )
+        self._t = subgroup_trajectory(self.alpha, MSubset(self.alpha.monoid, self._f), self.seed)
+
+    @property
+    def count(self) -> int:
+        return self._t.order()
+
+    def contains(self, x) -> bool:
+        return self._t.contains(x)
+
+
+def _subgroup_accumulator(alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
+    if seed.group != alpha.group:
+        raise GroupMismatchError("subgroup lives in a different group")
+    if seed.kind == "fg" and isinstance(alpha.group, (FiniteProduct, DirectSum)):
+        return _GrowingTrajectory(alpha, seed, budget)
+    return _ScratchTrajectory(alpha, seed, budget)
+
+
+def _counts_along(acc, net: FolnerNet, prefix: int):
+    """Yield (|F_i|, count) for i = 1..prefix from one accumulator fed with
+    ``net.increments``; a budget error gets the index it stopped at."""
+    for i, added, fresh, size in net.increments(prefix):
+        if fresh:
+            acc.reset()
+        try:
+            acc.extend(added)
+        except BudgetExceededError as err:
+            err.index = i
+            raise
+        yield size, acc.count
+
+
+def _trajectory_orders(alpha: Action, seed: Subgroup, net: FolnerNet, prefix: int,
+                       budget: int = DEFAULT_ELEMENT_BUDGET):
+    """Yield (|F_i|, |T_{F_i}(alpha, B)|) for i = 1..prefix.
 
     Finitely generated seeds of finite products and direct sums share one
-    growing echelon basis along the net (it starts over wherever F_{i-1}
-    is not inside F_i); coordinatewise seeds and free groups take
-    ``subgroup_trajectory`` at every index.
+    growing echelon basis along the net, fed with its shells; coordinatewise
+    seeds and free groups take ``subgroup_trajectory`` at every index.
     """
-    traj = None
-    if seed.kind == "fg" and isinstance(alpha.group, (FiniteProduct, DirectSum)):
-        traj = _GrowingTrajectory(alpha, seed)
-    for i in range(1, prefix + 1):
-        fi = net.subset(i)
-        if traj is None:
-            yield fi, subgroup_trajectory(alpha, fi, seed).order()
-        else:
-            traj.advance(fi.elements)
-            yield fi, traj.order()
+    return _counts_along(_subgroup_accumulator(alpha, seed, budget), net, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -725,29 +805,29 @@ def h_alg_estimate(
     """Entropy ratio table for a finite seed set or a subgroup seed.
 
     Subgroup seeds ride the canonical-form machinery (orders stay exact
-    even when they are astronomically large); set seeds grow one sumset
-    along the net under the element budget.  On Z it is a bitset counted
+    even when they are astronomically large), and the budget bounds the
+    monoid elements they visit; set seeds grow one sumset along the net,
+    and the budget bounds its size.  On Z the sumset is a bitset counted
     by popcount, so no tuple is made unless the sum is too sparse to pack
-    (see ``_IncrementalTrajectory``).
+    (see ``_IncrementalTrajectory``).  Both are fed ``net.increments``:
+    on a nested net |F_i| is the running sum of its shell sizes.
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     if isinstance(seed, Subgroup):
-        pairs = _trajectory_orders(alpha, seed, net, prefix)
+        acc = _subgroup_accumulator(alpha, seed, budget)
         seed_label = "subgroup"
     elif isinstance(seed, FiniteSubset):
-        inc = _IncrementalTrajectory(alpha, seed, budget)
-        subsets = map(net.subset, range(1, prefix + 1))
-        pairs = ((fi, inc.advance(fi)) for fi in subsets)
+        acc = _IncrementalTrajectory(alpha, seed, budget)
         seed_label = f"set({len(seed)})"
     else:
         raise GroupMismatchError("seed must be a FiniteSubset or a Subgroup")
     est = IntegralEstimate("h_alg")
     counts = []
-    for i, (fi, count) in enumerate(pairs, start=1):
+    for i, (size, count) in enumerate(_counts_along(acc, net, prefix), start=1):
         counts.append(count)
         value = ell_of_order(count)
-        est.rows.append(IntegralRow(i, len(fi), value, value / len(fi)))
+        est.rows.append(IntegralRow(i, size, value, value / size))
     return EntropyEstimate(est, counts, seed_label, net.label)
 
 
@@ -786,17 +866,14 @@ def _window_certificate(alpha, seed: Subgroup, scale: int):
         ]
     else:
         raise GroupMismatchError("certificates need torsion groups")
-    traj = _GrowingTrajectory(alpha, seed) if seed.kind == "fg" else None
-    for m_scale in range(scale, 4 * scale + 5):
-        f = alpha.monoid.window(m_scale)
-        if traj is None:
-            t = subgroup_trajectory(alpha, f, seed)
-        else:
-            traj.advance(f.elements)
-            t = traj
-        if all(t.contains(x) for x in targets):
+    acc = _subgroup_accumulator(alpha, seed)
+    last = 4 * scale + 4
+    # the windows are the nested boxes: feed their shells
+    for m_scale, added, _, _ in box_net(alpha.monoid).increments(last):
+        acc.extend(added)
+        if m_scale >= scale and all(acc.contains(x) for x in targets):
             return GeneratorCertificate(scale, m_scale, True)
-    return GeneratorCertificate(scale, 4 * scale + 4, False)
+    return GeneratorCertificate(scale, last, False)
 
 
 def ent_estimate(

@@ -641,8 +641,9 @@ def run_scenario(source: str, out_dir=None, prefix=None, budget=None, plot=False
     except _CONSTRUCTION_ERRORS as err:
         return 2, f"invalid scenario: {err}"
     except BudgetExceededError as err:
-        where = "" if err.completed is None else f" (ran out at {err.completed})"
-        return 3, f"budget exceeded: {err}{where}"
+        where = [f"ran out at {err.completed}"] if err.completed is not None else []
+        where += [f"net index {err.index}"] if err.index is not None else []
+        return 3, f"budget exceeded: {err}" + (f" ({', '.join(where)})" if where else "")
     except CheckFailure as err:
         return 1, f"check failed: {err}"
     return 0, f"{sc['name']}: all checks passed"

@@ -412,9 +412,9 @@ def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> Bri
     sides = zip(
         _trajectory_orders(alpha, b, net, prefix), _cotrajectory_indices(gamma, u, net, prefix)
     )
-    for i, ((fi, order), (_, index)) in enumerate(sides, start=1):
+    for i, ((size, order), (_, index)) in enumerate(sides, start=1):
         exact = exact and order == index
-        rows.append(BridgeRow(i, len(fi), ell_of_order(order), ell_of_order(index)))
+        rows.append(BridgeRow(i, size, ell_of_order(order), ell_of_order(index)))
     return BridgeReport(rows, exact)
 
 

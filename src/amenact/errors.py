@@ -39,12 +39,15 @@ class BudgetExceededError(AmenactError):
 
     ``completed``, when set, names where the work stopped: a trajectory
     sets it to the monoid element s whose image alpha(s)(X) took the
-    count past the budget (the elements before s in sorted order finished).
+    count past the budget, or for a subgroup seed to the element whose
+    visit took the visited count past it (the elements visited before s
+    finished).  ``index``, when set, is the net index being reached.
     """
 
-    def __init__(self, message, completed=None):
+    def __init__(self, message, completed=None, index=None):
         super().__init__(message)
         self.completed = completed
+        self.index = index
 
 
 class SearchBudgetError(BudgetExceededError):

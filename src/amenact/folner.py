@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 
 from .errors import (
@@ -38,13 +39,22 @@ CANONICAL_SEARCH_BUDGET = 2**16
 
 
 class FolnerNet:
-    """Lazily generated, memoized sequence of finite subsets."""
+    """Lazily generated, memoized sequence of finite subsets.
 
-    def __init__(self, monoid, generate, label="net"):
+    ``shell``, when given, maps i to F_i \\ F_{i-1} (F_0 is empty) and
+    marks the net as nested: F_{i-1} <= F_i at every index.
+    """
+
+    def __init__(self, monoid, generate, label="net", shell=None):
         self.monoid = monoid
         self._generate = generate
         self.label = label
+        self._shell = shell
         self._cache = {}
+
+    @property
+    def nested(self) -> bool:
+        return self._shell is not None
 
     def subset(self, i: int) -> MSubset:
         if i < 1:
@@ -52,6 +62,33 @@ class FolnerNet:
         if i not in self._cache:
             self._cache[i] = self._generate(i)
         return self._cache[i]
+
+    def shell(self, i: int) -> MSubset:
+        """F_i \\ F_{i-1}; all of F_1 at i = 1."""
+        if i < 1:
+            raise ValueError("net indices start at 1")
+        if self.nested:
+            return MSubset(self.monoid, self._shell(i))
+        before = self.subset(i - 1).elements if i > 1 else frozenset()
+        return MSubset(self.monoid, self.subset(i).elements - before)
+
+    def increments(self, prefix: int):
+        """Yield (i, added, fresh, |F_i|) for i = 1..prefix: a set that
+        holds F_{i-1} becomes F_i by adding ``added``, after it starts over
+        from the empty set when ``fresh``.  A nested net hands out its
+        shells and never builds F_i.  Any other net is compared with its
+        previous set and starts over wherever F_{i-1} is not inside F_i."""
+        size, last = 0, frozenset()
+        for i in range(1, prefix + 1):
+            if self.nested:
+                added, fresh = self.shell(i).elements, False
+                size += len(added)
+            else:
+                fi = self.subset(i).elements
+                fresh = not last <= fi
+                added = fi if fresh else fi - last
+                size, last = len(fi), fi
+            yield i, added, fresh, size
 
     def prefix(self, k: int):
         return [self.subset(i) for i in range(1, k + 1)]
@@ -66,14 +103,50 @@ def _has_folner_boxes(monoid) -> bool:
     return isinstance(monoid, (FreeCommutative, FreeAbelian, FiniteAbelianMonoid))
 
 
+def _box_axes(monoid):
+    """window(n) as a product of axes: one per coordinate of N^d and Z^d,
+    one for a finite group.  An axis is a pair of maps from n to its
+    coordinate blocks in window(n) (none at n = 0) and to the blocks that
+    are new at n."""
+    if isinstance(monoid, ProductMonoid):
+        return [axis for p in monoid.parts for axis in _box_axes(p)]
+    if isinstance(monoid, FreeCommutative):
+        return [(lambda n: [(a,) for a in range(n)], lambda n: [(n - 1,)] if n else [])] * monoid.dim
+    if isinstance(monoid, FreeAbelian):
+        def new(n):
+            return [(-n,), (n,)] if n > 1 else [(-1,), (0,), (1,)] if n else []
+
+        return [(lambda n: [(a,) for a in range(-n, n + 1)] if n else [], new)] * monoid.dim
+    return [(lambda n: list(monoid.elements()) if n else [],
+             lambda n: list(monoid.elements()) if n == 1 else [])]
+
+
+def _box_shell(axes, i: int) -> frozenset:
+    """F_i \\ F_{i-1} for the box over ``axes``, as disjoint parts: in part
+    k, axis k takes its blocks new at i, the axes before it their blocks in
+    F_{i-1} and the axes after it their blocks in F_i."""
+    if not axes:
+        return frozenset({()}) if i == 1 else frozenset()
+    out = []
+    for k, (_, new) in enumerate(axes):
+        fresh = new(i)
+        if fresh:
+            before = [box(i - 1) for box, _ in axes[:k]]
+            after = [box(i) for box, _ in axes[k + 1 :]]
+            out.extend(sum(c, ()) for c in iproduct(*before, fresh, *after))
+    return frozenset(out)
+
+
 def box_net(monoid) -> FolnerNet:
     """The standard box sequence F_n = monoid.window(n): [0,n)^d for N^d,
     [-n,n]^d for Z^d, the whole group for finite S, and componentwise boxes
-    for products.  The shear product's boxes are not Folner."""
+    for products.  The shear product's boxes are not Folner.  The boxes are
+    nested, and each shell is generated without building a box."""
     if not _has_folner_boxes(monoid):
         raise UndecidableFamilyError(f"no box net for {monoid}")
     label = "constant" if isinstance(monoid, FiniteAbelianMonoid) else "boxes"
-    return FolnerNet(monoid, monoid.window, label)
+    axes = _box_axes(monoid)
+    return FolnerNet(monoid, monoid.window, label, partial(_box_shell, axes))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ which is what the subgroup canonical forms upstream rely on.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
@@ -190,17 +192,23 @@ class ModularEchelon:
 
     Row j has its pivot p_j > 0 in column j and zeros before it; p_j
     divides m_j, and every entry in column k is kept in [0, m_k), so no
-    entry outgrows the moduli.  ``order()`` is [L : M] = prod m_j / prod p_j
+    entry outgrows the moduli.  ``order()`` is [L : M] = prod m_j / p_j
     for M the lattice of the m_j * e_j: the order of L / M as a subgroup
-    of prod Z/m_j.  Columns are appended, never reordered, so rows stay
-    valid as the lattice grows.
+    of prod Z/m_j.  It is kept as that product, which gains a factor p / g
+    whenever a pivot p drops to g.  Columns are appended, never reordered,
+    so rows stay valid as the lattice grows.
+
+    Rows are sparse, column -> nonzero entry, and so are the vectors that
+    ``insert`` and ``contains`` take (a dense list of length ``dim`` is
+    accepted too): reducing a vector walks its nonzero columns in
+    increasing order and touches only the columns that it or the rows it
+    meets fill.
     """
 
     def __init__(self, moduli=()):
         self.moduli: list[int] = []
-        self.rows: list[list[int]] = []
-        self._moduli_product = 1
-        self._pivot_product = 1
+        self.rows: list[dict[int, int]] = []
+        self._order = 1
         self.add_columns(moduli)
 
     @property
@@ -212,62 +220,91 @@ class ModularEchelon:
         moduli = [int(m) for m in moduli]
         if any(m < 1 for m in moduli):
             raise ValueError("moduli must be positive integers")
-        d, k = len(self.moduli), len(moduli)
-        for row in self.rows:
-            row.extend([0] * k)
+        d = len(self.moduli)
         for t, m in enumerate(moduli):
-            row = [0] * (d + k)
-            row[d + t] = m
-            self.rows.append(row)
-            self._moduli_product *= m
-            self._pivot_product *= m
+            self.rows.append({d + t: m})
         self.moduli.extend(moduli)
 
+    def _sparse(self, vec) -> dict[int, int]:
+        """``vec`` as column -> entry reduced mod its modulus, zeros left out."""
+        moduli, d = self.moduli, len(self.moduli)
+        if isinstance(vec, dict):
+            if vec and not 0 <= min(vec) <= max(vec) < d:
+                raise ValueError(f"columns must lie in [0, {d})")
+            items = vec.items()
+        else:
+            vec = list(vec)
+            if len(vec) != d:
+                raise ValueError(f"expected a vector of length {d}")
+            items = enumerate(vec)
+        return {j: r for j, x in items if (r := x % moduli[j])}
+
+    def _reduce(self, v, heap, j, q, row):
+        """v -= q * row on the columns after j; new columns join the heap."""
+        moduli = self.moduli
+        for k, b in row.items():
+            if k == j:
+                continue
+            old = v.get(k)
+            w = ((old or 0) - q * b) % moduli[k]
+            if w:
+                if old is None:
+                    heappush(heap, k)
+                v[k] = w
+            elif old is not None:
+                del v[k]
+
     def insert(self, vec):
-        """Add ``vec`` (length ``dim``) to the lattice."""
-        v = list(vec)
-        if len(v) != self.dim:
-            raise ValueError(f"expected a vector of length {self.dim}")
+        """Add ``vec`` to the lattice."""
+        v = self._sparse(vec)
+        heap = list(v)
+        heapify(heap)
         moduli, rows = self.moduli, self.rows
-        for j, m in enumerate(moduli):
-            x = v[j] % m
+        while heap:
+            j = heappop(heap)
+            x = v.pop(j, 0)  # a column reduced to zero stays in the heap
             if not x:
                 continue
             row = rows[j]
             p = row[j]
-            tail = moduli[j + 1 :]
             if x % p == 0:
-                q = x // p
-                v[j + 1 :] = [(a - q * b) % n for a, b, n in zip(v[j + 1 :], row[j + 1 :], tail)]
+                self._reduce(v, heap, j, x // p, row)
                 continue
             # (row, v) -> (a*row + b*v, (p/g)*v - (x/g)*row): unimodular, and
             # it clears v in column j while the pivot drops to g = gcd(p, x)
             g, a, b = _ext_gcd(p, x)
             pg, xg = p // g, x // g
-            rv, vv = row[j + 1 :], v[j + 1 :]
-            row[j] = g
-            row[j + 1 :] = [(a * r + b * w) % n for r, w, n in zip(rv, vv, tail)]
-            v[j + 1 :] = [(pg * w - xg * r) % n for r, w, n in zip(rv, vv, tail)]
-            self._pivot_product = self._pivot_product // p * g
+            new_row = {j: g}
+            for k in (row.keys() | v.keys()) - {j}:
+                r, w, n = row.get(k, 0), v.get(k, 0), moduli[k]
+                if nr := (a * r + b * w) % n:
+                    new_row[k] = nr
+                if nv := (pg * w - xg * r) % n:
+                    if k not in v:
+                        heappush(heap, k)
+                    v[k] = nv
+                elif k in v:
+                    del v[k]
+            rows[j] = new_row
+            self._order *= pg
 
     def contains(self, vec) -> bool:
-        v = list(vec)
-        if len(v) != self.dim:
-            raise ValueError(f"expected a vector of length {self.dim}")
-        moduli = self.moduli
-        for j, m in enumerate(moduli):
-            x = v[j] % m
+        v = self._sparse(vec)
+        heap = list(v)
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            x = v.pop(j, 0)
             if not x:
                 continue
             row = self.rows[j]
             if x % row[j]:
                 return False
-            q = x // row[j]
-            v[j + 1 :] = [(a - q * b) % n for a, b, n in zip(v[j + 1 :], row[j + 1 :], moduli[j + 1 :])]
+            self._reduce(v, heap, j, x // row[j], row)
         return True
 
     def order(self) -> int:
-        return self._moduli_product // self._pivot_product
+        return self._order
 
 
 def unimodular_inverse(mat):

@@ -20,11 +20,13 @@ from amenact.abelian import (
 )
 from amenact.actions import (
     Action,
+    _GrowingTrajectory,
     _IncrementalTrajectory,
     GeneratorCertificate,
     GroupIso,
     MatrixEndo,
     MonoidIso,
+    _trajectory_orders,
     _window_certificate,
     addition_check,
     conjugate_action,
@@ -42,7 +44,7 @@ from amenact.actions import (
 )
 from amenact.duality import random_endomorphism
 from amenact.errors import BudgetExceededError, MonoidMismatchError, NotInvariantError
-from amenact.folner import FolnerNet, box_net, translate_net
+from amenact.folner import FolnerNet, box_net, kernel_box_net, product_net, translate_net
 from amenact.integral import sample_axioms
 from amenact.monoid import (
     FiniteAbelianMonoid,
@@ -50,6 +52,7 @@ from amenact.monoid import (
     FreeCommutative,
     MSubset,
     ProductMonoid,
+    mod_hom,
     scale_hom,
 )
 
@@ -613,6 +616,17 @@ def test_conjugation_by_inversion_preserves_counts():
         assert len(left) == len(right)
 
 
+def test_conjugated_action_feeds_subgroup_trajectories():
+    # the box net on Z is symmetric, so inverting the monoid keeps every count
+    group = DirectSum(FiniteProduct((2, 3)), Z1)
+    alpha = Action(Z1, group, [shift_endo(group, (1,), MatrixEndo(group.base, ((1, 0), (0, 2))))])
+    beta = conjugate_action(alpha, GroupIso.identity(group), MonoidIso.negation(Z1))
+    seed = Subgroup.generated(group, [group.element({(0,): (1, 1), (2,): (0, 1)})])
+    counts = h_alg_estimate(alpha, seed, box_net(Z1), 6).counts
+    assert h_alg_estimate(beta, seed, box_net(Z1), 6).counts == counts
+    assert counts == [order for _, order in fresh_orders(beta, seed, box_net(Z1), 6)]
+
+
 def test_conjugation_identity_is_identity():
     alpha = m4_action()
     beta = conjugate_action(alpha, GroupIso.identity(Z), MonoidIso.identity(N1))
@@ -829,3 +843,178 @@ def test_window_certificates_unchanged(alpha, seed, scale, covered):
     assert cert == window_certificate_oracle(alpha, seed, scale)
     assert cert.covered == covered
 
+
+# --- the shell-fed trajectory engine, against a fresh trajectory per index ---------
+
+def fresh_orders(alpha, seed, net, prefix):
+    """Oracle: |F_i| and |T_{F_i}(alpha, B)| built from all of F_i at every index."""
+    return [
+        (len(net.subset(i)), subgroup_trajectory(alpha, net.subset(i), seed).order())
+        for i in range(1, prefix + 1)
+    ]
+
+
+def fresh_set_counts(alpha, x, net, prefix):
+    return [(len(net.subset(i)), len(trajectory(alpha, net.subset(i), x))) for i in range(1, prefix + 1)]
+
+
+def builtin_trajectory_cases():
+    """(name, alpha, seed, net): every builtin entropy and bridge seed, and
+    the three generator subgroups of every addition builtin."""
+    for name, sc in sorted(cli.BUILTINS.items()):
+        if sc["kind"] in ("entropy", "bridge"):
+            action, seed, net = cli._action_parts(sc)
+            yield name, action, seed, net
+        elif sc["kind"] == "addition":
+            action, b, net = cli._action_parts(sc, "subgroup")
+            sub, quo, _ = quotient_and_sub_actions(action, b)
+            for part in (action, sub, quo):
+                yield name, part, cli._default_generator_subgroup(part.group), net
+
+
+def test_builtin_trajectory_cases_cover_every_kind():
+    kinds = {cli.BUILTINS[name]["kind"] for name, *_ in builtin_trajectory_cases()}
+    assert kinds == {"entropy", "bridge", "addition"}
+
+
+@pytest.mark.parametrize("name, alpha, seed, net", list(builtin_trajectory_cases()))
+def test_shell_fed_counts_match_fresh_trajectories_on_builtins(name, alpha, seed, net):
+    prefix = min(cli.BUILTINS[name].get("prefix", 8), 8)
+    est = h_alg_estimate(alpha, seed, net, prefix)
+    got = [(row.size, count) for row, count in zip(est.estimate.rows, est.counts)]
+    if isinstance(seed, Subgroup):
+        assert got == fresh_orders(alpha, seed, net, prefix)
+        assert list(_trajectory_orders(alpha, seed, net, prefix)) == got
+    else:
+        assert got == fresh_set_counts(alpha, seed, net, prefix)
+
+
+def box_shift(monoid):
+    """Each generator of N^d or Z^d shifts (Z/2 x Z/3)^(monoid); the first
+    also multiplies the base by the automorphism diag(1, 2)."""
+    base = FiniteProduct((2, 3))
+    group = DirectSum(base, monoid)
+    twist = MatrixEndo(base, ((1, 0), (0, 2)))
+    units = monoid.generators()
+    alpha = Action(monoid, group, [shift_endo(group, u, twist if j == 0 else None)
+                                   for j, u in enumerate(units)])
+    zero = monoid.identity
+    seed = Subgroup.generated(group, [
+        group.element({zero: (1, 1)}),
+        group.element({zero: (0, 1), units[-1]: (1, 0)}),
+    ])
+    return alpha, seed
+
+
+def finite_product_action():
+    """Z/3 x Z acting on Z/7 x Z/7 by diag(2, 4) (order 3) and diag(3, 5)."""
+    monoid = ProductMonoid((FiniteAbelianMonoid((3,)), Z1))
+    group = FiniteProduct((7, 7))
+    alpha = Action(monoid, group, [MatrixEndo(group, ((2, 0), (0, 4))),
+                                   MatrixEndo(group, ((3, 0), (0, 5)))])
+    return alpha, Subgroup.generated(group, [(1, 1)])
+
+
+def truncating(dim):
+    monoid = FreeCommutative(dim)
+    group = DirectSum(FiniteProduct((3,)), monoid)
+    alpha = Action(monoid, group, [shift_endo(group, tuple(-a for a in u)) for u in monoid.generators()])
+    far = (2,) * dim
+    seed = Subgroup.generated(group, [group.element({far: (1,)}), group.element({(0,) * dim: (2,)})])
+    return alpha, seed
+
+
+def net_shape_cases():
+    """(alpha, seed, net, prefix) over every net shape the engine meets."""
+    for family in (FreeCommutative, FreeAbelian):
+        for dim, prefix in ((1, 6), (2, 3), (3, 2)):
+            monoid = family(dim)
+            alpha, seed = box_shift(monoid)
+            yield alpha, seed, box_net(monoid), prefix
+    alpha, seed = finite_product_action()
+    yield alpha, seed, box_net(alpha.monoid), 5
+    for dim, prefix in ((1, 7), (2, 4)):
+        alpha, seed = truncating(dim)
+        yield alpha, seed, box_net(alpha.monoid), prefix
+    alpha, seed = fibonacci_shift()
+    yield alpha, seed, translate_net(box_net(Z1), ms(Z1, [(3,), (-2,)])), 5
+    pi = mod_hom(Z1, (3,))
+    yield alpha, seed, kernel_box_net(pi), 4
+    yield alpha, seed, sliding_net(Z1), 5
+    alpha, seed = box_shift(FreeCommutative(2))
+    yield alpha, seed, sliding_net(alpha.monoid, 2), 3
+    yield alpha, seed, product_net(box_net(N1), box_net(N1)), 6
+
+
+@pytest.mark.parametrize("alpha, seed, net, prefix", list(net_shape_cases()))
+def test_shell_fed_counts_match_fresh_trajectories_on_every_net_shape(alpha, seed, net, prefix):
+    assert list(_trajectory_orders(alpha, seed, net, prefix)) == fresh_orders(alpha, seed, net, prefix)
+
+
+def test_non_nested_nets_start_over():
+    alpha, seed = box_shift(FreeCommutative(2))
+    for net in (sliding_net(alpha.monoid, 2), product_net(box_net(N1), box_net(N1))):
+        assert any(fresh for _, _, fresh, _ in net.increments(6))
+
+
+def test_subgroup_seed_budget_counts_visited_elements():
+    alpha, seed = box_shift(FreeAbelian(2))
+    # |F_1| + ... : 9, 25, 49 on the nested boxes; the 35th element is in F_3
+    with pytest.raises(BudgetExceededError) as err:
+        h_alg_estimate(alpha, seed, box_net(alpha.monoid), 5, budget=34)
+    assert err.value.index == 3 and err.value.completed is not None
+    assert h_alg_estimate(alpha, seed, box_net(alpha.monoid), 3, budget=49).counts
+    # restarts count too: the sliding net visits 4 + 9 + 16 elements by index 3
+    net = sliding_net(alpha.monoid, 2)
+    assert h_alg_estimate(alpha, seed, net, 3, budget=29).counts
+    with pytest.raises(BudgetExceededError) as err:
+        h_alg_estimate(alpha, seed, net, 3, budget=28)
+    assert err.value.index == 3
+
+
+def test_percoord_seed_budget_counts_visited_elements():
+    alpha, group, two_a = klein_shift()
+    # F_1 = [-1, 1] and F_2 = [-2, 2]: the accumulator visits 3 + 5 elements
+    assert h_alg_estimate(alpha, two_a, box_net(Z1), 2, budget=8).counts
+    with pytest.raises(BudgetExceededError) as err:
+        h_alg_estimate(alpha, two_a, box_net(Z1), 2, budget=7)
+    assert err.value.index == 2
+
+
+FIBONACCI_SCENARIO = {
+    "kind": "entropy",
+    "monoid": {"family": "Z^d", "dim": 1},
+    "group": {"family": "direct-sum", "base": [6, 6], "index": {"family": "Z^d", "dim": 1}},
+    "action": {"generators": [
+        {"kind": "shift", "by": [1], "base": {"kind": "matrix", "rows": [[0, 1], [1, 1]]}},
+    ]},
+    "seed": {"subgroup_basis": [
+        [[[0], [1, 0]], [[1], [0, 1]]],
+        [[[0], [2, 3]], [[2], [1, 1]]],
+    ]},
+    "net": {"family": "box"},
+}
+
+
+@pytest.mark.parametrize("name, prefix", [("quotient-vanishing", 24), ("fibonacci-shift", 40)])
+def test_trajectory_work_counts(monkeypatch, tmp_path, name, prefix):
+    """A count of work, not of time: alpha(s) is built for the identity
+    alone, every element of F_prefix is visited exactly once, and no F_i
+    is built."""
+    source = name
+    if name == "fibonacci-shift":
+        source = tmp_path / "fibonacci-shift.json"
+        source.write_text(json.dumps(FIBONACCI_SCENARIO))
+    endo, seed_images, subset = Action.endo, _GrowingTrajectory._seed_images, FolnerNet.subset
+    endo_calls, visits, subsets = [], [], []
+    monkeypatch.setattr(Action, "endo", lambda self, s: endo_calls.append(s) or endo(self, s))
+    monkeypatch.setattr(_GrowingTrajectory, "_seed_images",
+                        lambda self, e, s: visits.append(s) or seed_images(self, e, s))
+    monkeypatch.setattr(FolnerNet, "subset", lambda self, i: subsets.append(i) or subset(self, i))
+    code, message = cli.run_scenario(str(source), tmp_path, prefix)
+    assert code == 0, message
+    sc = json.loads(source.read_text()) if name == "fibonacci-shift" else cli.BUILTINS[name]
+    monoid = cli.parse_monoid(sc["monoid"])
+    assert len(endo_calls) <= len(monoid.generators())
+    assert len(visits) == len(set(visits)) and set(visits) == monoid.window(prefix).elements
+    assert not subsets

@@ -97,11 +97,27 @@ def test_tiling_budget_caps_the_region_cells(tmp_path):
 
 
 def test_budget_message_names_the_element_that_ran_out(tmp_path):
-    # counts 4, 12, ..., 972 at s = 0..5; the image of s = 6 makes 2916
+    # counts 4, 12, ..., 972 at s = 0..5; the image of s = 6 makes 2916,
+    # on the way to F_7 = {0, ..., 6}
     code, message = run_scenario("example-wide-seed", out_dir=tmp_path, budget=1000)
     assert code == 3
-    assert message == "budget exceeded: trajectory exceeded 1000 elements (ran out at (6,))"
+    assert message == (
+        "budget exceeded: trajectory exceeded 1000 elements (ran out at (6,), net index 7)"
+    )
     assert not (tmp_path / "example-wide-seed.csv").exists()
+
+
+def test_subgroup_seeds_honour_the_budget(tmp_path, capsys):
+    # the boxes [-i, i]^2 hold 9, 25, ..., 961, 1089 elements: the 1001st
+    # element visited lies in F_16
+    code = main(["run", "quotient-vanishing", "--prefix", "40", "--budget", "1000",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    message = capsys.readouterr().err.strip()
+    assert message.startswith("budget exceeded: subgroup trajectory visited more than 1000")
+    assert message.endswith(", net index 16)") and "ran out at (" in message
+    assert not (tmp_path / "quotient-vanishing.csv").exists()
+    assert run_scenario("quotient-vanishing", tmp_path, 15, budget=961)[0] == 0
 
 
 def test_duality_props_stops_at_the_subgroup_count_budget(tmp_path):

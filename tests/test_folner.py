@@ -81,6 +81,99 @@ def test_box_net_refuses_the_shear_product(monoid):
         box_net(monoid)
 
 
+# --- shells F_i \\ F_{i-1} ----------------------------------------------------------
+
+BOX_MONOIDS = [
+    FreeCommutative(0), N1, FreeCommutative(2), FreeCommutative(3),
+    FreeAbelian(0), Z1, Z2, FreeAbelian(3),
+    FiniteAbelianMonoid((2, 3)),
+    ProductMonoid((N1, Z1)),
+    ProductMonoid((FiniteAbelianMonoid((2,)), FreeAbelian(1))),
+    ProductMonoid((Z1, FiniteAbelianMonoid((3,)), FreeCommutative(2))),
+]
+
+
+def sliding_net(monoid):
+    # [n, 2n]^d: never nested
+    return FolnerNet(
+        monoid, lambda n: MSubset(monoid, frozenset(product(range(n, 2 * n + 1), repeat=monoid.dim))),
+        "sliding",
+    )
+
+
+def every_net_family():
+    """(net, prefix, nested): every family of net, with whether it is nested."""
+    for m in BOX_MONOIDS:
+        yield box_net(m), 5 if m.dim < 3 else 3, True
+    yield translate_net(box_net(Z1), ms(Z1, [(3,), (-2,)])), 5, True
+    yield translate_net(box_net(FreeCommutative(2)), ms(FreeCommutative(2), [(0, 0), (1, 2)])), 4, True
+    s = ProductMonoid((FiniteAbelianMonoid((2,)), FreeAbelian(1)))
+    yield kernel_box_net(projection_hom(s, (0,))), 4, True
+    yield kernel_box_net(projection_hom(s, (1,))), 4, True
+    yield canonical_net(Z1).folner_net(), 5, True
+    yield product_net(box_net(N1), box_net(Z1)), 6, False
+    yield sliding_net(N1), 4, False
+    yield sliding_net(Z2), 3, False
+    pi = projection_hom(Z2, (0,))
+    split = split_extension_net(canonical_net(Z1), canonical_net(Z1), pi, find_good_section(pi))
+    yield split.folner_net(), 4, False
+
+
+@pytest.mark.parametrize("net, prefix, nested", list(every_net_family()), ids=repr)
+def test_shell_is_the_new_part_of_the_net(net, prefix, nested):
+    sizes, grows = 0, []
+    for i in range(1, prefix + 1):
+        before = net.subset(i - 1).elements if i > 1 else frozenset()
+        grows.append(before <= net.subset(i).elements)
+        shell = net.shell(i)
+        assert shell.monoid == net.monoid
+        assert shell.elements == net.subset(i).elements - before
+        sizes += len(shell)
+        if nested:
+            assert sizes == len(net.subset(i))
+    assert all(grows) == nested
+    # only box nets declare themselves nested
+    assert net.nested == (net.label in ("boxes", "constant"))
+
+
+@pytest.mark.parametrize("net, prefix, nested", list(every_net_family()), ids=repr)
+def test_increments_rebuild_every_set_of_the_net(net, prefix, nested):
+    held = set()
+    fresh_at = []
+    for i, added, fresh, size in net.increments(prefix):
+        if fresh:
+            held.clear()
+            fresh_at.append(i)
+        assert not held & added
+        held |= added
+        assert held == net.subset(i).elements and size == len(held)
+    # a net that is not nested starts over somewhere
+    assert bool(fresh_at) != nested
+
+
+@pytest.mark.parametrize("monoid", [N1, FreeCommutative(2), FreeCommutative(3), Z1, Z2, FreeAbelian(3)])
+def test_box_shells_never_build_a_window(monkeypatch, monoid):
+    calls = []
+    window = type(monoid).window
+    monkeypatch.setattr(type(monoid), "window", lambda self, n: calls.append(n) or window(self, n))
+    net = box_net(monoid)
+    shells = [net.shell(i).elements for i in range(1, 6)]
+    nets = list(net.increments(5))
+    assert not calls
+    for i in range(1, 6):
+        box = window(monoid, i).elements
+        before = window(monoid, i - 1).elements if i > 1 else set()
+        assert shells[i - 1] == nets[i - 1][1] == box - before
+        assert nets[i - 1][3] == len(box)
+
+
+def test_shell_refuses_index_zero():
+    with pytest.raises(ValueError):
+        box_net(N1).shell(0)
+    with pytest.raises(ValueError):
+        sliding_net(N1).shell(0)
+
+
 def test_verify_folner_boxes_of_Z():
     report = verify_folner(box_net(Z1), ms(Z1, [(1,), (-1,)]), 30)
     for n in (1, 10, 30):

@@ -366,6 +366,76 @@ def test_kernels_match_the_former_loops(seed):
 ENGINE_MODULI = [1, 2, 4, 6, 12, 9, 2 * 3 * 5]
 
 
+class DenseModularEchelon:
+    """Oracle: the former ModularEchelon, whose rows were dense lists and
+    whose insert rewrote whole row tails."""
+
+    def __init__(self, moduli=()):
+        self.moduli, self.rows = [], []
+        self._moduli_product = self._pivot_product = 1
+        self.add_columns(moduli)
+
+    @property
+    def dim(self):
+        return len(self.moduli)
+
+    def add_columns(self, moduli):
+        d, k = len(self.moduli), len(moduli)
+        for row in self.rows:
+            row.extend([0] * k)
+        for t, m in enumerate(moduli):
+            row = [0] * (d + k)
+            row[d + t] = m
+            self.rows.append(row)
+            self._moduli_product *= m
+            self._pivot_product *= m
+        self.moduli.extend(moduli)
+
+    def insert(self, vec):
+        v = list(vec)
+        moduli, rows = self.moduli, self.rows
+        for j, m in enumerate(moduli):
+            x = v[j] % m
+            if not x:
+                continue
+            row = rows[j]
+            p = row[j]
+            tail = moduli[j + 1 :]
+            if x % p == 0:
+                q = x // p
+                v[j + 1 :] = [(a - q * b) % n for a, b, n in zip(v[j + 1 :], row[j + 1 :], tail)]
+                continue
+            g, a, b = lattices._ext_gcd(p, x)
+            pg, xg = p // g, x // g
+            rv, vv = row[j + 1 :], v[j + 1 :]
+            row[j] = g
+            row[j + 1 :] = [(a * r + b * w) % n for r, w, n in zip(rv, vv, tail)]
+            v[j + 1 :] = [(pg * w - xg * r) % n for r, w, n in zip(rv, vv, tail)]
+            self._pivot_product = self._pivot_product // p * g
+
+    def contains(self, vec):
+        v = list(vec)
+        moduli = self.moduli
+        for j, m in enumerate(moduli):
+            x = v[j] % m
+            if not x:
+                continue
+            row = self.rows[j]
+            if x % row[j]:
+                return False
+            q = x // row[j]
+            v[j + 1 :] = [(a - q * b) % n for a, b, n in zip(v[j + 1 :], row[j + 1 :], moduli[j + 1 :])]
+        return True
+
+    def order(self):
+        return self._moduli_product // self._pivot_product
+
+
+def dense_rows(engine):
+    """The sparse rows of a ModularEchelon as dense lists."""
+    return [[row.get(k, 0) for k in range(engine.dim)] for row in engine.rows]
+
+
 def _oracle_basis(inserted, moduli):
     """HNF of the inserted rows (zero-padded to the current width) plus the
     modulus rows, as ``Subgroup`` builds it."""
@@ -396,7 +466,9 @@ def test_modular_echelon_matches_hnf_at_every_step(seed):
             engine.insert(vec)
             inserted.append(vec)
         assert engine.order() == _oracle_order(inserted, engine.moduli)
-        for j, (row, m) in enumerate(zip(engine.rows, engine.moduli)):
+        for row in engine.rows:
+            assert all(row.values())  # no stored zeros
+        for j, (row, m) in enumerate(zip(dense_rows(engine), engine.moduli)):
             assert not any(row[:j]) and m % row[j] == 0
             assert all(0 <= a < n for a, n in zip(row[j + 1 :], engine.moduli[j + 1 :]))
         basis = _oracle_basis(inserted, engine.moduli)
@@ -433,3 +505,57 @@ def test_modular_echelon_refuses_bad_input():
         engine.contains([1, 2, 3])
     with pytest.raises(ValueError):
         engine.add_columns([0])
+
+
+def _random_sparse(rng, dim):
+    cols = rng.sample(range(dim), rng.randint(0, min(dim, 3)))
+    return {j: rng.randint(-60, 60) for j in cols}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_modular_echelon_matches_the_dense_one(seed):
+    # random interleavings of add_columns, dense inserts and sparse inserts:
+    # the same rows, order and membership as the dense oracle at every step
+    rng = random.Random(7000 + seed)
+    engine, oracle = lattices.ModularEchelon(), DenseModularEchelon()
+    for _ in range(rng.randint(5, 30)):
+        roll = rng.random()
+        if engine.dim == 0 or roll < 0.25:
+            moduli = [rng.choice(ENGINE_MODULI) for _ in range(rng.randint(1, 3))]
+            engine.add_columns(moduli)
+            oracle.add_columns(moduli)
+        elif roll < 0.6:
+            vec = [rng.randint(-40, 40) if rng.random() < 0.5 else 0 for _ in range(engine.dim)]
+            engine.insert(vec)
+            oracle.insert(vec)
+        else:
+            vec = _random_sparse(rng, engine.dim)
+            engine.insert(vec)
+            oracle.insert([vec.get(j, 0) for j in range(engine.dim)])
+        assert engine.order() == oracle.order()
+        assert dense_rows(engine) == oracle.rows
+        for _ in range(4):
+            probe = _random_sparse(rng, engine.dim)
+            dense = [probe.get(j, 0) for j in range(engine.dim)]
+            want = oracle.contains(dense)
+            assert engine.contains(probe) == want and engine.contains(dense) == want
+
+
+def test_modular_echelon_sparse_and_dense_vectors_agree():
+    engine = lattices.ModularEchelon([4, 6, 9])
+    engine.insert({1: 2, 2: -3})
+    assert engine.order() == 3
+    assert engine.contains([0, 4, 3]) and engine.contains({1: 4, 2: 3})
+    assert not engine.contains({2: 1})
+    engine.insert([2, 0, 0])
+    assert engine.order() == 6 and engine.contains({0: 6, 1: 2, 2: 6})
+    assert not engine.contains({0: 2, 1: 2})
+
+
+def test_modular_echelon_refuses_columns_outside_the_basis():
+    engine = lattices.ModularEchelon([2, 3])
+    for vec in ({2: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            engine.insert(vec)
+        with pytest.raises(ValueError):
+            engine.contains(vec)
