@@ -1027,14 +1027,15 @@ def addition_check(
     seed_total: Subgroup,
     seed_sub: Subgroup,
     seed_quotient: Subgroup,
+    budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> AdditionReport:
     """Entropy additivity over an invariant subgroup, with the per-index
     integer identity |T(A-seed)| = |T(B-seed)| * |T(Q-seed)| checked exactly
-    whenever it holds."""
+    whenever it holds.  The budget bounds each of the three estimates."""
     sub_action, quo_action, _ = quotient_and_sub_actions(alpha, b)
-    total = ent_estimate(alpha, seed_total, None, net, prefix)
-    sub = ent_estimate(sub_action, seed_sub, None, net, prefix)
-    quo = ent_estimate(quo_action, seed_quotient, None, net, prefix)
+    total = ent_estimate(alpha, seed_total, None, net, prefix, budget=budget)
+    sub = ent_estimate(sub_action, seed_sub, None, net, prefix, budget=budget)
+    quo = ent_estimate(quo_action, seed_quotient, None, net, prefix, budget=budget)
     exact = all(
         t == s * q
         for t, s, q in zip(total.estimate.counts, sub.estimate.counts, quo.estimate.counts)

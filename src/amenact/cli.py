@@ -435,6 +435,7 @@ def _run_addition(sc, prefix, budget):
         _default_generator_subgroup(action.group),
         _default_generator_subgroup(sub.group),
         _default_generator_subgroup(quo.group),
+        budget,
     )
     rows = [
         [row.index, row.size, ct, cs, cq, ct == cs * cq]
@@ -467,7 +468,7 @@ def _default_generator_subgroup(group):
 
 def _run_bridge(sc, prefix, budget):
     action, seed, net = _action_parts(sc)
-    report = bridge_check(action, seed, net, prefix)
+    report = bridge_check(action, seed, net, prefix, budget)
     return report.to_csv(), {"report": report}
 
 

@@ -28,6 +28,7 @@ from .actions import (
     Action,
     MatrixEndo,
     ShiftEndo,
+    _counts_along,
     _trajectory_orders,
     subgroup_trajectory,
 )
@@ -36,7 +37,7 @@ from .errors import (
     GroupMismatchError,
     UndecidableFamilyError,
 )
-from .folner import FolnerNet
+from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet
 from .integral import IntegralEstimate, IntegralRow
 from .monoid import MSubset
 from .tables import csv_table
@@ -50,10 +51,6 @@ class DualGroup:
     """The Pontryagin dual of a finite product, with its exact pairing."""
 
     group: FiniteProduct
-
-    @property
-    def characters(self) -> FiniteProduct:
-        return self.group
 
     def pairing(self, x, chi) -> Fraction:
         total = Fraction(0)
@@ -117,8 +114,8 @@ def dual_action(alpha: Action) -> Action:
 def cotrajectory(gamma: Action, f_set: MSubset, u: Subgroup) -> Subgroup:
     """C_F(gamma, U) = intersection of gamma(s)^{-1}(U) over s in F."""
     acc = _GrowingCotrajectory(gamma, u)
-    acc.advance(f_set.elements)
-    return Subgroup.generated(gamma.group, [tuple(r) for r in acc.basis])
+    acc.extend(f_set.elements)
+    return Subgroup.generated(gamma.group, acc.rows_on(range(len(acc.factors))))
 
 
 @dataclass
@@ -133,12 +130,9 @@ class CtReport:
 
 def ct_check(alpha: Action, b: Subgroup, f_set: MSubset) -> CtReport:
     """|T_F(alpha, B)| against [A^ : C_F(alpha^, B-perp)], both exact."""
-    left = subgroup_trajectory(alpha, f_set, b).order()
-    hat = dual_action(alpha)
-    perp = annihilator(b)
-    cot = cotrajectory(hat, f_set, perp)
-    right = alpha.group.order // cot.order()
-    return CtReport(left, right)
+    cot = _GrowingCotrajectory(dual_action(alpha), annihilator(b))
+    cot.extend(f_set.elements)
+    return CtReport(subgroup_trajectory(alpha, f_set, b).order(), cot.count)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +156,7 @@ class OpenSubgroup:
 
     def index_in_space(self) -> int:
         dim = len(self.support) * len(self.space.base.factors)
-        if dim == 0:
-            return 1
-        idx = lattices.lattice_index(lattices.hnf([list(r) for r in self.rows], dim), dim)
-        return idx
+        return lattices.lattice_index(lattices.hnf(self.rows, dim), dim)
 
 
 def vanishing_subgroup(space: DirectSum, coords, base_subgroup: Subgroup) -> OpenSubgroup:
@@ -220,55 +211,26 @@ def cotrajectory_window(
     """C_F(gamma, U) for the shift action, as one merged constraint over the
     sorted union of the translated supports."""
     acc = _GrowingCotrajectory(gamma, u)
-    acc.advance(f_set.elements)
-    k = len(gamma.space.base.factors)
+    acc.extend(f_set.elements)
+    k = len(acc.factors)
     union = tuple(sorted(acc.pos))
     cols = [acc.pos[i] + t for i in union for t in range(k)]
-    basis = lattices.hnf([[row[c] for c in cols] for row in acc.basis], len(cols))
+    basis = lattices.hnf(acc.rows_on(cols), len(cols))
     return OpenSubgroup(gamma.space, union, tuple(tuple(r) for r in basis))
 
 
-def _meet_preimage(basis, images, target_rows, image_dim: int):
-    """HNF of {x in L : the image of x lies in L'}, for L the row lattice of
-    a full-rank HNF ``basis`` (row j has its pivot in column j), images[r]
-    the image of basis[r] under a linear map to Z^image_dim, and L' the row
-    lattice of ``target_rows``, which must keep the intersection of full
-    rank.
-
-    Rows with a zero image lie in the preimage already; the others enter
-    one kernel, whose heads are multiplied back into those rows.  Only the
-    rows from the first moved pivot c on change, so ``hnf`` runs on that
-    trailing block.  The rows above it stay reduced: a sublattice's pivots
-    are multiples of the old ones, so the result is already in HNF.
-    """
-    dim = len(basis)
-    moved = [j for j, img in enumerate(images) if any(img)]
-    if not moved:
-        return basis
-    c = moved[0]
-    tail = [basis[j][c:] for j in range(c, dim) if not any(images[j])]
-    for combo in _preimage([images[j] for j in moved], target_rows, image_dim):
-        vec = [0] * (dim - c)
-        for a, j in zip(combo, moved):
-            if a:
-                vec = [v + a * x for v, x in zip(vec, basis[j][c:])]
-        tail.append(vec)
-    return basis[:c] + [[0] * c + r for r in lattices.hnf(tail, dim - c)]
-
-
 class _GrowingCotrajectory:
-    """C_F(gamma, U) as one HNF basis that grows along a net.
-
-    ``advance(F)`` meets the basis with gamma(s)^{-1}(U) only for s new
-    since the previous F, and starts over when the previous F is not inside
-    F.  The basis always contains the modulus rows, so [K : C_F] is the
-    product of its pivots.  ``gamma`` is an Action on a finite character
-    group K (U a Subgroup) or a ProfiniteShiftAction (U an OpenSubgroup).
-    On K^I an index gets a block of k unconstrained unit rows when a
-    translated support first reaches it (``pos`` holds the first column of
-    each block, in order of first appearance, and is the only record of
-    which coordinates exist), so earlier rows stay valid and only the
-    k |supp U| moved columns are constrained.
+    """C_F(gamma, U) on one growing ``lattices.ModularEchelon``, fed net
+    shells through ``reset()``/``extend(added)``/``count`` as the
+    trajectory is, and never derived from it.  ``count`` = [K : C_F] is
+    the product of the pivots.  Each s in ``added`` meets the echelon with
+    gamma(s)^{-1}(U): the rows with a nonzero image on U's constraint
+    columns enter one kernel with U's rows, and the echelon is truncated
+    at the first of them and refilled with the other rows after it and
+    the kernel vectors.  ``gamma`` is an Action on a finite K (U a Subgroup) or a
+    ProfiniteShiftAction (U an OpenSubgroup), where an index gets a block
+    of free columns when a translated support first reaches it (``pos``
+    holds its first column).
     """
 
     def __init__(self, gamma, u):
@@ -287,55 +249,70 @@ class _GrowingCotrajectory:
             self.image_dim = len(self.factors)
         else:
             raise GroupMismatchError("use a ProfiniteShiftAction on the dual of a direct sum")
-        self._reset()
+        self.reset()
 
-    def _reset(self):
+    def reset(self):
         self.pos = {}
-        d = 0 if self.profinite else len(self.factors)
-        self.basis = [[int(i == j) for j in range(d)] for i in range(d)]
-        self._done = frozenset()
+        self._echelon = lattices.ModularEchelon()
+        self._full = 1  # the product of the moduli, so [K : C_F] = _full / order()
+        if not self.profinite:
+            self._add_free_columns()
 
-    def advance(self, f_elements: frozenset):
-        if not self._done <= f_elements:
-            self._reset()
-        for s in sorted(f_elements - self._done):
-            images = self._images(s)  # before reading self.basis: it may grow
-            self.basis = _meet_preimage(self.basis, images, self.target, self.image_dim)
-        self._done = f_elements
+    def _add_free_columns(self):
+        d = self._echelon.dim
+        self._echelon.add_columns(self.factors)
+        for t, m in enumerate(self.factors):
+            self._echelon.insert({d + t: 1})
+            self._full *= m
+
+    def extend(self, added):
+        for s in sorted(added):
+            images = self._images(s)
+            if not images:
+                continue
+            rows = self._echelon.rows
+            moved = list(images)
+            # truncate and insert replace row dicts and never edit one, so these stay valid
+            refill = [rows[j] for j in range(moved[0], len(rows)) if j not in images]
+            for combo in _preimage([images[j] for j in moved], self.target, self.image_dim):
+                vec = {}
+                for a, j in zip(combo, moved):
+                    if a:
+                        for col, x in rows[j].items():
+                            vec[col] = vec.get(col, 0) + a * x
+                refill.append(vec)
+            self._echelon.truncate(moved[0])
+            for vec in refill:
+                self._echelon.insert(vec)
 
     def _images(self, s):
-        """The image of each basis row in the space of U's constraint rows;
-        on K^I an index the moved support first reaches gets its block of
-        unit rows."""
-        n = self.factors
+        """Row number -> the nonzero image of that row on U's constraint
+        columns; on K^I the indices s first reaches get their columns."""
+        rows = self._echelon.rows
         if not self.profinite:
-            apply = self.gamma.apply
-            return [list(apply(s, tuple(v % m for v, m in zip(row, n)))) for row in self.basis]
-        k = len(n)
-        moved = self.gamma.translate_support(self.support, s)
-        for i in moved:
-            if i not in self.pos:
-                d = self.pos[i] = len(self.basis)
-                for row in self.basis:
-                    row.extend([0] * k)
-                self.basis.extend([int(j == d + t) for j in range(d + k)] for t in range(k))
-        cols = [self.pos[i] + t for i in moved for t in range(k)]
-        return [[row[c] for c in cols] for row in self.basis]
+            n = self.factors
+            images = ((j, self.gamma.apply(s, tuple(row.get(t, 0) % m for t, m in enumerate(n))))
+                      for j, row in enumerate(rows))
+        else:
+            moved = self.gamma.translate_support(self.support, s)
+            for i in moved:
+                if i not in self.pos:
+                    self.pos[i] = self._echelon.dim
+                    self._add_free_columns()
+            cols = [self.pos[i] + t for i in moved for t in range(len(self.factors))]
+            moduli = self.factors * len(moved)
+            # rows store no zeros: only a row with a key in the moved columns can move
+            images = ((j, [row.get(c, 0) % m for c, m in zip(cols, moduli)])
+                      for j, row in enumerate(rows) if not row.keys().isdisjoint(cols))
+        return {j: img for j, img in images if any(img)}
 
-    def index(self) -> int:
-        return lattices.lattice_index(self.basis, len(self.basis))
+    @property
+    def count(self) -> int:
+        return self._full // self._echelon.order()
 
-
-def _cotrajectory_indices(gamma, u, net: FolnerNet, prefix: int):
-    """Yield (F_i, [K : C_{F_i}(gamma, U)]) for i = 1..prefix, from one
-    accumulator along the net (it starts over wherever F_{i-1} is not
-    inside F_i); on K^I the index is taken over the coordinates that some
-    translate of U's support has reached, every other one being free."""
-    acc = _GrowingCotrajectory(gamma, u)
-    for i in range(1, prefix + 1):
-        fi = net.subset(i)
-        acc.advance(fi.elements)
-        yield fi, acc.index()
+    def rows_on(self, cols):
+        """The echelon rows read on the columns ``cols``, as dense tuples."""
+        return [tuple(row.get(c, 0) for c in cols) for row in self._echelon.rows]
 
 
 def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
@@ -346,9 +323,10 @@ def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
     whose coordinates enter as translated supports first reach them.
     """
     est = IntegralEstimate("h_top")
-    for i, (fi, index) in enumerate(_cotrajectory_indices(gamma, u, net, prefix), start=1):
+    indices = _counts_along(_GrowingCotrajectory(gamma, u), net, prefix)
+    for i, (size, index) in enumerate(indices, start=1):
         value = math.log(index)
-        est.rows.append(IntegralRow(i, len(fi), value, value / len(fi)))
+        est.rows.append(IntegralRow(i, size, value, value / size))
     return est
 
 
@@ -403,14 +381,19 @@ def _dual_pair(alpha: Action, b: Subgroup):
     return ProfiniteShiftAction(group, alpha.monoid), annihilator_window(group, b)
 
 
-def bridge_check(alpha: Action, b: Subgroup, net: FolnerNet, prefix: int) -> BridgeReport:
+def bridge_check(
+    alpha: Action, b: Subgroup, net: FolnerNet, prefix: int, budget: int = DEFAULT_ELEMENT_BUDGET
+) -> BridgeReport:
     """Pair the subgroup seed with its annihilator and compare trajectory
-    length against cotrajectory log-index at every net index, exactly."""
+    length against cotrajectory log-index at every net index, exactly.
+    The budget bounds the monoid elements the trajectory visits; the
+    cotrajectory visits the same ones after it."""
     gamma, u = _dual_pair(alpha, b)
     rows = []
     exact = True
     sides = zip(
-        _trajectory_orders(alpha, b, net, prefix), _cotrajectory_indices(gamma, u, net, prefix)
+        _trajectory_orders(alpha, b, net, prefix, budget),
+        _counts_along(_GrowingCotrajectory(gamma, u), net, prefix),
     )
     for i, ((size, order), (_, index)) in enumerate(sides, start=1):
         exact = exact and order == index

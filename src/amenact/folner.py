@@ -90,9 +90,6 @@ class FolnerNet:
                 size, last = len(fi), fi
             yield i, added, fresh, size
 
-    def prefix(self, k: int):
-        return [self.subset(i) for i in range(1, k + 1)]
-
     def __repr__(self):
         return f"FolnerNet({self.label} on {self.monoid})"
 

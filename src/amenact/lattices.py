@@ -203,6 +203,10 @@ class ModularEchelon:
     accepted too): reducing a vector walks its nonzero columns in
     increasing order and touches only the columns that it or the rows it
     meets fill.
+
+    ``truncate(c)`` resets the rows from c on: the first half of a meet
+    with M <= L' <= L that keeps the rows before c, which then takes the
+    part of L' on the columns from c on (the rows before c need it).
     """
 
     def __init__(self, moduli=()):
@@ -224,6 +228,12 @@ class ModularEchelon:
         for t, m in enumerate(moduli):
             self.rows.append({d + t: m})
         self.moduli.extend(moduli)
+
+    def truncate(self, c: int):
+        """Reset rows c.. to m_j * e_j and divide their m_j / p_j out of ``order()``."""
+        for j in range(c, self.dim):
+            self._order //= self.moduli[j] // self.rows[j][j]
+            self.rows[j] = {j: self.moduli[j]}
 
     def _sparse(self, vec) -> dict[int, int]:
         """``vec`` as column -> entry reduced mod its modulus, zeros left out."""

@@ -120,6 +120,37 @@ def test_subgroup_seeds_honour_the_budget(tmp_path, capsys):
     assert run_scenario("quotient-vanishing", tmp_path, 15, budget=961)[0] == 0
 
 
+@pytest.mark.parametrize("name, prefix, element, index", [
+    # F_i = [0, i) on N: the 11th element visited is 10, in F_11
+    ("bridge-bernoulli", 400, (10,), 11),
+    # F_i = [-i, i] on Z: 3, 5, 7, 9, 11 elements, the 11th is 5 in F_5
+    ("addition-mod4", 200, (5,), 5),
+])
+def test_bridge_and_addition_honour_the_budget(tmp_path, capsys, name, prefix, element, index):
+    code = main(["run", name, "--prefix", str(prefix), "--budget", "10", "--out", str(tmp_path)])
+    assert code == 3
+    message = capsys.readouterr().err.strip()
+    assert message == (
+        "budget exceeded: subgroup trajectory visited more than 10 monoid elements"
+        f" (ran out at {element}, net index {index})"
+    )
+    assert not (tmp_path / f"{name}.csv").exists()
+
+
+def test_counts_past_the_digit_limit_are_written_exactly(tmp_path):
+    # |T_{F_7200}| = 2^14401 has 4336 digits, past str()'s default limit of 4300
+    code, message = run_scenario("bernoulli-two-sided", out_dir=tmp_path, prefix=7200)
+    assert code == 0, message
+    rows = (tmp_path / "bernoulli-two-sided.csv").read_text().splitlines()
+    index, size, count, _ = rows[-1].split(",")
+    assert (index, size, len(count)) == ("7200", "14401", 4336)
+    value = 0
+    for start in range(0, len(count), 1000):
+        chunk = count[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == 2**14401
+
+
 def test_duality_props_stops_at_the_subgroup_count_budget(tmp_path):
     # (Z/2)^13 is inside the order cap but has far more subgroups than the
     # count budget; the enumeration once ran without end here

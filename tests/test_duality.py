@@ -10,12 +10,18 @@ import pytest
 
 from amenact import cli, lattices
 from amenact.abelian import DirectSum, FiniteProduct, Subgroup
-from amenact.actions import Action, MatrixEndo, identity_endo, scalar_endo, shift_endo
+from amenact.actions import (
+    Action,
+    MatrixEndo,
+    _counts_along,
+    identity_endo,
+    scalar_endo,
+    shift_endo,
+)
 from amenact.duality import (
     DualGroup,
     OpenSubgroup,
     ProfiniteShiftAction,
-    _cotrajectory_indices,
     _dual_pair,
     _GrowingCotrajectory,
     annihilator,
@@ -35,6 +41,7 @@ from amenact.monoid import (
     FiniteAbelianMonoid,
     FreeAbelian,
     FreeCommutative,
+    Monoid,
     MSubset,
     ProductMonoid,
 )
@@ -540,8 +547,9 @@ def test_duality_on_a_group_of_order_two_to_the_eighteen():
 
 
 # --- the growing cotrajectory against the from-scratch intersection ------------
-# The library grows one Hermite basis along a net; these oracles rebuild
-# C_F(gamma, U) at every index with one lattices.intersect per element of F.
+# The library grows one sparse ModularEchelon along a net; these oracles
+# rebuild C_F(gamma, U) at every index with one lattices.intersect per
+# element of F, or grow the former dense Hermite basis.
 
 
 def _scratch_preimage(images, target_rows, dim):
@@ -591,22 +599,126 @@ def _scratch_index(gamma, f_set, u):
     return lattices.lattice_index(_scratch_cotrajectory(gamma, f_set, u), k)
 
 
+def _dense_meet_preimage(basis, images, target_rows, image_dim):
+    """HNF of {x in L : the image of x lies in L'}, for L the row lattice of
+    a full-rank HNF ``basis`` and images[r] the image of basis[r]: rows with
+    a zero image stay, the others enter one kernel, and ``hnf`` runs on the
+    block from the first moved pivot on."""
+    dim = len(basis)
+    moved = [j for j, img in enumerate(images) if any(img)]
+    if not moved:
+        return basis
+    c = moved[0]
+    tail = [basis[j][c:] for j in range(c, dim) if not any(images[j])]
+    for combo in _scratch_preimage([images[j] for j in moved], target_rows, image_dim):
+        vec = [0] * (dim - c)
+        for a, j in zip(combo, moved):
+            if a:
+                vec = [v + a * x for v, x in zip(vec, basis[j][c:])]
+        tail.append(vec)
+    return basis[:c] + [[0] * c + r for r in lattices.hnf(tail, dim - c)]
+
+
+class DenseCotrajectory:
+    """Oracle: the former growing cotrajectory, one dense full-rank HNF
+    basis that holds the modulus rows, met with gamma(s)^{-1}(U) by
+    ``_dense_meet_preimage``; on K^I each newly reached index pads every
+    row with k zeros and adds k unit rows."""
+
+    def __init__(self, gamma, u):
+        self.gamma = gamma
+        self.profinite = isinstance(gamma, ProfiniteShiftAction)
+        if self.profinite:
+            self.factors = gamma.space.base.factors
+            self.support = u.support
+            self.image_dim = len(u.support) * len(self.factors)
+            moduli = [[m if i == j else 0 for j in range(self.image_dim)]
+                      for i, m in enumerate(self.factors * len(u.support))]
+            self.target = [list(r) for r in u.rows] + moduli
+        else:
+            self.factors = gamma.group.factors
+            self.target = u._flat()[1]
+            self.image_dim = len(self.factors)
+        self.reset()
+
+    def reset(self):
+        self.pos = {}
+        d = 0 if self.profinite else len(self.factors)
+        self.basis = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def extend(self, added):
+        for s in sorted(added):
+            images = self._images(s)
+            self.basis = _dense_meet_preimage(self.basis, images, self.target, self.image_dim)
+
+    def _images(self, s):
+        n = self.factors
+        if not self.profinite:
+            apply = self.gamma.apply
+            return [list(apply(s, tuple(v % m for v, m in zip(row, n)))) for row in self.basis]
+        k = len(n)
+        moved = self.gamma.translate_support(self.support, s)
+        for i in moved:
+            if i not in self.pos:
+                d = self.pos[i] = len(self.basis)
+                for row in self.basis:
+                    row.extend([0] * k)
+                self.basis.extend([int(j == d + t) for j in range(d + k)] for t in range(k))
+        cols = [self.pos[i] + t for i in moved for t in range(k)]
+        return [[row[c] for c in cols] for row in self.basis]
+
+    @property
+    def count(self):
+        return lattices.lattice_index(self.basis, len(self.basis))
+
+
+def _assert_echelon_invariants(echelon):
+    """Row j of a ModularEchelon: pivot p_j | m_j in column j and nothing
+    before it, later entries in [0, m_k), no stored zero, and order() the
+    product of the m_j / p_j."""
+    order = 1
+    for j, (row, m) in enumerate(zip(echelon.rows, echelon.moduli)):
+        assert min(row) == j and m % row[j] == 0
+        assert all(row.values())
+        assert all(0 <= x < echelon.moduli[k] for k, x in row.items() if k != j)
+        order *= m // row[j]
+    assert echelon.order() == order
+
+
 def _assert_matches_scratch(gamma, u, net, prefix):
-    indices = list(_cotrajectory_indices(gamma, u, net, prefix))
-    assert len(indices) == prefix
-    acc = _GrowingCotrajectory(gamma, u)
-    for i, (fi, index) in enumerate(indices, start=1):
-        assert fi == net.subset(i)
-        assert index == _scratch_index(gamma, fi, u), i
-        # the accumulator's basis stays in Hermite normal form
-        acc.advance(fi.elements)
-        assert acc.basis == lattices.hnf(acc.basis, len(acc.basis))
+    acc, dense = _GrowingCotrajectory(gamma, u), DenseCotrajectory(gamma, u)
+    counts = list(_counts_along(acc, net, prefix))
+    assert len(counts) == prefix
+    wanted = _counts_along(dense, net, prefix)
+    for i, ((size, index), (_, want)) in enumerate(zip(counts, wanted), start=1):
+        fi = net.subset(i)
+        assert size == len(fi)
+        assert index == want == _scratch_index(gamma, fi, u), i
         if isinstance(gamma, ProfiniteShiftAction):
             assert cotrajectory_window(gamma, fi, u) == _scratch_cotrajectory_window(gamma, fi, u)
         else:
             scratch = _scratch_cotrajectory(gamma, fi, u)
             expected = Subgroup.generated(gamma.group, [tuple(r) for r in scratch])
             assert cotrajectory(gamma, fi, u).canonical_key() == expected.canonical_key()
+    # the accumulator the net drove keeps the ModularEchelon invariants
+    _assert_echelon_invariants(acc._echelon)
+
+
+def _assert_matches_dense_in_random_order(gamma, u, elements, rng, splits=3):
+    """Feed the same elements one at a time in a random order, with a few
+    restarts, to the accumulator and the dense oracle: equal counts at every
+    step."""
+    acc, dense = _GrowingCotrajectory(gamma, u), DenseCotrajectory(gamma, u)
+    for _ in range(splits):
+        order = list(elements)
+        rng.shuffle(order)
+        acc.reset()
+        dense.reset()
+        for s in order:
+            acc.extend([s])
+            dense.extend([s])
+            assert acc.count == dense.count, s
+        _assert_echelon_invariants(acc._echelon)
 
 
 BRIDGE_BUILTINS = sorted(name for name, sc in cli.BUILTINS.items() if sc["kind"] == "bridge")
@@ -623,6 +735,14 @@ def test_cotrajectory_accumulator_matches_scratch_on_builtin_bridges(name):
     gamma, u = _dual_pair(alpha, b)
     _assert_matches_scratch(gamma, u, net, prefix)
     assert bridge_check(alpha, b, net, prefix).exact_at_every_index
+
+
+@pytest.mark.parametrize("name", BRIDGE_BUILTINS)
+def test_cotrajectory_accumulator_matches_dense_in_random_order_on_builtin_bridges(name):
+    alpha, b, net = cli._action_parts(cli.BUILTINS[name])
+    gamma, u = _dual_pair(alpha, b)
+    elements = net.subset(max(cli.BUILTINS[name].get("prefix", 8), 16)).elements
+    _assert_matches_dense_in_random_order(gamma, u, elements, random.Random(name))
 
 
 def _two_block_shift(index):
@@ -645,6 +765,8 @@ def test_cotrajectory_accumulator_matches_scratch_on_overlapping_supports(index,
     gamma, u = _dual_pair(alpha, b)
     _assert_matches_scratch(gamma, u, net, prefix)
     assert bridge_check(alpha, b, net, prefix).exact_at_every_index
+    rng = random.Random(f"two-block:{index}")
+    _assert_matches_dense_in_random_order(gamma, u, net.subset(prefix).elements, rng)
 
 
 def _sliding_net(monoid, width):
@@ -672,11 +794,11 @@ def test_cotrajectory_accumulator_starts_over_when_the_last_set_is_not_inside():
     sets = [[(0,)], [(0,), (1,)], [(3,), (4,)], [(2,), (3,), (4,)], [(-1,)]]
     net = FolnerNet(Z1, lambda i: ms(Z1, sets[i - 1]), "jumps")
     gamma, u = _dual_pair(alpha, b)
-    acc = _GrowingCotrajectory(gamma, u)
-    for items in sets:
-        f = ms(Z1, items)
-        acc.advance(f.elements)
-        assert acc.index() == _scratch_index(gamma, f, u), items
+    fresh = [fresh for _, _, fresh, _ in net.increments(len(sets))]
+    assert fresh == [False, False, True, False, True]
+    counts = _counts_along(_GrowingCotrajectory(gamma, u), net, len(sets))
+    for items, (_, index) in zip(sets, counts, strict=True):
+        assert index == _scratch_index(gamma, ms(Z1, items), u), items
 
 
 def test_cotrajectory_accumulator_matches_scratch_on_every_group_of_order_64_or_less():
@@ -688,9 +810,13 @@ def test_cotrajectory_accumulator_matches_scratch_on_every_group_of_order_64_or_
         for _ in range(2):
             gamma = Action(N1, g, [random_endomorphism(g, rng)])
             u = Subgroup.generated(g, subs[rng.randrange(len(subs))][0])
-            indices = [index for _, index in _cotrajectory_indices(gamma, u, net, 4)]
+            acc = _GrowingCotrajectory(gamma, u)
+            indices = [index for _, index in _counts_along(acc, net, 4)]
             expected = [_scratch_index(gamma, net.subset(i), u) for i in range(1, 5)]
             assert indices == expected, factors
+            _assert_echelon_invariants(acc._echelon)
+            elements = net.subset(4).elements
+            _assert_matches_dense_in_random_order(gamma, u, elements, rng, splits=1)
 
 
 def test_cotrajectory_accumulator_on_a_product_monoid_with_a_finite_part():
@@ -715,3 +841,41 @@ def test_bridge_bernoulli_makes_one_kernel_and_no_intersection_per_new_element(m
     assert bridge_check(alpha, b, net, 40).exact_at_every_index
     # one kernel per element of F_40, one for the annihilator
     assert calls == {"kernel": len(net.subset(40)) + 1, "intersect": 0}
+
+
+def _box_bridges():
+    """(alpha, B, box net, prefix): every bridge builtin, the overlapping
+    two-block shift on Z, N and N^2, and finite products over Z and over a
+    product monoid."""
+    for name in BRIDGE_BUILTINS:
+        alpha, b, net = cli._action_parts(cli.BUILTINS[name])
+        yield alpha, b, net, 24
+    for index, prefix in [(Z1, 5), (N1, 8), (FreeCommutative(2), 4)]:
+        alpha, b = _two_block_shift(index)
+        yield alpha, b, box_net(index), prefix
+    g = FiniteProduct((4, 6))
+    alpha = Action(Z1, g, [MatrixEndo(g, ((1, 2), (3, 1)))])
+    yield alpha, Subgroup.generated(g, [(2, 3)]), box_net(Z1), 6
+    monoid = ProductMonoid((FiniteAbelianMonoid((2,)), FreeAbelian(1)))
+    g = FiniteProduct((3, 9))
+    alpha = Action(monoid, g, [scalar_endo(g, -1), MatrixEndo(g, ((1, 0), (3, 1)))])
+    yield alpha, Subgroup.generated(g, [(1, 1)]), box_net(monoid), 4
+
+
+def test_box_net_bridges_build_no_net_set(monkeypatch):
+    """A count of work, not of time: on a box net neither side of the
+    bridge, nor h_top_estimate, builds an F_i or a window."""
+    calls = []
+    subset = FolnerNet.subset
+    monkeypatch.setattr(FolnerNet, "subset", lambda self, i: calls.append(i) or subset(self, i))
+    for cls in [Monoid, *Monoid.__subclasses__()]:
+        if "window" in vars(cls):
+            def counted(self, n, _orig=vars(cls)["window"]):
+                calls.append(n)
+                return _orig(self, n)
+            monkeypatch.setattr(cls, "window", counted)
+    for alpha, b, net, prefix in _box_bridges():
+        assert bridge_check(alpha, b, net, prefix).exact_at_every_index
+        gamma, u = _dual_pair(alpha, b)
+        assert len(h_top_estimate(gamma, u, net, prefix).rows) == prefix
+    assert calls == []

@@ -427,6 +427,12 @@ class DenseModularEchelon:
             v[j + 1 :] = [(a - q * b) % n for a, b, n in zip(v[j + 1 :], row[j + 1 :], moduli[j + 1 :])]
         return True
 
+    def truncate(self, c):
+        d = len(self.moduli)
+        for j in range(c, d):
+            self._pivot_product = self._pivot_product // self.rows[j][j] * self.moduli[j]
+            self.rows[j] = [self.moduli[j] if k == j else 0 for k in range(d)]
+
     def order(self):
         return self._moduli_product // self._pivot_product
 
@@ -559,3 +565,75 @@ def test_modular_echelon_refuses_columns_outside_the_basis():
             engine.insert(vec)
         with pytest.raises(ValueError):
             engine.contains(vec)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_truncate_matches_the_dense_engine(seed):
+    # random interleavings of add_columns, inserts and truncations: rows
+    # before c are untouched, rows from c on are m_j e_j again, and order()
+    # stays the product of the m_j / p_j, as in the dense oracle
+    rng = random.Random(9000 + seed)
+    engine, oracle = lattices.ModularEchelon(), DenseModularEchelon()
+    for _ in range(rng.randint(8, 30)):
+        roll = rng.random()
+        if engine.dim == 0 or roll < 0.2:
+            moduli = [rng.choice(ENGINE_MODULI) for _ in range(rng.randint(1, 3))]
+            engine.add_columns(moduli)
+            oracle.add_columns(moduli)
+        elif roll < 0.75:
+            vec = _random_sparse(rng, engine.dim)
+            engine.insert(vec)
+            oracle.insert([vec.get(j, 0) for j in range(engine.dim)])
+        else:
+            c = rng.randrange(engine.dim + 1)
+            before = [dict(row) for row in engine.rows[:c]]
+            engine.truncate(c)
+            oracle.truncate(c)
+            assert engine.rows[:c] == before
+            assert engine.rows[c:] == [{j: m} for j, m in enumerate(engine.moduli) if j >= c]
+        assert dense_rows(engine) == oracle.rows
+        assert engine.order() == oracle.order()
+        order = 1
+        for j, (row, m) in enumerate(zip(engine.rows, engine.moduli)):
+            assert all(row.values()) and min(row) == j
+            order *= m // row[j]
+        assert engine.order() == order
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_truncate_then_refill_is_a_meet(seed):
+    # meet L with L' = {x : w . x even}, which holds the even moduli: rows
+    # with an odd image, the first in row c, pair up with row c, rows
+    # before c stay, and truncating at c and inserting the rest gives L',
+    # checked against its Hermite form
+    rng = random.Random(9500 + seed)
+    moduli = [rng.choice([2, 4, 6, 12]) for _ in range(rng.randint(2, 7))]
+    engine = lattices.ModularEchelon(moduli)
+    for _ in range(rng.randint(2, 8)):
+        engine.insert(_random_sparse(rng, engine.dim))
+    d = engine.dim
+    w = [rng.randint(0, 1) for _ in range(d)]
+    rows = [dict(row) for row in engine.rows]
+    odd = [j for j, row in enumerate(rows) if sum(w[k] * x for k, x in row.items()) % 2]
+    if not odd:
+        return
+    c = odd[0]
+    refill = [row for j, row in enumerate(rows) if j >= c and j not in odd]
+    refill += [{k: 2 * x for k, x in rows[c].items()}]
+    refill += [{k: rows[c].get(k, 0) + rows[j].get(k, 0) for k in rows[c].keys() | rows[j].keys()}
+               for j in odd[1:]]
+    engine.truncate(c)
+    for vec in refill:
+        engine.insert(vec)
+    dense = [[row.get(k, 0) for k in range(d)] for row in rows[:c] + refill]
+    moduli_rows = [[m if i == j else 0 for j in range(d)] for i, m in enumerate(moduli)]
+    basis = lattices.hnf(dense + moduli_rows, d)
+    assert all(sum(a * b for a, b in zip(w, row)) % 2 == 0 for row in basis)
+    full = 1
+    for m in moduli:
+        full *= m
+    assert engine.order() == full // lattices.lattice_index(basis, d)
+    assert engine.rows[:c] == rows[:c]
+    for _ in range(10):
+        vec = [rng.randint(-20, 20) for _ in range(d)]
+        assert engine.contains(vec) == lattices.contains(basis, vec)

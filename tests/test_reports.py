@@ -9,6 +9,7 @@ from amenact.duality import bridge_check
 from amenact.folner import box_net, canonical_net, verify_folner
 from amenact.integral import card, integral
 from amenact.monoid import FreeAbelian, FreeCommutative, MSubset
+from amenact.tables import csv_table
 
 N1 = FreeCommutative(1)
 Z1 = FreeAbelian(1)
@@ -57,3 +58,26 @@ def test_canonical_linearization_meets_one_over_n():
             r.ratio for r in report.rows if r.index == n and r.element != "E"
         ]
         assert max(per_element) <= Fraction(1, n)
+
+
+def _from_digits(text):
+    """int(text) in chunks of 1000 digits, under str()'s digit limit."""
+    sign, text = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_csv_table_writes_counts_of_any_size_exactly():
+    big = 7**5916
+    assert len(csv_table("count", [[big]]).split()[1]) == 5000
+    for n in (big, -big, 10**4999, 10**600, 10**600 - 1, -(10**600)):
+        cell = csv_table("count", [[n]], "\n").splitlines()[1]
+        assert _from_digits(cell) == n
+    assert csv_table("count", [[10**4999]]).split()[1] == "1" + "0" * 4999
+    # small ints, bools and floats are written as the csv module writes them
+    row = [0, -3, True, False, 1.5, "x", 2**64]
+    text = "a,b,c,d,e,f,g\r\n0,-3,True,False,1.5,x,18446744073709551616\r\n"
+    assert csv_table("a,b,c,d,e,f,g", [row]) == text
