@@ -130,9 +130,12 @@ class CtReport:
 
 def ct_check(alpha: Action, b: Subgroup, f_set: MSubset) -> CtReport:
     """|T_F(alpha, B)| against [A^ : C_F(alpha^, B-perp)], both exact."""
-    cot = _GrowingCotrajectory(dual_action(alpha), annihilator(b))
-    cot.extend(f_set.elements)
-    return CtReport(subgroup_trajectory(alpha, f_set, b).order(), cot.count)
+    left = subgroup_trajectory(alpha, f_set, b).order()
+    hat = dual_action(alpha)
+    perp = annihilator(b)
+    cot = cotrajectory(hat, f_set, perp)
+    right = alpha.group.order // cot.order()
+    return CtReport(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ from decimal import Decimal
 def csv_table(header: str, rows, lineterminator="\r\n") -> str:
     """CSV text of a comma-separated header and the rows.  Report tables keep
     the csv module's CRLF line ends; the CLI's own tables end lines with LF.
-    Ints are written through Decimal, whose str() is exact at any size where
-    an int's refuses more than 4300 digits; bools stay True and False."""
+    Ints over 2000 bits are written through Decimal, whose str() is exact at
+    any size where an int's refuses more digits than the interpreter's limit
+    (at least 640); smaller ints and bools (True, False) go to the csv module
+    as they are."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator=lineterminator)
     w.writerow(header.split(","))
-    w.writerows([str(Decimal(x)) if type(x) is int else x for x in row] for row in rows)
+    w.writerows([str(Decimal(x)) if type(x) is int and x.bit_length() > 2000 else x
+                 for x in row] for row in rows)
     return buf.getvalue()

@@ -687,10 +687,11 @@ def _assert_echelon_invariants(echelon):
 
 def _assert_matches_scratch(gamma, u, net, prefix):
     acc, dense = _GrowingCotrajectory(gamma, u), DenseCotrajectory(gamma, u)
-    counts = list(_counts_along(acc, net, prefix))
-    assert len(counts) == prefix
-    wanted = _counts_along(dense, net, prefix)
-    for i, ((size, index), (_, want)) in enumerate(zip(counts, wanted), start=1):
+    counts = zip(_counts_along(acc, net, prefix), _counts_along(dense, net, prefix), strict=True)
+    for i, ((size, index), (_, want)) in enumerate(counts, start=1):
+        # the accumulator the net drove keeps the ModularEchelon invariants
+        # at every index, not only after the last one
+        _assert_echelon_invariants(acc._echelon)
         fi = net.subset(i)
         assert size == len(fi)
         assert index == want == _scratch_index(gamma, fi, u), i
@@ -700,8 +701,7 @@ def _assert_matches_scratch(gamma, u, net, prefix):
             scratch = _scratch_cotrajectory(gamma, fi, u)
             expected = Subgroup.generated(gamma.group, [tuple(r) for r in scratch])
             assert cotrajectory(gamma, fi, u).canonical_key() == expected.canonical_key()
-    # the accumulator the net drove keeps the ModularEchelon invariants
-    _assert_echelon_invariants(acc._echelon)
+    assert i == prefix
 
 
 def _assert_matches_dense_in_random_order(gamma, u, elements, rng, splits=3):
@@ -717,8 +717,8 @@ def _assert_matches_dense_in_random_order(gamma, u, elements, rng, splits=3):
         for s in order:
             acc.extend([s])
             dense.extend([s])
+            _assert_echelon_invariants(acc._echelon)
             assert acc.count == dense.count, s
-        _assert_echelon_invariants(acc._echelon)
 
 
 BRIDGE_BUILTINS = sorted(name for name, sc in cli.BUILTINS.items() if sc["kind"] == "bridge")

@@ -605,18 +605,19 @@ def test_truncate_then_refill_is_a_meet(seed):
     # meet L with L' = {x : w . x even}, which holds the even moduli: rows
     # with an odd image, the first in row c, pair up with row c, rows
     # before c stay, and truncating at c and inserting the rest gives L',
-    # checked against its Hermite form
+    # checked against its Hermite form; cases where every row has an even
+    # image are drawn again, so each seed truncates and refills
     rng = random.Random(9500 + seed)
-    moduli = [rng.choice([2, 4, 6, 12]) for _ in range(rng.randint(2, 7))]
-    engine = lattices.ModularEchelon(moduli)
-    for _ in range(rng.randint(2, 8)):
-        engine.insert(_random_sparse(rng, engine.dim))
-    d = engine.dim
-    w = [rng.randint(0, 1) for _ in range(d)]
-    rows = [dict(row) for row in engine.rows]
-    odd = [j for j, row in enumerate(rows) if sum(w[k] * x for k, x in row.items()) % 2]
-    if not odd:
-        return
+    odd = []
+    while not odd:
+        moduli = [rng.choice([2, 4, 6, 12]) for _ in range(rng.randint(2, 7))]
+        engine = lattices.ModularEchelon(moduli)
+        for _ in range(rng.randint(2, 8)):
+            engine.insert(_random_sparse(rng, engine.dim))
+        d = engine.dim
+        w = [rng.randint(0, 1) for _ in range(d)]
+        rows = [dict(row) for row in engine.rows]
+        odd = [j for j, row in enumerate(rows) if sum(w[k] * x for k, x in row.items()) % 2]
     c = odd[0]
     refill = [row for j, row in enumerate(rows) if j >= c and j not in odd]
     refill += [{k: 2 * x for k, x in rows[c].items()}]

@@ -1,6 +1,7 @@
 """Serialized report shapes: the CSV column contracts stay fixed."""
 
 import math
+import sys
 from fractions import Fraction
 
 from amenact.abelian import DirectSum, FiniteProduct, Subgroup
@@ -77,6 +78,16 @@ def test_csv_table_writes_counts_of_any_size_exactly():
         cell = csv_table("count", [[n]], "\n").splitlines()[1]
         assert _from_digits(cell) == n
     assert csv_table("count", [[10**4999]]).split()[1] == "1" + "0" * 4999
+    # ints either side of the 2000-bit switch to Decimal are exact even under
+    # the lowest digit limit the interpreter accepts
+    edge = [2**2000 - 1, 2**2000, -(2**2000), 10**639, 10**700]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        cells = csv_table("count", [[n] for n in edge], "\n").splitlines()[1:]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [_from_digits(cell) for cell in cells] == edge
     # small ints, bools and floats are written as the csv module writes them
     row = [0, -3, True, False, 1.5, "x", 2**64]
     text = "a,b,c,d,e,f,g\r\n0,-3,True,False,1.5,x,18446744073709551616\r\n"
