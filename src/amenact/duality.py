@@ -131,11 +131,8 @@ class CtReport:
 def ct_check(alpha: Action, b: Subgroup, f_set: MSubset) -> CtReport:
     """|T_F(alpha, B)| against [A^ : C_F(alpha^, B-perp)], both exact."""
     left = subgroup_trajectory(alpha, f_set, b).order()
-    hat = dual_action(alpha)
-    perp = annihilator(b)
-    cot = cotrajectory(hat, f_set, perp)
-    right = alpha.group.order // cot.order()
-    return CtReport(left, right)
+    cot = cotrajectory(dual_action(alpha), f_set, annihilator(b))
+    return CtReport(left, alpha.group.order // cot.order())
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,8 @@ from decimal import Decimal
 def csv_table(header: str, rows, lineterminator="\r\n") -> str:
     """CSV text of a comma-separated header and the rows.  Report tables keep
     the csv module's CRLF line ends; the CLI's own tables end lines with LF.
-    Ints over 2000 bits are written through Decimal, whose str() is exact at
-    any size where an int's refuses more digits than the interpreter's limit
-    (at least 640); smaller ints and bools (True, False) go to the csv module
-    as they are."""
+    Ints over 2000 bits go through Decimal, exact past the interpreter's
+    str() digit limit (at least 640 digits); other cells are left as they are."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator=lineterminator)
     w.writerow(header.split(","))
