@@ -576,6 +576,8 @@ def subgroup_trajectory(alpha: Action, f_set: MSubset, b: Subgroup) -> Subgroup:
     """T_F(B) = <alpha(s)(B) : s in F>, with exact order."""
     if b.group != alpha.group:
         raise GroupMismatchError("subgroup lives in a different group")
+    if not f_set.elements:
+        return Subgroup.trivial(alpha.group)
     if b.kind == "percoord":
         base_images = []
         for s in sorted(f_set.elements):

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product as iproduct
+from itertools import repeat
+from math import prod
+from operator import add, gt, itemgetter, mul, sub
 
 from .errors import (
     BudgetExceededError,
@@ -36,6 +39,7 @@ from .tables import csv_table
 
 DEFAULT_ELEMENT_BUDGET = 10**7
 CANONICAL_SEARCH_BUDGET = 2**16
+FRAME_BUDGET = 2**24  # cells of the frame a tiling is packed into
 
 
 class FolnerNet:
@@ -528,27 +532,130 @@ class TilingReport:
         return self.disjoint and self.within and self.inside and self.covers and self.mass
 
 
+def _require_lattice(monoid):
+    if not isinstance(monoid, (FreeCommutative, FreeAbelian)):
+        raise UndecidableFamilyError(f"packed tilings need N^d or Z^d, not {monoid}")
+
+
+class _Cells:
+    """A nonempty finite set of cells of Z^d as coordinate columns, with its
+    bounding box lo..hi."""
+
+    def __init__(self, cells):
+        self.size = len(cells)
+        # one pass per coordinate: zip(*cells) would make an iterator per cell
+        self.cols = [list(map(itemgetter(k), cells)) for k in range(len(next(iter(cells))))]
+        self.lo = [min(c) for c in self.cols]
+        self.hi = [max(c) for c in self.cols]
+
+    def is_box(self) -> bool:
+        """The cells fill their bounding box."""
+        return self.size == prod(b - a + 1 for a, b in zip(self.lo, self.hi))
+
+
+def _pack(offsets, low=0) -> int:
+    """The int with bit p - low set for each p in ``offsets`` (all >= low)."""
+    if not offsets:
+        return 0
+    digits = bytearray(b"0") * (max(offsets) - low + 1)
+    for p in offsets:
+        digits[p - low] = 49  # "1"
+    digits.reverse()
+    return int(digits, 2)
+
+
+class _Frame:
+    """A box lo..hi of Z^d whose cells are the bits of one Python int: cell
+    x is bit offset(x) - origin.
+
+    The first coordinate has the largest stride, so bit order is the
+    lexicographic order of cells.  offset is additive, so s + t is bit
+    offset(s) - origin + offset(t) whenever s + t lies in the box."""
+
+    def __init__(self, lo, hi):
+        strides, cells = [], 1
+        for a, b in zip(reversed(lo), reversed(hi)):
+            strides.append(cells)
+            cells *= b - a + 1
+        if cells > FRAME_BUDGET:
+            raise BudgetExceededError(
+                f"tiling frame has {cells} cells, over the bound of {FRAME_BUDGET}"
+            )
+        self.lo = tuple(lo)
+        self.strides = tuple(reversed(strides))
+        self.origin = self.offset(self.lo)
+
+    def offset(self, t) -> int:
+        return sum(map(mul, t, self.strides))
+
+    def offsets(self, cells: _Cells) -> list:
+        out = [0] * cells.size
+        for col, stride in zip(cells.cols, self.strides):
+            out = map(add, out, map(mul, col, repeat(stride)))
+        return list(out)
+
+    def mask(self, cells: _Cells) -> int:
+        """The bits of ``cells``; a box is written out row by row."""
+        if not cells.is_box():
+            return _pack(self.offsets(cells), self.origin)
+        rows = "1"
+        for a, b, stride in zip(reversed(cells.lo), reversed(cells.hi), reversed(self.strides)):
+            rows = rows.rjust(stride, "0") * (b - a + 1)
+        return int(rows, 2) << (self.offset(cells.lo) - self.origin)
+
+    def cell(self, index: int) -> tuple:
+        out = []
+        for a, stride in zip(self.lo, self.strides):
+            q, index = divmod(index, stride)
+            out.append(a + q)
+        return tuple(out)
+
+
 def check_tiling(d_set: MSubset, witness: TilingWitness, eps) -> TilingReport:
-    """Verify the tiling clauses exactly and report all margins."""
+    """Verify the tiling clauses exactly and report all margins.
+
+    Cells are bits of a frame that holds D and every placed cell; a frame
+    over FRAME_BUDGET cells raises BudgetExceededError.  A family
+    (s F_j)_{s in P_j} is disjoint exactly when the product of the masks of
+    P_j and F_j makes no carry, and then that product is its union; a family
+    that overlaps is handed to is_eps_disjoint."""
     eps = Fraction(eps)
     monoid = d_set.monoid
-    placed = []
-    within = True
-    for tile, centers in zip(witness.tiles, witness.centers):
-        translates = [
-            MSubset(monoid, frozenset(monoid.op(s, t) for t in tile.elements))
-            for s in sorted(centers.elements)
-        ]
-        tile_union = frozenset().union(*(t.elements for t in translates)) if translates else frozenset()
-        if sum(len(t) for t in translates) != len(tile_union):
-            ok, _ = is_eps_disjoint(translates, eps)
-            within = within and ok
-        placed.append(tile_union)
-    union = frozenset().union(*placed) if placed else frozenset()
-    disjoint = sum(len(p) for p in placed) == len(union)
-    inside = union <= d_set.elements
+    _require_lattice(monoid)
+    families = [
+        (_Cells(t.elements), _Cells(c.elements), t, c)
+        for t, c in zip(witness.tiles, witness.centers)
+        if len(t) and len(c)
+    ]
+    union = placed = 0
+    within = inside = True
+    if families:
+        region = _Cells(d_set.elements) if len(d_set) else None
+        boxes = [(region.lo, region.hi)] if region else []
+        boxes += [(list(map(add, t.lo, c.lo)), list(map(add, t.hi, c.hi))) for t, c, *_ in families]
+        lows, highs = zip(*boxes)
+        frame = _Frame([min(c) for c in zip(*lows)], [max(c) for c in zip(*highs)])
+        for shape, spots, tile, centers in families:
+            offsets = frame.offsets(shape)
+            low = min(offsets)
+            starts = _pack(frame.offsets(spots), frame.origin - low)
+            cover = starts * _pack(offsets, low)
+            if cover.bit_count() != len(tile) * len(centers):
+                cover = 0
+                for r in offsets:
+                    cover |= starts << (r - low)
+                translates = [
+                    MSubset(monoid, frozenset(monoid.op(s, t) for t in tile.elements))
+                    for s in sorted(centers.elements)
+                ]
+                ok, _ = is_eps_disjoint(translates, eps)
+                within = within and ok
+            placed += cover.bit_count()
+            union |= cover
+        inside = region is not None and not union & ~frame.mask(region)
     d = len(d_set)
-    u = len(union)
+    u = union.bit_count()
+    disjoint = placed == u
     b = sum(len(c) * len(t) for c, t in zip(witness.centers, witness.tiles))
     covers = Fraction(d - u) < eps * d
     mass = 0 <= b - u and (Fraction(b - u) < eps * b if b else False)
@@ -570,38 +677,79 @@ def _reciprocal_gap_ok(report: TilingReport) -> bool:
     return abs(Fraction(1, report.d) - Fraction(1, report.b)) < 2 * report.eps / report.b
 
 
+def _first_fit(fits: int, clash: int):
+    """Yield the set bits of ``fits`` from the lowest up, ruling out the
+    bits of clash << at after each bit ``at`` yielded (bit 0 of ``clash``
+    is set).  The mask is read in blocks at least as wide as ``clash``, so
+    a step costs the width of ``clash``, not of ``fits``."""
+    step = max(clash.bit_length(), 1 << 12) // 8 + 1  # bytes per block
+    raw = fits.to_bytes(-(-fits.bit_length() // 8), "little")
+    ruled = 0  # bits ruled out, from the start of the block on
+    for start in range(0, len(raw), step):
+        block = int.from_bytes(raw[start : start + step], "little") & ~ruled
+        while block:
+            at = (block & -block).bit_length() - 1
+            yield 8 * start + at
+            ruled |= clash << at
+            block &= ~ruled
+        ruled >>= 8 * step
+
+
 def greedy_tiler(d_set: MSubset, tiles, eps, *, validate=True):
     """Greedy largest-first placement of disjoint translates s F_j inside D.
 
-    Scans centers in the monoid's canonical element order; a center is
-    rejected at the first cell of s F_j outside D or already covered.
-    Stops as soon as the uncovered fraction drops below eps.  With
-    ``validate`` the witness is checked with check_tiling and None is
-    returned when it fails (the bound is unreachable); without, the caller
-    checks it.
+    Scans centers s in D in lexicographic order and takes each s with
+    s F_j inside D and off every cell already covered; stops as soon as the
+    uncovered fraction drops below eps.  D lives in a frame of N^d or Z^d,
+    D's bounding box grown on each side by the tiles' reach, so that every
+    cell s + t and every s + (t - t') stays in the frame; a frame over
+    FRAME_BUDGET cells raises BudgetExceededError.  A tile reaching
+    further than D's extent cannot fit and is skipped.  Per tile the
+    centers that fit are D and the |F_j| shifts of the free cells; taking
+    the lowest one (``_first_fit``) rules out the centers s + (t - t').
+    With ``validate`` the witness is checked with check_tiling and None is
+    returned when it fails (the bound is unreachable); without, the
+    caller checks it.
     """
     eps = Fraction(eps)
     monoid = d_set.monoid
+    _require_lattice(monoid)
     tiles = sorted(tiles, key=len, reverse=True)
-    d_elems = d_set.elements
-    d = len(d_elems)
-    covered: set = set()
-    centers = []
-    op = monoid.op
-    done = False
-    for tile in tiles:
-        chosen = set()
-        if not done:
-            t_elems = sorted(tile.elements)
-            for s in sorted(d_elems):
-                if any((p := op(s, t)) not in d_elems or p in covered for t in t_elems):
+    d = len(d_set)
+    shapes = {}  # tile position -> its cells, for the tiles that fit in D
+    if d:
+        region = _Cells(d_set.elements)
+        room = list(map(sub, region.hi, region.lo))
+        reach = [0] * monoid.dim
+        for j, tile in enumerate(tiles):
+            shape = _Cells(tile.elements) if len(tile) else None  # empty: fits anywhere
+            if shape:
+                need = [max(b, -a, b - a) for a, b in zip(shape.lo, shape.hi)]
+                if any(map(gt, need, room)):
                     continue
-                covered.update(op(s, t) for t in t_elems)
-                chosen.add(s)
-                if Fraction(d - len(covered)) < eps * d:
+                reach = list(map(max, reach, need))
+            shapes[j] = shape
+        frame = _Frame(list(map(sub, region.lo, reach)), list(map(add, region.hi, reach)))
+        in_d = free = frame.mask(region)
+    covered, centers, done = 0, [], False
+    for j, tile in enumerate(tiles):
+        chosen = []
+        if not done and j in shapes:
+            offsets = frame.offsets(shapes[j]) if shapes[j] else []
+            low = min(offsets, default=0)
+            body = _pack(offsets, low)
+            fits, clash = in_d, 1  # bit 0 of clash: the center itself
+            for r in offsets:
+                fits &= free >> r if r >= 0 else free << -r
+                clash |= body >> (r - low)  # the bits t - t' >= 0
+            for at in _first_fit(fits, clash):
+                chosen.append(at)
+                covered += len(tile)
+                if (d - covered) * eps.denominator < eps.numerator * d:  # d - covered < eps d
                     done = True
                     break
-        centers.append(MSubset(monoid, frozenset(chosen)))
+            free ^= _pack(chosen, -low) * body  # disjoint translates: no carry
+        centers.append(MSubset(monoid, frozenset(frame.cell(at) for at in chosen)))
     witness = TilingWitness(tuple(tiles), tuple(centers))
     if not validate:
         return witness

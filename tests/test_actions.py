@@ -404,6 +404,18 @@ def test_subgroup_trajectory_shift_span():
         assert t.order() == 2**n
 
 
+def test_subgroup_trajectory_of_the_empty_set_is_trivial():
+    (alpha, group) = shift_action((2,), Z1)
+    empty = MSubset(Z1, frozenset())
+    seeds = [
+        Subgroup.percoord(group, Subgroup.full(group.base)),
+        Subgroup.generated(group, [group.basis_vector((0,))]),
+    ]
+    for b in seeds:
+        t = subgroup_trajectory(alpha, empty, b)
+        assert t == Subgroup.trivial(group) and t.order() == 1
+
+
 def test_subgroup_trajectory_contains_seed_when_identity_present():
     (alpha, group) = shift_action((3,), Z1)
     b = Subgroup.generated(group, [group.basis_vector((0,))])

@@ -9,6 +9,8 @@ import pytest
 from amenact.errors import BudgetExceededError, InvalidWitnessError, UndecidableFamilyError
 from amenact.folner import (
     FolnerNet,
+    _first_fit,
+    TilingReport,
     TilingWitness,
     box_net,
     canonical_net,
@@ -38,8 +40,10 @@ from amenact.monoid import (
 )
 
 N1 = FreeCommutative(1)
+N2 = FreeCommutative(2)
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
+Z3 = FreeAbelian(3)
 
 
 def ms(monoid, items):
@@ -477,8 +481,67 @@ def test_greedy_tiler_oversized_tiles_give_none():
     assert greedy_tiler(d, [big], Fraction(1, 10)) is None
 
 
+def elementwise_check_tiling(d_set, witness, eps):
+    """The former check_tiling: one frozenset per translate, built with
+    monoid.op cell by cell."""
+    eps = Fraction(eps)
+    monoid = d_set.monoid
+    placed = []
+    within = True
+    for tile, centers in zip(witness.tiles, witness.centers):
+        translates = [
+            MSubset(monoid, frozenset(monoid.op(s, t) for t in tile.elements))
+            for s in sorted(centers.elements)
+        ]
+        tile_union = frozenset().union(*(t.elements for t in translates)) if translates else frozenset()
+        if sum(len(t) for t in translates) != len(tile_union):
+            ok, _ = is_eps_disjoint(translates, eps)
+            within = within and ok
+        placed.append(tile_union)
+    union = frozenset().union(*placed) if placed else frozenset()
+    disjoint = sum(len(p) for p in placed) == len(union)
+    inside = union <= d_set.elements
+    d = len(d_set)
+    u = len(union)
+    b = sum(len(c) * len(t) for c, t in zip(witness.centers, witness.tiles))
+    covers = Fraction(d - u) < eps * d
+    mass = 0 <= b - u and (Fraction(b - u) < eps * b if b else False)
+    return TilingReport(d, u, b, disjoint, within, inside, covers, mass, eps)
+
+
+def scan_greedy_tiler(d_set, tiles, eps, *, validate=True):
+    """The former greedy_tiler: centers in sorted order, each rejected at
+    the first cell of s F_j outside D or already covered."""
+    eps = Fraction(eps)
+    monoid = d_set.monoid
+    tiles = sorted(tiles, key=len, reverse=True)
+    d_elems = d_set.elements
+    d = len(d_elems)
+    covered: set = set()
+    centers = []
+    op = monoid.op
+    done = False
+    for tile in tiles:
+        chosen = set()
+        if not done:
+            t_elems = sorted(tile.elements)
+            for s in sorted(d_elems):
+                if any((p := op(s, t)) not in d_elems or p in covered for t in t_elems):
+                    continue
+                covered.update(op(s, t) for t in t_elems)
+                chosen.add(s)
+                if Fraction(d - len(covered)) < eps * d:
+                    done = True
+                    break
+        centers.append(MSubset(monoid, frozenset(chosen)))
+    witness = TilingWitness(tuple(tiles), tuple(centers))
+    if not validate:
+        return witness
+    return witness if elementwise_check_tiling(d_set, witness, eps).ok else None
+
+
 def eager_greedy_tiler(d_set, tiles, eps):
-    """The former scan: every cell of s F_j is placed before any is tested."""
+    """An older scan: every cell of s F_j is placed before any is tested."""
     eps = Fraction(eps)
     monoid = d_set.monoid
     tiles = sorted(tiles, key=len, reverse=True)
@@ -500,12 +563,34 @@ def eager_greedy_tiler(d_set, tiles, eps):
                     break
         centers.append(MSubset(monoid, frozenset(chosen)))
     witness = TilingWitness(tuple(tiles), tuple(centers))
-    return witness if check_tiling(d_set, witness, eps).ok else None
+    return witness if elementwise_check_tiling(d_set, witness, eps).ok else None
 
 
 def box(monoid, sides, corner=None):
     corner = corner or (0,) * len(sides)
     return ms(monoid, product(*(range(c, c + n) for c, n in zip(corner, sides))))
+
+
+def random_tile(rng, monoid, span):
+    dim = monoid.dim
+    low = 0 if isinstance(monoid, FreeCommutative) else -span
+    cells = {tuple(rng.randint(low, span) for _ in range(dim)) for _ in range(rng.randint(1, 6))}
+    return ms(monoid, cells)
+
+
+def random_holed_cases(seeds=range(8)):
+    for seed in seeds:
+        rng = random.Random(seed)
+        monoid = [N2, Z2, Z3][seed % 3]
+        dim = monoid.dim
+        sides = [rng.randint(3, 9) for _ in range(dim)]
+        corner = None if monoid is N2 else [rng.randint(-4, 4) for _ in range(dim)]
+        region = box(monoid, sides, corner).elements
+        holes = {c for c in region if rng.random() < 0.15}
+        tiles = [random_tile(rng, monoid, 2) for _ in range(rng.randint(1, 3))]
+        tiles.append(box(monoid, [rng.randint(1, 3) for _ in range(dim)]))
+        eps = Fraction(rng.randint(1, 9), 10)
+        yield f"holed-{seed}", MSubset(monoid, region - holes), tiles, eps
 
 
 def tiler_cases():
@@ -527,6 +612,25 @@ def tiler_cases():
     )
     yield "unreachable", box(Z2, (5, 5)), [box(Z2, (3, 3))], Fraction(1, 10)
     yield "oversized", box(N1, (3,)), [box(N1, (5,))], Fraction(1, 10)
+    yield "N2-region", box(N2, (11, 8)), [box(N2, (3, 3)), ms(N2, [(0, 0), (1, 2)])], Fraction(1, 3)
+    yield "Z3-box", box(Z3, (6, 5, 4), (-2, 0, -3)), [box(Z3, (2, 2, 2)), box(Z3, (1, 1, 1))], Fraction(1, 10)
+    yield "empty-tile", box(Z2, (5, 5)), [MSubset(Z2, frozenset()), box(Z2, (2, 2))], Fraction(1, 10)
+    yield "empty-tile-alone", box(Z2, (3, 3)), [MSubset(Z2, frozenset())], Fraction(2)
+    yield "empty-region", MSubset(Z2, frozenset()), [box(Z2, (2, 2))], Fraction(1, 2)
+    yield "far-cell", box(Z2, (6, 6)), [ms(Z2, [(0, 0), (10**9, 0)]), box(Z2, (2, 2))], Fraction(1, 5)
+    # s + (0, 9) for s on the right edge of D lands in the next row of a
+    # frame that is only D's bounding box
+    yield "row-wrap", box(Z2, (5, 12)), [ms(Z2, [(0, 0), (0, 9)])], Fraction(3, 5)
+    edge = box(Z2, (5, 12)).elements - {(1, 9), (3, 0)}
+    yield "row-wrap-holed", MSubset(Z2, edge), [ms(Z2, [(0, 0), (0, 9)]), box(Z2, (1, 2))], Fraction(1, 10)
+    rng = random.Random(80)
+    wide = {c for c in box(Z2, (80, 70)).elements if rng.random() > 0.05}
+    ell = ms(Z2, [(0, 0), (1, 0), (2, 0), (2, 1)])
+    yield "wide-holed", MSubset(Z2, wide), [box(Z2, (3, 3)), ell, box(Z2, (1, 2))], Fraction(1, 10)
+    yield from random_holed_cases()
+
+
+NO_WITNESS = ("unreachable", "oversized", "empty-tile", "empty-tile-alone", "empty-region")
 
 
 @pytest.mark.parametrize("case", list(tiler_cases()), ids=lambda case: case[0])
@@ -535,10 +639,109 @@ def test_greedy_tiler_matches_the_eager_scan(case):
     want = eager_greedy_tiler(d, tiles, eps)
     assert greedy_tiler(d, tiles, eps) == want
     if want is None:
-        assert name in ("unreachable", "oversized")
+        assert name in NO_WITNESS or name.startswith("holed-")
         assert not check_tiling(d, greedy_tiler(d, tiles, eps, validate=False), eps).ok
     else:
         assert greedy_tiler(d, tiles, eps, validate=False) == want
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("case", list(tiler_cases()), ids=lambda case: case[0])
+def test_greedy_tiler_matches_the_elementwise_scan(case, validate):
+    _, d, tiles, eps = case
+    assert greedy_tiler(d, tiles, eps, validate=validate) == scan_greedy_tiler(
+        d, tiles, eps, validate=validate
+    )
+
+
+@pytest.mark.parametrize("case", list(tiler_cases()), ids=lambda case: case[0])
+def test_check_tiling_matches_the_elementwise_check(case):
+    _, d, tiles, eps = case
+    witness = scan_greedy_tiler(d, tiles, eps, validate=False)
+    assert check_tiling(d, witness, eps) == elementwise_check_tiling(d, witness, eps)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_first_fit_matches_the_whole_mask_scan(seed):
+    rng = random.Random(seed)
+    fits = rng.getrandbits(rng.choice([100, 5000, 40000]))
+    clash = rng.getrandbits(rng.choice([3, 300, 6000])) | 1
+    want, rest = [], fits
+    while rest:
+        at = (rest & -rest).bit_length() - 1
+        want.append(at)
+        rest &= ~(clash << at)
+    assert list(_first_fit(fits, clash)) == want
+
+
+def check_only_cases():
+    d1 = box(N1, (10,))
+    tri = ms(N1, [(0,), (1,), (2,)])
+    yield "overlapping", d1, TilingWitness((tri,), (ms(N1, [(0,), (1,)]),)), Fraction(3, 20)
+    yield "overlapping-loose", d1, TilingWitness((tri,), (ms(N1, [(0,), (2,), (5,)]),)), Fraction(1, 2)
+    yield (
+        "cross-tile", d1,
+        TilingWitness((tri, ms(N1, [(0,), (1,)])), (ms(N1, [(0,)]), ms(N1, [(2,)]))), Fraction(1, 2),
+    )
+    d2 = box(Z2, (6, 6), (-1, -1))
+    sq = box(Z2, (3, 3))
+    yield "outside-D", d2, TilingWitness((sq,), (ms(Z2, [(-1, -1), (3, 3), (40, -25)]),)), Fraction(1, 2)
+    yield "outside-D-overlap", d2, TilingWitness((sq,), (ms(Z2, [(4, 4), (5, 6)]),)), Fraction(1, 2)
+    yield (
+        "empty-region", MSubset(Z2, frozenset()),
+        TilingWitness((sq,), (ms(Z2, [(0, 0)]),)), Fraction(1, 2),
+    )
+    yield "no-centers", d2, TilingWitness((sq,), (MSubset(Z2, frozenset()),)), Fraction(1, 2)
+    yield (
+        "empty-tile", d2,
+        TilingWitness((MSubset(Z2, frozenset()), sq), (ms(Z2, [(0, 0)]), ms(Z2, [(0, 0)]))),
+        Fraction(1, 2),
+    )
+
+
+@pytest.mark.parametrize("case", list(check_only_cases()), ids=lambda case: case[0])
+def test_check_tiling_matches_on_bad_witnesses(case):
+    _, d, witness, eps = case
+    assert check_tiling(d, witness, eps) == elementwise_check_tiling(d, witness, eps)
+
+
+def test_tiling_refuses_a_frame_over_the_bound():
+    import tracemalloc
+
+    sparse = ms(Z2, [(0, 0), (10**9, 10**9)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="frame"):
+            greedy_tiler(sparse, [box(Z2, (1, 1))], Fraction(1, 2))
+        far = TilingWitness((box(Z2, (1, 1)),), (ms(Z2, [(10**9, 10**9)]),))
+        with pytest.raises(BudgetExceededError, match="frame"):
+            check_tiling(box(Z2, (2, 2)), far, Fraction(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_tiling_refuses_other_families():
+    g = FiniteAbelianMonoid((2, 3))
+    region = MSubset(g, frozenset(g.elements()))
+    tile = ms(g, [g.identity])
+    with pytest.raises(UndecidableFamilyError):
+        greedy_tiler(region, [tile], Fraction(1, 2))
+    with pytest.raises(UndecidableFamilyError):
+        check_tiling(region, TilingWitness((tile,), (tile,)), Fraction(1, 2))
+
+
+def test_tiling_square_makes_no_monoid_op_call(tmp_path, monkeypatch):
+    """A count of work, not of time: the packed tiler and check never
+    multiply two monoid elements."""
+    from amenact.cli import run_scenario
+
+    calls = []
+    op = FreeAbelian.op
+    monkeypatch.setattr(FreeAbelian, "op", lambda self, x, y: calls.append(x) or op(self, x, y))
+    assert run_scenario("tiling-square", out_dir=tmp_path)[0] == 0
+    assert calls == []
 
 
 def test_filling_hypotheses_tiny_tiles_in_huge_box():
