@@ -36,7 +36,7 @@ from .errors import (
     NotInvariantError,
     UndecidableFamilyError,
 )
-from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, box_net, translate_net
+from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along, box_net, translate_net
 from .integral import IntegralEstimate, IntegralRow, SetFunction
 from .monoid import (
     FiniteAbelianMonoid,
@@ -741,20 +741,6 @@ def _subgroup_accumulator(alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_
     if seed.kind == "fg" and isinstance(alpha.group, (FiniteProduct, DirectSum)):
         return _GrowingTrajectory(alpha, seed, budget)
     return _ScratchTrajectory(alpha, seed, budget)
-
-
-def _counts_along(acc, net: FolnerNet, prefix: int):
-    """Yield (|F_i|, count) for i = 1..prefix from one accumulator fed with
-    ``net.increments``; a budget error gets the index it stopped at."""
-    for i, added, fresh, size in net.increments(prefix):
-        if fresh:
-            acc.reset()
-        try:
-            acc.extend(added)
-        except BudgetExceededError as err:
-            err.index = i
-            raise
-        yield size, acc.count
 
 
 def _trajectory_orders(alpha: Action, seed: Subgroup, net: FolnerNet, prefix: int,

@@ -28,7 +28,6 @@ from .actions import (
     Action,
     MatrixEndo,
     ShiftEndo,
-    _counts_along,
     _trajectory_orders,
     subgroup_trajectory,
 )
@@ -37,7 +36,7 @@ from .errors import (
     GroupMismatchError,
     UndecidableFamilyError,
 )
-from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet
+from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along
 from .integral import IntegralEstimate, IntegralRow
 from .monoid import MSubset
 from .tables import csv_table

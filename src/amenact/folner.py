@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product as iproduct
 from itertools import repeat
-from math import prod
+from math import isqrt, prod
 from operator import add, gt, itemgetter, mul, sub
 
 from .errors import (
@@ -79,9 +79,12 @@ class FolnerNet:
     def increments(self, prefix: int):
         """Yield (i, added, fresh, |F_i|) for i = 1..prefix: a set that
         holds F_{i-1} becomes F_i by adding ``added``, after it starts over
-        from the empty set when ``fresh``.  A nested net hands out its
-        shells and never builds F_i.  Any other net is compared with its
-        previous set and starts over wherever F_{i-1} is not inside F_i."""
+        from the empty set when ``fresh``.  ``added`` never meets the set it
+        is added to.  The first increment is never ``fresh``, so whatever
+        is fed these increments must start out holding the empty set.  A
+        nested net hands out its shells and never builds F_i.  Any other
+        net is compared with its previous set and starts over wherever
+        F_{i-1} is not inside F_i."""
         size, last = 0, frozenset()
         for i in range(1, prefix + 1):
             if self.nested:
@@ -96,6 +99,22 @@ class FolnerNet:
 
     def __repr__(self):
         return f"FolnerNet({self.label} on {self.monoid})"
+
+
+def _counts_along(acc, net: FolnerNet, prefix: int):
+    """Yield (|F_i|, acc.count) for i = 1..prefix from one accumulator fed
+    with ``net.increments``: ``acc.reset()`` empties it, ``acc.extend(added)``
+    adds elements to it, and ``acc.count`` is its value at the set it holds.
+    A budget error gets the index it stopped at."""
+    for i, added, fresh, size in net.increments(prefix):
+        if fresh:
+            acc.reset()
+        try:
+            acc.extend(added)
+        except BudgetExceededError as err:
+            err.index = i
+            raise
+        yield size, acc.count
 
 
 def _has_folner_boxes(monoid) -> bool:
@@ -186,22 +205,52 @@ class DefectReport:
         return csv_table("index,size,element,ratio", rows)
 
 
+class _Overlaps:
+    """|F T (sym diff) F| for each right factor set T as F grows, read as
+    |F T| + |F| - 2 |F T meet F|.  F, each image F T and each overlap count
+    are kept; a translation need not be injective, so |F T| < |F| may hold.
+
+    When A is added to F (A does not meet F), the image gains N = A T \\ F T,
+    and the overlap gains |F T meet A| + |N meet (F u A)|: the four parts of
+    the new overlap are disjoint because A misses F and N misses F T."""
+
+    def __init__(self, op, rights):
+        self._op = op
+        self._rights = rights
+        self.reset()
+
+    def reset(self):
+        self._f = set()
+        self._images = [set() for _ in self._rights]
+        self._meets = [0] * len(self._rights)
+
+    def extend(self, added):
+        op, f = self._op, self._f
+        f.update(added)
+        for k, (right, image) in enumerate(zip(self._rights, self._images)):
+            new = {op(x, t) for x in added for t in right} - image
+            self._meets[k] += len(image.intersection(added)) + len(new & f)
+            image |= new
+
+    @property
+    def count(self) -> list:
+        size = len(self._f)
+        return [len(image) + size - 2 * meet for image, meet in zip(self._images, self._meets)]
+
+
 def verify_folner(net: FolnerNet, test: MSubset, prefix: int) -> DefectReport:
     """Exact defect table of the net against every element of ``test`` and
-    against the whole set at once."""
+    against the whole set at once.  The sets F s and F E grow with the net's
+    increments, so a nested net builds no F_i."""
     if prefix < 2:
         raise ValueError("prefix must be >= 2")
     if test.monoid != net.monoid:
         raise MonoidMismatchError("test set lives in a different monoid")
     report = DefectReport(net.label)
-    for i in range(1, prefix + 1):
-        f = net.subset(i)
-        size = len(f)
-        for s in test:
-            moved = f.translate(s).elements
-            report.rows.append(DefectRow(i, size, s, Fraction(len(moved ^ f.elements), size)))
-        fe = set_product(f, test).elements
-        report.rows.append(DefectRow(i, size, "E", Fraction(len(fe ^ f.elements), size)))
+    tags = [*test, "E"]
+    overlaps = _Overlaps(net.monoid.op, [(s,) for s in test] + [tuple(test.elements)])
+    for i, (size, moved) in enumerate(_counts_along(overlaps, net, prefix), start=1):
+        report.rows.extend(DefectRow(i, size, s, Fraction(m, size)) for s, m in zip(tags, moved))
     return report
 
 
@@ -272,26 +321,17 @@ def product_net(net_h: FolnerNet, net_k: FolnerNet, monoid=None) -> FolnerNet:
         raise MonoidMismatchError("product monoid does not fit the factor nets")
 
     def pair(index: int):
-        # enumerate pairs with max(i, j) = k, ending each block on the
-        # diagonal so that prefix tails sit on square indices
-        k = 1
-        count = 0
-        while True:
-            block = (
-                [(a, k) for a in range(1, k)]
-                + [(k, b) for b in range(1, k)]
-                + [(k, k)]
-            )
-            if index <= count + len(block):
-                return block[index - count - 1]
-            count += len(block)
-            k += 1
+        # pairs with max(i, j) = k form the block (1, k) .. (k - 1, k),
+        # (k, 1) .. (k, k - 1), (k, k) after the (k - 1)^2 pairs before it,
+        # so that prefix tails sit on square indices
+        k = isqrt(index - 1) + 1
+        r = index - (k - 1) ** 2
+        return (r, k) if r < k else (k, r - k + 1) if r < 2 * k - 1 else (k, k)
 
     def gen(i):
         a, b = pair(i)
-        hs = sorted(net_h.subset(a).elements)
-        ks = sorted(net_k.subset(b).elements)
-        return MSubset(target, frozenset(h + k for h in hs for k in ks))
+        ks = net_k.subset(b).elements
+        return MSubset(target, frozenset(h + k for h in net_h.subset(a).elements for k in ks))
 
     return FolnerNet(target, gen, f"{net_h.label}x{net_k.label}")
 

@@ -12,21 +12,26 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import MonoidMismatchError
-from .folner import FolnerNet, kernel_box_net
+from .folner import FolnerNet, _counts_along, kernel_box_net
 from .monoid import MonoidHom, MSubset, Section, set_product
 from .tables import csv_table
 
 
 class SetFunction:
-    """Memoized nonnegative function on the finite subsets of a monoid."""
+    """Memoized nonnegative function on the finite subsets of a monoid.
 
-    def __init__(self, monoid, evaluator, label="f", probe=True):
+    ``accumulator``, when given, makes an accumulator that follows f along
+    a net (see ``SetFunction.accumulator``) without the evaluator."""
+
+    def __init__(self, monoid, evaluator, label="f", probe=True, accumulator=None):
         self.monoid = monoid
         self._evaluator = evaluator
         self.label = label
         self._memo = {}
+        self._accumulator = accumulator
         if probe:
             one = MSubset(monoid, frozenset({monoid.identity}))
             if evaluator(one) < 0:
@@ -43,23 +48,82 @@ class SetFunction:
             self._memo[key] = value
         return self._memo[key]
 
+    def accumulator(self):
+        """A new accumulator for f, holding the empty set: ``reset()``
+        empties it, ``extend(added)`` adds elements, and ``count`` is f at
+        the set it holds (the protocol of ``folner._counts_along``)."""
+        return self._accumulator() if self._accumulator else _Scratch(self)
+
     def __repr__(self):
         return f"SetFunction({self.label})"
 
 
+class _Scratch:
+    """Any f along a net: the set held is passed to f after each extension."""
+
+    def __init__(self, f: SetFunction):
+        self._f = f
+        self.reset()
+
+    def reset(self):
+        self._set = frozenset()
+
+    def extend(self, added):
+        self._set = self._set | added if self._set else frozenset(added)
+        self.count = self._f(MSubset(self._f.monoid, self._set))
+
+
+class _Sized:
+    """f(F) = value(|F|), from the running size alone."""
+
+    def __init__(self, value):
+        self._value = value
+        self.reset()
+
+    def reset(self):
+        self._size = 0
+
+    def extend(self, added):
+        self._size += len(added)
+
+    @property
+    def count(self):
+        return self._value(self._size)
+
+
+class _Image:
+    """|pi(F)|, with pi(F) extended by the image of each increment."""
+
+    def __init__(self, pi: MonoidHom):
+        self._pi = pi
+        self.reset()
+
+    def reset(self):
+        self._image = set()
+
+    def extend(self, added):
+        self._image.update(map(self._pi, added))
+
+    @property
+    def count(self) -> int:
+        return len(self._image)
+
+
 def card(monoid) -> SetFunction:
-    return SetFunction(monoid, lambda f: len(f), "card")
+    return SetFunction(monoid, len, "card", accumulator=partial(_Sized, int))
 
 
 def constant(monoid, a) -> SetFunction:
     if a < 0:
         raise ValueError("constant must be nonnegative")
-    return SetFunction(monoid, lambda f: a, f"const({a})")
+    return SetFunction(monoid, lambda f: a, f"const({a})", accumulator=partial(_Sized, lambda n: a))
 
 
 def card_pi(pi: MonoidHom) -> SetFunction:
     """F -> |pi(F)|; its integral is 1/|kernel| on supported families."""
-    return SetFunction(pi.source, lambda f: len(pi.apply_set(f)), "card_pi")
+    return SetFunction(
+        pi.source, lambda f: len(pi.apply_set(f)), "card_pi", accumulator=partial(_Image, pi)
+    )
 
 
 def shifted(f: SetFunction, e: MSubset) -> SetFunction:
@@ -105,14 +169,18 @@ class IntegralEstimate:
 
 
 def integral(f: SetFunction, net: FolnerNet, prefix: int) -> IntegralEstimate:
-    """Evaluate the ratio table over the first ``prefix`` net indices."""
+    """Evaluate the ratio table over the first ``prefix`` net indices.
+
+    f follows the net's increments through ``f.accumulator()``, so on a
+    nested net card, constant and card_pi never build an F_i."""
     if prefix < 2:
         raise ValueError("prefix must be >= 2")
+    if net.monoid != f.monoid:
+        raise MonoidMismatchError(f"{f.label} expects subsets of {f.monoid}")
     est = IntegralEstimate(f.label)
-    for i in range(1, prefix + 1):
-        fi = net.subset(i)
-        value = float(f(fi))
-        est.rows.append(IntegralRow(i, len(fi), value, value / len(fi)))
+    for i, (size, value) in enumerate(_counts_along(f.accumulator(), net, prefix), start=1):
+        value = float(value)
+        est.rows.append(IntegralRow(i, size, value, value / size))
     return est
 
 

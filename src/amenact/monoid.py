@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
+from operator import add
 
 from .errors import (
     MonoidMismatchError,
@@ -84,7 +85,7 @@ class FreeCommutative(Monoid):
         return (0,) * self.dim
 
     def op(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(add, x, y))
 
     def contains(self, x):
         return len(x) == self.dim and all(isinstance(a, int) and a >= 0 for a in x)
@@ -114,7 +115,7 @@ class FreeAbelian(Monoid):
         return (0,) * self.dim
 
     def op(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(add, x, y))
 
     def inverse(self, x):
         return tuple(-a for a in x)
@@ -207,6 +208,7 @@ class ProductMonoid(Monoid):
     def is_finite(self):
         return all(p.is_finite for p in self.parts)
 
+    @cached_property
     def _slices(self):
         out, at = [], 0
         for p in self.parts:
@@ -220,23 +222,23 @@ class ProductMonoid(Monoid):
 
     def op(self, x, y):
         out = ()
-        for p, a, b in self._slices():
+        for p, a, b in self._slices:
             out += p.op(x[a:b], y[a:b])
         return out
 
     def inverse(self, x):
         out = ()
-        for p, a, b in self._slices():
+        for p, a, b in self._slices:
             out += p.inverse(x[a:b])
         return out
 
     def contains(self, x):
         if len(x) != self.dim:
             return False
-        return all(p.contains(x[a:b]) for p, a, b in self._slices())
+        return all(p.contains(x[a:b]) for p, a, b in self._slices)
 
     def is_unit(self, x):
-        return all(p.is_unit(x[a:b]) for p, a, b in self._slices())
+        return all(p.is_unit(x[a:b]) for p, a, b in self._slices)
 
     def window(self, n):
         grids = [sorted(p.window(n).elements) for p in self.parts]
@@ -245,7 +247,7 @@ class ProductMonoid(Monoid):
 
     def generators(self):
         gens = []
-        for p, a, b in self._slices():
+        for p, a, b in self._slices:
             pad_l, pad_r = (0,) * a, (0,) * (self.dim - b)
             gens.extend(pad_l + g + pad_r for g in p.generators())
         return gens

@@ -137,6 +137,17 @@ def test_bridge_and_addition_honour_the_budget(tmp_path, capsys, name, prefix, e
     assert not (tmp_path / f"{name}.csv").exists()
 
 
+def test_fubini_budget_names_the_net_index(tmp_path, capsys):
+    # the product net reaches [0, 3)^2 at index 9; the image of s = (2, 2)
+    # takes the trajectory of {0, 1} under 2^a past 20 elements
+    code = main(["run", "fubini-product", "--budget", "20", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.strip() == (
+        "budget exceeded: trajectory exceeded 20 elements (ran out at (2, 2), net index 9)"
+    )
+    assert not (tmp_path / "fubini-product.csv").exists()
+
+
 def test_counts_past_the_digit_limit_are_written_exactly(tmp_path):
     # |T_{F_7200}| = 2^14401 has 4336 digits, past str()'s default limit of 4300
     code, message = run_scenario("bernoulli-two-sided", out_dir=tmp_path, prefix=7200)

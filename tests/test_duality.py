@@ -13,7 +13,6 @@ from amenact.abelian import DirectSum, FiniteProduct, Subgroup
 from amenact.actions import (
     Action,
     MatrixEndo,
-    _counts_along,
     identity_endo,
     scalar_endo,
     shift_endo,
@@ -36,7 +35,7 @@ from amenact.duality import (
     vanishing_subgroup,
 )
 from amenact.errors import GroupMismatchError
-from amenact.folner import FolnerNet, box_net
+from amenact.folner import FolnerNet, _counts_along, box_net
 from amenact.monoid import (
     FiniteAbelianMonoid,
     FreeAbelian,

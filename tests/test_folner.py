@@ -8,6 +8,8 @@ import pytest
 
 from amenact.errors import BudgetExceededError, InvalidWitnessError, UndecidableFamilyError
 from amenact.folner import (
+    DefectReport,
+    DefectRow,
     FolnerNet,
     _first_fit,
     TilingReport,
@@ -27,6 +29,7 @@ from amenact.folner import (
     verify_folner,
 )
 from amenact.monoid import (
+    CappedAdd,
     FiniteAbelianMonoid,
     FreeAbelian,
     FreeCommutative,
@@ -37,6 +40,7 @@ from amenact.monoid import (
     find_good_section,
     projection_hom,
     semidirect_quotient_hom,
+    set_product,
 )
 
 N1 = FreeCommutative(1)
@@ -198,6 +202,82 @@ def test_constant_net_on_finite_group_has_zero_defect():
     assert report.tail_max() == 0
 
 
+# --- verify_folner against the element-wise table ------------------------------
+
+
+def verify_folner_by_elements(net, test, prefix):
+    """Oracle: every F_i built whole, every F_i s and F_i E translated."""
+    report = DefectReport(net.label)
+    for i in range(1, prefix + 1):
+        f = net.subset(i)
+        size = len(f)
+        for s in test:
+            moved = f.translate(s).elements
+            report.rows.append(DefectRow(i, size, s, Fraction(len(moved ^ f.elements), size)))
+        fe = set_product(f, test).elements
+        report.rows.append(DefectRow(i, size, "E", Fraction(len(fe ^ f.elements), size)))
+    return report
+
+
+def probe_set(monoid):
+    """The identity, the generators, a sum of two of them, and an inverse;
+    every element of the capped monoid."""
+    if monoid == CAP:
+        return ms(CAP, CAP.elements())
+    gens = monoid.generators()
+    out = [monoid.identity, *gens]
+    if len(gens) > 1:
+        out.append(monoid.op(gens[0], gens[-1]))
+    if gens and monoid.is_group:
+        out.append(monoid.inverse(gens[0]))
+    return ms(monoid, out)
+
+
+CAP = CappedAdd(3)
+
+
+def capped_prefix(n):
+    return frozenset((i,) for i in range(min(n, 4)))
+
+
+def capped_nets():
+    """Nets on {0, ..., 3} under min(3, x + y), where |F s| < |F| happens:
+    {0, .., n - 1} (nested, by its shells) and {n mod 4, .., 3} (not nested)."""
+    yield FolnerNet(CAP, lambda n: MSubset(CAP, capped_prefix(n)), "cap-prefix",
+                    lambda n: capped_prefix(n) - capped_prefix(n - 1)), 6
+    yield FolnerNet(CAP, lambda n: MSubset(CAP, frozenset((i,) for i in range(n % 4, 4))), "cap-tail"), 7
+
+
+@pytest.mark.parametrize(
+    "net, prefix", [(net, prefix) for net, prefix, _ in every_net_family()] + list(capped_nets()), ids=repr
+)
+def test_verify_folner_matches_the_elementwise_table(net, prefix):
+    for test in (probe_set(net.monoid), ms(net.monoid, [])):
+        assert verify_folner(net, test, prefix).rows == verify_folner_by_elements(net, test, prefix).rows
+
+
+def test_capped_translates_shrink():
+    # {0, .., 3} (1) = {1, 2, 3}: the defect counts the lost element once
+    net, _ = next(capped_nets())
+    report = verify_folner(net, ms(CAP, [(1,)]), 5)
+    assert [r.ratio for r in report.rows if r.element == (1,)] == [
+        Fraction(2, 1), Fraction(2, 2), Fraction(2, 3), Fraction(1, 4), Fraction(1, 4)
+    ]
+
+
+def refuse(i):
+    raise AssertionError(f"F_{i} was built whole")
+
+
+@pytest.mark.parametrize("monoid", [N2, Z2, FiniteAbelianMonoid((2, 3)), ProductMonoid((N1, Z1))])
+def test_verify_folner_builds_no_set_of_a_nested_net(monoid):
+    net = box_net(monoid)
+    net._generate = refuse
+    test = probe_set(monoid)
+    want = verify_folner_by_elements(box_net(monoid), test, 5)
+    assert verify_folner(net, test, 5).rows == want.rows
+
+
 # --- canonical nets ------------------------------------------------------------
 
 def test_canonical_minimal_boxes_in_Z():
@@ -250,6 +330,14 @@ def test_product_net_diagonal_linearization():
     assert len(net.subset(1)) == 9  # (1,1): [-1,1] x [-1,1]
     assert len(net.subset(4)) == 25  # (2,2)
     assert len(net.subset(9)) == 49  # (3,3)
+    # block k, written out: (1, k) .. (k - 1, k), (k, 1) .. (k, k - 1), (k, k)
+    pairs = [
+        p for k in range(1, 8) for p in [(a, k) for a in range(1, k)] + [(k, b) for b in range(1, k)] + [(k, k)]
+    ]
+    boxes = box_net(Z1)
+    for i, (a, b) in enumerate(pairs, start=1):
+        product_box = {h + k for h in boxes.subset(a).elements for k in boxes.subset(b).elements}
+        assert net.subset(i).elements == product_box
     report = verify_folner(net, ms(net.monoid, [(1, 0), (0, 1)]), 16)
     assert report.max_defect(16) < report.max_defect(1)
 

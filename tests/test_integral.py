@@ -1,9 +1,18 @@
 """subadditive-integral: ratio tables, axiom sampling, the transform."""
 
+import math
+from functools import partial
+from itertools import product
+
 import pytest
 
-from amenact.folner import box_net, kernel_box_net
+from amenact.abelian import FiniteSubset, FreeZ
+from amenact.actions import Action, identity_endo, scalar_endo, trajectory_function
+from amenact.errors import MonoidMismatchError
+from amenact.folner import FolnerNet, box_net, kernel_box_net, product_net, translate_net
 from amenact.integral import (
+    IntegralEstimate,
+    IntegralRow,
     SetFunction,
     card,
     card_pi,
@@ -21,6 +30,7 @@ from amenact.monoid import (
     FreeCommutative,
     MSubset,
     ProductMonoid,
+    cap_hom,
     find_good_section,
     mod_hom,
     projection_hom,
@@ -220,3 +230,118 @@ def test_theta_function_memoizes_on_the_quotient():
     th = theta_function(card(Z2), pi, sigma, None, 8)
     y = MSubset.of(pi.target, [(0,), (1,)])
     assert th(y) == th(y) == pytest.approx(2.0)
+
+
+# --- integral against the subset-by-subset table --------------------------------
+
+
+def integral_by_subsets(f, net, prefix):
+    """Oracle: f at every F_i, each built whole by net.subset(i)."""
+    est = IntegralEstimate(f.label)
+    for i in range(1, prefix + 1):
+        fi = net.subset(i)
+        value = float(f(fi))
+        est.rows.append(IntegralRow(i, len(fi), value, value / len(fi)))
+    return est
+
+
+N2 = FreeCommutative(2)
+Z6 = FiniteAbelianMonoid((6,))
+TWO_BY_Z = ProductMonoid((FiniteAbelianMonoid((2,)), Z1))
+N_BY_Z = ProductMonoid((N1, Z1))
+
+
+def sliding_net(monoid):
+    # [n, 2n]^d: never nested, so every set starts over
+    return FolnerNet(
+        monoid, lambda n: MSubset(monoid, frozenset(product(range(n, 2 * n + 1), repeat=monoid.dim))),
+        "sliding",
+    )
+
+
+# name -> (monoid, net factory): nested box nets, then nets that are not
+NETS = {
+    "boxes-N2": (N2, lambda: box_net(N2)),
+    "boxes-Z2": (Z2, lambda: box_net(Z2)),
+    "constant-Z6": (Z6, lambda: box_net(Z6)),
+    "boxes-2xZ": (TWO_BY_Z, lambda: box_net(TWO_BY_Z)),
+    "boxes-NxZ": (N_BY_Z, lambda: box_net(N_BY_Z)),
+    "translate-Z2": (Z2, lambda: translate_net(box_net(Z2), MSubset.of(Z2, [(0, 0), (1, 2), (-1, 0)]))),
+    "half-line": (Z1, lambda: FolnerNet(Z1, lambda n: MSubset.of(Z1, [(i,) for i in range(n)]), "N-boxes")),
+    "kernel-2xZ": (TWO_BY_Z, lambda: kernel_box_net(projection_hom(TWO_BY_Z, (0,)))),
+    "kernel-mod3": (Z1, lambda: kernel_box_net(mod_hom(Z1, (3,)))),
+    "product-NxZ": (N_BY_Z, lambda: product_net(box_net(N1), box_net(Z1))),
+    "sliding-Z2": (Z2, lambda: sliding_net(Z2)),
+}
+
+# name -> function factory on a monoid: the counted ones, then evaluators
+FUNCTIONS = {
+    "card": card,
+    "constant": lambda m: constant(m, 2.5),
+    "card_pi-project": lambda m: card_pi(projection_hom(m, (0,))),
+    "card_pi-mod3": lambda m: card_pi(mod_hom(m, (3,))),
+    "evaluator": lambda m: SetFunction(m, lambda f: math.sqrt(len(f)), "sqrt"),
+    "shifted": lambda m: shifted(
+        card_pi(projection_hom(m, (m.dim - 1,))), MSubset.of(m, [m.identity, *m.generators()])
+    ),
+}
+
+Z = FreeZ(1)
+DOUBLING = Action(N1, Z, [scalar_endo(Z, 2)])
+PAIR = FiniteSubset(Z, frozenset({(0,), (1,)}))
+N1_BY_N1 = ProductMonoid((N1, N1))
+PI_Z2 = projection_hom(Z2, (0,))
+
+# (f factory, net factory, prefix) beyond the grid of NETS x FUNCTIONS
+EXTRA = {
+    "trajectory-boxes": (lambda: trajectory_function(DOUBLING, PAIR), lambda: box_net(N1), 8),
+    "trajectory-sliding": (lambda: trajectory_function(DOUBLING, PAIR), lambda: sliding_net(N1), 6),
+    "trajectory-product": (
+        lambda: trajectory_function(Action(N1_BY_N1, Z, [scalar_endo(Z, 2), identity_endo(Z)]), PAIR),
+        lambda: product_net(box_net(N1), box_net(N1)), 10,
+    ),
+    "theta": (
+        lambda: theta_function(card(Z2), PI_Z2, find_good_section(PI_Z2), None, 5),
+        lambda: box_net(PI_Z2.target), 4,
+    ),
+    # min(2, x) merges images, so |pi(F)| < |F|
+    "card_pi-cap-boxes": (lambda: card_pi(cap_hom(2)), lambda: box_net(N1), 6),
+    "card_pi-cap-sliding": (lambda: card_pi(cap_hom(2)), lambda: sliding_net(N1), 6),
+}
+
+CASES = {
+    f"{fname}@{nname}": (partial(make_f, monoid), make_net, 5)
+    for nname, (monoid, make_net) in NETS.items()
+    for fname, make_f in FUNCTIONS.items()
+} | EXTRA
+
+
+@pytest.mark.parametrize("make_f, make_net, prefix", CASES.values(), ids=CASES.keys())
+def test_integral_matches_the_subset_table(make_f, make_net, prefix):
+    # fresh functions and nets on each side, so that no memo is shared
+    got = integral(make_f(), make_net(), prefix)
+    want = integral_by_subsets(make_f(), make_net(), prefix)
+    assert got.label == want.label and got.rows == want.rows
+
+
+def refuse(i):
+    raise AssertionError(f"F_{i} was built whole")
+
+
+@pytest.mark.parametrize("fname", FUNCTIONS)
+def test_integral_builds_no_set_of_a_nested_net(fname):
+    net = box_net(Z2)
+    net._generate = refuse
+    want = integral_by_subsets(FUNCTIONS[fname](Z2), box_net(Z2), 5)
+    assert integral(FUNCTIONS[fname](Z2), net, 5).rows == want.rows
+
+
+def test_integral_refuses_a_net_on_another_monoid():
+    with pytest.raises(MonoidMismatchError):
+        integral(card(Z1), box_net(N1), 4)
+
+
+def test_integral_refuses_a_negative_value_along_the_net():
+    # 0 at the identity, -2 at F_1 = {-1, 0, 1}
+    with pytest.raises(ValueError, match="negative"):
+        integral(SetFunction(Z1, lambda f: 1.0 - len(f), "1-card"), box_net(Z1), 4)
