@@ -383,6 +383,7 @@ class Subgroup:
         self.gens = tuple(gens)
         self.base_subgroup = base_subgroup
         self._data = None
+        self._key = None
 
     # construction ---------------------------------------------------------
 
@@ -523,12 +524,16 @@ class Subgroup:
         return Subgroup.generated(self.group, self.gens + other.gens)
 
     def canonical_key(self):
-        if self.kind == "percoord":
-            return ("percoord", self.base_subgroup.canonical_key())
-        dim, basis, order, window = self._flat()
-        if isinstance(self.group, DirectSum):
-            window, basis = _trim_window(self.group, window, basis)
-        return ("fg", window, tuple(tuple(r) for r in basis))
+        """Equal keys <=> equal subgroups; built once, as ``_flat`` is."""
+        if self._key is None:
+            if self.kind == "percoord":
+                self._key = ("percoord", self.base_subgroup.canonical_key())
+            else:
+                dim, basis, order, window = self._flat()
+                if isinstance(self.group, DirectSum):
+                    window, basis = _trim_window(self.group, window, basis)
+                self._key = ("fg", window, tuple(tuple(r) for r in basis))
+        return self._key
 
     def __eq__(self, other):
         return (

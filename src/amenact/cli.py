@@ -39,7 +39,7 @@ from .actions import (
     shift_endo,
     trajectory_function,
 )
-from .duality import annihilator, bridge_check, subgroup_lattice
+from .duality import _subgroup_gens, annihilator, bridge_check
 from .errors import (
     AmenactError,
     BudgetExceededError,
@@ -531,16 +531,22 @@ def _run_duality_props(sc, prefix, budget):
     values = []
     for factors in sc["groups"]:
         g = FiniteProduct(tuple(factors))
-        subs = [Subgroup.generated(g, gens) for gens, _ in subgroup_lattice(g)]
-        pairs = [(b, annihilator(b)) for b in subs]
-        order_law = all(b.order() * perp.order() == g.order for b, perp in pairs)
-        double = all(annihilator(perp) == b for b, perp in pairs)
+        subs = [Subgroup.generated(g, gens) for gens in _subgroup_gens(g)]
+        perps = {}  # one annihilator per distinct subgroup: every join is listed
+
+        def perp(b):
+            if b not in perps:
+                perps[b] = annihilator(b)
+            return perps[b]
+
+        order_law = all(b.order() * perp(b).order() == g.order for b in subs)
+        double = all(perp(perp(b)) == b for b in subs)
         # (B1 + B2)-perp against B1-perp meet B2-perp, as canonical HNFs
         sum_law = all(
-            annihilator(b1.join(b2))._flat()[1]
-            == lattices.intersect(p1._flat()[1], p2._flat()[1], len(factors))
-            for b1, p1 in pairs[:12]
-            for b2, p2 in pairs[:12]
+            perp(b1.join(b2))._flat()[1]
+            == lattices.intersect(perp(b1)._flat()[1], perp(b2)._flat()[1], len(factors))
+            for b1 in subs[:12]
+            for b2 in subs[:12]
         )
         ok = order_law and double and sum_law
         values.append((tuple(factors), len(subs), order_law, double, sum_law, ok))

@@ -401,7 +401,13 @@ def bridge_check(
 
 
 def subgroup_lattice(group: FiniteProduct):
-    """Every subgroup of a small finite product, as (gens, elements) pairs.
+    """Every subgroup of a small finite product, as (gens, elements) pairs,
+    one per Hermite form of ``_subgroup_gens``."""
+    return [(gens, Subgroup.generated(group, gens).elements()) for gens in _subgroup_gens(group)]
+
+
+def _subgroup_gens(group: FiniteProduct):
+    """Yield generators of every subgroup of a small finite product, once each.
 
     The subgroups of prod Z/n_j are the lattices diag(n) <= L <= Z^k, and
     each is listed once, as its Hermite normal form built from the last
@@ -410,7 +416,8 @@ def subgroup_lattice(group: FiniteProduct):
     (n_j / p_j) tail lies in the lattice of the rows below (which is
     n_j e_j in L).  The forms on the last columns are the subgroups of a
     direct factor, never more than the whole group has, so the count
-    budget is checked as they grow.
+    budget is checked as they grow.  The generators are the form's rows
+    reduced mod n, zero rows dropped.
     """
     if group.order > SUBGROUP_LATTICE_BUDGET:
         raise BudgetExceededError(f"subgroup enumeration beyond {SUBGROUP_LATTICE_BUDGET} elements")
@@ -427,11 +434,8 @@ def subgroup_lattice(group: FiniteProduct):
             if len(grown) > SUBGROUP_COUNT_BUDGET:
                 raise BudgetExceededError(f"subgroup enumeration beyond {SUBGROUP_COUNT_BUDGET} subgroups")
         forms = grown
-    out = []
     for rows in forms:
-        gens = tuple(g for row in rows if any(g := tuple(x % m for x, m in zip(row, n))))
-        out.append((gens, Subgroup.generated(group, gens).elements()))
-    return out
+        yield tuple(g for row in rows if any(g := tuple(x % m for x, m in zip(row, n))))
 
 
 def random_endomorphism(group: FiniteProduct, rng) -> MatrixEndo:

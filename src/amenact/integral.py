@@ -42,11 +42,15 @@ class SetFunction:
             raise MonoidMismatchError(f"{self.label} expects subsets of {self.monoid}")
         key = f_set.sorted_key()
         if key not in self._memo:
-            value = self._evaluator(f_set)
-            if value < 0:
-                raise ValueError(f"{self.label} is negative on {key[:4]}...")
-            self._memo[key] = value
+            self._memo[key] = self._evaluate(f_set)
         return self._memo[key]
+
+    def _evaluate(self, f_set: MSubset) -> float:
+        """f at ``f_set`` from the evaluator, past the memo."""
+        value = self._evaluator(f_set)
+        if value < 0:
+            raise ValueError(f"{self.label} is negative on {f_set.sorted_key()[:4]}...")
+        return value
 
     def accumulator(self):
         """A new accumulator for f, holding the empty set: ``reset()``
@@ -59,7 +63,8 @@ class SetFunction:
 
 
 class _Scratch:
-    """Any f along a net: the set held is passed to f after each extension."""
+    """Any f along a net: the set held is passed to f's evaluator after each
+    extension, and not memoized, since a running set seldom comes again."""
 
     def __init__(self, f: SetFunction):
         self._f = f
@@ -70,7 +75,7 @@ class _Scratch:
 
     def extend(self, added):
         self._set = self._set | added if self._set else frozenset(added)
-        self.count = self._f(MSubset(self._f.monoid, self._set))
+        self.count = self._f._evaluate(MSubset(self._f.monoid, self._set))
 
 
 class _Sized:
@@ -127,11 +132,12 @@ def card_pi(pi: MonoidHom) -> SetFunction:
 
 
 def shifted(f: SetFunction, e: MSubset) -> SetFunction:
-    """The shift f^E : X -> f(X E)."""
+    """The shift f^E : X -> f(X E).  f's own memo is passed by: the shift
+    keeps its values by X, and X E is a running set along a net."""
     if e.monoid != f.monoid:
         raise MonoidMismatchError("shift set lives in a different monoid")
     return SetFunction(
-        f.monoid, lambda x: f(set_product(x, e)), f"{f.label}^E", probe=False
+        f.monoid, lambda x: f._evaluate(set_product(x, e)), f"{f.label}^E", probe=False
     )
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,60 @@ def test_sum_law_fails_with_a_wrong_intersection(tmp_path, monkeypatch):
     columns = _duality_props_columns(tmp_path)
     assert columns["sum_law"] == {"False"}
     assert columns["order_law"] == columns["double_annihilator"] == {"True"}
+
+
+def _duality_props_values_per_call(sc):
+    """Oracle: the duality-props laws with one annihilator call per use,
+    every join's annihilator taken on its stacked generators."""
+    from amenact import lattices
+    from amenact.abelian import FiniteProduct, Subgroup
+    from amenact.duality import annihilator, subgroup_lattice
+
+    values = []
+    for factors in sc["groups"]:
+        g = FiniteProduct(tuple(factors))
+        subs = [Subgroup.generated(g, gens) for gens, _ in subgroup_lattice(g)]
+        pairs = [(b, annihilator(b)) for b in subs]
+        order_law = all(b.order() * perp.order() == g.order for b, perp in pairs)
+        double = all(annihilator(perp) == b for b, perp in pairs)
+        sum_law = all(
+            annihilator(b1.join(b2))._flat()[1]
+            == lattices.intersect(p1._flat()[1], p2._flat()[1], len(factors))
+            for b1, p1 in pairs[:12]
+            for b2, p2 in pairs[:12]
+        )
+        ok = order_law and double and sum_law
+        values.append((tuple(factors), len(subs), order_law, double, sum_law, ok))
+    return values
+
+
+@pytest.mark.parametrize(
+    "sc", [BUILTINS["duality-props-small"], {"groups": [[4, 6], [2, 6, 4], [1], []]}],
+    ids=["duality-props-small", "edge-groups"],
+)
+def test_duality_props_matches_the_per_call_oracle(sc):
+    from amenact import cli
+
+    _, context = cli._run_duality_props(sc, None, None)
+    assert context["values"] == _duality_props_values_per_call(sc)
+
+
+def test_duality_props_computes_each_annihilator_once(monkeypatch):
+    from amenact import cli
+
+    calls = []
+    real = cli.annihilator
+
+    def counted(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(cli, "annihilator", counted)
+    assert run_scenario("duality-props-small")[0] == 0
+    assert len(set(calls)) == len(calls) == 52
+    assert Counter(b.group.factors for b in calls) == {
+        (8,): 4, (2, 4): 8, (2, 2, 2): 16, (9, 3): 10, (5, 5): 8, (12,): 6,
+    }
 
 
 def test_tiling_checks_its_witness_once(tmp_path, monkeypatch):

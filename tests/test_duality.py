@@ -108,6 +108,20 @@ def test_annihilator_of_sum_is_intersection():
             assert joint == meet
 
 
+@pytest.mark.parametrize(
+    "factors", [tuple(f) for f in cli.BUILTINS["duality-props-small"]["groups"]] + [(4, 6), (2, 6, 4)]
+)
+def test_annihilator_of_a_join_of_raw_generators_matches_its_hermite_form(factors):
+    # duality-props reads (B1 + B2)-perp from the subgroup the join equals;
+    # here the kernel still runs on the two generating sets stacked as given
+    g = FiniteProduct(factors)
+    subs = [Subgroup.generated(g, gens) for gens, _ in subgroup_lattice(g)]
+    for b1, b2 in iproduct(subs, repeat=2):
+        raw = Subgroup.generated(g, b1.gens + b2.gens)
+        hermite = Subgroup.generated(g, [tuple(r) for r in raw._flat()[1]])
+        assert annihilator(raw) == annihilator(hermite), (b1.gens, b2.gens)
+
+
 # --- dual endomorphisms ----------------------------------------------------------
 
 def test_dual_of_identity_and_scalar():

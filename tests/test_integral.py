@@ -1,5 +1,7 @@
 """subadditive-integral: ratio tables, axiom sampling, the transform."""
 
+import csv
+import io
 import math
 from functools import partial
 from itertools import product
@@ -34,6 +36,7 @@ from amenact.monoid import (
     find_good_section,
     mod_hom,
     projection_hom,
+    set_product,
 )
 
 N1 = FreeCommutative(1)
@@ -319,9 +322,11 @@ CASES = {
 @pytest.mark.parametrize("make_f, make_net, prefix", CASES.values(), ids=CASES.keys())
 def test_integral_matches_the_subset_table(make_f, make_net, prefix):
     # fresh functions and nets on each side, so that no memo is shared
-    got = integral(make_f(), make_net(), prefix)
+    f = make_f()
+    got = integral(f, make_net(), prefix)
     want = integral_by_subsets(make_f(), make_net(), prefix)
     assert got.label == want.label and got.rows == want.rows
+    assert f._memo == {}  # a running set is evaluated, not kept
 
 
 def refuse(i):
@@ -345,3 +350,42 @@ def test_integral_refuses_a_negative_value_along_the_net():
     # 0 at the identity, -2 at F_1 = {-1, 0, 1}
     with pytest.raises(ValueError, match="negative"):
         integral(SetFunction(Z1, lambda f: 1.0 - len(f), "1-card"), box_net(Z1), 4)
+
+
+def test_fubini_run_keeps_no_running_set_and_matches_the_subset_tables(tmp_path, monkeypatch):
+    from amenact import cli
+
+    made = []
+
+    def recorded(*args):
+        made.append(trajectory_function(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "trajectory_function", recorded)
+    assert cli.run_scenario("fubini-product", out_dir=tmp_path, prefix=256)[0] == 0
+    assert [f._memo for f in made] == [{}]
+
+    # both sides again, every F_i and kernel box built whole: the scenario's
+    # action, seed and hom, n_prefix 10 and the default c_prefix isqrt(256)
+    action = Action(N1_BY_N1, Z, [scalar_endo(Z, 2), identity_endo(Z)])
+    pi = projection_hom(N1_BY_N1, (1,))
+    sigma = find_good_section(pi)
+    left = integral_by_subsets(
+        trajectory_function(action, PAIR), product_net(box_net(N1), box_net(N1)), 256
+    )
+
+    def theta_by_subsets(y):
+        f, lifted = trajectory_function(action, PAIR), sigma.apply_set(y)
+        shift = SetFunction(N1_BY_N1, lambda x: f(set_product(x, lifted)), "f^E", probe=False)
+        return integral_by_subsets(shift, kernel_box_net(pi), 10).tail
+
+    theta_f = SetFunction(pi.target, theta_by_subsets, "theta", probe=False)
+    right = integral_by_subsets(theta_f, box_net(pi.target), 16)
+    want = [
+        [tag, str(r.index), str(r.size), repr(r.value), repr(r.ratio)]
+        for tag, est in (("S", left), ("C", right))
+        for r in est.rows
+    ]
+    want.append(["difference", "", "", "", repr(abs(left.tail - right.tail))])
+    got = list(csv.reader(io.StringIO((tmp_path / "fubini-product.csv").read_text())))
+    assert got[1:] == want
