@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
+from operator import add, itemgetter, mul
 
 from . import lattices
 from .abelian import (
@@ -491,7 +491,10 @@ class _IncrementalTrajectory:
     count is a popcount.  A sum whose span would pass 64 bits per pair
     x + y that the tuple route would add, and 2^23 bits (1 MB) in any case,
     unpacks once and goes on with ``group.sumset``: the only route for
-    sparse sets on Z and for every other group.
+    sparse sets on Z and for every other group.  A sum there that could
+    pass the budget (|T| |Y| > budget) is built one translate T + y at a
+    time and stops once its count passes, so no step holds more than the
+    budget plus one translate.
     """
 
     def __init__(self, alpha, x: FiniteSubset, budget):
@@ -546,7 +549,16 @@ class _IncrementalTrajectory:
                 self.count = acc.bit_count()
                 return
             self._set = self.elements()
-        self._set = self.alpha.group.sumset(self._set, img)
+        old, sumset = self._set, self.alpha.group.sumset
+        if len(old) * len(img) <= self.budget:
+            self._set = sumset(old, img)
+        else:
+            out = set()
+            for y in img:
+                out |= sumset(old, (y,))
+                if len(out) > self.budget:
+                    break
+            self._set = frozenset(out)
         self.count = len(self._set)
 
     def elements(self) -> frozenset:
@@ -611,16 +623,21 @@ class _GrowingTrajectory:
     DirectSum, as one growing ``lattices.ModularEchelon``.
 
     ``extend(added)`` inserts the images alpha(s)(g) of the seed generators
-    g for each s in ``added`` (a net shell).  The acting monoid is
-    commutative, so alpha(s)(g) = phi_j^{+-1}(alpha(s -+ e_j)(g)): an
-    element takes its images from a neighbour in the previous or the
-    current shell with one generator step (the rule ``Action.endo`` uses),
-    and only an element with no such neighbour builds alpha(s).  Elements
-    go by increasing l1 norm of their exponents, so on box nets only the
-    identity builds one.  An image already met in either shell is not
-    inserted again.  On a DirectSum each index gets its block of columns
-    when an image first touches it, so earlier echelon rows stay valid.
-    Every element visited counts against ``budget``, restarts included.
+    g for each s in ``added`` (a net shell).  A generator that acts as the
+    identity drops out: alpha(s) depends only on the exponents of the other
+    (live) generators, so every s with the same live exponents shares one
+    image set, and each such key is walked once per ``reset()``.  A shell
+    walks only its keys not walked before, by increasing l1 norm.  The
+    acting monoid is commutative, so alpha(s)(g) = phi_j^{+-1}(alpha(s -+
+    e_j)(g)): a key takes its images from a neighbour key in the previous
+    or the current shell with one generator step (the rule ``Action.endo``
+    uses), and only a key with no such neighbour builds alpha(s).  On box
+    nets only the identity builds one.  An image already met in either
+    shell is not inserted again.  On a DirectSum each index gets its block
+    of columns when an image first touches it, so earlier echelon rows stay
+    valid.  Every element of every shell counts against ``budget``, whether
+    or not its key is new, restarts included; the element that passes it
+    is the one a walk of the whole shell by increasing l1 norm reaches.
     """
 
     def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
@@ -628,6 +645,15 @@ class _GrowingTrajectory:
         self.seed = seed
         self.budget = budget
         self.visited = 0
+        identity = identity_endo(alpha.group)
+        n = len(alpha.monoid.generators())
+        live = [j for j in range(n) if alpha._generator_step(j, 1) != identity]
+        # with identity generators, _key reads the live exponents of s and
+        # _mask zeroes the others
+        self._key = self._mask = None
+        if len(live) < n:
+            self._key = itemgetter(*live) if live else lambda e: ()
+            self._mask = tuple(int(j in live) for j in range(n))
         self.reset()
 
     def reset(self):
@@ -637,25 +663,35 @@ class _GrowingTrajectory:
             self._pos = {}
         else:
             self._echelon = lattices.ModularEchelon(group.factors)
-        self._images = {}  # exponent vector -> seed images, current shell
-        self._before = {}  # the same for the previous shell
+        self._images = {}  # masked exponents -> seed images, new in the current shell
+        self._before = {}  # the same for the previous shell that had new keys
         self._seen, self._seen_before = set(), set()  # images met in those shells
+        self._walked = set()  # the _key values walked since the reset
 
     def extend(self, added):
+        exponents = self.alpha.monoid.generator_exponents
+        if self.visited + len(added) > self.budget:
+            order = sorted(added, key=lambda s: _l1_order(exponents(s)))
+            raise BudgetExceededError(
+                f"subgroup trajectory visited more than {self.budget} monoid elements",
+                completed=order[self.budget - self.visited],
+            )
+        self.visited += len(added)
+        if self._key is None:
+            fresh = {exponents(s): s for s in added}
+        else:
+            key, mask = self._key, self._mask
+            reps = {key(exponents(s)): s for s in added}
+            new = reps.keys() - self._walked
+            self._walked |= new
+            fresh = {tuple(map(mul, exponents(reps[k]), mask)): reps[k] for k in new}
+        if not fresh:
+            return
         self._before, self._images = self._images, {}
         self._seen_before, self._seen = self._seen, set()
         seen, seen_before = self._seen, self._seen_before
-        exponents = self.alpha.monoid.generator_exponents
-        steps = [(exponents(s), s) for s in added]
-        steps.sort(key=lambda step: (sum(map(abs, step[0])), step[0]))
-        for e, s in steps:
-            self.visited += 1
-            if self.visited > self.budget:
-                raise BudgetExceededError(
-                    f"subgroup trajectory visited more than {self.budget} monoid elements",
-                    completed=s,
-                )
-            images = self._images[e] = self._seed_images(e, s)
+        for e in sorted(fresh, key=_l1_order):
+            images = self._images[e] = self._seed_images(e, fresh[e])
             for x in images:
                 if x not in seen:
                     seen.add(x)
@@ -700,6 +736,10 @@ class _GrowingTrajectory:
     def contains(self, x) -> bool:
         flat = self._flat(x)
         return flat is not None and self._echelon.contains(flat)
+
+
+def _l1_order(e):
+    return sum(map(abs, e)), e
 
 
 class _ScratchTrajectory:

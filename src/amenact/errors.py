@@ -40,8 +40,9 @@ class BudgetExceededError(AmenactError):
     ``completed``, when set, names where the work stopped: a trajectory
     sets it to the monoid element s whose image alpha(s)(X) took the
     count past the budget, or for a subgroup seed to the element whose
-    visit took the visited count past it (the elements visited before s
-    finished).  ``index``, when set, is the net index being reached.
+    visit took the visited count past it, each shell counted in order of
+    increasing l1 norm of the exponents.  ``index``, when set, is the net
+    index being reached.
     """
 
     def __init__(self, message, completed=None, index=None):

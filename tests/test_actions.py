@@ -44,7 +44,7 @@ from amenact.actions import (
 )
 from amenact.duality import random_endomorphism
 from amenact.errors import BudgetExceededError, MonoidMismatchError, NotInvariantError
-from amenact.folner import FolnerNet, box_net, kernel_box_net, product_net, translate_net
+from amenact.folner import FolnerNet, _counts_along, box_net, kernel_box_net, product_net, translate_net
 from amenact.integral import sample_axioms
 from amenact.monoid import (
     FiniteAbelianMonoid,
@@ -1008,25 +1008,198 @@ FIBONACCI_SCENARIO = {
 }
 
 
+# the generators that do not act as the identity, and the distinct live keys
+# of F_prefix: quotient-vanishing's first generator is the identity
+WORK_KEYS = {"quotient-vanishing": ((0, 1), 2 * 24 + 1), "fibonacci-shift": ((1,), 81)}
+
+
 @pytest.mark.parametrize("name, prefix", [("quotient-vanishing", 24), ("fibonacci-shift", 40)])
 def test_trajectory_work_counts(monkeypatch, tmp_path, name, prefix):
     """A count of work, not of time: alpha(s) is built for the identity
-    alone, every element of F_prefix is visited exactly once, and no F_i
-    is built."""
+    alone, seed images are taken once per distinct live key (the exponents
+    with those of identity generators zeroed), every element of F_prefix
+    still counts as visited, and no F_i is built."""
+    live, keys = WORK_KEYS[name]
     source = name
     if name == "fibonacci-shift":
         source = tmp_path / "fibonacci-shift.json"
         source.write_text(json.dumps(FIBONACCI_SCENARIO))
     endo, seed_images, subset = Action.endo, _GrowingTrajectory._seed_images, FolnerNet.subset
-    endo_calls, visits, subsets = [], [], []
+    init = _GrowingTrajectory.__init__
+    endo_calls, walked, subsets, engines = [], [], [], []
     monkeypatch.setattr(Action, "endo", lambda self, s: endo_calls.append(s) or endo(self, s))
     monkeypatch.setattr(_GrowingTrajectory, "_seed_images",
-                        lambda self, e, s: visits.append(s) or seed_images(self, e, s))
+                        lambda self, e, s: walked.append(e) or seed_images(self, e, s))
     monkeypatch.setattr(FolnerNet, "subset", lambda self, i: subsets.append(i) or subset(self, i))
+    monkeypatch.setattr(_GrowingTrajectory, "__init__",
+                        lambda self, *args: engines.append(self) or init(self, *args))
     code, message = cli.run_scenario(str(source), tmp_path, prefix)
     assert code == 0, message
     sc = json.loads(source.read_text()) if name == "fibonacci-shift" else cli.BUILTINS[name]
     monoid = cli.parse_monoid(sc["monoid"])
+    window = monoid.window(prefix).elements
     assert len(endo_calls) <= len(monoid.generators())
-    assert len(visits) == len(set(visits)) and set(visits) == monoid.window(prefix).elements
+    assert len(walked) == len(set(walked)) == keys
+    assert set(walked) == {tuple(a * on for a, on in zip(s, live)) for s in window}
+    assert [engine.visited for engine in engines] == [len(window)]
     assert not subsets
+
+
+# --- identity generators share one image set, against the full walk ----------------
+
+class FullWalkTrajectory(_GrowingTrajectory):
+    """Oracle: the former ``extend``, which took seed images for every
+    element of a shell, by increasing l1 norm of its full exponents, and
+    counted each against the budget as it went."""
+
+    def extend(self, added):
+        self._before, self._images = self._images, {}
+        self._seen_before, self._seen = self._seen, set()
+        seen, seen_before = self._seen, self._seen_before
+        exponents = self.alpha.monoid.generator_exponents
+        steps = [(exponents(s), s) for s in added]
+        steps.sort(key=lambda step: (sum(map(abs, step[0])), step[0]))
+        for e, s in steps:
+            self.visited += 1
+            if self.visited > self.budget:
+                raise BudgetExceededError(
+                    f"subgroup trajectory visited more than {self.budget} monoid elements",
+                    completed=s,
+                )
+            images = self._images[e] = self._seed_images(e, s)
+            for x in images:
+                if x not in seen:
+                    seen.add(x)
+                    if x not in seen_before:
+                        self._echelon.insert(self._flat(x, grow=True))
+
+
+def identity_generator_cases():
+    """(alpha, seed, net, prefix, mask): actions with one or two generators
+    that act as the identity, on finite products and direct sums, over
+    nested and restarting nets; mask marks the generators left live."""
+    sc, monoid, group, vanishing = scenario_parts("quotient-vanishing")
+    point = cli.parse_seed(group, sc["seed"])
+    yield vanishing, point, box_net(monoid), 8, (0, 1)
+    yield vanishing, point, sliding_net(monoid, 2), 4, (0, 1)
+    yield vanishing, point, translate_net(box_net(monoid), ms(monoid, [(3, 0), (0, -2)])), 4, (0, 1)
+
+    n2 = FreeCommutative(2)
+    flat = FiniteProduct((4, 6))
+    phi = MatrixEndo(flat, ((1, 2), (0, 5)))
+    alpha = Action(n2, flat, [phi, identity_endo(flat)])
+    yield alpha, Subgroup.generated(flat, [(1, 0)]), box_net(n2), 6, (1, 0)
+    yield alpha, Subgroup.generated(flat, [(1, 1)]), sliding_net(n2, 2), 4, (1, 0)
+    still = Action(n2, flat, [identity_endo(flat)] * 2)
+    yield still, Subgroup.generated(flat, [(1, 3)]), box_net(n2), 4, (0, 0)
+
+    z3 = FreeAbelian(3)
+    base = FiniteProduct((2, 3))
+    line = DirectSum(base, Z1)
+    twist = MatrixEndo(base, ((1, 0), (0, 2)))
+    alpha = Action(z3, line, [identity_endo(line), shift_endo(line, (1,), twist), identity_endo(line)])
+    seed = Subgroup.generated(line, [line.element({(0,): (1, 1)}),
+                                     line.element({(0,): (0, 1), (2,): (1, 0)})])
+    yield alpha, seed, box_net(z3), 3, (0, 1, 0)
+    yield alpha, seed, sliding_net(z3, 3), 2, (0, 1, 0)
+
+    plane = DirectSum(FiniteProduct((3,)), FreeAbelian(2))
+    z2 = FreeAbelian(2)
+    alpha = Action(z2, plane, [shift_endo(plane, (1, 0)), shift_endo(plane, (0, 0))])
+    seed = Subgroup.generated(plane, [plane.element({(0, 0): (1,), (0, 1): (2,)})])
+    yield alpha, seed, box_net(z2), 5, (1, 0)
+
+    product = ProductMonoid((FiniteAbelianMonoid((3,)), Z1))
+    square = FiniteProduct((7, 7))
+    alpha = Action(product, square, [identity_endo(square), MatrixEndo(square, ((3, 0), (0, 5)))])
+    yield alpha, Subgroup.generated(square, [(1, 1)]), box_net(product), 5, (0, 1)
+    yield alpha, Subgroup.generated(square, [(1, 0)]), product_net(box_net(FiniteAbelianMonoid((3,))),
+                                                                   box_net(Z1)), 5, (0, 1)
+
+    # xi alpha xi^{-1} with the identity generator is not recognised as
+    # the identity, so the conjugated action takes the full walk
+    beta = conjugate_action(vanishing, GroupIso.negation(group), MonoidIso.negation(monoid))
+    yield beta, point, box_net(monoid), 4, None
+
+
+@pytest.mark.parametrize("alpha, seed, net, prefix, mask", list(identity_generator_cases()))
+def test_live_keys_match_the_full_walk(alpha, seed, net, prefix, mask):
+    engine, oracle = _GrowingTrajectory(alpha, seed), FullWalkTrajectory(alpha, seed)
+    assert engine._mask == mask
+    assert list(_counts_along(engine, net, prefix)) == list(_counts_along(oracle, net, prefix))
+    assert engine.visited == oracle.visited
+
+
+def stop_of(engine, net, prefix):
+    """The counts along the net, or where the budget stopped them."""
+    try:
+        return list(_counts_along(engine, net, prefix))
+    except BudgetExceededError as err:
+        return str(err), err.completed, err.index
+
+
+def test_budget_stops_where_the_full_walk_stops(tmp_path):
+    """Budgets at each shell boundary of quotient-vanishing and one element
+    to either side stop at the element and net index of the per-element
+    rule, and exit 3 names them."""
+    sc, monoid, group, alpha = scenario_parts("quotient-vanishing")
+    seed, net, prefix = cli.parse_seed(group, sc["seed"]), box_net(monoid), 8
+    sizes = [(2 * i + 1) ** 2 for i in range(1, prefix + 1)]
+    for budget in sorted(size + d for size in sizes for d in (-1, 0, 1)):
+        got = stop_of(_GrowingTrajectory(alpha, seed, budget), net, prefix)
+        want = stop_of(FullWalkTrajectory(alpha, seed, budget), net, prefix)
+        assert got == want, budget
+        code, message = cli.run_scenario("quotient-vanishing", tmp_path, prefix, budget)
+        if isinstance(want, list):
+            assert code == 0, message
+        else:
+            text, completed, index = want
+            assert (code, message) == (
+                3, f"budget exceeded: {text} (ran out at {completed}, net index {index})"
+            ), budget
+
+
+def test_bridge_on_an_action_through_a_quotient_stays_exact(tmp_path, monkeypatch):
+    """The trajectory side walks live keys, the cotrajectory side every
+    element; their orders still agree at every index."""
+    sc = dict(cli.BUILTINS["quotient-vanishing"], kind="bridge", prefix=8,
+              checks=[{"type": "exact_rows"}])
+    sc.pop("demonstrates")
+    source = tmp_path / "bridge-through-quotient.json"
+    source.write_text(json.dumps(sc))
+    seed_images, walked = _GrowingTrajectory._seed_images, []
+    monkeypatch.setattr(_GrowingTrajectory, "_seed_images",
+                        lambda self, e, s: walked.append(e) or seed_images(self, e, s))
+    code, message = cli.run_scenario(str(source), tmp_path)
+    assert code == 0, message
+    assert len(walked) == 2 * 8 + 1
+    rows = (tmp_path / "bridge-through-quotient.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8 and all(row.endswith(",0.0") for row in rows)
+
+
+def test_tuple_sums_stop_at_the_budget(tmp_path):
+    """x -> 5x on Z^2 with the 25 digits {0..4}^2: |T_n| = 25^n, so at a
+    budget of 25^3 the fourth element's image would make 25 times the
+    budget.  The sum stops within one translate of the budget instead."""
+    import tracemalloc
+
+    scenario = {
+        "kind": "entropy",
+        "monoid": {"family": "N^d", "dim": 1},
+        "group": {"family": "free", "rank": 2},
+        "action": {"generators": [{"kind": "matrix", "rows": [[5, 0], [0, 5]]}]},
+        "seed": {"set": [[a, b] for a in range(5) for b in range(5)]},
+        "net": {"family": "box"},
+    }
+    source = tmp_path / "wide-digits.json"
+    source.write_text(json.dumps(scenario))
+    tracemalloc.start()
+    try:
+        code, message = cli.run_scenario(str(source), prefix=6, budget=25**3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, message) == (
+        3, "budget exceeded: trajectory exceeded 15625 elements (ran out at (3,), net index 4)"
+    )
+    assert peak < 16 * 2**20  # the whole sum of 25^4 tuples took 53 MB
