@@ -488,13 +488,14 @@ class _IncrementalTrajectory:
 
     On Z the sum is a bitset: bit i of ``_bits`` stands for the point
     ``_low + i``, so adding an image Y is the OR of |Y| shifts and the
-    count is a popcount.  A sum whose span would pass 64 bits per pair
-    x + y that the tuple route would add, and 2^23 bits (1 MB) in any case,
-    unpacks once and goes on with ``group.sumset``: the only route for
-    sparse sets on Z and for every other group.  A sum there that could
-    pass the budget (|T| |Y| > budget) is built one translate T + y at a
-    time and stops once its count passes, so no step holds more than the
-    budget plus one translate.
+    count is a popcount.  A sum whose span would pass both 2^23 bits
+    (1 MB) and 64 bits per pair x + y that the tuple route would add, at
+    most ``budget`` pairs counted, unpacks once and goes on with
+    ``group.sumset``: the only route for sparse sets on Z and for every
+    other group.  That route adds Y one translate T + y at a time and stops
+    once the count passes the budget, so no step holds more than the
+    budget plus one translate, and no bitset spans more than 64 bits per
+    element of the budget, or 2^23 bits if that is more.
     """
 
     def __init__(self, alpha, x: FiniteSubset, budget):
@@ -541,7 +542,7 @@ class _IncrementalTrajectory:
             ys = [y for (y,) in img]
             low = min(ys)
             span = self._bits.bit_length() + max(ys) - low
-            if span <= 64 * max(self.count * len(ys), 1 << 17):
+            if span <= 64 * max(min(self.count * len(ys), self.budget), 1 << 17):
                 bits, acc = self._bits, 0
                 for y in ys:
                     acc |= bits << (y - low)
@@ -549,17 +550,13 @@ class _IncrementalTrajectory:
                 self.count = acc.bit_count()
                 return
             self._set = self.elements()
-        old, sumset = self._set, self.alpha.group.sumset
-        if len(old) * len(img) <= self.budget:
-            self._set = sumset(old, img)
-        else:
-            out = set()
-            for y in img:
-                out |= sumset(old, (y,))
-                if len(out) > self.budget:
-                    break
-            self._set = frozenset(out)
-        self.count = len(self._set)
+        old, sumset, out = self._set, self.alpha.group.sumset, set()
+        for y in img:
+            out.update(sumset(old, (y,)))
+            if len(out) > self.budget:
+                break
+        self._set = frozenset(out)
+        self.count = len(out)
 
     def elements(self) -> frozenset:
         """The elements of the current T_F(X)."""

@@ -1203,3 +1203,32 @@ def test_tuple_sums_stop_at_the_budget(tmp_path):
         3, "budget exceeded: trajectory exceeded 15625 elements (ran out at (3,), net index 4)"
     )
     assert peak < 16 * 2**20  # the whole sum of 25^4 tuples took 53 MB
+
+
+def test_bitset_sums_stay_within_the_budget(tmp_path):
+    """x -> 1024x on Z with the seed 64 {0..1023}: T_1 fills the budget of
+    1024 points, and T_2 would span 2^26 bits, 64 per pair x + y of 1024 x
+    1024.  Past the budget those pairs do not count, so the sum unpacks to
+    tuples and stops within one translate of the budget."""
+    import tracemalloc
+
+    scenario = {
+        "kind": "entropy",
+        "monoid": {"family": "N^d", "dim": 1},
+        "group": {"family": "free", "rank": 1},
+        "action": {"generators": [{"kind": "matrix", "rows": [[1024]]}]},
+        "seed": {"set": [[64 * k] for k in range(1024)]},
+        "net": {"family": "box"},
+    }
+    source = tmp_path / "wide-gaps.json"
+    source.write_text(json.dumps(scenario))
+    tracemalloc.start()
+    try:
+        code, message = cli.run_scenario(str(source), prefix=4, budget=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, message) == (
+        3, "budget exceeded: trajectory exceeded 1024 elements (ran out at (1,), net index 2)"
+    )
+    assert peak < 4 * 2**20  # T_2 as a bitset peaks at 26 MB
