@@ -104,6 +104,7 @@ from .integral import (
     theta_function,
 )
 from .monoid import (
+    BoxSubset,
     CappedAdd,
     FiniteAbelianMonoid,
     FreeAbelian,

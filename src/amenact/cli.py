@@ -22,7 +22,6 @@ import math
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import product as iproduct
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -62,6 +61,7 @@ from .folner import (
 )
 from .integral import card, card_pi, constant, fubini_check, integral
 from .monoid import (
+    BoxSubset,
     FiniteAbelianMonoid,
     FreeAbelian,
     FreeCommutative,
@@ -490,7 +490,7 @@ def _run_tiling(sc, prefix, budget):
     monoid = FreeAbelian(sc["dim"])
 
     def box(side):
-        return MSubset(monoid, frozenset(iproduct(range(side), repeat=sc["dim"])))
+        return BoxSubset(monoid, (0,) * sc["dim"], (side - 1,) * sc["dim"])
 
     region, tiles = box(sc["region"]), [box(side) for side in sc["tiles"]]
     eps = Fraction(sc["epsilon"])

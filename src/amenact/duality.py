@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import add, mul
 
 from . import lattices
 from .abelian import (
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along
 from .integral import IntegralEstimate, IntegralRow
-from .monoid import MSubset
+from .monoid import FreeAbelian, MSubset
 from .tables import csv_table
 
 SUBGROUP_LATTICE_BUDGET = 2**13  # the largest group order subgroup_lattice enumerates
@@ -192,16 +193,21 @@ def annihilator_window(space: DirectSum, b: Subgroup) -> OpenSubgroup:
 
 
 class ProfiniteShiftAction:
-    """The adjoint index-translation action on K^I, ``space`` = K^(I): the
-    dual of the shift on the direct sum moves constraints forward by s."""
+    """The adjoint index-translation action on K^I, ``space`` = K^(I): when
+    generator j shifts the direct sum by ``shifts[j]``, the dual moves
+    constraints forward by sum_j e_j(s) shifts[j], e(s) the exponents of s
+    over the monoid's generators."""
 
-    def __init__(self, space: DirectSum, monoid):
+    def __init__(self, space: DirectSum, monoid, shifts):
         self.space = space
         self.monoid = monoid
+        # entry k of every shift, per index coordinate k (none if no generator)
+        self._columns = list(zip(*shifts)) or [()] * space.index.dim
 
     def translate_support(self, support, s):
-        op = self.space.index.op
-        return tuple(sorted(op(i, s) for i in support))
+        exponents = self.monoid.generator_exponents(s)
+        move = [sum(map(mul, exponents, col)) for col in self._columns]
+        return tuple(sorted(tuple(map(add, i, move)) for i in support))
 
 
 def cotrajectory_window(
@@ -377,7 +383,11 @@ def _dual_pair(alpha: Action, b: Subgroup):
     for phi in alpha.gen_endos:
         if not isinstance(phi, ShiftEndo) or phi.base is not None:
             raise UndecidableFamilyError("bridge on direct sums needs pure shifts")
-    return ProfiniteShiftAction(group, alpha.monoid), annihilator_window(group, b)
+        if not isinstance(group.index, FreeAbelian) and min(phi.shift, default=0) < 0:
+            # a coordinate shifted out of the index is annihilated, which no translate shows
+            raise UndecidableFamilyError("bridge on a one-sided index needs shifts that stay in it")
+    shifts = [phi.shift for phi in alpha.gen_endos]
+    return ProfiniteShiftAction(group, alpha.monoid, shifts), annihilator_window(group, b)
 
 
 def bridge_check(

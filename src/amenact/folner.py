@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product as iproduct
 from itertools import repeat
 from math import isqrt, prod
@@ -24,6 +24,7 @@ from .errors import (
     UndecidableFamilyError,
 )
 from .monoid import (
+    BoxSubset,
     FiniteAbelianMonoid,
     FreeAbelian,
     FreeCommutative,
@@ -124,27 +125,27 @@ def _has_folner_boxes(monoid) -> bool:
 
 
 def _box_axes(monoid):
-    """window(n) as a product of axes: one per coordinate of N^d and Z^d,
-    one for a finite group.  An axis is a pair of maps from n to its
-    coordinate blocks in window(n) (none at n = 0) and to the blocks that
-    are new at n."""
+    """window(n) as a product of axes, one per coordinate: a coordinate of
+    N^d or Z^d, or one factor Z/m of a finite group.  An axis is a pair of
+    maps from n to its values in window(n) (none at n = 0) and to the
+    values that are new at n."""
     if isinstance(monoid, ProductMonoid):
         return [axis for p in monoid.parts for axis in _box_axes(p)]
     if isinstance(monoid, FreeCommutative):
-        return [(lambda n: [(a,) for a in range(n)], lambda n: [(n - 1,)] if n else [])] * monoid.dim
+        return [(range, lambda n: [n - 1] if n else [])] * monoid.dim
     if isinstance(monoid, FreeAbelian):
         def new(n):
-            return [(-n,), (n,)] if n > 1 else [(-1,), (0,), (1,)] if n else []
+            return [-n, n] if n > 1 else [-1, 0, 1] if n else []
 
-        return [(lambda n: [(a,) for a in range(-n, n + 1)] if n else [], new)] * monoid.dim
-    return [(lambda n: list(monoid.elements()) if n else [],
-             lambda n: list(monoid.elements()) if n == 1 else [])]
+        return [(lambda n: range(-n, n + 1) if n else [], new)] * monoid.dim
+    return [(lambda n, m=m: range(m) if n else [], lambda n, m=m: range(m) if n == 1 else [])
+            for m in monoid.factors]
 
 
 def _box_shell(axes, i: int) -> frozenset:
     """F_i \\ F_{i-1} for the box over ``axes``, as disjoint parts: in part
-    k, axis k takes its blocks new at i, the axes before it their blocks in
-    F_{i-1} and the axes after it their blocks in F_i."""
+    k, axis k takes its values new at i, the axes before it their values in
+    F_{i-1} and the axes after it their values in F_i."""
     if not axes:
         return frozenset({()}) if i == 1 else frozenset()
     out = []
@@ -153,7 +154,7 @@ def _box_shell(axes, i: int) -> frozenset:
         if fresh:
             before = [box(i - 1) for box, _ in axes[:k]]
             after = [box(i) for box, _ in axes[k + 1 :]]
-            out.extend(sum(c, ()) for c in iproduct(*before, fresh, *after))
+            out.extend(iproduct(*before, fresh, *after))
     return frozenset(out)
 
 
@@ -578,15 +579,25 @@ def _require_lattice(monoid):
 
 
 class _Cells:
-    """A nonempty finite set of cells of Z^d as coordinate columns, with its
-    bounding box lo..hi."""
+    """A nonempty finite subset of N^d or Z^d with its bounding box lo..hi
+    and its coordinate columns.  A BoxSubset is read by its corners, and
+    its columns are built only when they are asked for; any other subset
+    is read by its cells."""
 
-    def __init__(self, cells):
-        self.size = len(cells)
+    def __init__(self, subset: MSubset):
+        self.subset = subset
+        self.size = len(subset)
+        if isinstance(subset, BoxSubset):
+            self.lo, self.hi = subset.lo, subset.hi
+        else:
+            self.lo = [min(c) for c in self.cols]
+            self.hi = [max(c) for c in self.cols]
+
+    @cached_property
+    def cols(self) -> list:
+        cells = self.subset.elements
         # one pass per coordinate: zip(*cells) would make an iterator per cell
-        self.cols = [list(map(itemgetter(k), cells)) for k in range(len(next(iter(cells))))]
-        self.lo = [min(c) for c in self.cols]
-        self.hi = [max(c) for c in self.cols]
+        return [list(map(itemgetter(k), cells)) for k in range(self.subset.monoid.dim)]
 
     def is_box(self) -> bool:
         """The cells fill their bounding box."""
@@ -655,7 +666,8 @@ def check_tiling(d_set: MSubset, witness: TilingWitness, eps) -> TilingReport:
     """Verify the tiling clauses exactly and report all margins.
 
     Cells are bits of a frame that holds D and every placed cell; a frame
-    over FRAME_BUDGET cells raises BudgetExceededError.  A family
+    over FRAME_BUDGET cells raises BudgetExceededError.  A BoxSubset region
+    is read by its bounds, any other region by its cells.  A family
     (s F_j)_{s in P_j} is disjoint exactly when the product of the masks of
     P_j and F_j makes no carry, and then that product is its union; a family
     that overlaps is handed to is_eps_disjoint."""
@@ -663,14 +675,14 @@ def check_tiling(d_set: MSubset, witness: TilingWitness, eps) -> TilingReport:
     monoid = d_set.monoid
     _require_lattice(monoid)
     families = [
-        (_Cells(t.elements), _Cells(c.elements), t, c)
+        (_Cells(t), _Cells(c), t, c)
         for t, c in zip(witness.tiles, witness.centers)
         if len(t) and len(c)
     ]
     union = placed = 0
     within = inside = True
     if families:
-        region = _Cells(d_set.elements) if len(d_set) else None
+        region = _Cells(d_set) if len(d_set) else None
         boxes = [(region.lo, region.hi)] if region else []
         boxes += [(list(map(add, t.lo, c.lo)), list(map(add, t.hi, c.hi))) for t, c, *_ in families]
         lows, highs = zip(*boxes)
@@ -743,8 +755,11 @@ def greedy_tiler(d_set: MSubset, tiles, eps, *, validate=True):
     uncovered fraction drops below eps.  D lives in a frame of N^d or Z^d,
     D's bounding box grown on each side by the tiles' reach, so that every
     cell s + t and every s + (t - t') stays in the frame; a frame over
-    FRAME_BUDGET cells raises BudgetExceededError.  A tile reaching
-    further than D's extent cannot fit and is skipped.  Per tile the
+    FRAME_BUDGET cells raises BudgetExceededError.  A BoxSubset region is
+    read by its bounds and its bits are written row by row, so none of
+    its cells is built; any other region is read by its cells.  A tile's
+    cells give the shifts of the scan, and a tile reaching further than
+    D's extent cannot fit and is skipped.  Per tile the
     centers that fit are D and the |F_j| shifts of the free cells; taking
     the lowest one (``_first_fit``) rules out the centers s + (t - t').
     With ``validate`` the witness is checked with check_tiling and None is
@@ -758,11 +773,11 @@ def greedy_tiler(d_set: MSubset, tiles, eps, *, validate=True):
     d = len(d_set)
     shapes = {}  # tile position -> its cells, for the tiles that fit in D
     if d:
-        region = _Cells(d_set.elements)
+        region = _Cells(d_set)
         room = list(map(sub, region.hi, region.lo))
         reach = [0] * monoid.dim
         for j, tile in enumerate(tiles):
-            shape = _Cells(tile.elements) if len(tile) else None  # empty: fits anywhere
+            shape = _Cells(tile) if len(tile) else None  # empty: fits anywhere
             if shape:
                 need = [max(b, -a, b - a) for a, b in zip(shape.lo, shape.hi)]
                 if any(map(gt, need, room)):
@@ -782,10 +797,11 @@ def greedy_tiler(d_set: MSubset, tiles, eps, *, validate=True):
             for r in offsets:
                 fits &= free >> r if r >= 0 else free << -r
                 clash |= body >> (r - low)  # the bits t - t' >= 0
+            size, num, den = len(tile), eps.numerator, eps.denominator
             for at in _first_fit(fits, clash):
                 chosen.append(at)
-                covered += len(tile)
-                if (d - covered) * eps.denominator < eps.numerator * d:  # d - covered < eps d
+                covered += size
+                if (d - covered) * den < num * d:  # d - covered < eps d
                     done = True
                     break
             free ^= _pack(chosen, -low) * body  # disjoint translates: no carry

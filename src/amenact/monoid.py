@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
+from math import prod
 from operator import add
 
 from .errors import (
@@ -394,6 +395,52 @@ class MSubset:
         """Right translate F*s."""
         op = self.monoid.op
         return MSubset(self.monoid, frozenset(op(f, s) for f in self.elements))
+
+
+class BoxSubset(MSubset):
+    """The box lo..hi (both corners included) of N^d or Z^d, kept as its
+    corners: its size is the product of its sides, and its cells are built
+    only when ``elements`` is read.  It equals the MSubset of the same
+    cells; a side below 1 makes it empty."""
+
+    def __init__(self, monoid, lo, hi):
+        lo, hi = tuple(lo), tuple(hi)
+        if not isinstance(monoid, (FreeCommutative, FreeAbelian)) or not len(lo) == len(hi) == monoid.dim:
+            raise MonoidMismatchError(f"no box {lo}..{hi} in {monoid}")
+        object.__setattr__(self, "monoid", monoid)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "size", prod(max(b - a + 1, 0) for a, b in zip(lo, hi)))
+        if self.size and not monoid.contains(lo):
+            raise MonoidMismatchError(f"{lo} is not an element of {monoid}")
+
+    @cached_property
+    def elements(self) -> frozenset:
+        return frozenset(self)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        """The cells in sorted (lexicographic) order."""
+        return iproduct(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
+
+    def __contains__(self, x):
+        return len(x) == len(self.lo) and all(a <= c <= b for a, c, b in zip(self.lo, x, self.hi))
+
+    def __eq__(self, other):
+        if not isinstance(other, MSubset):
+            return NotImplemented
+        if self.monoid != other.monoid or len(self) != len(other):
+            return False
+        if isinstance(other, BoxSubset) and self.size:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return all(map(self.__contains__, other.elements))  # equal sizes, no repeats
+
+    __hash__ = MSubset.__hash__
+
+    def __repr__(self):
+        return f"BoxSubset({self.monoid}, {self.lo}, {self.hi})"
 
 
 def _same_monoid(F, E):

@@ -1,5 +1,6 @@
 """duality-bridge: pairings, annihilators, cotrajectories, the bridge."""
 
+import json
 import math
 import operator
 import random
@@ -34,7 +35,7 @@ from amenact.duality import (
     subgroup_lattice,
     vanishing_subgroup,
 )
-from amenact.errors import GroupMismatchError
+from amenact.errors import GroupMismatchError, UndecidableFamilyError
 from amenact.folner import FolnerNet, _counts_along, box_net
 from amenact.monoid import (
     FiniteAbelianMonoid,
@@ -240,7 +241,7 @@ def test_vanishing_subgroup_refuses_a_coordinate_outside_the_index_monoid():
 
 def test_cotrajectory_window_shift_stacks_constraints():
     space = shift_space(2)
-    gamma = ProfiniteShiftAction(space, N1)
+    gamma = ProfiniteShiftAction(space, N1, [(1,)])
     u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
     for n in (1, 2, 5):
         cot = cotrajectory_window(gamma, ms(N1, [(i,) for i in range(n)]), u)
@@ -250,7 +251,7 @@ def test_cotrajectory_window_shift_stacks_constraints():
 def test_cotrajectory_window_brute_force_oracle():
     # count solutions over K^{0..4} directly
     space = shift_space(2)
-    gamma = ProfiniteShiftAction(space, N1)
+    gamma = ProfiniteShiftAction(space, N1, [(1,)])
     u = vanishing_subgroup(space, [(0,), (2,)], Subgroup.trivial(space.base))
     f = ms(N1, [(0,), (1,)])
     cot = cotrajectory_window(gamma, f, u)
@@ -269,7 +270,7 @@ def test_cotrajectory_window_reaches_new_coordinates_exactly():
     # F = {0, 3} moves U's constraint at 0 to 3: the coordinates 0..3 all
     # exist at once, and the index is the brute-force one over K^{0..3}
     space = shift_space(2)
-    gamma = ProfiniteShiftAction(space, N1)
+    gamma = ProfiniteShiftAction(space, N1, [(1,)])
     u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
     f = ms(N1, [(0,), (3,)])
     cot = cotrajectory_window(gamma, f, u)
@@ -282,7 +283,7 @@ def test_cotrajectory_window_reaches_new_coordinates_exactly():
 
 def test_h_top_shift_is_log_p():
     space = shift_space(5)
-    gamma = ProfiniteShiftAction(space, N1)
+    gamma = ProfiniteShiftAction(space, N1, [(1,)])
     u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
     est = h_top_estimate(gamma, u, box_net(N1), 8)
     for row in est.rows:
@@ -292,7 +293,7 @@ def test_h_top_shift_is_log_p():
 def test_h_top_shift_is_log_p_at_prefix_30():
     # no extent is fixed in advance: F_30 = [0, 30) reaches 30 coordinates
     space = shift_space(3)
-    gamma = ProfiniteShiftAction(space, N1)
+    gamma = ProfiniteShiftAction(space, N1, [(1,)])
     u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
     est = h_top_estimate(gamma, u, box_net(N1), 30)
     assert len(est.rows) == 30
@@ -359,6 +360,54 @@ def test_bridge_finite_monoid_finite_group():
     assert report.exact_at_every_index
     assert report.algebraic_tail == pytest.approx(math.log(8) / 2)
     assert report.topological_tail == pytest.approx(math.log(8) / 2)
+
+
+# --- supports move by the generators' shift vectors ---------------------------
+
+def test_translate_support_moves_by_the_shift_vectors():
+    space = shift_space(2)
+    assert ProfiniteShiftAction(space, N1, [(1,)]).translate_support(((0,), (2,)), (3,)) == ((3,), (5,))
+    assert ProfiniteShiftAction(space, FreeCommutative(0), []).translate_support(((4,),), ()) == ((4,),)
+    by_two = ProfiniteShiftAction(space, N1, [(2,)])
+    assert by_two.translate_support(((0,), (2,)), (3,)) == ((6,), (8,))
+    line = ProfiniteShiftAction(DirectSum(FiniteProduct((2,)), Z1), FreeAbelian(2), [(0,), (1,)])
+    assert line.translate_support(((0,), (1,)), (5, -2)) == ((-2,), (-1,))
+
+
+def test_bridge_holds_for_a_shift_by_two(tmp_path):
+    # <e_0, e_1> under the shift by 2 spans e_0..e_{2n-1} over F_n = [0, n):
+    # the cotrajectory must move U's constraints by 2s, not by s
+    sc = dict(cli.BUILTINS["bridge-bernoulli"], checks=[{"type": "exact_rows"}])
+    sc["action"] = {"generators": [{"kind": "shift", "by": [2]}]}
+    sc["seed"] = {"subgroup_basis": [[[[0], [1]]], [[[1], [1]]]]}
+    path = tmp_path / "bridge-shift-by-two.json"
+    path.write_text(json.dumps(sc))
+    code, message = cli.run_scenario(str(path), out_dir=tmp_path, prefix=4)
+    assert code == 0, message
+    alpha, b, net = cli._action_parts(sc)
+    report = bridge_check(alpha, b, net, 6)
+    assert report.exact_at_every_index
+    assert [r.log_index for r in report.rows] == pytest.approx([2 * n * math.log(2) for n in range(1, 7)])
+
+
+def test_bridge_holds_for_quotient_vanishing_on_a_line_net():
+    # Z^2 acts through its second coordinate only, so along
+    # F_n = {(a, 0) : |a| <= n} nothing moves and both sides stay at log 2
+    alpha, b, _ = cli._action_parts(cli.BUILTINS["quotient-vanishing"])
+    m = alpha.monoid
+    line = FolnerNet(m, lambda n: MSubset(m, frozenset((a, 0) for a in range(-n, n + 1))), "line")
+    report = bridge_check(alpha, b, line, 4)
+    assert report.exact_at_every_index
+    assert [r.log_index for r in report.rows] == pytest.approx([math.log(2)] * 4)
+
+
+def test_bridge_refuses_a_shift_out_of_a_one_sided_index():
+    # the truncating shift annihilates what leaves N, which no translate shows
+    group = DirectSum(FiniteProduct((2,)), N1)
+    alpha = Action(N1, group, [shift_endo(group, (-1,))])
+    b = Subgroup.generated(group, [group.basis_vector((0,))])
+    with pytest.raises(UndecidableFamilyError):
+        _dual_pair(alpha, b)
 
 
 # --- enumeration oracles -------------------------------------------------------
