@@ -24,6 +24,7 @@ from .errors import (
     BudgetExceededError,
     GroupMismatchError,
     InconsistentSubgroupError,
+    UndecidableFamilyError,
     UnsupportedQuotientError,
 )
 from .monoid import Monoid
@@ -369,19 +370,18 @@ def _moduli_rows(factors):
 
 
 class Subgroup:
-    """A subgroup given by finitely many generators, or coordinatewise.
+    """A finitely generated subgroup of FreeZ or of a FiniteProduct, or a
+    finitely supported subgroup of a DirectSum, canonicalized through the
+    Hermite form of its generators plus the modulus rows.
 
-    ``Subgroup.generated(A, gens)`` covers FreeZ, FiniteProduct, and
-    finitely supported subgroups of a DirectSum.  ``Subgroup.percoord(A,
-    B0)`` is the diagonal subgroup B0^(index) of a DirectSum, which is how
+    ``Subgroup.percoord(A, B0)`` builds a ``PercoordSubgroup`` instead: the
+    coordinatewise subgroup B0^(index) of a DirectSum, which is how
     invariant subgroups like 2A enter the Addition Theorem checks.
     """
 
-    def __init__(self, group, kind, gens=(), base_subgroup=None):
+    def __init__(self, group, gens=()):
         self.group = group
-        self.kind = kind
         self.gens = tuple(gens)
-        self.base_subgroup = base_subgroup
         self._data = None
         self._key = None
 
@@ -390,12 +390,11 @@ class Subgroup:
     @classmethod
     def generated(cls, group, gens):
         gens = tuple(group.element(g) if not group.contains(g) else g for g in gens)
-        gens = tuple(g for g in gens if g != group.zero)
-        return cls(group, "fg", gens)
+        return Subgroup(group, (g for g in gens if g != group.zero))
 
     @classmethod
     def trivial(cls, group):
-        return cls(group, "fg", ())
+        return Subgroup(group)
 
     @classmethod
     def full(cls, group):
@@ -407,12 +406,12 @@ class Subgroup:
         raise UnsupportedQuotientError(f"no full subgroup for {group}")
 
     @classmethod
-    def percoord(cls, group: DirectSum, base_subgroup: "Subgroup"):
+    def percoord(cls, group: DirectSum, base: "Subgroup"):
         if not isinstance(group, DirectSum):
             raise GroupMismatchError("percoord subgroups live in direct sums")
-        if base_subgroup.group != group.base:
+        if base.group != group.base:
             raise GroupMismatchError("base subgroup must live in the base group")
-        return cls(group, "percoord", base_subgroup=base_subgroup)
+        return PercoordSubgroup(group, base)
 
     # canonical data --------------------------------------------------------
 
@@ -421,8 +420,6 @@ class Subgroup:
         if self._data is not None:
             return self._data
         g = self.group
-        if self.kind == "percoord":
-            raise AssertionError("percoord subgroups have no flat form")
         if isinstance(g, FreeZ):
             basis = lattices.hnf([list(x) for x in self.gens], g.rank)
             order = 1 if not basis else math.inf
@@ -449,41 +446,25 @@ class Subgroup:
     # queries ----------------------------------------------------------------
 
     def order(self):
-        if self.kind == "percoord":
-            b = self.base_subgroup.order()
-            if b == 1:
-                return 1
-            if self.group.index.is_finite:
-                return b ** len(self.group.index.window(1))
-            return math.inf
         return self._flat()[2]
 
     def contains(self, x) -> bool:
-        if self.kind == "percoord":
-            return all(self.base_subgroup.contains(v) for _, v in x)
-        g = self.group
-        if isinstance(g, DirectSum):
-            _, basis, _, window = self._flat()
+        _, basis, _, window = self._flat()
+        if isinstance(self.group, DirectSum):
             if any(i not in window for i, _ in x):
                 return False
-            return lattices.contains(basis, _flatten(g, x, window))
-        _, basis, _, _ = self._flat()
+            return lattices.contains(basis, _flatten(self.group, x, window))
         return lattices.contains(basis, list(x))
 
     def coset_key(self, x):
         """Canonical representative data of x + B; equal keys <=> same coset."""
-        if self.kind == "percoord":
-            bk = self.base_subgroup.coset_key
-            bz = self.base_subgroup.coset_key(self.group.base.zero)
-            return frozenset((i, key) for i, v in x if (key := bk(v)) != bz)
+        _, basis, _, window = self._flat()
         g = self.group
         if isinstance(g, DirectSum):
-            _, basis, _, window = self._flat()
             inside = [(i, v) for i, v in x if i in window]
             outside = frozenset((i, v) for i, v in x if i not in window)
             red = lattices.reduce_mod(basis, _flatten(g, frozenset(inside), window))
             return (red, outside)
-        _, basis, _, _ = self._flat()
         return lattices.reduce_mod(basis, list(x))
 
     def elements(self):
@@ -491,8 +472,6 @@ class Subgroup:
         o = self.order()
         if o == math.inf:
             raise BudgetExceededError("infinite subgroup")
-        if self.kind == "percoord":
-            raise UnsupportedQuotientError("enumerate percoord subgroups via the base")
         g = self.group
         seen = {g.zero}
         frontier = [g.zero]
@@ -514,25 +493,17 @@ class Subgroup:
     def join(self, other: "Subgroup") -> "Subgroup":
         if self.group != other.group:
             raise GroupMismatchError("subgroup join across different groups")
-        if self.kind == "percoord" and other.kind == "percoord":
-            return Subgroup.percoord(self.group, self.base_subgroup.join(other.base_subgroup))
-        if self.kind == "percoord" or other.kind == "percoord":
-            per, fg = (self, other) if self.kind == "percoord" else (other, self)
-            if all(per.contains(x) for x in fg.gens):
-                return per
-            raise UnsupportedQuotientError("mixed percoord/fg join is unsupported")
+        if isinstance(other, PercoordSubgroup):
+            return other.join(self)
         return Subgroup.generated(self.group, self.gens + other.gens)
 
     def canonical_key(self):
         """Equal keys <=> equal subgroups; built once, as ``_flat`` is."""
         if self._key is None:
-            if self.kind == "percoord":
-                self._key = ("percoord", self.base_subgroup.canonical_key())
-            else:
-                dim, basis, order, window = self._flat()
-                if isinstance(self.group, DirectSum):
-                    window, basis = _trim_window(self.group, window, basis)
-                self._key = ("fg", window, tuple(tuple(r) for r in basis))
+            dim, basis, order, window = self._flat()
+            if isinstance(self.group, DirectSum):
+                window, basis = _trim_window(self.group, window, basis)
+            self._key = ("fg", window, tuple(tuple(r) for r in basis))
         return self._key
 
     def __eq__(self, other):
@@ -546,9 +517,166 @@ class Subgroup:
         return hash((self.group, self.canonical_key()))
 
     def __repr__(self):
-        if self.kind == "percoord":
-            return f"Subgroup.percoord({self.base_subgroup!r})"
         return f"Subgroup<{len(self.gens)} gens, order {self.order()}>"
+
+    # presentations -----------------------------------------------------------
+
+    def _as_group(self):
+        g = self.group
+        if isinstance(g, FreeZ):
+            rows = [list(r) for r in self._flat()[1]]
+
+            def embed(t):
+                return tuple(sum(c * row[j] for c, row in zip(t, rows)) for j in range(g.rank))
+
+            def express(y):
+                combo = lattices.express(rows, g.rank, list(y))
+                if combo is None:
+                    raise GroupMismatchError("element is outside the subgroup")
+                return tuple(combo)
+
+            return FreeZ(len(rows)), embed, express
+        if isinstance(g, DirectSum):
+            _, basis, _, window = self._flat()
+            flat = FiniteProduct(g.base.factors * len(window))
+            flat_sub = Subgroup.generated(flat, [tuple(r % n for r, n in zip(row, flat.factors)) for row in basis])
+            new, f_embed, f_express = flat_sub._as_group()
+            k = len(g.base.factors)
+
+            def embed(t):
+                flat_el = f_embed(t)
+                return frozenset(
+                    (i, v)
+                    for pos, i in enumerate(window)
+                    if (v := flat_el[pos * k : (pos + 1) * k]) != g.base.zero
+                )
+
+            def express(y):
+                return f_express(tuple(_flatten(g, y, window)))
+
+            return new, embed, express
+
+        # finite product: present B as Z^m / relations via Smith normal form
+        gens = [list(x) for x in self.gens]
+        if not gens:
+            return FiniteProduct(()), (lambda t: g.zero), (lambda y: ())
+        m, k = len(gens), len(g.factors)
+        stacked = gens + _moduli_rows(g.factors)
+        relations = [c[:m] for c in lattices.kernel(stacked, k)]
+        new, proj = _snf_quotient(FreeZ(m), relations, m)
+
+        def embed(t):
+            out = g.zero
+            for c, gen in zip(proj.section(t), gens):
+                out = g.add(out, g.scalar(c, tuple(gen)))
+            return out
+
+        def express(y):
+            combo = lattices.express(stacked, k, list(y))
+            if combo is None:
+                raise GroupMismatchError("element is outside the subgroup")
+            return proj(combo[:m])
+
+        return new, embed, express
+
+    def _quotient(self):
+        a = self.group
+        if not self.gens:
+            return a, IdentityProjection(a, a)
+        if isinstance(a, FiniteProduct):
+            rows = [list(x) for x in self.gens] + _moduli_rows(a.factors)
+            return _snf_quotient(a, rows, len(a.factors))
+        if isinstance(a, FreeZ):
+            basis = self._flat()[1]
+            if len(basis) == a.rank:
+                return _snf_quotient(a, basis, a.rank)
+            unit_cols = set()
+            for row in basis:
+                nz = [j for j, c in enumerate(row) if c]
+                if len(nz) != 1 or row[nz[0]] != 1:
+                    raise UnsupportedQuotientError(
+                        "free-group quotients need full rank or a unit coordinate sublattice"
+                    )
+                unit_cols.add(nz[0])
+            kept = tuple(j for j in range(a.rank) if j not in unit_cols)
+            target = FreeZ(len(kept))
+            return target, DropProjection(a, target, kept)
+        if isinstance(a, DirectSum):
+            raise UnsupportedQuotientError(
+                "direct-sum quotients are supported along coordinatewise subgroups only"
+            )
+        raise UnsupportedQuotientError(f"unsupported quotient of {a}")
+
+
+class PercoordSubgroup(Subgroup):
+    """B0^(index): the elements of a DirectSum whose every coordinate lies
+    in ``base`` = B0, a subgroup of the base group."""
+
+    def __init__(self, group: DirectSum, base: Subgroup):
+        self.group = group
+        self.base = base
+
+    def _flat(self):
+        raise UndecidableFamilyError("a coordinatewise subgroup has no finite support")
+
+    def order(self):
+        b = self.base.order()
+        if b == 1:
+            return 1
+        if self.group.index.is_finite:
+            return b ** len(self.group.index.window(1))
+        return math.inf
+
+    def contains(self, x) -> bool:
+        return all(self.base.contains(v) for _, v in x)
+
+    def coset_key(self, x):
+        bk = self.base.coset_key
+        bz = bk(self.group.base.zero)
+        return frozenset((i, key) for i, v in x if (key := bk(v)) != bz)
+
+    def elements(self):
+        if self.order() == math.inf:
+            raise BudgetExceededError("infinite subgroup")
+        raise UnsupportedQuotientError("enumerate percoord subgroups via the base")
+
+    def join(self, other: Subgroup) -> Subgroup:
+        if self.group != other.group:
+            raise GroupMismatchError("subgroup join across different groups")
+        if isinstance(other, PercoordSubgroup):
+            return PercoordSubgroup(self.group, self.base.join(other.base))
+        if all(self.contains(x) for x in other.gens):
+            return self
+        raise UnsupportedQuotientError("mixed percoord/fg join is unsupported")
+
+    def canonical_key(self):
+        return ("percoord", self.base.canonical_key())
+
+    def __repr__(self):
+        return f"Subgroup.percoord({self.base!r})"
+
+    def _as_group(self):
+        g = self.group
+        base_g, base_embed, base_express = self.base._as_group()
+        if not base_g.factors:
+            return FiniteProduct(()), (lambda t: g.zero), (lambda x: ())
+        bzero = base_g.zero
+
+        def embed(x):
+            return frozenset((i, base_embed(v)) for i, v in x)
+
+        def express(y):
+            return frozenset((i, w) for i, v in y if (w := base_express(v)) != bzero)
+
+        return DirectSum(base_g, g.index), embed, express
+
+    def _quotient(self):
+        qbase, base_proj = self.base._quotient()
+        if qbase.order == 1:
+            target = FiniteProduct(())
+            return target, TrivialProjection(self.group, target)
+        target = DirectSum(qbase, self.group.index)
+        return target, PercoordProjection(self.group, target, base_proj)
 
 
 def _flatten(group: DirectSum, x, window):
@@ -597,82 +725,12 @@ def rel_ell(Y: FiniteSubset, B: Subgroup) -> float:
 def subgroup_as_group(B: Subgroup):
     """(G, embed, express): an abstract presentation of B.
 
-    ``G`` is a FiniteProduct (or FreeZ for free subgroups), ``embed`` maps
-    G-coordinates to elements of the ambient group, and ``express`` inverts
-    it on B.  This is what induced actions on invariant subgroups run on.
+    ``G`` is a FiniteProduct (FreeZ for subgroups of free groups, a
+    DirectSum for coordinatewise ones), ``embed`` maps G-coordinates to
+    elements of the ambient group, and ``express`` inverts it on B.  This
+    is what induced actions on invariant subgroups run on.
     """
-    g = B.group
-    if B.kind == "percoord":
-        base_g, base_embed, base_express = subgroup_as_group(B.base_subgroup)
-        new = DirectSum(base_g, g.index) if base_g.factors else FiniteProduct(())
-        if not base_g.factors:
-            return new, (lambda t: g.zero), (lambda x: ())
-        bzero = base_g.zero
-
-        def embed(x):
-            return frozenset((i, base_embed(v)) for i, v in x)
-
-        def express(y):
-            return frozenset((i, w) for i, v in y if (w := base_express(v)) != bzero)
-
-        return new, embed, express
-    if isinstance(g, FreeZ):
-        _, basis, _, _ = B._flat()
-        rows = [list(r) for r in basis]
-        new = FreeZ(len(rows))
-
-        def embed(t):
-            return tuple(sum(c * row[j] for c, row in zip(t, rows)) for j in range(g.rank))
-
-        def express(y):
-            combo = lattices.express(rows, g.rank, list(y))
-            if combo is None:
-                raise GroupMismatchError("element is outside the subgroup")
-            return tuple(combo)
-
-        return new, embed, express
-    if isinstance(g, DirectSum):
-        _, basis, _, window = B._flat()
-        flat = FiniteProduct(g.base.factors * len(window))
-        flat_sub = Subgroup.generated(flat, [tuple(r % n for r, n in zip(row, flat.factors)) for row in basis])
-        new, f_embed, f_express = subgroup_as_group(flat_sub)
-        k = len(g.base.factors)
-
-        def embed(t):
-            flat_el = f_embed(t)
-            return frozenset(
-                (i, v)
-                for pos, i in enumerate(window)
-                if (v := flat_el[pos * k : (pos + 1) * k]) != g.base.zero
-            )
-
-        def express(y):
-            return f_express(tuple(_flatten(g, y, window)))
-
-        return new, embed, express
-
-    # finite product: present B as Z^m / relations via Smith normal form
-    gens = [list(x) for x in B.gens]
-    if not gens:
-        return FiniteProduct(()), (lambda t: g.zero), (lambda y: ())
-    m, k = len(gens), len(g.factors)
-    stacked = gens + _moduli_rows(g.factors)
-    relations = [c[:m] for c in lattices.kernel(stacked, k)]
-    new, proj = _snf_quotient(FreeZ(m), relations, m)
-
-    def embed(t):
-        out = g.zero
-        for c, gen in zip(proj.section(t), gens):
-            out = g.add(out, g.scalar(c, tuple(gen)))
-        return out
-
-    def express(y):
-        combo = lattices.express(stacked, k, list(y))
-        if combo is None:
-            raise GroupMismatchError("element is outside the subgroup")
-        return proj(combo[:m])
-
-    return new, embed, express
+    return B._as_group()
 
 
 # ---------------------------------------------------------------------------
@@ -681,66 +739,92 @@ def subgroup_as_group(B: Subgroup):
 
 @dataclass(frozen=True)
 class QuotientProjection:
+    """The projection of ``source`` onto the quotient ``target``, with
+    ``section``, a set-theoretic right inverse; ``quotient_group`` builds
+    one subclass per shape of quotient."""
+
     source: AbelianGroup
     target: AbelianGroup
-    kind: str  # 'snf' | 'drop' | 'percoord' | 'identity' | 'trivial'
-    data: tuple = ()  # 'snf': (V, diag, kept, V^-1)
-
-    def __call__(self, x):
-        if self.kind == "identity":
-            return x
-        if self.kind == "trivial":
-            return self.target.zero
-        if self.kind == "snf":
-            v, diag, kept, _ = self.data
-            img = [sum(x[i] * v[i][j] for i in range(len(x))) for j in range(len(x))]
-            return tuple(img[j] % diag[j] for j in kept)
-        if self.kind == "drop":
-            (kept,) = self.data
-            return tuple(x[i] for i in kept)
-        if self.kind == "percoord":
-            (base_proj,) = self.data
-            bz = base_proj.target.zero
-            return frozenset((i, w) for i, v in x if (w := base_proj(v)) != bz)
-        raise UnsupportedQuotientError(self.kind)
 
     def on_subset(self, X: FiniteSubset) -> FiniteSubset:
         if X.group != self.source:
             raise GroupMismatchError("subset is not in the quotient's source")
         return FiniteSubset(self.target, frozenset(self(x) for x in X.elements))
 
-    def section(self, q):
-        """Some preimage of a target element (a set-theoretic section)."""
-        if self.kind == "identity":
-            return q
-        if self.kind == "trivial":
-            return self.source.zero
-        if self.kind == "snf":
-            _, diag, kept, v_inv = self.data
-            k = len(diag)
-            full = [0] * k
-            for pos, j in enumerate(kept):
-                full[j] = q[pos]
-            x = tuple(sum(full[j] * v_inv[j][i] for j in range(k)) for i in range(k))
-            if isinstance(self.source, FiniteProduct):
-                return self.source.element(x)
-            return x
-        if self.kind == "drop":
-            (kept,) = self.data
-            out = [0] * (self.source.rank if isinstance(self.source, FreeZ) else len(self.source.factors))
-            for pos, j in enumerate(kept):
-                out[j] = q[pos]
-            return tuple(out)
-        if self.kind == "percoord":
-            (base_proj,) = self.data
-            return frozenset((i, base_proj.section(v)) for i, v in q)
-        raise UnsupportedQuotientError(self.kind)
 
-    def on_subgroup(self, B: Subgroup) -> Subgroup:
-        if B.kind == "percoord" and self.kind == "percoord":
-            (base_proj,) = self.data
-            return Subgroup.percoord(self.target, base_proj.on_subgroup(B.base_subgroup))
-        return Subgroup.generated(self.target, [self(x) for x in B.gens])
+@dataclass(frozen=True)
+class IdentityProjection(QuotientProjection):
+    """A -> A/0 = A."""
+
+    def __call__(self, x):
+        return x
+
+    def section(self, q):
+        return q
+
+
+@dataclass(frozen=True)
+class TrivialProjection(QuotientProjection):
+    """A -> A/A = 0."""
+
+    def __call__(self, x):
+        return self.target.zero
+
+    def section(self, q):
+        return self.source.zero
+
+
+@dataclass(frozen=True)
+class SmithProjection(QuotientProjection):
+    """Z^k, or a product of k cyclic groups, onto prod Z/d_j over the
+    ``kept`` j with d_j != 1, where x V = diag(d) is the Smith form of the
+    relation rows: x -> (x V)_j mod d_j.  ``v_inv`` = V^-1 gives sections."""
+
+    v: tuple
+    diag: tuple
+    kept: tuple
+    v_inv: tuple
+
+    def __call__(self, x):
+        return tuple(sum(a * row[j] for a, row in zip(x, self.v)) % self.diag[j] for j in self.kept)
+
+    def section(self, q):
+        v_inv = self.v_inv
+        return self.source.element(
+            sum(a * v_inv[j][i] for a, j in zip(q, self.kept)) for i in range(len(self.diag))
+        )
+
+
+@dataclass(frozen=True)
+class DropProjection(QuotientProjection):
+    """Z^r onto its ``kept`` coordinates: the quotient by the sublattice
+    spanned by the other unit vectors."""
+
+    kept: tuple
+
+    def __call__(self, x):
+        return tuple(x[i] for i in self.kept)
+
+    def section(self, q):
+        out = [0] * self.source.rank
+        for a, j in zip(q, self.kept):
+            out[j] = a
+        return tuple(out)
+
+
+@dataclass(frozen=True)
+class PercoordProjection(QuotientProjection):
+    """K^(index) -> (K/B0)^(index), coordinate by coordinate through
+    ``base``, the projection K -> K/B0."""
+
+    base: QuotientProjection
+
+    def __call__(self, x):
+        base, bzero = self.base, self.target.base.zero
+        return frozenset((i, w) for i, v in x if (w := base(v)) != bzero)
+
+    def section(self, q):
+        return frozenset((i, self.base.section(v)) for i, v in q)
 
 
 def _snf_quotient(A: AbelianGroup, rows, k: int):
@@ -750,48 +834,13 @@ def _snf_quotient(A: AbelianGroup, rows, k: int):
     kept = tuple(j for j, d in enumerate(diag) if d != 1)
     target = FiniteProduct(tuple(diag[j] for j in kept))
     v_inv = lattices.unimodular_inverse(v)
-    data = (tuple(map(tuple, v)), tuple(diag), kept, tuple(map(tuple, v_inv)))
-    return target, QuotientProjection(A, target, "snf", data)
+    return target, SmithProjection(
+        A, target, tuple(map(tuple, v)), tuple(diag), kept, tuple(map(tuple, v_inv))
+    )
 
 
 def quotient_group(A: AbelianGroup, B: Subgroup):
     """The quotient A/B plus a coordinate projection, for supported shapes."""
     if B.group != A:
         raise GroupMismatchError("subgroup is not inside the group")
-    if B.kind == "fg" and not B.gens:
-        return A, QuotientProjection(A, A, "identity")
-
-    if isinstance(A, FiniteProduct):
-        k = len(A.factors)
-        rows = [list(x) for x in B.gens] + _moduli_rows(A.factors)
-        return _snf_quotient(A, rows, k)
-
-    if isinstance(A, FreeZ):
-        basis = lattices.hnf([list(x) for x in B.gens], A.rank)
-        if len(basis) == A.rank:
-            return _snf_quotient(A, basis, A.rank)
-        unit_cols = set()
-        for row in basis:
-            nz = [j for j, a in enumerate(row) if a]
-            if len(nz) != 1 or row[nz[0]] != 1:
-                raise UnsupportedQuotientError(
-                    "free-group quotients need full rank or a unit coordinate sublattice"
-                )
-            unit_cols.add(nz[0])
-        kept = tuple(j for j in range(A.rank) if j not in unit_cols)
-        target = FreeZ(len(kept))
-        return target, QuotientProjection(A, target, "drop", (kept,))
-
-    if isinstance(A, DirectSum):
-        if B.kind == "percoord":
-            qbase, base_proj = quotient_group(A.base, B.base_subgroup)
-            if qbase.order == 1:
-                target = FiniteProduct(())
-                return target, QuotientProjection(A, target, "trivial")
-            target = DirectSum(qbase, A.index)
-            return target, QuotientProjection(A, target, "percoord", (base_proj,))
-        raise UnsupportedQuotientError(
-            "direct-sum quotients are supported along coordinatewise subgroups only"
-        )
-
-    raise UnsupportedQuotientError(f"unsupported quotient of {A}")
+    return B._quotient()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from . import lattices
 from .abelian import (
@@ -23,6 +23,7 @@ from .abelian import (
     FiniteProduct,
     FiniteSubset,
     FreeZ,
+    PercoordSubgroup,
     Subgroup,
     _moduli_rows,
     ell_of_order,
@@ -40,7 +41,6 @@ from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along, box_net, t
 from .integral import IntegralEstimate, IntegralRow, SetFunction
 from .monoid import (
     FiniteAbelianMonoid,
-    FreeAbelian,
     MonoidHom,
     MSubset,
     ProductMonoid,
@@ -183,26 +183,36 @@ def _unit(k, j):
 class ShiftEndo(Endomorphism):
     """Index translation composed with a base endomorphism on a direct sum.
 
-    The translation vector lives in Z^d; coordinates whose translated index
-    leaves the index monoid are annihilated (that is what makes one-sided
-    truncating shifts locally nilpotent).
+    The translation vector has one entry per index coordinate and is
+    reduced at construction.  It translates by the index's own operation,
+    so a finite index wraps around; over a one-sided index, coordinates
+    whose translated index leaves it are annihilated (that is what makes
+    one-sided truncating shifts locally nilpotent).
     """
 
     group: DirectSum
     shift: tuple
     base: MatrixEndo | None = None  # None = identity on the base
 
+    def __post_init__(self):
+        index = self.group.index
+        if len(self.shift) != index.dim:
+            raise GroupMismatchError(
+                f"a shift of {index} needs {index.dim} entries, got {len(self.shift)}"
+            )
+        object.__setattr__(self, "shift", index.op(index.identity, self.shift))
+
     def apply(self, x):
         if self.base is None and not any(self.shift):
             return x
         # i -> i + shift is injective, so no two coordinates land together
         index, move = self.group.index, self.shift
-        everywhere = isinstance(index, FreeAbelian)  # Z^d holds every translate
+        op, everywhere = index.op, index.is_group
         bapply = None if self.base is None else self.base.apply
         bzero = self.group.base.zero
         out = []
         for i, v in x:
-            j = tuple(map(add, i, move))
+            j = op(i, move)
             if everywhere or index.contains(j):
                 w = v if bapply is None else bapply(v)
                 if w != bzero:
@@ -223,9 +233,9 @@ class ShiftEndo(Endomorphism):
         return ShiftEndo(self.group, move, base)
 
     def is_automorphism(self):
-        translated_ok = self.group.index.is_group or not any(self.shift)
+        # a translation is a bijection of the index iff it is by a unit
         base_ok = self.base is None or self.base.is_automorphism()
-        return translated_ok and base_ok
+        return self.group.index.is_unit(self.shift) and base_ok
 
     def inverse(self):
         if not self.is_automorphism():
@@ -587,32 +597,27 @@ def subgroup_trajectory(alpha: Action, f_set: MSubset, b: Subgroup) -> Subgroup:
         raise GroupMismatchError("subgroup lives in a different group")
     if not f_set.elements:
         return Subgroup.trivial(alpha.group)
-    if b.kind == "percoord":
-        base_images = []
-        for s in sorted(f_set.elements):
-            endo = alpha.endo(s)
-            if not isinstance(endo, ShiftEndo) or not alpha.group.index.is_group:
-                raise UndecidableFamilyError(
-                    "coordinatewise trajectories need full shift actions"
-                )
-            base = endo.base
-            if base is None:
-                base_images.append(b.base_subgroup)
-            else:
-                base_images.append(
-                    Subgroup.generated(
-                        alpha.group.base, [base.apply(g) for g in b.base_subgroup.gens]
-                    )
-                )
-        acc = base_images[0]
-        for extra in base_images[1:]:
-            acc = acc.join(extra)
-        return Subgroup.percoord(alpha.group, acc)
+    percoord = isinstance(b, PercoordSubgroup)
+    if percoord and not alpha.group.index.is_group:
+        raise UndecidableFamilyError("coordinatewise trajectories need full shift actions")
     gens = []
     for s in sorted(f_set.elements):
-        endo = alpha.endo(s)
-        gens.extend(endo.apply(g) for g in b.gens)
-    return Subgroup.generated(alpha.group, gens)
+        psi, c = _on_base(alpha.endo(s), b)
+        gens.extend(psi.apply(g) for g in c.gens)
+    span = Subgroup.generated(c.group, gens)
+    return Subgroup.percoord(alpha.group, span) if percoord else span
+
+
+def _on_base(phi, b: Subgroup):
+    """(psi, C) such that phi acts on B through psi on C.  A finitely
+    generated B gives (phi, B).  For B = B0^(I), phi must be a shift, psi
+    is its base map and C = B0: phi(B) = psi(B0)^(I) over a group index,
+    and over any index phi(B) lies in B iff psi(B0) lies in B0."""
+    if not isinstance(b, PercoordSubgroup):
+        return phi, b
+    if not isinstance(phi, ShiftEndo):
+        raise UndecidableFamilyError("coordinatewise subgroups need shift actions")
+    return (identity_endo(b.base.group) if phi.base is None else phi.base), b.base
 
 
 class _GrowingTrajectory:
@@ -775,7 +780,7 @@ class _ScratchTrajectory:
 def _subgroup_accumulator(alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
     if seed.group != alpha.group:
         raise GroupMismatchError("subgroup lives in a different group")
-    if seed.kind == "fg" and isinstance(alpha.group, (FiniteProduct, DirectSum)):
+    if isinstance(alpha.group, (FiniteProduct, DirectSum)) and not isinstance(seed, PercoordSubgroup):
         return _GrowingTrajectory(alpha, seed, budget)
     return _ScratchTrajectory(alpha, seed, budget)
 
@@ -948,22 +953,12 @@ def restriction(alpha: Action, embed: MonoidHom) -> Action:
 
 def _check_invariant(alpha: Action, b: Subgroup):
     for k, phi in enumerate(alpha.gen_endos):
-        if b.kind == "percoord":
-            if not isinstance(phi, ShiftEndo):
-                raise NotInvariantError("coordinatewise subgroups need shift actions")
-            base = phi.base
-            if base is not None:
-                for g in b.base_subgroup.gens:
-                    if not b.base_subgroup.contains(base.apply(g)):
-                        raise NotInvariantError(
-                            "base image escapes the subgroup", generator=k, element=g
-                        )
-        else:
-            for g in b.gens:
-                if not b.contains(phi.apply(g)):
-                    raise NotInvariantError(
-                        "generator image escapes the subgroup", generator=k, element=g
-                    )
+        psi, c = _on_base(phi, b)
+        for g in c.gens:
+            if not c.contains(psi.apply(g)):
+                raise NotInvariantError(
+                    "generator image escapes the subgroup", generator=k, element=g
+                )
 
 
 def _matrix_of(group, column) -> MatrixEndo:
@@ -972,6 +967,26 @@ def _matrix_of(group, column) -> MatrixEndo:
     k = len(group.factors) if isinstance(group, FiniteProduct) else group.rank
     cols = [column(_unit(k, j)) for j in range(k)]
     return MatrixEndo(group, tuple(tuple(col[i] for col in cols) for i in range(k)))
+
+
+def _induced(phi, target, up, down) -> Endomorphism:
+    """x -> down(phi(up(x))) on ``target``, for homomorphisms ``up`` into
+    phi's group and ``down`` back.  A flat target takes its matrix.  On a
+    direct-sum target phi is a shift, and up and down act coordinate by
+    coordinate; the induced map is phi's shift with the base map that up,
+    phi's base and down give at one index."""
+    if not isinstance(target, DirectSum):
+        return _matrix_of(target, lambda e: down(phi.apply(up(e))))
+    if phi.base is None:
+        return ShiftEndo(target, phi.shift)
+    i, source = target.index.identity, phi.group
+
+    def at_i(f, src, dst):
+        return lambda v: dict(f(src.basis_vector(i, v))).get(i, dst.base.zero)
+
+    up_i, down_i = at_i(up, target, source), at_i(down, source, target)
+    base = _matrix_of(target.base, lambda e: down_i(phi.base.apply(up_i(e))))
+    return ShiftEndo(target, phi.shift, base)
 
 
 def quotient_and_sub_actions(alpha: Action, b: Subgroup):
@@ -985,41 +1000,8 @@ def quotient_and_sub_actions(alpha: Action, b: Subgroup):
     _check_invariant(alpha, b)
     b_group, embed, express = subgroup_as_group(b)
     q_group, proj = quotient_group(alpha.group, b)
-
-    sub_endos = []
-    quo_endos = []
-    for phi in alpha.gen_endos:
-        # induced endomorphism on B
-        if isinstance(phi, ShiftEndo) and b.kind == "percoord":
-            if phi.base is None:
-                sub_base = None
-            else:
-                b0_group, b0_embed, b0_express = subgroup_as_group(b.base_subgroup)
-                sub_base = _matrix_of(b0_group, lambda e: b0_express(phi.base.apply(b0_embed(e))))
-            if isinstance(b_group, DirectSum):
-                sub_endos.append(ShiftEndo(b_group, phi.shift, sub_base))
-            else:
-                sub_endos.append(identity_endo(b_group))
-        else:
-            sub_endos.append(_matrix_of(b_group, lambda e: express(phi.apply(embed(e)))))
-
-        # induced endomorphism on A/B, by projection shape
-        if proj.kind == "identity":
-            quo_endos.append(phi)
-        elif proj.kind == "trivial":
-            quo_endos.append(identity_endo(q_group))
-        elif proj.kind == "percoord":
-            (base_proj,) = proj.data
-            if phi.base is None:
-                quo_base = None
-            else:
-                quo_base = _matrix_of(
-                    base_proj.target, lambda e: base_proj(phi.base.apply(base_proj.section(e)))
-                )
-            quo_endos.append(ShiftEndo(q_group, phi.shift, quo_base))
-        else:
-            quo_endos.append(_matrix_of(q_group, lambda e: proj(phi.apply(proj.section(e)))))
-
+    sub_endos = [_induced(phi, b_group, embed, express) for phi in alpha.gen_endos]
+    quo_endos = [_induced(phi, q_group, proj.section, proj) for phi in alpha.gen_endos]
     sub_action = Action(alpha.monoid, b_group, sub_endos)
     quo_action = Action(alpha.monoid, q_group, quo_endos)
     context = {

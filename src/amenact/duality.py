@@ -14,14 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from operator import add, mul
+from operator import mul
 
 from . import lattices
 from .abelian import (
     DirectSum,
     FiniteProduct,
     Subgroup,
-    _flatten,
     _moduli_rows,
     ell_of_order,
 )
@@ -39,7 +38,7 @@ from .errors import (
 )
 from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along
 from .integral import IntegralEstimate, IntegralRow
-from .monoid import FreeAbelian, MSubset
+from .monoid import MSubset
 from .tables import csv_table
 
 SUBGROUP_LATTICE_BUDGET = 2**13  # the largest group order subgroup_lattice enumerates
@@ -180,15 +179,10 @@ def annihilator_window(space: DirectSum, b: Subgroup) -> OpenSubgroup:
     """The annihilator in K^I of a finitely supported subgroup of the direct
     sum ``space`` = K^(I), as congruence constraints over the union of its
     generators' supports."""
-    group = b.group
-    if group != space:
+    if b.group != space:
         raise GroupMismatchError("subgroup must live in the matching direct sum")
-    if b.kind != "fg":
-        raise UndecidableFamilyError("profinite annihilators need finite support")
-    support = tuple(sorted({i for g in b.gens for i, _ in g}))
-    factors = space.base.factors * len(support)
-    flat = [_flatten(group, g, support) for g in b.gens]
-    basis = _annihilator_basis(factors, flat)
+    _, basis, _, support = b._flat()
+    basis = _annihilator_basis(space.base.factors * len(support), basis)
     return OpenSubgroup(space, support, tuple(tuple(r) for r in basis))
 
 
@@ -206,8 +200,9 @@ class ProfiniteShiftAction:
 
     def translate_support(self, support, s):
         exponents = self.monoid.generator_exponents(s)
-        move = [sum(map(mul, exponents, col)) for col in self._columns]
-        return tuple(sorted(tuple(map(add, i, move)) for i in support))
+        move = tuple(sum(map(mul, exponents, col)) for col in self._columns)
+        op = self.space.index.op
+        return tuple(sorted(op(i, move) for i in support))
 
 
 def cotrajectory_window(
@@ -383,7 +378,7 @@ def _dual_pair(alpha: Action, b: Subgroup):
     for phi in alpha.gen_endos:
         if not isinstance(phi, ShiftEndo) or phi.base is not None:
             raise UndecidableFamilyError("bridge on direct sums needs pure shifts")
-        if not isinstance(group.index, FreeAbelian) and min(phi.shift, default=0) < 0:
+        if not group.index.is_group and min(phi.shift, default=0) < 0:
             # a coordinate shifted out of the index is annihilated, which no translate shows
             raise UndecidableFamilyError("bridge on a one-sided index needs shifts that stay in it")
     shifts = [phi.shift for phi in alpha.gen_endos]

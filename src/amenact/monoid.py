@@ -647,7 +647,6 @@ class Section:
     """A section of a surjective homomorphism, with sigma(1) = 1."""
 
     hom: MonoidHom
-    kind: str  # 'minimal' | 'canonical'
 
     def __call__(self, c):
         pi = self.hom
@@ -718,17 +717,11 @@ def find_good_section(pi: MonoidHom):
     """A good section with sigma(1) = 1, or None if no section is good."""
     if not pi.is_surjective:
         raise UndecidableFamilyError("sections are for surjections")
-    src = pi.source
     if pi.kind == "cap":
         return None  # every section hits a preimage of the cap, which is bad
     if pi.kind in ("project", "mod", "semidirect-c"):
-        if isinstance(src, Monoid) and src.is_group:
-            return Section(pi, "canonical")
-        if pi.kind == "project":
-            return Section(pi, "canonical")
-        if pi.kind == "mod":
-            return Section(pi, "minimal")
-    raise UndecidableFamilyError(f"no section rule for {pi.kind} on {src}")
+        return Section(pi)
+    raise UndecidableFamilyError(f"no section rule for {pi.kind} on {pi.source}")
 
 
 def fiber_conjugation(pi: MonoidHom, sigma: Section, s, n):

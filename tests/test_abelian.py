@@ -8,10 +8,16 @@ import pytest
 from amenact import lattices
 from amenact.abelian import (
     DirectSum,
+    DropProjection,
     FiniteProduct,
     FiniteSubset,
     FreeZ,
+    IdentityProjection,
+    PercoordProjection,
+    PercoordSubgroup,
+    SmithProjection,
     Subgroup,
+    TrivialProjection,
     ell,
     iterated_sum,
     minkowski_sum,
@@ -265,7 +271,7 @@ def test_quotient_projection_is_hom_with_right_kernel():
 ])
 def test_snf_quotient_section_is_a_right_inverse(group, gens):
     q, proj = quotient_group(group, Subgroup.generated(group, gens))
-    assert proj.kind == "snf"
+    assert isinstance(proj, SmithProjection)
     for t in q.elements():
         x = proj.section(t)
         assert proj(x) == t
@@ -279,7 +285,7 @@ def test_snf_quotient_section_is_a_right_inverse(group, gens):
 ])
 def test_snf_section_uses_the_inverse_cached_at_construction(group, gens, monkeypatch):
     q, proj = quotient_group(group, Subgroup.generated(group, gens))
-    v, _, _, v_inv = proj.data
+    v, v_inv = proj.v, proj.v_inv
     k = len(v)
     prod = [[sum(v[i][t] * v_inv[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
     assert prod == [[int(i == j) for j in range(k)] for i in range(k)]
@@ -294,36 +300,80 @@ def test_snf_section_uses_the_inverse_cached_at_construction(group, gens, monkey
 
 @pytest.mark.parametrize("factors", [(4,), (2, 4), (4, 6), (3, 9), (2, 2, 2)])
 def test_section_is_a_right_inverse_on_every_subgroup(factors):
-    # the trivial subgroup gives the identity kind, every other one snf
+    # the trivial subgroup gives the identity projection, every other one Smith's
     group = FiniteProduct(factors)
     kinds = set()
     for gens, _ in subgroup_lattice(group):
         q, proj = quotient_group(group, Subgroup.generated(group, gens))
-        kinds.add(proj.kind)
+        kinds.add(type(proj))
         for t in q.elements():
             x = proj.section(t)
             assert group.contains(x) and proj(x) == t
-    assert kinds == {"identity", "snf"}
+    assert kinds == {IdentityProjection, SmithProjection}
 
 
 def test_section_of_direct_sum_and_free_quotients():
     base = FiniteProduct((2, 3))
     a = DirectSum(base, FreeAbelian(1))
     q, proj = quotient_group(a, Subgroup.percoord(a, Subgroup.full(base)))
-    assert proj.kind == "trivial" and list(q.elements()) == [()]
+    assert isinstance(proj, TrivialProjection) and list(q.elements()) == [()]
     assert proj.section(()) == a.zero and proj(proj.section(())) == ()
     rng = random.Random(11)
     cases = [
-        (a, Subgroup.generated(a, []), "identity"),
-        (a, Subgroup.percoord(a, Subgroup.generated(base, [(0, 1)])), "percoord"),
-        (FreeZ(3), Subgroup.generated(FreeZ(3), [(0, 1, 0)]), "drop"),
+        (a, Subgroup.generated(a, []), IdentityProjection),
+        (a, Subgroup.percoord(a, Subgroup.generated(base, [(0, 1)])), PercoordProjection),
+        (FreeZ(3), Subgroup.generated(FreeZ(3), [(0, 1, 0)]), DropProjection),
     ]
     for group, b, kind in cases:
         q, proj = quotient_group(group, b)
-        assert proj.kind == kind
+        assert type(proj) is kind
         for _ in range(40):
             t = q.sample(rng, 3)
             assert proj(proj.section(t)) == t
+
+
+def _projection_cases():
+    base = FiniteProduct((2, 3))
+    a = DirectSum(base, FreeAbelian(1))
+    g = FiniteProduct((4, 6))
+    z2, z3 = FreeZ(2), FreeZ(3)
+    cases = [
+        ("identity-finite", g, Subgroup.trivial(g), IdentityProjection),
+        ("identity-direct-sum", a, Subgroup.trivial(a), IdentityProjection),
+        ("trivial", a, Subgroup.percoord(a, Subgroup.full(base)), TrivialProjection),
+        ("smith-finite", g, Subgroup.generated(g, [(2, 3)]), SmithProjection),
+        ("smith-free", z2, Subgroup.generated(z2, [(2, 0), (1, 3)]), SmithProjection),
+        ("drop", z3, Subgroup.generated(z3, [(0, 1, 0)]), DropProjection),
+        ("percoord", a, Subgroup.percoord(a, Subgroup.generated(base, [(0, 1)])), PercoordProjection),
+    ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+def _member(b, rng):
+    """A random element of B: a combination of its generators, or for
+    B0^(index) an element of B0 at each of a few indices."""
+    if isinstance(b, PercoordSubgroup):
+        return b.group.element({(i,): _member(b.base, rng) for i in range(-2, 3)})
+    x = b.group.zero
+    for gen in b.gens:
+        x = b.group.add(x, b.group.scalar(rng.randint(-3, 3), gen))
+    return x
+
+
+@pytest.mark.parametrize("group,b,kind", _projection_cases())
+def test_every_projection_is_a_hom_with_kernel_b_and_a_right_inverse(group, b, kind):
+    q, proj = quotient_group(group, b)
+    assert type(proj) is kind and (proj.source, proj.target) == (group, q)
+    rng = random.Random(5)
+    for _ in range(40):
+        x, y, m = group.sample(rng, 4), group.sample(rng, 4), _member(b, rng)
+        assert proj(group.add(x, y)) == q.add(proj(x), proj(y))
+        assert b.contains(m) and proj(m) == q.zero
+        for z in (x, group.add(x, m)):
+            assert (proj(z) == q.zero) == b.contains(z)
+        for t in (proj(x), q.sample(rng, 4)):
+            lift = proj.section(t)
+            assert group.contains(lift) and proj(lift) == t
 
 
 # --- subgroup_as_group ------------------------------------------------------

@@ -43,7 +43,7 @@ from amenact.actions import (
     trajectory_function,
 )
 from amenact.duality import random_endomorphism
-from amenact.errors import BudgetExceededError, MonoidMismatchError, NotInvariantError
+from amenact.errors import BudgetExceededError, GroupMismatchError, MonoidMismatchError, NotInvariantError
 from amenact.folner import FolnerNet, _counts_along, box_net, kernel_box_net, product_net, translate_net
 from amenact.integral import sample_axioms
 from amenact.monoid import (
@@ -116,6 +116,31 @@ def test_finite_monoid_generator_order_respected():
     with pytest.raises(MonoidMismatchError):
         # x -> 3x has multiplicative order 4 mod 5, too big for S = Z/2
         Action(FiniteAbelianMonoid((2,)), g5, [scalar_endo(g5, 3)])
+
+
+def test_shifts_on_a_finite_index_wrap_around():
+    group = DirectSum(FiniteProduct((2,)), FiniteAbelianMonoid((3,)))
+    by_one = shift_endo(group, (1,))
+    assert by_one.apply(group.basis_vector((2,))) == group.basis_vector((0,))
+    assert shift_endo(group, (3,)) == identity_endo(group)
+    assert shift_endo(group, (-1,)) == shift_endo(group, (2,)) == by_one.inverse()
+    assert by_one.is_automorphism() and by_one.power(3) == identity_endo(group)
+    # the generator of Z/3 may act by the shift, whose order is 3
+    Action(FiniteAbelianMonoid((3,)), group, [by_one])
+    # along the finite part of N x Z/3 too, and not along the one-sided part
+    mixed = DirectSum(FiniteProduct((2,)), ProductMonoid((N1, FiniteAbelianMonoid((3,)))))
+    along = shift_endo(mixed, (0, 1))
+    assert along.is_automorphism() and along.power(3) == identity_endo(mixed)
+    Action(FiniteAbelianMonoid((3,)), mixed, [along])
+    assert not shift_endo(mixed, (1, 0)).is_automorphism()
+
+
+def test_shift_vector_of_the_wrong_length_is_refused():
+    group = DirectSum(FiniteProduct((4,)), FreeAbelian(2))
+    with pytest.raises(GroupMismatchError):
+        shift_endo(group, (1,))
+    with pytest.raises(GroupMismatchError):
+        shift_endo(group, (1, 0, 0))
 
 
 def test_endo_power_table():
@@ -593,6 +618,27 @@ def test_addition_theorem_exact_for_mod4_shift():
     assert report.total.value == pytest.approx(math.log(4))
     assert report.sub.value == pytest.approx(math.log(2))
     assert report.quotient.value == pytest.approx(math.log(2))
+
+
+def test_addition_is_exact_over_a_finite_index():
+    # Z on (Z/4)^(Z/3) over its doubled part: every box F_n, n >= 1, covers
+    # the three indices, so the counts are 4^3 = 2^3 * 2^3 at every index
+    base = FiniteProduct((4,))
+    group = DirectSum(base, FiniteAbelianMonoid((3,)))
+    alpha = Action(Z1, group, [shift_endo(group, (1,))])
+    b = Subgroup.percoord(group, Subgroup.generated(base, [(2,)]))
+    sub, quo, _ = quotient_and_sub_actions(alpha, b)
+    report = addition_check(
+        alpha,
+        b,
+        box_net(Z1),
+        4,
+        Subgroup.generated(group, [group.basis_vector((0,))]),
+        Subgroup.generated(sub.group, [sub.group.basis_vector((0,))]),
+        Subgroup.generated(quo.group, [quo.group.basis_vector((0,))]),
+    )
+    assert report.total.estimate.counts == [64] * 4
+    assert report.sub.estimate.counts == report.quotient.estimate.counts == [8] * 4
 
 
 def test_addition_splits_products_of_primes():

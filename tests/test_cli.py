@@ -70,6 +70,15 @@ def test_failing_check_exits_one(tmp_path):
     assert code == 1 and "check failed" in message
 
 
+def test_shift_vector_of_the_wrong_length_exits_two(tmp_path):
+    sc = dict(BUILTINS["addition-mod4"])
+    sc["group"] = {"family": "direct-sum", "base": [4], "index": {"family": "Z^d", "dim": 2}}
+    f = tmp_path / "short-shift.json"
+    f.write_text(json.dumps(sc))
+    code, message = run_scenario(str(f))
+    assert code == 2 and "needs 2 entries" in message
+
+
 def test_budget_exceeded_exits_three():
     code, message = run_scenario("example-doubling", budget=10)
     assert code == 3 and "budget" in message

@@ -362,6 +362,19 @@ def test_bridge_finite_monoid_finite_group():
     assert report.topological_tail == pytest.approx(math.log(8) / 2)
 
 
+def test_bridge_over_a_finite_index_wraps_around():
+    # N on (Z/2)^(Z/3) by the cyclic shift, seed e_0: both sides reach all
+    # of (Z/2)^3 at index 3 and stay there
+    group = DirectSum(FiniteProduct((2,)), FiniteAbelianMonoid((3,)))
+    alpha = Action(N1, group, [shift_endo(group, (1,))])
+    b = Subgroup.generated(group, [group.basis_vector((0,))])
+    report = bridge_check(alpha, b, box_net(N1), 6)
+    assert report.exact_at_every_index
+    assert [r.log_index for r in report.rows] == pytest.approx([math.log(2 ** min(n, 3)) for n in range(1, 7)])
+    gamma = ProfiniteShiftAction(group, N1, [(1,)])
+    assert gamma.translate_support(((0,), (2,)), (4,)) == ((0,), (1,))
+
+
 # --- supports move by the generators' shift vectors ---------------------------
 
 def test_translate_support_moves_by_the_shift_vectors():
