@@ -777,8 +777,9 @@ class TrivialProjection(QuotientProjection):
 @dataclass(frozen=True)
 class SmithProjection(QuotientProjection):
     """Z^k, or a product of k cyclic groups, onto prod Z/d_j over the
-    ``kept`` j with d_j != 1, where x V = diag(d) is the Smith form of the
-    relation rows: x -> (x V)_j mod d_j.  ``v_inv`` = V^-1 gives sections."""
+    ``kept`` j with d_j != 1: x -> (x V)_j mod d_j, where the unimodular V
+    maps the relation lattice onto the one spanned by the d_j e_j (the
+    Smith form).  ``v_inv`` = V^-1 gives sections."""
 
     v: tuple
     diag: tuple
