@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from operator import itemgetter, mul
 
@@ -553,8 +554,9 @@ class _IncrementalTrajectory:
             low = min(ys)
             span = self._bits.bit_length() + max(ys) - low
             if span <= 64 * max(min(self.count * len(ys), self.budget), 1 << 17):
-                bits, acc = self._bits, 0
-                for y in ys:
+                bits, rest = self._bits, iter(ys)
+                acc = bits << (next(rest) - low)
+                for y in rest:
                     acc |= bits << (y - low)
                 self._bits, self._low = acc, self._low + low
                 self.count = acc.bit_count()
@@ -581,14 +583,28 @@ class _IncrementalTrajectory:
 def trajectory_function(
     alpha: Action, x: FiniteSubset, budget: int = DEFAULT_ELEMENT_BUDGET
 ) -> SetFunction:
-    """The trajectory-length function F -> log |T_F(X)|."""
+    """The trajectory-length function F -> log |T_F(X)|.  Along a net it
+    runs a fresh ``_IncrementalTrajectory`` fed the net's increments."""
     inc = _IncrementalTrajectory(alpha, x, budget)
     return SetFunction(
         alpha.monoid,
         lambda f: math.log(inc.advance(f)),
         f"traj({len(x)} pts)",
         probe=False,
+        accumulator=partial(_LogTrajectory, alpha, x, budget),
     )
+
+
+class _LogTrajectory:
+    """log |T_F(X)| for the F fed to one ``_IncrementalTrajectory``."""
+
+    def __init__(self, alpha, x: FiniteSubset, budget):
+        self._inc = _IncrementalTrajectory(alpha, x, budget)
+        self.reset, self.extend = self._inc.reset, self._inc.extend
+
+    @property
+    def count(self) -> float:
+        return math.log(self._inc.count)
 
 
 def subgroup_trajectory(alpha: Action, f_set: MSubset, b: Subgroup) -> Subgroup:

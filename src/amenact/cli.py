@@ -531,22 +531,28 @@ def _run_duality_props(sc, prefix, budget):
     values = []
     for factors in sc["groups"]:
         g = FiniteProduct(tuple(factors))
+        k = len(factors)
         subs = [Subgroup.generated(g, gens) for gens in _subgroup_gens(g)]
-        perps = {}  # one annihilator per distinct subgroup: every join is listed
+        hermite = [b._flat()[1] for b in subs]
+        # Hermite basis -> annihilator: one per listed subgroup, and one for
+        # any basis met that the listing lacks
+        perps = {tuple(map(tuple, h)): annihilator(b) for b, h in zip(subs, hermite)}
 
-        def perp(b):
-            if b not in perps:
-                perps[b] = annihilator(b)
-            return perps[b]
+        def perp(basis):
+            key = tuple(map(tuple, basis))
+            if key not in perps:
+                perps[key] = annihilator(Subgroup.generated(g, key))
+            return perps[key]
 
-        order_law = all(b.order() * perp(b).order() == g.order for b in subs)
-        double = all(perp(perp(b)) == b for b in subs)
-        # (B1 + B2)-perp against B1-perp meet B2-perp, as canonical HNFs
+        order_law = all(b.order() * perp(h).order() == g.order for b, h in zip(subs, hermite))
+        double = all(perp(perp(h)._flat()[1]) == b for b, h in zip(subs, hermite))
+        # (B1 + B2)-perp against B1-perp meet B2-perp, as canonical HNFs: the
+        # join's basis is the Hermite form of the two bases stacked
+        pairs = [(h, perp(h)._flat()[1]) for h in hermite[:12]]
         sum_law = all(
-            perp(b1.join(b2))._flat()[1]
-            == lattices.intersect(perp(b1)._flat()[1], perp(b2)._flat()[1], len(factors))
-            for b1 in subs[:12]
-            for b2 in subs[:12]
+            perp(lattices.hnf(h1 + h2, k))._flat()[1] == lattices.intersect(p1, p2, k)
+            for h1, p1 in pairs
+            for h2, p2 in pairs
         )
         ok = order_law and double and sum_law
         values.append((tuple(factors), len(subs), order_law, double, sum_law, ok))

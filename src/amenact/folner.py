@@ -338,17 +338,23 @@ def product_net(net_h: FolnerNet, net_k: FolnerNet, monoid=None) -> FolnerNet:
 
 
 def kernel_box_net(pi: MonoidHom) -> FolnerNet:
-    """Box net of the kernel N = pi^{-1}(1), embedded back into the source."""
+    """Box net of the kernel N = pi^{-1}(1), embedded back into the source.
+    It is nested: its shells are the embedded shells of N's box net."""
     n_mon, embed = pi.kernel_embedding()
     if n_mon.dim == 0:
         one = MSubset(pi.source, frozenset({pi.source.identity}))
-        return FolnerNet(pi.source, lambda i: one, "ker-boxes")
+        return FolnerNet(
+            pi.source, lambda i: one, "ker-boxes", lambda i: one.elements if i == 1 else frozenset()
+        )
     inner = box_net(n_mon)
 
     def gen(i):
         return MSubset(pi.source, frozenset(embed(t) for t in inner.subset(i).elements))
 
-    return FolnerNet(pi.source, gen, "ker-boxes")
+    def shell(i):
+        return frozenset(map(embed, inner.shell(i).elements))
+
+    return FolnerNet(pi.source, gen, "ker-boxes", shell)
 
 
 def _solve_left_factor(monoid, w1, w2):

@@ -131,13 +131,43 @@ def card_pi(pi: MonoidHom) -> SetFunction:
     )
 
 
+class _Shifted:
+    """f^E along a net: holds X E, and passes f's own accumulator only the
+    products x e that are new, so X E is never rebuilt from all of X."""
+
+    def __init__(self, f: SetFunction, e: MSubset):
+        self._acc = f.accumulator()
+        self._op = f.monoid.op
+        self._e = tuple(e.elements)
+        self.reset()
+
+    def reset(self):
+        self._acc.reset()
+        self._held = set()
+
+    def extend(self, added):
+        op = self._op
+        new = {op(x, y) for x in added for y in self._e}
+        new -= self._held
+        self._held |= new
+        self._acc.extend(new)
+
+    @property
+    def count(self):
+        return self._acc.count
+
+
 def shifted(f: SetFunction, e: MSubset) -> SetFunction:
     """The shift f^E : X -> f(X E).  f's own memo is passed by: the shift
     keeps its values by X, and X E is a running set along a net."""
     if e.monoid != f.monoid:
         raise MonoidMismatchError("shift set lives in a different monoid")
     return SetFunction(
-        f.monoid, lambda x: f._evaluate(set_product(x, e)), f"{f.label}^E", probe=False
+        f.monoid,
+        lambda x: f._evaluate(set_product(x, e)),
+        f"{f.label}^E",
+        probe=False,
+        accumulator=partial(_Shifted, f, e),
     )
 
 
@@ -178,7 +208,8 @@ def integral(f: SetFunction, net: FolnerNet, prefix: int) -> IntegralEstimate:
     """Evaluate the ratio table over the first ``prefix`` net indices.
 
     f follows the net's increments through ``f.accumulator()``, so on a
-    nested net card, constant and card_pi never build an F_i."""
+    nested net card, constant, card_pi, trajectory functions and their
+    shifts never build an F_i."""
     if prefix < 2:
         raise ValueError("prefix must be >= 2")
     if net.monoid != f.monoid:

@@ -47,11 +47,17 @@ def _echelon(rows, dim: int):
                 pivot_row = row
             else:
                 a, b = pivot_row[col], row[col]
-                g, x, y = _ext_gcd(a, b)
-                am, bm = a // g, b // g
-                new_pivot = [x * p + y * q for p, q in zip(pivot_row, row)]
-                new_row = [am * q - bm * p for p, q in zip(pivot_row, row)]
-                pivot_row, row = new_pivot, new_row
+                if 0 < a < b and not b % a:
+                    # the gcd step with (g, x, y) = (a, 1, 0), which
+                    # _ext_gcd gives here: the pivot row stays
+                    q = b // a
+                    row = [r - q * p for p, r in zip(pivot_row, row)]
+                else:
+                    g, x, y = _ext_gcd(a, b)
+                    am, bm = a // g, b // g
+                    new_pivot = [x * p + y * q for p, q in zip(pivot_row, row)]
+                    new_row = [am * q - bm * p for p, q in zip(pivot_row, row)]
+                    pivot_row, row = new_pivot, new_row
                 if any(row):
                     rest.append(row)
         work = rest

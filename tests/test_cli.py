@@ -263,6 +263,52 @@ def test_duality_props_computes_each_annihilator_once(monkeypatch):
     }
 
 
+def test_duality_props_reads_a_join_missing_from_the_listing(tmp_path, monkeypatch, capsys):
+    from amenact import cli
+    from amenact.abelian import FiniteProduct, Subgroup
+
+    # <e2, e3> of (Z/2)^3 is the join of <e3> and <e2>, both among the first
+    # 12 listed, and the annihilator of the listed <e1>
+    g = FiniteProduct((2, 2, 2))
+    missing = Subgroup.generated(g, [(0, 1, 0), (0, 0, 1)])
+    real_gens, real_perp = cli._subgroup_gens, cli.annihilator
+    asked = []
+
+    def all_but_one(group):
+        return (gens for gens in real_gens(group) if Subgroup.generated(group, gens) != missing)
+
+    def annihilator(b):
+        asked.append(b)
+        return real_perp(b)
+
+    monkeypatch.setattr(cli, "_subgroup_gens", all_but_one)
+    monkeypatch.setattr(cli, "annihilator", annihilator)
+    code, message = run_scenario("duality-props-small", out_dir=tmp_path)
+    assert code == 0, message
+    assert "Traceback" not in capsys.readouterr().err
+    assert missing in asked
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "duality-props-small.csv").read_text())))
+    assert [row["subgroups"] for row in rows] == ["4", "8", "15", "10", "8", "6"]
+    for column in ("order_law", "double_annihilator", "sum_law", "ok"):
+        assert {row[column] for row in rows} == {"True"}
+
+
+def test_duality_props_meets_every_ordered_pair(monkeypatch):
+    from amenact import cli, lattices
+
+    calls = []
+    real = lattices.intersect
+
+    def counted(rows1, rows2, dim):
+        calls.append(dim)
+        return real(rows1, rows2, dim)
+
+    monkeypatch.setattr(lattices, "intersect", counted)
+    assert run_scenario("duality-props-small")[0] == 0
+    # min(12, subgroups)^2 per group: 16 + 64 + 144 + 100 + 64 + 36
+    assert len(calls) == 424
+
+
 def test_tiling_checks_its_witness_once(tmp_path, monkeypatch):
     from amenact import cli, folner
 

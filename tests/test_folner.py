@@ -44,7 +44,9 @@ from amenact.monoid import (
     ProductMonoid,
     SemidirectZZ,
     eps_equiv,
+    cap_hom,
     find_good_section,
+    mod_hom,
     projection_hom,
     semidirect_quotient_hom,
     set_product,
@@ -147,8 +149,8 @@ def test_shell_is_the_new_part_of_the_net(net, prefix, nested):
         if nested:
             assert sizes == len(net.subset(i))
     assert all(grows) == nested
-    # only box nets declare themselves nested
-    assert net.nested == (net.label in ("boxes", "constant"))
+    # only box nets and the kernel's box nets declare themselves nested
+    assert net.nested == (net.label in ("boxes", "constant", "ker-boxes"))
 
 
 @pytest.mark.parametrize("net, prefix, nested", list(every_net_family()), ids=repr)
@@ -407,6 +409,35 @@ def test_kernel_box_net_embeds_kernel():
     pi = projection_hom(s, (1,))
     net = kernel_box_net(pi)
     assert net.subset(3).elements == {(0, 0), (1, 0)}
+
+
+KERNEL_HOMS = {
+    "project-2xZ-0": lambda: projection_hom(ProductMonoid((FiniteAbelianMonoid((2,)), Z1)), (0,)),
+    "project-2xZ-1": lambda: projection_hom(ProductMonoid((FiniteAbelianMonoid((2,)), Z1)), (1,)),
+    "project-N3": lambda: projection_hom(FreeCommutative(3), (1,)),
+    "mod-Z2": lambda: mod_hom(Z2, (3, 2)),
+    "mod-N1": lambda: mod_hom(N1, (4,)),
+    "cap": lambda: cap_hom(2),
+    "semidirect": lambda: semidirect_quotient_hom(SemidirectZZ()),
+}
+
+
+@pytest.mark.parametrize("make_pi", KERNEL_HOMS.values(), ids=KERNEL_HOMS.keys())
+def test_kernel_box_net_shells_partition_its_boxes(monkeypatch, make_pi):
+    pi = make_pi()
+    want = [kernel_box_net(pi).subset(i).elements for i in range(1, 6)]
+    net = kernel_box_net(pi)
+    assert net.nested
+    monkeypatch.setattr(FolnerNet, "subset", lambda self, i: pytest.fail(f"F_{i} was built"))
+    shells = [net.shell(i).elements for i in range(1, 6)]
+    increments = list(net.increments(5))
+    monkeypatch.undo()
+    held = set()
+    for i, shell in enumerate(shells, start=1):
+        assert not held & shell
+        held |= shell
+        assert held == want[i - 1], i
+        assert increments[i - 1] == (i, shell, False, len(held))
 
 
 # --- split extension nets --------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import sys
 from functools import partial
 from itertools import product
 
@@ -10,8 +11,8 @@ import pytest
 
 from amenact.abelian import FiniteSubset, FreeZ
 from amenact.actions import Action, identity_endo, scalar_endo, trajectory_function
-from amenact.errors import MonoidMismatchError
-from amenact.folner import FolnerNet, box_net, kernel_box_net, product_net, translate_net
+from amenact.errors import BudgetExceededError, MonoidMismatchError
+from amenact.folner import FolnerNet, _counts_along, box_net, kernel_box_net, product_net, translate_net
 from amenact.integral import (
     IntegralEstimate,
     IntegralRow,
@@ -389,3 +390,81 @@ def test_fubini_run_keeps_no_running_set_and_matches_the_subset_tables(tmp_path,
     want.append(["difference", "", "", "", repr(abs(left.tail - right.tail))])
     got = list(csv.reader(io.StringIO((tmp_path / "fubini-product.csv").read_text())))
     assert got[1:] == want
+
+
+# --- the shift and the trajectory function along a net -------------------------
+
+FUBINI_ACTION = Action(N1_BY_N1, Z, [scalar_endo(Z, 2), identity_endo(Z)])
+SHIFT_SETS = {
+    "identity": MSubset.of(N1_BY_N1, [(0, 0)]),
+    "spread": MSubset.of(N1_BY_N1, [(0, 0), (0, 2), (1, 1), (3, 0)]),
+}
+# the kernel's box net is nested; the other two start over
+SHIFT_NETS = {
+    "kernel": lambda: kernel_box_net(projection_hom(N1_BY_N1, (1,))),
+    "product": lambda: product_net(box_net(N1), box_net(N1)),
+    "sliding": lambda: sliding_net(N1_BY_N1),
+}
+SHIFT_FUNCTIONS = {
+    "trajectory": lambda: trajectory_function(FUBINI_ACTION, PAIR),
+    "card": lambda: card(N1_BY_N1),
+    "card_pi": lambda: card_pi(projection_hom(N1_BY_N1, (0,))),
+    "evaluator": lambda: SetFunction(N1_BY_N1, lambda f: math.sqrt(len(f)), "sqrt"),
+}
+
+
+def counts(acc, net, prefix):
+    return [count for _, count in _counts_along(acc, net, prefix)]
+
+
+@pytest.mark.parametrize("nname", SHIFT_NETS)
+@pytest.mark.parametrize("ename", SHIFT_SETS)
+@pytest.mark.parametrize("fname", SHIFT_FUNCTIONS)
+def test_shift_accumulator_matches_the_evaluator_route(fname, ename, nname):
+    e, net = SHIFT_SETS[ename], SHIFT_NETS[nname]()
+    got = counts(shifted(SHIFT_FUNCTIONS[fname](), e).accumulator(), net, 9)
+    f = SHIFT_FUNCTIONS[fname]()
+    assert got == [f._evaluate(set_product(net.subset(i), e)) for i in range(1, 10)]
+
+
+@pytest.mark.parametrize("nname", SHIFT_NETS)
+def test_trajectory_accumulator_matches_the_evaluator_route(nname):
+    net = SHIFT_NETS[nname]()
+    f = trajectory_function(FUBINI_ACTION, PAIR)
+    # each accumulator starts from the empty set, whatever ran before
+    first = counts(f.accumulator(), net, 9)
+    assert counts(f.accumulator(), net, 9) == first
+    assert first == [f._evaluate(net.subset(i)) for i in range(1, 10)]
+
+
+@pytest.mark.parametrize("nname", SHIFT_NETS)
+def test_shift_budget_error_names_the_evaluator_routes_element_and_index(nname):
+    def stop(g):
+        with pytest.raises(BudgetExceededError) as err:
+            integral(g, SHIFT_NETS[nname](), 30)
+        return err.value.completed, err.value.index
+
+    def make_g():
+        return shifted(trajectory_function(FUBINI_ACTION, PAIR, 300), SHIFT_SETS["spread"])
+
+    want = stop(SetFunction(N1_BY_N1, make_g()._evaluator, "f^E", probe=False))
+    assert want[0] is not None and want[1] > 1
+    assert stop(make_g()) == want
+
+
+def test_fubini_run_makes_no_set_product(tmp_path, monkeypatch):
+    from amenact import cli, folner, monoid
+
+    calls = []
+
+    def counted(f_set, e):
+        calls.append(len(f_set))
+        return set_product(f_set, e)
+
+    for module in (sys.modules["amenact.integral"], folner, monoid):
+        monkeypatch.setattr(module, "set_product", counted)
+    assert cli.run_scenario("fubini-product", out_dir=tmp_path)[0] == 0
+    assert calls == []
+    # the shift's evaluator, outside a net, still goes through the counted name
+    shifted(card(Z1), MSubset.of(Z1, [(0,), (1,)]))(MSubset.of(Z1, [(0,)]))
+    assert calls == [1]

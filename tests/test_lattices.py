@@ -361,6 +361,72 @@ def test_kernels_match_the_former_loops(seed):
         check_snf(rows, dim)
 
 
+def former_echelon(rows, dim):
+    """Oracle: ``lattices._echelon`` with a gcd step for every pair of
+    nonzero entries, before pivots that divide the entry took a shortcut."""
+    work = [list(r) for r in rows if any(r)]
+    result = []
+    for col in range(dim):
+        pivot_row = None
+        rest = []
+        for row in work:
+            if row[col] == 0:
+                rest.append(row)
+            elif pivot_row is None:
+                pivot_row = row
+            else:
+                a, b = pivot_row[col], row[col]
+                g, x, y = lattices._ext_gcd(a, b)
+                am, bm = a // g, b // g
+                new_pivot = [x * p + y * q for p, q in zip(pivot_row, row)]
+                new_row = [am * q - bm * p for p, q in zip(pivot_row, row)]
+                pivot_row, row = new_pivot, new_row
+                if any(row):
+                    rest.append(row)
+        work = rest
+        if pivot_row is None:
+            continue
+        if pivot_row[col] < 0:
+            pivot_row = [-v for v in pivot_row]
+        p = pivot_row[col]
+        for prev in result:
+            q = prev[col] // p
+            if q:
+                for j in range(col, len(prev)):
+                    prev[j] -= q * pivot_row[j]
+        result.append(pivot_row)
+    return result, work
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_echelon_matches_the_gcd_step_oracle(seed):
+    # pivot rows, leftover rows and the trailing columns that ride along all
+    # agree; small entries make a pivot that divides the entry common
+    rng = random.Random(7000 + seed)
+    for _ in range(50):
+        dim, extra = rng.randint(1, 5), rng.randint(0, 4)
+        bound = rng.choice([2, 4, 9])
+        rows = [
+            [rng.randint(-bound, bound) for _ in range(dim + extra)]
+            for _ in range(rng.randint(0, 7))
+        ]
+        assert lattices._echelon(rows, dim) == former_echelon(rows, dim), (rows, dim)
+
+
+@pytest.mark.parametrize(
+    "rows, dim",
+    [
+        # -4 is a multiple of the pivot 4, but a gcd step, not row + pivot,
+        # is what keeps the signs of the oracle
+        ([[4, -7], [0, 8], [-4, 0], [0, 0]], 2),
+        ([[2, 1, 0], [6, 0, 1]], 1),
+        ([[3, 5], [3, 1], [9, 2]], 2),
+    ],
+)
+def test_echelon_matches_the_oracle_where_the_pivot_divides(rows, dim):
+    assert lattices._echelon(rows, dim) == former_echelon(rows, dim)
+
+
 # --- the growing modular echelon basis ----------------------------------------
 
 ENGINE_MODULI = [1, 2, 4, 6, 12, 9, 2 * 3 * 5]
