@@ -3,10 +3,12 @@
 An action is defined by one endomorphism per canonical monoid generator;
 group families additionally require the generators to be automorphisms.
 Trajectory growth is computed exactly: for finite seed sets as one sumset
-along the net (a bitset on Z while it is dense enough, tuples otherwise),
-and for subgroup seeds through one modular echelon basis that grows along
-the net (exact big-integer orders), which is what keeps the box-scale
-checks of the addition and vanishing laws cheap.
+along the net (on Z, runs of bits at least 2^12 zero bits apart while they
+hold at most 64 bits per pair and, when there are several, 64 points per
+run on average; tuples otherwise), and for subgroup seeds through one
+modular echelon basis that grows along the net (exact big-integer orders),
+which is what keeps the box-scale checks of the addition and vanishing
+laws cheap.
 """
 
 from __future__ import annotations
@@ -491,22 +493,39 @@ def trajectory(
     return FiniteSubset(alpha.group, inc.elements())
 
 
+# Packing rules for set-seed sums on Z (see ``_IncrementalTrajectory``).
+_BITS_PER_PAIR = 64  # packed bits allowed per pair x + y the tuple route would add
+_FLOOR_PAIRS = 1 << 17  # pairs allowed whatever the count: 2^23 bits
+_RUN_GAP = 1 << 12  # zero bits that keep two runs apart
+_POINTS_PER_RUN = 64  # the least average a sum of several runs keeps packed
+
+
 class _IncrementalTrajectory:
     """T_F(X) along a net, exploiting T_{F u D} = T_F + T_D: ``advance(F)``
     adds only the images alpha(s)(X) for s new since the previous F when
     that F lies inside this one, and starts over from T_empty = {0}
     otherwise.
 
-    On Z the sum is a bitset: bit i of ``_bits`` stands for the point
-    ``_low + i``, so adding an image Y is the OR of |Y| shifts and the
-    count is a popcount.  A sum whose span would pass both 2^23 bits
-    (1 MB) and 64 bits per pair x + y that the tuple route would add, at
-    most ``budget`` pairs counted, unpacks once and goes on with
-    ``group.sumset``: the only route for sparse sets on Z and for every
-    other group.  That route adds Y one translate T + y at a time and stops
-    once the count passes the budget, so no step holds more than the
-    budget plus one translate, and no bitset spans more than 64 bits per
-    element of the budget, or 2^23 bits if that is more.
+    On Z the sum is a sorted list ``_runs`` of runs ``(start, bits,
+    count)``: bit i of ``bits`` stands for the point ``start + i``, bit 0
+    is set, and ``count`` is the popcount.  Consecutive runs lie at least
+    2^12 zero bits apart.  Adding an image Y moves every run by every y by
+    changing its start, ORs together only the pieces that overlap or lie
+    less than 2^12 bits apart, and popcounts only the runs that merged.
+    Merging only shrinks gaps and the first image is split at its points,
+    so no run holds 2^12 zero bits in a row.  While the sum is one run and
+    Y spans less than that run plus 2^12 bits, the sum stays one run, and
+    adding Y is the OR of |Y| shifts of it.
+
+    A sum whose runs would hold more than 64 bits per pair x + y that the
+    tuple route would add (at most ``budget`` pairs counted, and 2^17 at
+    least), or that has several runs averaging fewer than 64 points each,
+    unpacks once and goes on with ``group.sumset``: the only route for
+    sparse sets on Z and for every other group.  That route adds Y one
+    translate T + y at a time and stops once the count passes the budget,
+    so no step holds more than the budget plus one translate, and the runs
+    never hold more than 64 bits per element of the budget, or 2^23 bits
+    if that is more.
     """
 
     def __init__(self, alpha, x: FiniteSubset, budget):
@@ -521,7 +540,7 @@ class _IncrementalTrajectory:
         """Start over from T_empty = {0}."""
         self.count = 1
         if self._packs:
-            self._set, self._bits, self._low = None, 1, 0
+            self._set, self._runs = None, [(0, 1, 1)]
         else:
             self._set = frozenset([self.alpha.group.zero])
 
@@ -550,16 +569,13 @@ class _IncrementalTrajectory:
 
     def _add(self, img: frozenset):
         if self._set is None:
-            ys = [y for (y,) in img]
-            low = min(ys)
-            span = self._bits.bit_length() + max(ys) - low
-            if span <= 64 * max(min(self.count * len(ys), self.budget), 1 << 17):
-                bits, rest = self._bits, iter(ys)
-                acc = bits << (next(rest) - low)
-                for y in rest:
-                    acc |= bits << (y - low)
-                self._bits, self._low = acc, self._low + low
-                self.count = acc.bit_count()
+            runs = self._packed_sum([y for (y,) in img])
+            if runs is not None:
+                self._runs = runs
+                self.count = sum(n for _, _, n in runs)
+                sparse = len(runs) > 1 and self.count < _POINTS_PER_RUN * len(runs)
+                if sparse and self.count <= self.budget:  # past it the sum is dropped
+                    self._set = self.elements()
                 return
             self._set = self.elements()
         old, sumset, out = self._set, self.alpha.group.sumset, set()
@@ -570,14 +586,57 @@ class _IncrementalTrajectory:
         self._set = frozenset(out)
         self.count = len(out)
 
+    def _packed_sum(self, ys):
+        """The runs of the sum plus the points ``ys``, or None when they
+        would hold more bits than the pairs allow."""
+        bound = _BITS_PER_PAIR * max(min(self.count * len(ys), self.budget), _FLOOR_PAIRS)
+        runs, low, high = self._runs, min(ys), max(ys)
+        if len(runs) == 1 and high - low < runs[0][1].bit_length() + _RUN_GAP:
+            start, bits, _ = runs[0]
+            if bits.bit_length() + high - low > bound:
+                return None
+            rest = iter(ys)
+            acc = bits << (next(rest) - low)
+            for y in rest:
+                acc |= bits << (y - low)
+            return [(start + low, acc, acc.bit_count())]
+        pieces = sorted(((start + y, bits, n) for y in ys for start, bits, n in runs),
+                        key=itemgetter(0))
+        groups = []  # [start, end, pieces] of the runs to come
+        for piece in pieces:
+            start, bits, _ = piece
+            end = start + bits.bit_length()
+            if groups and start < groups[-1][1] + _RUN_GAP:
+                groups[-1][1] = max(groups[-1][1], end)
+                groups[-1][2].append(piece)
+            else:
+                groups.append([start, end, [piece]])
+        if sum(end - start for start, end, _ in groups) > bound:
+            return None
+        return [group[0] if len(group) == 1 else _merge_pieces(group) for _, _, group in groups]
+
     def elements(self) -> frozenset:
         """The elements of the current T_F(X)."""
         if self._set is not None:
             return self._set
-        # the k-th one bit ends the k-th run of zeros, counting from bit 0
-        runs = bin(self._bits)[:1:-1].split("1")[:-1]
-        before = self._low - 1
-        return frozenset((before + end,) for end in accumulate(len(run) + 1 for run in runs))
+        out = []
+        for start, bits, _ in self._runs:
+            # the k-th one bit ends the k-th run of zeros, counting from bit 0
+            zeros = bin(bits)[:1:-1].split("1")[:-1]
+            out.extend((start - 1 + end,) for end in accumulate(len(z) + 1 for z in zeros))
+        return frozenset(out)
+
+
+def _merge_pieces(pieces):
+    """One run from pieces (start, bits, count) sorted by start, ORed in
+    pairs so that a long chain of pieces costs log(len) copies of each
+    bit, not len."""
+    while len(pieces) > 1:
+        pairs = zip(pieces[::2], pieces[1::2])
+        merged = [(a, x | (y << (b - a)), None) for (a, x, _), (b, y, _) in pairs]
+        pieces = merged + pieces[len(merged) * 2:]
+    start, bits, _ = pieces[0]
+    return start, bits, bits.bit_count()
 
 
 def trajectory_function(
@@ -853,9 +912,12 @@ def h_alg_estimate(
     Subgroup seeds ride the canonical-form machinery (orders stay exact
     even when they are astronomically large), and the budget bounds the
     monoid elements they visit; set seeds grow one sumset along the net,
-    and the budget bounds its size.  On Z the sumset is a bitset counted
-    by popcount, so no tuple is made unless the sum is too sparse to pack
-    (see ``_IncrementalTrajectory``).  Both are fed ``net.increments``:
+    and the budget bounds its size.  On Z the sumset is a sorted list of
+    runs of bits, at least 2^12 zero bits apart, each counted by popcount
+    when it changes.  No tuple is made unless the runs would hold more than
+    64 bits per pair x + y the tuple route would add, or several runs
+    average fewer than 64 points each (see ``_IncrementalTrajectory``).
+    Both are fed ``net.increments``:
     on a nested net |F_i| is the running sum of its shell sizes.
     """
     if prefix < 1:

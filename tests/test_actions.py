@@ -364,7 +364,7 @@ def test_packed_trajectory_switches_to_tuples_mid_advance():
 
 @pytest.mark.parametrize("points, budget, stop", [
     ([0, 1, 4, 5], 1000, 6),  # x -> 4x, packed throughout
-    ([0, 1], 200, 7),         # x -> 10x, over budget in the step that unpacks
+    ([0, 1], 200, 7),         # x -> 10x, unpacked at (4,): two runs of 16 points
     ([0, 10**15], 40, 5),     # x -> 10x, tuples from the start
 ])
 def test_budget_stops_at_the_same_element_on_both_routes(points, budget, stop):
@@ -418,6 +418,100 @@ def test_set_seed_builtins_stay_packed(name, tmp_path, monkeypatch):
     monkeypatch.setattr(FreeZ, "sumset", tuple_route)
     code, message = cli.run_scenario(name, out_dir=tmp_path)
     assert code == 0, message
+
+# --- packed sums on Z as runs of bits ----------------------------------------
+
+def runs_along(alpha, x, net, prefix):
+    """Compare with the oracle at every index; returns, per index, the
+    number of runs the accumulator holds (0 once it has unpacked)."""
+    inc, oracle = _IncrementalTrajectory(alpha, x, 10**7), TupleTrajectory(alpha, x)
+    held = []
+    for i in range(1, prefix + 1):
+        fi = net.subset(i)
+        want = oracle.advance(fi)
+        assert inc.advance(fi) == len(want), i
+        assert inc.elements() == want, i
+        held.append(0 if inc._set is not None else len(inc._runs))
+    return held
+
+
+RUN_CASES = [
+    (4, [0, 1], 10),
+    (4, [0, 1, 4, 5], 9),
+    (-4, [0, 1], 10),
+    (10, [0, 1, 2], 7),
+    (4, [0, 5000], 8),  # the first image is two runs
+    (2, [-7000, 0, 1], 8),
+]
+
+
+@pytest.mark.parametrize("a, points, prefix", RUN_CASES)
+def test_runs_match_tuples_at_every_index(a, points, prefix):
+    alpha = Action(N1, Z, [scalar_endo(Z, a)])
+    x = FiniteSubset.of(Z, [(p,) for p in points])
+    held = runs_along(alpha, x, box_net(N1), prefix)
+    runs_along(alpha, x, sliding_net(N1), 5)
+    runs_along(alpha, x, translate_net(box_net(N1), ms(N1, [(2,), (0,)])), 5)
+    if abs(a) == 4 and points[:2] == [0, 1]:
+        assert held[-1] > 1  # packed over several runs
+
+
+def test_dense_first_image_with_a_gap_packs_as_two_runs():
+    alpha = Action(N1, Z, [scalar_endo(Z, 4)])
+    x = FiniteSubset.of(Z, [(p,) for p in list(range(64)) + list(range(5000, 5064))])
+    assert runs_along(alpha, x, box_net(N1), 3)[0] == 2
+
+
+@pytest.mark.parametrize("points, prefix", [([0, 1, 4, 5], 14), ([0, 1], 20)])
+def test_run_sums_stay_packed_and_small(points, prefix):
+    """x -> 4x: |T_n| grows like |X|^n but its span like 4^n.  As one
+    bitset, {0,1,4,5}@14 took 176 MB and {0,1}@20 unpacked to 254 MB of
+    tuples."""
+    import tracemalloc
+
+    alpha = Action(N1, Z, [scalar_endo(Z, 4)])
+    x = FiniteSubset.of(Z, [(p,) for p in points])
+    tracemalloc.start()
+    try:
+        inc = _IncrementalTrajectory(alpha, x, 10**7)
+        counts = [inc.advance(interval(i)) for i in range(1, prefix + 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if len(points) == 4:
+        assert counts == [4 * 3 ** (i - 1) for i in range(1, prefix + 1)]
+    else:
+        assert counts == [2**i for i in range(1, prefix + 1)]
+    assert inc._set is None and len(inc._runs) > 1
+    assert peak < 16 * 2**20
+
+
+def test_dense_sums_keep_one_run_and_the_shift_loop(tmp_path, monkeypatch):
+    """x -> 2x on {0,1,2} and fubini-product's trajectories fill one
+    interval: every sum is one run, added by the OR of shifted copies."""
+    import amenact.actions as actions
+
+    held = []
+    add = _IncrementalTrajectory._add
+
+    def recording_add(self, img):
+        add(self, img)
+        held.append(len(self._runs) if self._set is None else 0)
+
+    def no_merge(pieces):
+        raise AssertionError("a dense sum left the one-run path")
+
+    monkeypatch.setattr(_IncrementalTrajectory, "_add", recording_add)
+    monkeypatch.setattr(actions, "_merge_pieces", no_merge)
+    alpha = Action(N1, Z, [scalar_endo(Z, 2)])
+    x = FiniteSubset.of(Z, [(0,), (1,), (2,)])
+    runs_along(alpha, x, box_net(N1), 12)
+    n2 = FreeCommutative(2)
+    beta = Action(n2, Z, [scalar_endo(Z, 2), scalar_endo(Z, 2)])
+    runs_along(beta, x, box_net(n2), 5)
+    code, message = cli.run_scenario("fubini-product", out_dir=tmp_path)
+    assert code == 0, message
+    assert len(held) > 700 and set(held) == {1}
 
 
 def test_subgroup_trajectory_shift_span():
