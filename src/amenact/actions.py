@@ -819,54 +819,31 @@ def _l1_order(e):
     return sum(map(abs, e)), e
 
 
-class _ScratchTrajectory:
-    """T_F(alpha, B) for coordinatewise seeds and seeds of free groups:
-    ``subgroup_trajectory`` over all of F after every extension.  Each
-    extension visits all of F against ``budget``."""
-
-    def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
-        self.alpha = alpha
-        self.seed = seed
-        self.budget = budget
-        self.visited = 0
-        self.reset()
-
-    def reset(self):
-        self._f = frozenset()
-        self._t = None
-
-    def extend(self, added):
-        self._f |= added
-        self.visited += len(self._f)
-        if self.visited > self.budget:
-            raise BudgetExceededError(
-                f"subgroup trajectory visited more than {self.budget} monoid elements"
-            )
-        self._t = subgroup_trajectory(self.alpha, MSubset(self.alpha.monoid, self._f), self.seed)
-
-    @property
-    def count(self) -> int:
-        return self._t.order()
-
-    def contains(self, x) -> bool:
-        return self._t.contains(x)
-
-
 def _subgroup_accumulator(alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
-    if seed.group != alpha.group:
+    """The growing trajectory of a finite subgroup seed.  A coordinatewise
+    seed over a finite index becomes the finitely generated subgroup it
+    equals; a seed of infinite order has no entropy and is refused."""
+    group = alpha.group
+    if seed.group != group:
         raise GroupMismatchError("subgroup lives in a different group")
-    if isinstance(alpha.group, (FiniteProduct, DirectSum)) and not isinstance(seed, PercoordSubgroup):
-        return _GrowingTrajectory(alpha, seed, budget)
-    return _ScratchTrajectory(alpha, seed, budget)
+    if not isinstance(group, (FiniteProduct, DirectSum)):
+        raise GroupMismatchError(
+            "subgroup seeds need a finite product or a direct sum; a free group's only finite subgroup is {0}"
+        )
+    if isinstance(seed, PercoordSubgroup):
+        if seed.order() == math.inf:
+            raise UndecidableFamilyError("a coordinatewise seed over an infinite index has infinite order")
+        index = sorted(group.index.window(1).elements)
+        seed = Subgroup.generated(group, [group.basis_vector(i, g) for i in index for g in seed.base.gens])
+    return _GrowingTrajectory(alpha, seed, budget)
 
 
 def _trajectory_orders(alpha: Action, seed: Subgroup, net: FolnerNet, prefix: int,
                        budget: int = DEFAULT_ELEMENT_BUDGET):
     """Yield (|F_i|, |T_{F_i}(alpha, B)|) for i = 1..prefix.
 
-    Finitely generated seeds of finite products and direct sums share one
-    growing echelon basis along the net, fed with its shells; coordinatewise
-    seeds and free groups take ``subgroup_trajectory`` at every index.
+    The seed's images share one growing echelon basis along the net, fed
+    with its shells (see ``_subgroup_accumulator`` for the seeds taken).
     """
     return _counts_along(_subgroup_accumulator(alpha, seed, budget), net, prefix)
 
@@ -909,10 +886,12 @@ def h_alg_estimate(
 ) -> EntropyEstimate:
     """Entropy ratio table for a finite seed set or a subgroup seed.
 
-    Subgroup seeds ride the canonical-form machinery (orders stay exact
-    even when they are astronomically large), and the budget bounds the
-    monoid elements they visit; set seeds grow one sumset along the net,
-    and the budget bounds its size.  On Z the sumset is a sorted list of
+    A subgroup seed must be a finite subgroup of a finite product or a
+    direct sum (a coordinatewise one needs a finite index); any other is
+    refused before anything is counted.  Its trajectory grows one modular
+    echelon basis (orders stay exact even when they are astronomically
+    large), and the budget bounds the monoid elements it visits; set seeds
+    grow one sumset along the net, and the budget bounds its size.  On Z the sumset is a sorted list of
     runs of bits, at least 2^12 zero bits apart, each counted by popcount
     when it changes.  No tuple is made unless the runs would hold more than
     64 bits per pair x + y the tuple route would add, or several runs

@@ -154,6 +154,20 @@ _ENDOS = {
     "scalar": Spec({"a": INT}, lambda g, s: scalar_endo(g, s["a"])),
     "matrix": Spec({"rows": [[INT]]}, lambda g, s: MatrixEndo(g, tuple(map(tuple, s["rows"])))),
 }
+# seed forms: a finite set, or a subgroup (finitely generated, or coordinatewise B0^(I))
+_SET_SEED = {
+    "set": Spec({"set": Items("element", 1)}, lambda g, s: FiniteSubset(g, frozenset(map(g.element, s["set"])))),
+}
+_SUBGROUP_SEEDS = {
+    "subgroup_basis": Spec(
+        {"subgroup_basis": ["element"]},
+        lambda g, s: Subgroup.generated(g, [g.element(e) for e in s["subgroup_basis"]]),
+    ),
+    "percoord_basis": Spec(
+        {"percoord_basis": ["base_element"]},
+        lambda g, s: Subgroup.percoord(g, Subgroup.generated(g.base, [tuple(e) for e in s["percoord_basis"]])),
+    ),
+}
 SPECS = {
     "monoid": OneOf("family", {
         "N^d": Spec({"dim": NAT}, lambda s: FreeCommutative(s["dim"])),
@@ -180,19 +194,9 @@ SPECS = {
     "action": Spec(
         {"generators": ["endo"]}, lambda m, g, s: Action(m, g, [_build("endo", g, e) for e in s["generators"]])
     ),
-    "seed": OneOf(None, {
-        "set": Spec(
-            {"set": Items("element", 1)}, lambda g, s: FiniteSubset(g, frozenset(map(g.element, s["set"])))
-        ),
-        "subgroup_basis": Spec(
-            {"subgroup_basis": ["element"]},
-            lambda g, s: Subgroup.generated(g, [g.element(e) for e in s["subgroup_basis"]]),
-        ),
-        "percoord_basis": Spec(
-            {"percoord_basis": ["base_element"]},
-            lambda g, s: Subgroup.percoord(g, Subgroup.generated(g.base, [tuple(e) for e in s["percoord_basis"]])),
-        ),
-    }),
+    "set_seed": OneOf(None, _SET_SEED),
+    "subgroup": OneOf(None, _SUBGROUP_SEEDS),
+    "seed": OneOf(None, {**_SET_SEED, **_SUBGROUP_SEEDS}),
     "hom": OneOf("kind", {
         "project": Spec({"coords": [NAT]}, lambda m, s: projection_hom(m, tuple(s["coords"]))),
         "mod": Spec({"factors": [POS]}, lambda m, s: mod_hom(m, tuple(s["factors"]))),
@@ -282,11 +286,11 @@ KINDS = {
     "tiling": {"dim": POS, "region": POS, "tiles": [POS], "epsilon": RATIO},
     "semidirect-defect": {"element": Items(INT, 2, 3), "pairs": [Items(POS, 2, 2)]},
     "integral": {"monoid": "monoid", "function": "function", "net": "net", "prefix?": PREFIX},
-    "fubini": {"monoid": "monoid", "target": "group", "action": "action", "seed": "seed", "hom": "hom",
+    "fubini": {"monoid": "monoid", "target": "group", "action": "action", "seed": "set_seed", "hom": "hom",
                "prefix?": PREFIX, "c_prefix?": PREFIX, "n_prefix?": PREFIX},
     "entropy": _ACTION,
-    "addition": {"monoid": "monoid", "group": "group", "action": "action", "subgroup": "seed", "net": "net"},
-    "bridge": _ACTION,
+    "addition": {"monoid": "monoid", "group": "group", "action": "action", "subgroup": "subgroup", "net": "net"},
+    "bridge": {**_ACTION, "seed": "subgroup"},
     "duality-props": {"groups": [[POS]]},
 }
 SCENARIO = OneOf("kind", {

@@ -1,5 +1,6 @@
 """actions-entropy: trajectories, entropy tables, induced actions."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -43,7 +44,13 @@ from amenact.actions import (
     trajectory_function,
 )
 from amenact.duality import random_endomorphism
-from amenact.errors import BudgetExceededError, GroupMismatchError, MonoidMismatchError, NotInvariantError
+from amenact.errors import (
+    BudgetExceededError,
+    GroupMismatchError,
+    MonoidMismatchError,
+    NotInvariantError,
+    UndecidableFamilyError,
+)
 from amenact.folner import FolnerNet, _counts_along, box_net, kernel_box_net, product_net, translate_net
 from amenact.integral import sample_axioms
 from amenact.monoid import (
@@ -101,7 +108,6 @@ def test_noncommuting_generators_rejected():
 
 
 def test_semidirect_acting_monoids_rejected():
-    from amenact.errors import UndecidableFamilyError
     from amenact.monoid import SemidirectZZ
 
     with pytest.raises(UndecidableFamilyError):
@@ -960,14 +966,112 @@ def test_growing_basis_on_translated_and_non_nested_nets():
     assert counts == fresh
 
 
-def test_percoord_and_free_seeds_keep_their_route():
-    alpha, group, two_a = klein_shift()
-    est = h_alg_estimate(alpha, two_a, box_net(Z1), 3)
-    assert est.counts == join_path_counts(alpha, two_a, box_net(Z1), 3)
+def infinite_seeds():
+    """(alpha, seed, error): 2A on (Z/4)^(Z) has infinite order, and Z^2's
+    only finite subgroup is {0}."""
+    alpha, _, two_a = klein_shift()
+    yield alpha, two_a, UndecidableFamilyError
     z2 = FreeZ(2)
     beta = Action(N1, z2, [MatrixEndo(z2, ((2, 1), (1, 1)))])
-    seed = Subgroup.generated(z2, [(1, 0)])
-    assert h_alg_estimate(beta, seed, box_net(N1), 4).counts == [math.inf] * 4
+    yield beta, Subgroup.generated(z2, [(1, 0)]), GroupMismatchError
+
+
+class UnreadNet:
+    """A net that fails the test as soon as anything counts along it."""
+
+    label = "unread"
+
+    def __getattr__(self, name):
+        raise AssertionError(f"net.{name} was read before the seed was refused")
+
+
+@pytest.mark.parametrize("alpha,seed,error", list(infinite_seeds()))
+def test_seeds_of_infinite_order_are_refused_before_counting(alpha, seed, error):
+    with pytest.raises(error):
+        h_alg_estimate(alpha, seed, UnreadNet(), 3)
+    with pytest.raises(error):
+        ent_estimate(alpha, None, [seed], UnreadNet(), 3)
+
+
+INFINITE_SEED_SCENARIOS = {
+    "percoord-over-Z": {
+        "kind": "entropy",
+        "monoid": {"family": "Z^d", "dim": 1},
+        "group": {"family": "direct-sum", "base": [4], "index": {"family": "Z^d", "dim": 1}},
+        "action": {"generators": [{"kind": "shift", "by": [1]}]},
+        "seed": {"percoord_basis": [[2]]},
+        "net": {"family": "box"},
+    },
+    "free-subgroup": {
+        "kind": "entropy",
+        "monoid": {"family": "N^d", "dim": 1},
+        "group": {"family": "free", "rank": 2},
+        "action": {"generators": [{"kind": "matrix", "rows": [[2, 1], [1, 1]]}]},
+        "seed": {"subgroup_basis": [[1, 0]]},
+        "net": {"family": "box"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_SEED_SCENARIOS))
+def test_cli_refuses_seeds_of_infinite_order(tmp_path, name):
+    source = tmp_path / f"{name}.json"
+    source.write_text(json.dumps(INFINITE_SEED_SCENARIOS[name]))
+    code, message = cli.run_scenario(str(source), out_dir=tmp_path / "out", prefix=3)
+    assert code == 2 and message.startswith("invalid scenario: "), message
+    assert not (tmp_path / "out").exists()
+
+
+def closure_order(group, gens):
+    """Oracle: the order of the subgroup that ``gens`` generate, by closure."""
+    seen = {group.zero}
+    frontier = [group.zero]
+    while frontier:
+        frontier = [y for x in frontier for g in gens if (y := group.add(x, g)) not in seen]
+        seen.update(frontier)
+    return len(seen)
+
+
+@pytest.mark.parametrize("wrap", [True, False], ids=["shift", "identity"])
+def test_percoord_seed_over_a_finite_index_is_its_finitely_generated_form(wrap):
+    # (2 Z/4)^(Z/3) is the subgroup of order 8 generated by 2 e_0, 2 e_1, 2 e_2
+    base = FiniteProduct((4,))
+    group = DirectSum(base, FiniteAbelianMonoid((3,)))
+    alpha = Action(Z1, group, [shift_endo(group, (1,)) if wrap else identity_endo(group)])
+    two_a = Subgroup.percoord(group, Subgroup.generated(base, [(2,)]))
+    fg = Subgroup.generated(group, [group.basis_vector((i,), (2,)) for i in range(3)])
+    net = box_net(Z1)
+    counts = h_alg_estimate(alpha, two_a, net, 3).counts
+    subsets = [net.subset(i) for i in range(1, 4)]
+    assert counts == [subgroup_trajectory(alpha, f, fg).order() for f in subsets]
+    assert counts == [
+        closure_order(group, [alpha.apply(s, g) for s in f.elements for g in fg.gens]) for f in subsets
+    ]
+    assert counts == [8, 8, 8]
+    # 2A is invariant, so its trajectory never fills the window
+    cert = _window_certificate(alpha, two_a, 1)
+    assert cert == _window_certificate(alpha, fg, 1) == GeneratorCertificate(1, 8, False)
+
+
+def test_percoord_seed_over_a_finite_index_keeps_its_csv(tmp_path):
+    source = tmp_path / "percoord-identity.json"
+    source.write_text(json.dumps({
+        "kind": "entropy",
+        "monoid": {"family": "Z^d", "dim": 1},
+        "group": {"family": "direct-sum", "base": [4], "index": {"family": "finite", "factors": [3]}},
+        "action": {"generators": [{"kind": "identity"}]},
+        "seed": {"percoord_basis": [[2]]},
+        "net": {"family": "box"},
+        "prefix": 3,
+    }))
+    code, message = cli.run_scenario(str(source), out_dir=tmp_path)
+    assert code == 0, message
+    data = (tmp_path / "percoord-identity.csv").read_bytes()
+    assert data.splitlines()[1:] == [b"1,3,8,0.6931471805599453", b"2,5,8,0.4158883083359671",
+                                     b"3,7,8,0.29706307738283366"]
+    assert hashlib.sha256(data).hexdigest() == (
+        "9f93e035b1a6c809ad924613392966d034df126d42a710bf87b5bfddf7b37ab9"
+    )
 
 
 def certificate_cases():
@@ -1122,15 +1226,6 @@ def test_subgroup_seed_budget_counts_visited_elements():
     with pytest.raises(BudgetExceededError) as err:
         h_alg_estimate(alpha, seed, net, 3, budget=28)
     assert err.value.index == 3
-
-
-def test_percoord_seed_budget_counts_visited_elements():
-    alpha, group, two_a = klein_shift()
-    # F_1 = [-1, 1] and F_2 = [-2, 2]: the accumulator visits 3 + 5 elements
-    assert h_alg_estimate(alpha, two_a, box_net(Z1), 2, budget=8).counts
-    with pytest.raises(BudgetExceededError) as err:
-        h_alg_estimate(alpha, two_a, box_net(Z1), 2, budget=7)
-    assert err.value.index == 2
 
 
 FIBONACCI_SCENARIO = {

@@ -20,6 +20,8 @@ SRC = TESTS.parent / "src"
 
 # corpus file -> the JSON path its schema error names
 SCHEMA_ERRORS = {
+    "addition-set-subgroup.json": "subgroup",
+    "bridge-set-seed.json": "seed",
     "check-tol-string.json": "checks[1].tol",
     "check-unknown-key.json": "checks[0].bogus",
     "check-value-string.json": "checks[0].value",
@@ -30,6 +32,7 @@ SCHEMA_ERRORS = {
     "direct-sum-flat-element.json": "seed.subgroup_basis[0][0]",
     "duality-zero-factor.json": "groups[1][1]",
     "folner-verify-prefix-one.json": "prefix",
+    "fubini-subgroup-seed.json": "seed",
     "fubini-c-prefix-one.json": "c_prefix",
     "fubini-n-prefix-one.json": "n_prefix",
     "group-without-index.json": "group.index",
