@@ -8,8 +8,11 @@ Three families cover everything the entropy machinery needs:
   of a monoid into a finite product, stored as frozensets of
   (index, value) pairs with nonzero values.
 
-Subgroups are canonicalized through integer row reduction (Hermite form
-over the generators plus the modulus rows), so orders, membership, coset
+Subgroups are canonicalized by the Hermite form of their lattice
+(``lattices.hnf``): on a finite product, or on the finite window of a
+direct sum that the generators reach, of the generators plus the modulus
+rows m_j e_j, which ``hnf`` reads off its ``ModularEchelon``; on Z^rank,
+of the generators, by dense elimination.  So orders, membership, coset
 counts, and joins are all exact.  Every value here is immutable.
 """
 
@@ -151,10 +154,7 @@ class FiniteProduct(AbelianGroup):
 
     @property
     def order(self):
-        o = 1
-        for n in self.factors:
-            o *= n
-        return o
+        return math.prod(self.factors)
 
     def add(self, x, y):
         return tuple((a + b) % n for a, b, n in zip(x, y, self.factors))
@@ -369,10 +369,16 @@ def _moduli_rows(factors):
     return [[factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
 
 
+def _hermite_data(moduli, basis, window):
+    """``Subgroup._flat`` data of L, of Hermite basis ``basis``: the order is [L : (m_j e_j)]."""
+    return len(moduli), basis, math.prod(moduli) // math.prod(r[j] for j, r in enumerate(basis)), window
+
+
 class Subgroup:
     """A finitely generated subgroup of FreeZ or of a FiniteProduct, or a
     finitely supported subgroup of a DirectSum, canonicalized through the
-    Hermite form of its generators plus the modulus rows.
+    Hermite form of the generators, plus the modulus rows on a finite
+    product or on the window of indices the generators reach.
 
     ``Subgroup.percoord(A, B0)`` builds a ``PercoordSubgroup`` instead: the
     coordinatewise subgroup B0^(index) of a DirectSum, which is how
@@ -391,6 +397,13 @@ class Subgroup:
     def generated(cls, group, gens):
         gens = tuple(group.element(g) if not group.contains(g) else g for g in gens)
         return Subgroup(group, (g for g in gens if g != group.zero))
+
+    @classmethod
+    def _with_basis(cls, group: FiniteProduct, basis):
+        """The subgroup of a finite product of lattice Hermite basis ``basis``, taken as given."""
+        b = cls.generated(group, [tuple(r) for r in basis])
+        b._data = _hermite_data(group.factors, basis, None)
+        return b
 
     @classmethod
     def trivial(cls, group):
@@ -421,24 +434,17 @@ class Subgroup:
             return self._data
         g = self.group
         if isinstance(g, FreeZ):
-            basis = lattices.hnf([list(x) for x in self.gens], g.rank)
-            order = 1 if not basis else math.inf
-            self._data = (g.rank, basis, order, None)
-        elif isinstance(g, FiniteProduct):
-            k = len(g.factors)
-            rows = [list(x) for x in self.gens] + _moduli_rows(g.factors)
-            basis = lattices.hnf(rows, k)
-            order = g.order // lattices.lattice_index(basis, k)
-            self._data = (k, basis, order, None)
-        elif isinstance(g, DirectSum):
-            window = tuple(sorted({i for x in self.gens for i, _ in x}))
-            flat_gens = [_flatten(g, x, window) for x in self.gens]
-            k = len(window) * len(g.base.factors)
-            rows = flat_gens + _moduli_rows(g.base.factors * len(window))
-            basis = lattices.hnf(rows, k)
-            idx = lattices.lattice_index(basis, k)
-            order = (g.base.order ** len(window)) // idx if k else 1
-            self._data = (k, basis, order, window)
+            basis = lattices.hnf(list(self.gens), g.rank)
+            self._data = (g.rank, basis, math.inf if basis else 1, None)
+        elif isinstance(g, (FiniteProduct, DirectSum)):
+            if isinstance(g, DirectSum):
+                window = tuple(sorted({i for x in self.gens for i, _ in x}))
+                moduli = g.base.factors * len(window)
+                flat_gens = [_flatten(g, x, window) for x in self.gens]
+            else:
+                window, moduli, flat_gens = None, g.factors, list(self.gens)
+            basis = lattices.hnf(flat_gens + _moduli_rows(moduli), len(moduli))
+            self._data = _hermite_data(moduli, basis, window)
         else:
             raise UnsupportedQuotientError(f"subgroups of {g} are unsupported")
         return self._data
@@ -461,10 +467,8 @@ class Subgroup:
         _, basis, _, window = self._flat()
         g = self.group
         if isinstance(g, DirectSum):
-            inside = [(i, v) for i, v in x if i in window]
             outside = frozenset((i, v) for i, v in x if i not in window)
-            red = lattices.reduce_mod(basis, _flatten(g, frozenset(inside), window))
-            return (red, outside)
+            return lattices.reduce_mod(basis, _flatten(g, x - outside, window)), outside
         return lattices.reduce_mod(basis, list(x))
 
     def elements(self):
@@ -498,11 +502,10 @@ class Subgroup:
         return Subgroup.generated(self.group, self.gens + other.gens)
 
     def canonical_key(self):
-        """Equal keys <=> equal subgroups; built once, as ``_flat`` is."""
+        """Equal keys <=> equal subgroups, built once.  Each generator is
+        nonzero on its support, so a window is where the subgroup is nonzero."""
         if self._key is None:
-            dim, basis, order, window = self._flat()
-            if isinstance(self.group, DirectSum):
-                window, basis = _trim_window(self.group, window, basis)
+            _, basis, _, window = self._flat()
             self._key = ("fg", window, tuple(tuple(r) for r in basis))
         return self._key
 
@@ -583,29 +586,24 @@ class Subgroup:
         a = self.group
         if not self.gens:
             return a, IdentityProjection(a, a)
-        if isinstance(a, FiniteProduct):
-            rows = [list(x) for x in self.gens] + _moduli_rows(a.factors)
-            return _snf_quotient(a, rows, len(a.factors))
-        if isinstance(a, FreeZ):
-            basis = self._flat()[1]
-            if len(basis) == a.rank:
-                return _snf_quotient(a, basis, a.rank)
-            unit_cols = set()
-            for row in basis:
-                nz = [j for j, c in enumerate(row) if c]
-                if len(nz) != 1 or row[nz[0]] != 1:
-                    raise UnsupportedQuotientError(
-                        "free-group quotients need full rank or a unit coordinate sublattice"
-                    )
-                unit_cols.add(nz[0])
-            kept = tuple(j for j in range(a.rank) if j not in unit_cols)
-            target = FreeZ(len(kept))
-            return target, DropProjection(a, target, kept)
         if isinstance(a, DirectSum):
             raise UnsupportedQuotientError(
                 "direct-sum quotients are supported along coordinatewise subgroups only"
             )
-        raise UnsupportedQuotientError(f"unsupported quotient of {a}")
+        dim, basis, _, _ = self._flat()
+        if len(basis) == dim:  # every finite-product lattice holds the moduli
+            return _snf_quotient(a, basis, dim)
+        unit_cols = set()
+        for row in basis:
+            nz = [j for j, c in enumerate(row) if c]
+            if len(nz) != 1 or row[nz[0]] != 1:
+                raise UnsupportedQuotientError(
+                    "free-group quotients need full rank or a unit coordinate sublattice"
+                )
+            unit_cols.add(nz[0])
+        kept = tuple(j for j in range(a.rank) if j not in unit_cols)
+        target = FreeZ(len(kept))
+        return target, DropProjection(a, target, kept)
 
 
 class PercoordSubgroup(Subgroup):
@@ -687,22 +685,6 @@ def _flatten(group: DirectSum, x, window):
         at = pos[i] * k
         out[at : at + k] = v
     return out
-
-
-def _trim_window(group: DirectSum, window, basis):
-    """Drop window indices on which the subgroup is trivial, re-canonicalize."""
-    k = len(group.base.factors)
-    keep = []
-    for t, i in enumerate(window):
-        block = range(t * k, (t + 1) * k)
-        if any(row[c] % group.base.factors[c - t * k] for row in basis for c in block):
-            keep.append(t)
-    if len(keep) == len(window):
-        return window, basis
-    new_window = tuple(window[t] for t in keep)
-    cols = [c for t in keep for c in range(t * k, (t + 1) * k)]
-    rows = [[row[c] for c in cols] for row in basis]
-    return new_window, lattices.hnf(rows, len(cols))
 
 
 def subgroup_join(B: Subgroup, C: Subgroup) -> Subgroup:

@@ -325,14 +325,9 @@ class Action:
         acc = cache.get(exponents)
         if acc is not None:
             return acc
-        for j, k in enumerate(exponents):
-            if not k:
-                continue
-            step = 1 if k > 0 else -1
-            near = cache.get(exponents[:j] + (k - step,) + exponents[j + 1 :])
-            if near is not None:
-                acc = near.compose(self._generator_step(j, step))
-                break
+        found = self._neighbour(exponents, cache.get)
+        if found is not None:
+            acc = found[0].compose(found[1])
         else:
             acc = identity_endo(self.group)
             for phi, k in zip(self.gen_endos, exponents):
@@ -340,6 +335,17 @@ class Action:
                     acc = acc.compose(phi.power(k))
         cache[exponents] = acc
         return acc
+
+    def _neighbour(self, e, lookup):
+        """(lookup(n), phi_j^step) for the first neighbour n = e - step e_j,
+        step the sign of e_j != 0, that ``lookup`` finds (not None), else None.
+        The acting monoid is commutative: alpha(e) is phi_j^step after alpha(n)."""
+        for j, k in enumerate(e):
+            if k:
+                step = 1 if k > 0 else -1
+                near = lookup(e[:j] + (k - step,) + e[j + 1 :])
+                if near is not None:
+                    return near, self._generator_step(j, step)
 
     def _generator_step(self, j, step):
         """phi_j for step 1, its inverse (computed once) for step -1."""
@@ -707,14 +713,15 @@ class _GrowingTrajectory:
     walks only its keys not walked before, by increasing l1 norm.  The
     acting monoid is commutative, so alpha(s)(g) = phi_j^{+-1}(alpha(s -+
     e_j)(g)): a key takes its images from a neighbour key in the previous
-    or the current shell with one generator step (the rule ``Action.endo``
-    uses), and only a key with no such neighbour builds alpha(s).  On box
-    nets only the identity builds one.  An image already met in either
-    shell is not inserted again.  On a DirectSum each index gets its block
-    of columns when an image first touches it, so earlier echelon rows stay
-    valid.  Every element of every shell counts against ``budget``, whether
-    or not its key is new, restarts included; the element that passes it
-    is the one a walk of the whole shell by increasing l1 norm reaches.
+    or the current shell with one generator step (``Action._neighbour``, as
+    ``Action.endo`` does), and only a key with no such neighbour builds
+    alpha(s).  On box nets only the identity builds one.  An image already
+    met in either shell is not inserted again.  On a DirectSum each index
+    gets its block of columns when an image first touches it, so earlier
+    echelon rows stay valid.  Every element of every shell counts against
+    ``budget``, whether or not its key is new, restarts included; the
+    element that passes it is the one a walk of the whole shell by
+    increasing l1 norm reaches.
     """
 
     def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
@@ -776,17 +783,10 @@ class _GrowingTrajectory:
                         self._echelon.insert(self._flat(x, grow=True))
 
     def _seed_images(self, e, s):
-        for j, k in enumerate(e):
-            if not k:
-                continue
-            step = 1 if k > 0 else -1
-            near = e[:j] + (k - step,) + e[j + 1 :]
-            images = self._images.get(near)
-            if images is None:
-                images = self._before.get(near)
-            if images is not None:
-                apply = self.alpha._generator_step(j, step).apply
-                return [apply(x) for x in images]
+        found = self.alpha._neighbour(e, lambda n: self._images.get(n, self._before.get(n)))
+        if found is not None:
+            images, phi = found
+            return [phi.apply(x) for x in images]
         endo = self.alpha.endo(s)
         return [endo.apply(g) for g in self.seed.gens]
 

@@ -84,8 +84,7 @@ def annihilator(b: Subgroup) -> Subgroup:
     group = b.group
     if not isinstance(group, FiniteProduct):
         raise GroupMismatchError("annihilators are computed in finite products")
-    basis = _annihilator_basis(group.factors, b.gens)
-    return Subgroup.generated(group, [tuple(r) for r in basis])
+    return Subgroup._with_basis(group, _annihilator_basis(group.factors, b.gens))
 
 
 def dual_endomorphism(phi: MatrixEndo) -> MatrixEndo:
@@ -144,9 +143,10 @@ class OpenSubgroup:
     """An open subgroup of K^I cut out by congruences on finitely many
     coordinates; ``space`` is the direct sum K^(I) that K^I is dual to.
 
-    ``support`` lists the constrained indices; ``rows`` is a lattice basis
-    (including the modulus rows) over the flattened support coordinates:
-    membership of chi means its support-restriction lies in the row lattice.
+    ``support`` lists the constrained indices; ``rows`` is the full-rank
+    Hermite basis (modulus rows inside) of the lattice over the flattened
+    support coordinates that chi's support-restriction must lie in.  Each
+    constructor returns that canonical form: equal fields, equal subgroups.
     """
 
     space: DirectSum
@@ -154,8 +154,7 @@ class OpenSubgroup:
     rows: tuple
 
     def index_in_space(self) -> int:
-        dim = len(self.support) * len(self.space.base.factors)
-        return lattices.lattice_index(lattices.hnf(self.rows, dim), dim)
+        return math.prod(row[j] for j, row in enumerate(self.rows))
 
 
 def vanishing_subgroup(space: DirectSum, coords, base_subgroup: Subgroup) -> OpenSubgroup:
@@ -215,7 +214,8 @@ def cotrajectory_window(
     k = len(acc.factors)
     union = tuple(sorted(acc.pos))
     cols = [acc.pos[i] + t for i in union for t in range(k)]
-    basis = lattices.hnf(acc.rows_on(cols), len(cols))
+    rows = acc.rows_on(cols) + _moduli_rows(acc.factors * len(union))
+    basis = lattices.hnf(rows, len(cols))
     return OpenSubgroup(gamma.space, union, tuple(tuple(r) for r in basis))
 
 
@@ -240,9 +240,7 @@ class _GrowingCotrajectory:
             self.factors = gamma.space.base.factors
             self.support = u.support
             self.image_dim = len(u.support) * len(self.factors)
-            # the moduli keep every intersection of full rank, whatever rows U lists
-            moduli = _moduli_rows(self.factors * len(u.support))
-            self.target = [list(r) for r in u.rows] + moduli
+            self.target = [list(r) for r in u.rows]  # full rank: the moduli are inside
         elif isinstance(gamma.group, FiniteProduct):
             self.factors = gamma.group.factors
             self.target = u._flat()[1]

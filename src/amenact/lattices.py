@@ -8,6 +8,7 @@ which is what the subgroup canonical forms upstream rely on.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -87,8 +88,23 @@ def hnf(rows, dim: int) -> list[list[int]]:
     Returns echelon rows with positive pivots in strictly increasing
     columns; entries above each pivot are reduced into [0, pivot).
     Zero rows are dropped, so the result is a basis.
+
+    Rows that hold a multiple m_j e_j of every unit vector, as modulus rows
+    do, are read off a ``ModularEchelon`` over those m_j; others by dense elimination.
     """
-    return _echelon(rows, dim)[0]
+    moduli, rest = [0] * dim, []
+    for row in rows:
+        if row.count(0) == dim - 1:  # m e_j, m the sum of the row
+            j = row.index(m := sum(row))
+            moduli[j] = gcd(moduli[j], m)
+        else:
+            rest.append(row)
+    if not all(moduli):
+        return _echelon(rows, dim)[0]
+    echelon = ModularEchelon(moduli)
+    for row in rest:
+        echelon.insert(row)
+    return echelon.basis()
 
 
 def hnf_with_transform(rows, dim: int):
@@ -124,16 +140,6 @@ def contains(basis, vec) -> bool:
     return not any(reduce_mod(basis, vec))
 
 
-def lattice_index(basis, dim: int):
-    """Index [Z^dim : L]; None when L has rank < dim (infinite index)."""
-    if len(basis) < dim:
-        return None
-    idx = 1
-    for i, row in enumerate(basis):  # full rank: row i has its pivot in column i
-        idx *= row[i]
-    return idx
-
-
 def intersect(rows1, rows2, dim: int) -> list[list[int]]:
     """Basis (HNF) of the intersection of two row lattices in Z^dim.
 
@@ -141,7 +147,7 @@ def intersect(rows1, rows2, dim: int) -> list[list[int]]:
     zero first block are exactly [0 | x] for x in the intersection.
     """
     stacked = [list(r) * 2 for r in rows1] + [list(r) + [0] * dim for r in rows2]
-    return hnf([r[dim:] for r in _echelon(stacked, dim)[1]], dim)
+    return _echelon([r[dim:] for r in _echelon(stacked, dim)[1]], dim)[0]
 
 
 def snf_diagonal(rows, dim: int):
@@ -153,7 +159,7 @@ def snf_diagonal(rows, dim: int):
     up to dim, and satisfy the divisibility chain diag[i] | diag[i+1]
     whenever both are nonzero.
 
-    Row passes (``hnf``) alternate with column passes, which eliminate on
+    Row passes (dense ``hnf``) alternate with column passes, which eliminate on
     the columns of the r x dim matrix with the rows of V^T riding along,
     until the matrix is diagonal; a diagonal entry that does not divide the
     next one takes the next row in and the passes go on.  This ends: each
@@ -161,7 +167,7 @@ def snf_diagonal(rows, dim: int):
     it, and once a pass keeps that entry, its row and column are clear after
     the next row pass and the block shrinks.
     """
-    mat = hnf(rows, dim)
+    mat = _echelon(rows, dim)[0]
     r = len(mat)
     v_t = [[int(i == j) for j in range(dim)] for i in range(dim)]
     while True:
@@ -173,7 +179,7 @@ def snf_diagonal(rows, dim: int):
         pivots, rest = _echelon([[row[j] for row in mat] + v_t[j] for j in range(dim)], r)
         cols = pivots + rest
         v_t = [c[r:] for c in cols]
-        mat = hnf([[c[i] for c in cols] for i in range(r)], dim)
+        mat = _echelon([[c[i] for c in cols] for i in range(r)], dim)[0]
     diag = [mat[i][i] if i < r else 0 for i in range(dim)]
     return diag, [list(col) for col in zip(*v_t)]
 
@@ -202,7 +208,8 @@ class ModularEchelon:
     for M the lattice of the m_j * e_j: the order of L / M as a subgroup
     of prod Z/m_j.  It is kept as that product, which gains a factor p / g
     whenever a pivot p drops to g.  Columns are appended, never reordered,
-    so rows stay valid as the lattice grows.
+    so rows stay valid as the lattice grows.  They are not reduced above
+    the pivots; ``basis()`` reads off the canonical Hermite form.
 
     Rows are sparse, column -> nonzero entry, and so are the vectors that
     ``insert`` and ``contains`` take (a dense list of length ``dim`` is
@@ -321,6 +328,22 @@ class ModularEchelon:
 
     def order(self) -> int:
         return self._order
+
+    def basis(self) -> list[list[int]]:
+        """The Hermite normal form of the rows' lattice, L unless a
+        ``truncate`` awaits its refill, as dense rows: bottom up, each row's
+        entry in column k > j is reduced into [0, p_k) by row k (Cohen, GTM
+        138, Alg. 2.4.8)."""
+        d = self.dim
+        out = [None] * d
+        for j in reversed(range(d)):
+            row = self.rows[j]
+            v = [row.get(k, 0) for k in range(d)]
+            for k in range(j + 1, d if len(row) > 1 else 0):  # a lone pivot is reduced
+                if q := v[k] // out[k][k]:
+                    v = [a - q * b for a, b in zip(v, out[k])]
+            out[j] = v
+        return out
 
 
 def unimodular_inverse(mat):

@@ -153,10 +153,7 @@ class FiniteAbelianMonoid(Monoid):
 
     @property
     def order(self):
-        o = 1
-        for n in self.factors:
-            o *= n
-        return o
+        return prod(self.factors)
 
     @property
     def identity(self):

@@ -168,6 +168,100 @@ def test_subgroup_elements_refuses_a_wrong_lattice_order():
         b.elements()
 
 
+# --- the canonical form of finite-group subgroups ----------------------------
+# Subgroup._flat stacks the modulus rows under the generators, so hnf reads
+# the Hermite form off a ModularEchelon, the engine the growing trajectory
+# uses too: the trajectory's oracle (join_path_counts, built on Subgroup) no
+# longer checks it alone.  Here the oracle is dense elimination of the flat
+# generators stacked over the modulus rows.
+
+SUBGROUP_FACTORS = [1, 2, 3, 4, 6, 8, 9, 12]
+
+
+def _dense_flat(moduli, flat_gens):
+    """(basis, order) of the flat generators plus the modulus rows, dense."""
+    d = len(moduli)
+    rows = [list(x) for x in flat_gens]
+    rows += [[m if i == j else 0 for j in range(d)] for i, m in enumerate(moduli)]
+    basis = lattices._echelon(rows, d)[0]
+    assert len(basis) == d
+    return basis, math.prod(moduli) // math.prod(row[j] for j, row in enumerate(basis))
+
+
+def _random_direct_sum_subgroup(rng):
+    base = FiniteProduct(tuple(rng.choice(SUBGROUP_FACTORS) for _ in range(rng.randint(1, 2))))
+    group = DirectSum(base, FreeAbelian(1) if rng.random() < 0.5 else FreeCommutative(2))
+    idx = sorted(group.index.window(2).elements)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        gens.append({idx[rng.randrange(len(idx))]: base.sample(rng, 0) for _ in range(rng.randint(1, 3))})
+    return group, [group.element(x) for x in gens]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flat_matches_the_dense_hermite_form(seed):
+    # 8 x 250 random subgroups, finite products and direct-sum windows in turn
+    rng = random.Random(f"flat-oracle:{seed}")
+    for case in range(250):
+        if case % 2:
+            g = FiniteProduct(tuple(rng.choice(SUBGROUP_FACTORS) for _ in range(rng.randint(1, 4))))
+            gens = [g.sample(rng, 0) for _ in range(rng.randint(0, 4))]
+            b = Subgroup.generated(g, gens)
+            moduli, flat_gens, window = g.factors, [list(x) for x in b.gens], None
+        else:
+            g, gens = _random_direct_sum_subgroup(rng)
+            b = Subgroup.generated(g, gens)
+            window = tuple(sorted({i for x in gens for i, _ in x}))
+            pos = {i: t for t, i in enumerate(window)}
+            k = len(g.base.factors)
+            moduli = g.base.factors * len(window)
+            flat_gens = []
+            for x in gens:
+                flat = [0] * len(moduli)
+                for i, v in x:
+                    flat[pos[i] * k : (pos[i] + 1) * k] = v
+                flat_gens.append(flat)
+        basis, order = _dense_flat(moduli, flat_gens)
+        assert b._flat() == (len(moduli), basis, order, window), (g, gens)
+        assert b.order() == order
+
+
+def test_flat_on_finite_groups_takes_no_dense_elimination(monkeypatch):
+    def refuse(rows, dim):
+        raise AssertionError("dense _echelon called")
+
+    monkeypatch.setattr(lattices, "_echelon", refuse)
+    z46 = FiniteProduct((4, 6))
+    assert Subgroup.generated(z46, [(2, 3), (0, 2)])._flat() == (2, [[2, 1], [0, 2]], 6, None)
+    a = DirectSum(FiniteProduct((2, 4)), FreeAbelian(1))
+    b = Subgroup.generated(a, [{(0,): (1, 2), (3,): (0, 1)}, {(3,): (1, 1)}])
+    # 2 g1 + 2 g2 = 0 is the one relation: order 4 * 4 / 2
+    assert b.order() == 8 == len(closure(a, b.gens))
+    assert b.contains(a.element({(3,): (0, 2)}))
+    assert not b.contains(a.element({(0,): (1, 0)})) and not b.contains(a.element({(3,): (1, 0)}))
+    assert b.coset_key(a.element({(1,): (1, 1)})) == b.coset_key(a.element({(1,): (1, 1), (3,): (0, 2)}))
+
+
+def test_direct_sum_generating_sets_of_one_subgroup_give_one_key():
+    # the same subgroup of (Z/4)^(Z) from generators with different
+    # supports: the windows agree, as do the keys, equality and hashes
+    a = DirectSum(FiniteProduct((4,)), FreeAbelian(1))
+    e0, e1, e2 = (a.basis_vector((i,)) for i in range(3))
+    sets = [
+        [e0, e1, a.scalar(2, e2)],
+        [a.add(e0, e1), a.sub(e1, a.scalar(2, e2)), a.scalar(2, e2)],
+        [a.add(a.add(e0, e1), a.scalar(2, e2)), a.add(e1, a.scalar(2, e2)), a.scalar(6, e2)],
+    ]
+    subs = [Subgroup.generated(a, gens) for gens in sets]
+    subs.append(subs[0].join(Subgroup.generated(a, [e1])))
+    assert {len(b.gens) for b in subs} == {3, 4}
+    assert len({b.canonical_key() for b in subs}) == 1
+    assert len({hash(b) for b in subs}) == 1
+    assert all(b == subs[0] for b in subs)
+    assert subs[0]._flat()[3] == ((0,), (1,), (2,))
+    assert subs[0] != Subgroup.generated(a, [e0, e1])
+
+
 # --- rel_ell ----------------------------------------------------------------
 
 

@@ -95,6 +95,19 @@ def test_double_annihilator_small_groups():
             back = annihilator(perp)
             assert back.elements() == elems
             assert b.order() * perp.order() == g.order
+            # the canonical data annihilator hands over is what _flat derives
+            assert perp._flat() == Subgroup.generated(g, perp.gens)._flat()
+
+
+def test_annihilator_reads_its_hermite_form_once(monkeypatch):
+    calls = []
+    hnf = lattices.hnf
+    monkeypatch.setattr(lattices, "hnf", lambda rows, dim: calls.append(dim) or hnf(rows, dim))
+    g = FiniteProduct((4, 6))
+    perp = annihilator(Subgroup.generated(g, [(2, 3)]))
+    assert perp.order() == 12 and perp.contains((1, 1)) and not perp.contains((1, 0))
+    assert perp.canonical_key() == ("fg", None, ((1, 1), (0, 2)))  # c1 + c2 even
+    assert calls == [2]
 
 
 def test_annihilator_of_sum_is_intersection():
@@ -226,11 +239,30 @@ def shift_space(p=2):
     return DirectSum(FiniteProduct((p,)), N1)
 
 
+def dense_hnf(rows, dim):
+    """Oracle: the Hermite form by dense elimination alone, which
+    ``lattices.hnf`` skips once every column has a modulus row."""
+    return lattices._echelon(rows, dim)[0]
+
+
+def _assert_hermite_rows(u):
+    """An OpenSubgroup's rows are the full-rank Hermite form of their own
+    lattice, which frozen-dataclass equality and ``index_in_space`` (the
+    product of the pivots) rely on."""
+    dim = len(u.support) * len(u.space.base.factors)
+    assert len(u.rows) == dim and [list(r) for r in u.rows] == dense_hnf(u.rows, dim)
+
+
 def test_vanishing_subgroup_index():
     space = shift_space(3)
     base0 = Subgroup.trivial(space.base)
     u = vanishing_subgroup(space, [(0,)], base0)
     assert u.index_in_space() == 3
+    _assert_hermite_rows(u)
+    space = DirectSum(FiniteProduct((2, 4)), N1)
+    u = vanishing_subgroup(space, [(2,), (0,)], Subgroup.generated(space.base, [(1, 2)]))
+    assert u.support == ((0,), (2,)) and u.index_in_space() == (8 // 2) ** 2
+    _assert_hermite_rows(u)
 
 
 def test_vanishing_subgroup_refuses_a_coordinate_outside_the_index_monoid():
@@ -641,7 +673,7 @@ def _scratch_cotrajectory(gamma, f_set, u):
     for s in f_set.elements:
         images = [list(gamma.apply(s, e)) for e in units]
         acc = lattices.intersect(acc, _scratch_preimage(images, u_basis, k), k)
-    return lattices.hnf(acc, k)
+    return dense_hnf(acc, k)
 
 
 def _scratch_cotrajectory_window(gamma, f_set, u):
@@ -664,14 +696,13 @@ def _scratch_cotrajectory_window(gamma, f_set, u):
             if i not in moved:
                 pre.extend([int(j == pos[i] * k + t) for j in range(d)] for t in range(k))
         acc = lattices.intersect(acc, pre, d)
-    return OpenSubgroup(gamma.space, union, tuple(tuple(r) for r in lattices.hnf(acc, d)))
+    return OpenSubgroup(gamma.space, union, tuple(tuple(r) for r in dense_hnf(acc, d)))
 
 
 def _scratch_index(gamma, f_set, u):
     if isinstance(gamma, ProfiniteShiftAction):
         return _scratch_cotrajectory_window(gamma, f_set, u).index_in_space()
-    k = len(gamma.group.factors)
-    return lattices.lattice_index(_scratch_cotrajectory(gamma, f_set, u), k)
+    return math.prod(row[j] for j, row in enumerate(_scratch_cotrajectory(gamma, f_set, u)))
 
 
 def _dense_meet_preimage(basis, images, target_rows, image_dim):
@@ -691,7 +722,7 @@ def _dense_meet_preimage(basis, images, target_rows, image_dim):
             if a:
                 vec = [v + a * x for v, x in zip(vec, basis[j][c:])]
         tail.append(vec)
-    return basis[:c] + [[0] * c + r for r in lattices.hnf(tail, dim - c)]
+    return basis[:c] + [[0] * c + r for r in dense_hnf(tail, dim - c)]
 
 
 class DenseCotrajectory:
@@ -744,7 +775,7 @@ class DenseCotrajectory:
 
     @property
     def count(self):
-        return lattices.lattice_index(self.basis, len(self.basis))
+        return math.prod(row[j] for j, row in enumerate(self.basis))
 
 
 def _assert_echelon_invariants(echelon):
@@ -771,7 +802,10 @@ def _assert_matches_scratch(gamma, u, net, prefix):
         assert size == len(fi)
         assert index == want == _scratch_index(gamma, fi, u), i
         if isinstance(gamma, ProfiniteShiftAction):
-            assert cotrajectory_window(gamma, fi, u) == _scratch_cotrajectory_window(gamma, fi, u)
+            window = cotrajectory_window(gamma, fi, u)
+            _assert_hermite_rows(u)
+            _assert_hermite_rows(window)
+            assert window == _scratch_cotrajectory_window(gamma, fi, u)
         else:
             scratch = _scratch_cotrajectory(gamma, fi, u)
             expected = Subgroup.generated(gamma.group, [tuple(r) for r in scratch])

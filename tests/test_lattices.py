@@ -4,6 +4,7 @@ All oracle lattices contain m * Z^d for some modulus m, so membership,
 index, and intersections are decidable by enumerating residues mod m.
 """
 
+import math
 import random
 from itertools import product
 
@@ -30,6 +31,18 @@ def closure_mod(gens, m, dim):
     return seen
 
 
+def full_rank_index(basis, dim):
+    """[Z^dim : L] for a full-rank Hermite basis: the product of its pivots."""
+    assert len(basis) == dim
+    return math.prod(row[i] for i, row in enumerate(basis))
+
+
+def dense_hnf(rows, dim):
+    """Oracle: the Hermite form by dense elimination alone, the route
+    ``lattices.hnf`` leaves once every column has a modulus row."""
+    return lattices._echelon(rows, dim)[0]
+
+
 def random_case(rng, dim, m):
     nrows = rng.randint(1, dim + 1)
     gens = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(nrows)]
@@ -46,7 +59,7 @@ def test_hnf_membership_and_index_match_enumeration(seed):
     basis = lattices.hnf(full, dim)
     residues = closure_mod(gens, m, dim)
 
-    index = lattices.lattice_index(basis, dim)
+    index = full_rank_index(basis, dim)
     assert index == m**dim // len(residues)
 
     for vec in product(range(m), repeat=dim):
@@ -59,7 +72,37 @@ def test_hnf_membership_and_index_match_enumeration(seed):
 def test_hnf_of_empty_and_zero_rows():
     assert lattices.hnf([], 3) == []
     assert lattices.hnf([[0, 0, 0]], 3) == []
-    assert lattices.lattice_index([], 2) is None
+    assert lattices.hnf([], 0) == [] == lattices.hnf([[]], 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hnf_with_every_modulus_row_takes_the_modular_route(seed, monkeypatch):
+    # rows m * e_j for every column j, in any order, of either sign and
+    # repeated, mixed with other rows: the modular read-out equals dense
+    # elimination; one column short of a modulus row, dense elimination runs
+    rng = random.Random(f"hnf-route:{seed}")
+    cases = []
+    for _ in range(100):
+        dim = rng.randint(1, 5)
+        gens = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
+        moduli = [[0] * dim for _ in range(dim)]
+        for j, row in enumerate(moduli):
+            row[j] = rng.choice([-12, -2, 1, 3, 4, 6, 8])
+        extra = [list(row) for row in moduli if rng.random() < 0.3]
+        full = gens + moduli + [[2 * x for x in row] for row in extra]
+        rng.shuffle(full)
+        short = gens + moduli[1:]
+        cases.append((full, short, dim, dense_hnf(full, dim), dense_hnf(short, dim)))
+    dense_calls = []
+    echelon = lattices._echelon
+    monkeypatch.setattr(lattices, "_echelon", lambda rows, dim: dense_calls.append(1) or echelon(rows, dim))
+    for full, short, dim, want_full, want_short in cases:
+        assert lattices.hnf(full, dim) == want_full and not dense_calls, full
+        assert lattices.hnf(short, dim) == want_short
+        # a generator may itself be a multiple of e_0
+        lone = any(row[0] and not any(row[1:]) for row in short)
+        assert len(dense_calls) == (not lone), short
+        dense_calls.clear()
 
 
 def test_reduce_mod_is_translation_invariant():
@@ -111,7 +154,7 @@ def test_snf_projection_realizes_the_quotient(seed):
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
 
-    index = lattices.lattice_index(lattices.hnf(full, dim), dim)
+    index = full_rank_index(lattices.hnf(full, dim), dim)
     prod_diag = 1
     for d in diag:
         prod_diag *= d
@@ -514,7 +557,7 @@ def _oracle_basis(inserted, moduli):
     d = len(moduli)
     rows = [list(r) + [0] * (d - len(r)) for r in inserted]
     rows += [[m if i == j else 0 for j in range(d)] for i, m in enumerate(moduli)]
-    return lattices.hnf(rows, d)
+    return dense_hnf(rows, d)
 
 
 def _oracle_order(inserted, moduli):
@@ -522,7 +565,7 @@ def _oracle_order(inserted, moduli):
     for m in moduli:
         full *= m
     d = len(moduli)
-    return full // lattices.lattice_index(_oracle_basis(inserted, moduli), d) if d else 1
+    return full // full_rank_index(_oracle_basis(inserted, moduli), d) if d else 1
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -544,6 +587,8 @@ def test_modular_echelon_matches_hnf_at_every_step(seed):
             assert not any(row[:j]) and m % row[j] == 0
             assert all(0 <= a < n for a, n in zip(row[j + 1 :], engine.moduli[j + 1 :]))
         basis = _oracle_basis(inserted, engine.moduli)
+        # the read-out is the dense Hermite form, list for list
+        assert engine.basis() == basis
         for _ in range(6):
             vec = [rng.randint(-30, 30) for _ in range(engine.dim)]
             assert engine.contains(vec) == lattices.contains(basis, vec)
@@ -567,6 +612,17 @@ def test_modular_echelon_empty_and_unit_moduli():
     assert engine.order() == 1 and not engine.contains([0, 0, 1])
     engine.insert([0, 0, 2])
     assert engine.order() == 2 and engine.contains([0, 0, 6])
+    assert engine.basis() == [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+    assert lattices.ModularEchelon().basis() == []
+
+
+def test_modular_echelon_basis_reduces_above_the_pivots():
+    # L = <(1, 5)> + 4Z x 6Z: the stored row (1, 5) is reduced mod 6 only,
+    # and the Hermite form takes its 5 into [0, 2) with the pivot below
+    engine = lattices.ModularEchelon([4, 6])
+    engine.insert([1, 5])
+    assert engine.rows == [{0: 1, 1: 5}, {1: 2}]
+    assert engine.basis() == [[1, 1], [0, 2]] == dense_hnf([[1, 5], [4, 0], [0, 6]], 2)
 
 
 def test_modular_echelon_refuses_bad_input():
@@ -659,6 +715,9 @@ def test_truncate_matches_the_dense_engine(seed):
             assert engine.rows[c:] == [{j: m} for j, m in enumerate(engine.moduli) if j >= c]
         assert dense_rows(engine) == oracle.rows
         assert engine.order() == oracle.order()
+        # the read-out is the Hermite form of the rows, whose order is
+        # order(); it holds the moduli except between truncate and refill
+        assert engine.basis() == dense_hnf(oracle.rows, engine.dim)
         order = 1
         for j, (row, m) in enumerate(zip(engine.rows, engine.moduli)):
             assert all(row.values()) and min(row) == j
@@ -694,12 +753,13 @@ def test_truncate_then_refill_is_a_meet(seed):
         engine.insert(vec)
     dense = [[row.get(k, 0) for k in range(d)] for row in rows[:c] + refill]
     moduli_rows = [[m if i == j else 0 for j in range(d)] for i, m in enumerate(moduli)]
-    basis = lattices.hnf(dense + moduli_rows, d)
+    basis = dense_hnf(dense + moduli_rows, d)
     assert all(sum(a * b for a, b in zip(w, row)) % 2 == 0 for row in basis)
     full = 1
     for m in moduli:
         full *= m
-    assert engine.order() == full // lattices.lattice_index(basis, d)
+    assert engine.order() == full // full_rank_index(basis, d)
+    assert engine.basis() == basis  # the refill completes the meet
     assert engine.rows[:c] == rows[:c]
     for _ in range(10):
         vec = [rng.randint(-20, 20) for _ in range(d)]
