@@ -400,9 +400,12 @@ class Subgroup:
 
     @classmethod
     def _with_basis(cls, group: FiniteProduct, basis):
-        """The subgroup of a finite product of lattice Hermite basis ``basis``, taken as given."""
-        b = cls.generated(group, [tuple(r) for r in basis])
-        b._data = _hermite_data(group.factors, basis, None)
+        """The subgroup of a finite product of lattice Hermite basis ``basis``,
+        taken as given; its generators are the rows reduced mod the factors,
+        zero rows dropped."""
+        n = group.factors
+        b = Subgroup(group, (g for row in basis if any(g := tuple(x % m for x, m in zip(row, n)))))
+        b._data = _hermite_data(n, basis, None)
         return b
 
     @classmethod

@@ -536,7 +536,8 @@ def _run_duality_props(sc, prefix, budget):
     for factors in sc["groups"]:
         g = FiniteProduct(tuple(factors))
         k = len(factors)
-        subs = [Subgroup.generated(g, gens) for gens in _subgroup_gens(g)]
+        # each listed subgroup keeps the Hermite form it is listed as
+        subs = [Subgroup._with_basis(g, form) for form in _subgroup_gens(g)]
         hermite = [b._flat()[1] for b in subs]
         # Hermite basis -> annihilator: one per listed subgroup, and one for
         # any basis met that the listing lacks
@@ -545,7 +546,7 @@ def _run_duality_props(sc, prefix, budget):
         def perp(basis):
             key = tuple(map(tuple, basis))
             if key not in perps:
-                perps[key] = annihilator(Subgroup.generated(g, key))
+                perps[key] = annihilator(Subgroup._with_basis(g, basis))
             return perps[key]
 
         order_law = all(b.order() * perp(h).order() == g.order for b, h in zip(subs, hermite))

@@ -65,26 +65,36 @@ def _preimage(images, target_rows, dim: int) -> list[list[int]]:
     return [c[:m] for c in lattices.kernel(images + target_rows, dim)]
 
 
-def _annihilator_basis(factors, gens) -> list[list[int]]:
-    """HNF basis (modulus rows included) of {chi : <g, chi> = 0 for all g}
-    in Z^d, d = len(factors), for flat generators of prod Z/factors[t]."""
+def _annihilator_basis(factors, basis) -> list[list[int]]:
+    """HNF basis (modulus rows included) of {chi : <h, chi> = 0 for all h}
+    in Z^d, d = len(factors), for H = ``basis`` the full-rank Hermite basis
+    of a subgroup of prod Z/factors[t].
+
+    <h, chi> = sum_t h_t chi_t / n_t mod 1 vanishes for every row h of H
+    iff H D^-1 chi is integral, D = diag(n): B-perp is the column span of
+    D H^-1 = A, the integer matrix with A H = D (each n_i e_i lies in the
+    row lattice of H).  H is upper triangular and so is A; row i of A is
+    solved column by column with exact divisions by the pivots of H.
+    """
     d = len(factors)
-    lcm = math.lcm(*factors)
-    # <g, chi> = sum_t g_t chi_t / n_t mod 1 vanishes iff the weighted sum
-    # sum_t g_t chi_t (lcm / n_t) is 0 mod lcm: B-perp is the preimage of
-    # lcm * Z^gens under chi -> (weighted sums)
-    weighted = [[v * (lcm // n) for v, n in zip(g, factors)] for g in gens]
-    columns = [[row[t] for row in weighted] for t in range(d)]
-    sol_rows = _preimage(columns, _moduli_rows([lcm] * len(gens)), len(gens))
-    return lattices.hnf(sol_rows + _moduli_rows(factors), d)
+    columns = [[0] * d for _ in range(d)]  # columns[j][i] = A[i][j] mod n_i
+    for i, n in enumerate(factors):
+        a = [0] * d
+        a[i] = n // basis[i][i]
+        columns[i][i] = a[i] % n
+        for j in range(i + 1, d):
+            # (a H)[j] = sum_{i <= l <= j} a[l] H[l][j] must vanish
+            a[j] = -sum(a[l] * basis[l][j] for l in range(i, j)) // basis[j][j]
+            columns[j][i] = a[j] % n
+    return lattices.hnf(columns + _moduli_rows(factors), d)
 
 
 def annihilator(b: Subgroup) -> Subgroup:
-    """B-perp = {chi : chi(B) = 0}, as an integer-lattice kernel."""
+    """B-perp = {chi : chi(B) = 0}, solved from the Hermite basis of B."""
     group = b.group
     if not isinstance(group, FiniteProduct):
         raise GroupMismatchError("annihilators are computed in finite products")
-    return Subgroup._with_basis(group, _annihilator_basis(group.factors, b.gens))
+    return Subgroup._with_basis(group, _annihilator_basis(group.factors, b._flat()[1]))
 
 
 def dual_endomorphism(phi: MatrixEndo) -> MatrixEndo:
@@ -405,12 +415,15 @@ def bridge_check(
 
 def subgroup_lattice(group: FiniteProduct):
     """Every subgroup of a small finite product, as (gens, elements) pairs,
-    one per Hermite form of ``_subgroup_gens``."""
-    return [(gens, Subgroup.generated(group, gens).elements()) for gens in _subgroup_gens(group)]
+    one per Hermite form of ``_subgroup_gens``: the form's rows reduced
+    mod the factors, zero rows dropped."""
+    subs = (Subgroup._with_basis(group, form) for form in _subgroup_gens(group))
+    return [(b.gens, b.elements()) for b in subs]
 
 
 def _subgroup_gens(group: FiniteProduct):
-    """Yield generators of every subgroup of a small finite product, once each.
+    """Yield every subgroup of a small finite product once, as the rows of
+    its full-rank Hermite form, which generate it.
 
     The subgroups of prod Z/n_j are the lattices diag(n) <= L <= Z^k, and
     each is listed once, as its Hermite normal form built from the last
@@ -419,8 +432,7 @@ def _subgroup_gens(group: FiniteProduct):
     (n_j / p_j) tail lies in the lattice of the rows below (which is
     n_j e_j in L).  The forms on the last columns are the subgroups of a
     direct factor, never more than the whole group has, so the count
-    budget is checked as they grow.  The generators are the form's rows
-    reduced mod n, zero rows dropped.
+    budget is checked as they grow.
     """
     if group.order > SUBGROUP_LATTICE_BUDGET:
         raise BudgetExceededError(f"subgroup enumeration beyond {SUBGROUP_LATTICE_BUDGET} elements")
@@ -437,8 +449,7 @@ def _subgroup_gens(group: FiniteProduct):
             if len(grown) > SUBGROUP_COUNT_BUDGET:
                 raise BudgetExceededError(f"subgroup enumeration beyond {SUBGROUP_COUNT_BUDGET} subgroups")
         forms = grown
-    for rows in forms:
-        yield tuple(g for row in rows if any(g := tuple(x % m for x, m in zip(row, n))))
+    yield from forms
 
 
 def random_endomorphism(group: FiniteProduct, rng) -> MatrixEndo:

@@ -445,8 +445,10 @@ def semidirect_defect(n: int, m: int, x, budget: int = DEFAULT_ELEMENT_BUDGET) -
     A_m = [0, m-1]^2 and C_n = [0, n-1], counted exactly slice by slice.
 
     Right-translating by x moves the slice at height c by the integer
-    vector phi(c)(x_1, x_2); each slice's escape count is enumerated per
-    coordinate (the slice is a box, so the two axes count independently).
+    vector w = phi(c)(x_1, x_2), which is M w' for M the shear matrix and
+    w' the slice below's.  The slice is a box, so the two axes count
+    independently, and on one axis max(0, m - |w_i|) of the m points a
+    have a + w_i in [0, m).  The budget still bounds |G| = n m^2.
     """
     g = SemidirectZZ()
     if n < 1 or m < 1:
@@ -456,16 +458,15 @@ def semidirect_defect(n: int, m: int, x, budget: int = DEFAULT_ELEMENT_BUDGET) -
     x = tuple(x)
     if len(x) == 2:
         x = (x[0], x[1], 0)
+    (a, b), (d, e) = g.matrix
+    w1, w2 = x[0], x[1]  # phi(0) = I
     escaped = 0
     for c in range(n):
-        w1 = g.phi(c)[0][0] * x[0] + g.phi(c)[0][1] * x[1]
-        w2 = g.phi(c)[1][0] * x[0] + g.phi(c)[1][1] * x[1]
-        if not 0 <= c + x[2] < n:
+        if 0 <= c + x[2] < n:
+            escaped += m * m - max(0, m - abs(w1)) * max(0, m - abs(w2))
+        else:
             escaped += m * m
-            continue
-        stay1 = sum(1 for a in range(m) if 0 <= a + w1 < m)
-        stay2 = sum(1 for a in range(m) if 0 <= a + w2 < m)
-        escaped += m * m - stay1 * stay2
+        w1, w2 = a * w1 + b * w2, d * w1 + e * w2
     return Fraction(escaped, n * m * m)
 
 

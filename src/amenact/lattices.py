@@ -7,7 +7,6 @@ which is what the subgroup canonical forms upstream rely on.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -90,7 +89,9 @@ def hnf(rows, dim: int) -> list[list[int]]:
     Zero rows are dropped, so the result is a basis.
 
     Rows that hold a multiple m_j e_j of every unit vector, as modulus rows
-    do, are read off a ``ModularEchelon`` over those m_j; others by dense elimination.
+    do, take the modular route over the gcd m_j of those multiples: their
+    lattice is diag(m), and any other rows are inserted into a
+    ``ModularEchelon`` over m.  Other rows take dense elimination.
     """
     moduli, rest = [0] * dim, []
     for row in rows:
@@ -101,6 +102,8 @@ def hnf(rows, dim: int) -> list[list[int]]:
             rest.append(row)
     if not all(moduli):
         return _echelon(rows, dim)[0]
+    if not rest:
+        return [[m if k == j else 0 for k in range(dim)] for j, m in enumerate(moduli)]
     echelon = ModularEchelon(moduli)
     for row in rest:
         echelon.insert(row)
@@ -234,13 +237,11 @@ class ModularEchelon:
 
     def add_columns(self, moduli):
         """Append columns; each new pivot row starts as m_j * e_j."""
-        moduli = [int(m) for m in moduli]
-        if any(m < 1 for m in moduli):
+        moduli = list(moduli)
+        if min(moduli, default=1) < 1:
             raise ValueError("moduli must be positive integers")
-        d = len(self.moduli)
-        for t, m in enumerate(moduli):
-            self.rows.append({d + t: m})
-        self.moduli.extend(moduli)
+        self.rows += [{j: m} for j, m in enumerate(moduli, len(self.moduli))]
+        self.moduli += moduli
 
     def truncate(self, c: int):
         """Reset rows c.. to m_j * e_j and divide their m_j / p_j out of ``order()``."""
@@ -254,44 +255,35 @@ class ModularEchelon:
         if isinstance(vec, dict):
             if vec and not 0 <= min(vec) <= max(vec) < d:
                 raise ValueError(f"columns must lie in [0, {d})")
-            items = vec.items()
-        else:
-            vec = list(vec)
-            if len(vec) != d:
-                raise ValueError(f"expected a vector of length {d}")
-            items = enumerate(vec)
-        return {j: r for j, x in items if (r := x % moduli[j])}
+            return {j: r for j, x in vec.items() if (r := x % moduli[j])}
+        vec = list(vec)
+        if len(vec) != d:
+            raise ValueError(f"expected a vector of length {d}")
+        return {j: r for j, (x, n) in enumerate(zip(vec, moduli)) if (r := x % n)}
 
-    def _reduce(self, v, heap, j, q, row):
-        """v -= q * row on the columns after j; new columns join the heap."""
+    def _reduce(self, v, j, q, row):
+        """v -= q * row on the columns after j."""
         moduli = self.moduli
         for k, b in row.items():
-            if k == j:
-                continue
-            old = v.get(k)
-            w = ((old or 0) - q * b) % moduli[k]
-            if w:
-                if old is None:
-                    heappush(heap, k)
-                v[k] = w
-            elif old is not None:
-                del v[k]
+            if k != j:
+                if w := (v.get(k, 0) - q * b) % moduli[k]:
+                    v[k] = w
+                else:
+                    v.pop(k, None)
 
     def insert(self, vec):
         """Add ``vec`` to the lattice."""
         v = self._sparse(vec)
-        heap = list(v)
-        heapify(heap)
         moduli, rows = self.moduli, self.rows
-        while heap:
-            j = heappop(heap)
-            x = v.pop(j, 0)  # a column reduced to zero stays in the heap
-            if not x:
-                continue
+        while v:
+            # reducing column j only touches later columns, so the smallest
+            # nonzero column is always the next one to clear
+            j = min(v)
+            x = v.pop(j)
             row = rows[j]
             p = row[j]
             if x % p == 0:
-                self._reduce(v, heap, j, x // p, row)
+                self._reduce(v, j, x // p, row)
                 continue
             # (row, v) -> (a*row + b*v, (p/g)*v - (x/g)*row): unimodular, and
             # it clears v in column j while the pivot drops to g = gcd(p, x)
@@ -303,27 +295,22 @@ class ModularEchelon:
                 if nr := (a * r + b * w) % n:
                     new_row[k] = nr
                 if nv := (pg * w - xg * r) % n:
-                    if k not in v:
-                        heappush(heap, k)
                     v[k] = nv
-                elif k in v:
-                    del v[k]
+                else:
+                    v.pop(k, None)
             rows[j] = new_row
             self._order *= pg
 
     def contains(self, vec) -> bool:
         v = self._sparse(vec)
-        heap = list(v)
-        heapify(heap)
-        while heap:
-            j = heappop(heap)
-            x = v.pop(j, 0)
-            if not x:
-                continue
-            row = self.rows[j]
+        rows = self.rows
+        while v:
+            j = min(v)
+            x = v.pop(j)
+            row = rows[j]
             if x % row[j]:
                 return False
-            self._reduce(v, heap, j, x // row[j], row)
+            self._reduce(v, j, x // row[j], row)
         return True
 
     def order(self) -> int:
@@ -338,10 +325,13 @@ class ModularEchelon:
         out = [None] * d
         for j in reversed(range(d)):
             row = self.rows[j]
-            v = [row.get(k, 0) for k in range(d)]
-            for k in range(j + 1, d if len(row) > 1 else 0):  # a lone pivot is reduced
-                if q := v[k] // out[k][k]:
-                    v = [a - q * b for a, b in zip(v, out[k])]
+            v = [0] * d
+            for k, x in row.items():
+                v[k] = x
+            if len(row) > 1:  # a lone pivot is reduced
+                for k in range(j + 1, d):
+                    if q := v[k] // out[k][k]:
+                        v = [a - q * b for a, b in zip(v, out[k])]
             out[j] = v
         return out
 

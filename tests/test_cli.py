@@ -210,11 +210,17 @@ def test_sum_law_fails_with_a_wrong_intersection(tmp_path, monkeypatch):
 
 
 def _duality_props_values_per_call(sc):
-    """Oracle: the duality-props laws with one annihilator call per use,
-    every join's annihilator taken on its stacked generators."""
+    """Oracle: the duality-props laws with one annihilator per use, each the
+    kernel oracle's on the subgroup's generators, every join's taken on its
+    stacked generators."""
     from amenact import lattices
     from amenact.abelian import FiniteProduct, Subgroup
-    from amenact.duality import annihilator, subgroup_lattice
+    from amenact.duality import subgroup_lattice
+    from test_duality import kernel_annihilator_basis
+
+    def annihilator(b):
+        basis = kernel_annihilator_basis(b.group.factors, b.gens)
+        return Subgroup.generated(b.group, [tuple(r) for r in basis])
 
     values = []
     for factors in sc["groups"]:
@@ -261,6 +267,23 @@ def test_duality_props_computes_each_annihilator_once(monkeypatch):
     assert Counter(b.group.factors for b in calls) == {
         (8,): 4, (2, 4): 8, (2, 2, 2): 16, (9, 3): 10, (5, 5): 8, (12,): 6,
     }
+
+
+def test_duality_props_reads_one_hermite_form_per_annihilator_and_join(monkeypatch):
+    from amenact import lattices
+
+    calls = []
+    real = lattices.hnf
+
+    def counted(rows, dim):
+        calls.append(dim)
+        return real(rows, dim)
+
+    monkeypatch.setattr(lattices, "hnf", counted)
+    assert run_scenario("duality-props-small")[0] == 0
+    # 52 annihilators and 424 joins; a listed subgroup keeps the Hermite
+    # form it is listed as, and an annihilator's is B's own
+    assert len(calls) == 52 + 424
 
 
 def test_duality_props_reads_a_join_missing_from_the_listing(tmp_path, monkeypatch, capsys):

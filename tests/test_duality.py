@@ -24,7 +24,9 @@ from amenact.duality import (
     ProfiniteShiftAction,
     _dual_pair,
     _GrowingCotrajectory,
+    _subgroup_gens,
     annihilator,
+    annihilator_window,
     bridge_check,
     cotrajectory,
     cotrajectory_window,
@@ -100,14 +102,83 @@ def test_double_annihilator_small_groups():
 
 
 def test_annihilator_reads_its_hermite_form_once(monkeypatch):
+    g = FiniteProduct((4, 6))
+    b = Subgroup.generated(g, [(2, 3)])
+    b._flat()  # B's own Hermite form, which the annihilator starts from
     calls = []
     hnf = lattices.hnf
     monkeypatch.setattr(lattices, "hnf", lambda rows, dim: calls.append(dim) or hnf(rows, dim))
-    g = FiniteProduct((4, 6))
-    perp = annihilator(Subgroup.generated(g, [(2, 3)]))
+    perp = annihilator(b)
     assert perp.order() == 12 and perp.contains((1, 1)) and not perp.contains((1, 0))
     assert perp.canonical_key() == ("fg", None, ((1, 1), (0, 2)))  # c1 + c2 even
     assert calls == [2]
+
+
+def kernel_annihilator_basis(factors, gens):
+    """Oracle: the Hermite basis (modulus rows inside) of {chi : <g, chi> = 0
+    for every g in ``gens``} as an integer-lattice kernel, by dense
+    elimination alone.  <g, chi> = sum_t g_t chi_t / n_t vanishes mod 1 iff
+    sum_t g_t chi_t (lcm / n_t) is 0 mod lcm, so B-perp is the preimage of
+    lcm * Z^len(gens) under chi -> those weighted sums."""
+    d, m = len(factors), len(gens)
+    lcm = math.lcm(*factors)
+    columns = [[g[t] * (lcm // n) for g in gens] for t, n in enumerate(factors)]
+    targets = [[lcm * (i == j) for j in range(m)] for i in range(m)]
+    solutions = [c[:d] for c in lattices.kernel(columns + targets, m)]
+    moduli = [[n * (i == j) for j in range(d)] for i, n in enumerate(factors)]
+    return dense_hnf(solutions + moduli, d)
+
+
+def test_annihilator_matches_the_kernel_oracle():
+    rng = random.Random("annihilator-kernel")
+    for _ in range(2000):
+        factors = tuple(rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12]) for _ in range(rng.randint(1, 6)))
+        g = FiniteProduct(factors)
+        b = Subgroup.generated(g, [tuple(rng.randrange(n) for n in factors) for _ in range(rng.randint(0, 3))])
+        perp = annihilator(b)
+        assert perp._flat()[1] == kernel_annihilator_basis(factors, b.gens), (factors, b.gens)
+        assert b.order() * perp.order() == g.order
+
+
+def test_annihilator_window_matches_the_kernel_oracle():
+    rng = random.Random("annihilator-window")
+    for _ in range(300):
+        base = tuple(rng.choice([2, 3, 4, 6]) for _ in range(rng.randint(1, 2)))
+        space = DirectSum(FiniteProduct(base), Z1)
+        gens = [
+            space.element({(rng.randrange(-2, 3),): tuple(rng.randrange(n) for n in base) for _ in range(rng.randint(1, 3))})
+            for _ in range(rng.randint(0, 3))
+        ]
+        b = Subgroup.generated(space, gens)
+        u = annihilator_window(space, b)
+        window = tuple(sorted({i for x in b.gens for i, _ in x}))
+        zero = (0,) * len(base)
+        flat = [sum((dict(x).get(i, zero) for i in window), ()) for x in b.gens]
+        assert u.support == window
+        assert [list(r) for r in u.rows] == kernel_annihilator_basis(base * len(window), flat), gens
+
+
+def test_annihilator_makes_no_kernel_call(monkeypatch):
+    def refuse(rows, dim):
+        raise AssertionError("lattices.kernel called")
+
+    monkeypatch.setattr(lattices, "kernel", refuse)
+    for factors in [(8,), (2, 4), (2, 2, 2), (3, 9), (12,)]:
+        g = FiniteProduct(factors)
+        for gens, elems in subgroup_lattice(g):
+            assert len(elems) * annihilator(Subgroup.generated(g, gens)).order() == g.order
+    space = shift_space(4)
+    b = Subgroup.generated(space, [space.element({(0,): (2,), (3,): (1,)})])
+    assert annihilator_window(space, b).index_in_space() == 4
+
+
+def test_listed_forms_are_the_hermite_forms_of_their_generators():
+    # subgroup_lattice and duality-props take each listed form as the
+    # subgroup's Hermite form, with no elimination of their own
+    for factors in [(), (1,), (4, 2), (6, 4, 2)] + _abelian_types(64):
+        g = FiniteProduct(factors)
+        for form, (gens, _) in zip(_subgroup_gens(g), subgroup_lattice(g)):
+            assert form == Subgroup.generated(g, gens)._flat()[1], (factors, form)
 
 
 def test_annihilator_of_sum_is_intersection():
@@ -456,8 +527,9 @@ def test_bridge_refuses_a_shift_out_of_a_one_sided_index():
 
 
 # --- enumeration oracles -------------------------------------------------------
-# The library solves annihilators, cotrajectories and finite-product inverses
-# as integer-lattice kernels; these oracles scan the whole group instead.
+# The library solves annihilators by triangular substitution, and
+# cotrajectories and finite-product inverses as integer-lattice kernels;
+# these oracles scan the whole group instead.
 
 
 def _enum_annihilator(b):
@@ -948,8 +1020,8 @@ def test_bridge_bernoulli_makes_one_kernel_and_no_intersection_per_new_element(m
         monkeypatch.setattr(lattices, name, counted)
     alpha, b, net = cli._action_parts(cli.BUILTINS["bridge-bernoulli"])
     assert bridge_check(alpha, b, net, 40).exact_at_every_index
-    # one kernel per element of F_40, one for the annihilator
-    assert calls == {"kernel": len(net.subset(40)) + 1, "intersect": 0}
+    # one kernel per element of F_40; the annihilator is solved without one
+    assert calls == {"kernel": len(net.subset(40)), "intersect": 0}
 
 
 def _box_bridges():

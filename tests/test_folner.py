@@ -514,6 +514,34 @@ def test_semidirect_defect_matches_full_enumeration(seed):
     assert semidirect_defect(n, m, x) == Fraction(len(moved - block), len(block))
 
 
+def per_coordinate_defect(n, m, x):
+    """Oracle: the defect with each slice's escape count enumerated per
+    coordinate, point by point on each axis."""
+    g = SemidirectZZ()
+    x = tuple(x) if len(x) == 3 else (x[0], x[1], 0)
+    escaped = 0
+    for c in range(n):
+        w1 = g.phi(c)[0][0] * x[0] + g.phi(c)[0][1] * x[1]
+        w2 = g.phi(c)[1][0] * x[0] + g.phi(c)[1][1] * x[1]
+        if not 0 <= c + x[2] < n:
+            escaped += m * m
+            continue
+        stay1 = sum(1 for a in range(m) if 0 <= a + w1 < m)
+        stay2 = sum(1 for a in range(m) if 0 <= a + w2 < m)
+        escaped += m * m - stay1 * stay2
+    return Fraction(escaped, n * m * m)
+
+
+def test_semidirect_defect_matches_the_per_coordinate_count():
+    rng = random.Random("semidirect-defect")
+    for _ in range(3000):
+        n, m = rng.randint(1, 9), rng.randint(1, 14)
+        x = [rng.randint(-15, 15), rng.randint(-15, 15)]
+        if rng.random() < 0.7:
+            x.append(rng.randint(-n, n))
+        assert semidirect_defect(n, m, x) == per_coordinate_defect(n, m, x), (n, m, x)
+
+
 # --- eps-disjointness ----------------------------------------------------------------
 
 def brute_eps_disjoint(sets, need):
