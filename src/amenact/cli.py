@@ -11,7 +11,9 @@ or construction error; 3 budget exceeded.  Scenario files are JSON, checked
 in full against one schema table (``KINDS``, ``SPECS``, ``CHECKS``) before
 anything runs: unknown keys are rejected at every level, ``checks``
 included, and a schema error names the JSON path at fault, such as
-``monoid.dim`` or ``checks[0].value``.
+``monoid.dim`` or ``checks[0].value``.  Validation is one pass over the
+scenario's JSON nodes: each condition is tested before any text is built,
+so a valid scenario formats no message and renders no path.
 """
 
 from __future__ import annotations
@@ -301,13 +303,39 @@ SCENARIO = OneOf("kind", {
 })
 
 
-def _need(ok, path, problem):
-    if not ok:
-        raise SchemaError(f"{path or 'scenario'} {problem}")
-
-
 def _join(path, key):
     return f"{path}.{key}" if path else key
+
+
+def _render(path):
+    """The JSON path that the link chain ``path`` names, such as
+    ``checks[0].value``: None is the scenario itself, (parent, key) a field
+    of an object and (parent, i) entry i of a list."""
+    if path is None:
+        return ""
+    parent, key = path
+    head = _render(parent)
+    return f"{head}[{key}]" if type(key) is int else _join(head, key)
+
+
+def _fail(path, problem):
+    raise SchemaError(f"{_render(path) or 'scenario'} {problem}")
+
+
+# id(spec) -> (spec, its field table); holding the spec keeps its id its own
+_TABLES = {}
+
+
+def _field_table(spec):
+    """field -> (type, optional) for ``spec``, parsed once per process."""
+    entry = _TABLES.get(id(spec))
+    if entry is None:
+        entry = _TABLES[id(spec)] = (spec, _parse_fields(spec))
+    return entry[1]
+
+
+def _parse_fields(spec):
+    return {k.rstrip("?"): (t, k.endswith("?")) for k, t in spec.fields.items()}
 
 
 def _variant(typ, value):
@@ -322,40 +350,54 @@ def _variant(typ, value):
 
 
 def _walk(value, typ, path, env):
-    """Check ``value`` against ``typ``; a SchemaError names the JSON path."""
+    """Check ``value`` against ``typ``; a SchemaError names the JSON path.
+
+    Each condition is tested first: the message, and the path as text, are
+    built only on the branch that raises.  ``path`` is a chain of
+    (parent, key) links, rendered by ``_render``, and ``env`` gathers the
+    types that the specs met so far define."""
     if isinstance(typ, str):
-        _need(typ in SPECS or typ in env, path, "is only defined on a direct-sum group")
-        typ = SPECS[typ] if typ in SPECS else env[typ]
+        if typ in SPECS:
+            typ = SPECS[typ]
+        elif typ in env:
+            typ = env[typ]
+        else:
+            _fail(path, "is only defined on a direct-sum group")
     if isinstance(typ, Scalar):
-        _need(typ.ok(value), path, f"must be {typ.what}, got {value!r}")
+        if not typ.ok(value):
+            _fail(path, f"must be {typ.what}, got {value!r}")
     elif isinstance(typ, (Spec, OneOf)):
-        _need(isinstance(value, dict), path, "must be an object")
+        if not isinstance(value, dict):
+            _fail(path, "must be an object")
         spec = _variant(typ, value)
         tag = typ.tag if isinstance(typ, OneOf) else None
         if spec is None:
             raise SchemaError(
-                f"{_join(path, tag)} must be one of {sorted(typ.variants)}, got {value.get(tag)!r}" if tag
-                else f"{path} needs exactly one of the keys {sorted(typ.variants)}"
+                f"{_render((path, tag))} must be one of {sorted(typ.variants)}, got {value.get(tag)!r}"
+                if tag else f"{_render(path)} needs exactly one of the keys {sorted(typ.variants)}"
             )
-        fields = {k.rstrip("?"): (t, k.endswith("?")) for k, t in spec.fields.items()}
+        fields = _field_table(spec)
         for key in value:
-            _need(key in fields or key == tag, _join(path, key), f"is not a field here; fields: {sorted(fields)}")
-        env.update(spec.env)
+            if key not in fields and key != tag:
+                where = _join(_render(path), key)
+                raise SchemaError(f"{where or 'scenario'} is not a field here; fields: {sorted(fields)}")
+        if spec.env:
+            env.update(spec.env)
         for key, (t, optional) in fields.items():
             if key in value:
-                _walk(value[key], t, _join(path, key), env)
-            else:
-                _need(optional, _join(path, key), "is required")
+                _walk(value[key], t, (path, key), env)
+            elif not optional:
+                _fail((path, key), "is required")
     else:
         item, lo, hi = Items(*typ) if isinstance(typ, list) else typ
-        if hi is None:
-            size = f" of at least {lo}" if lo else ""
-        else:
-            size = f" of {lo}" if lo == hi else f" of {lo} to {hi}"
-        ok = isinstance(value, list) and lo <= len(value) and (hi is None or len(value) <= hi)
-        _need(ok, path, f"must be a list{size}")
+        if not (isinstance(value, list) and lo <= len(value) and (hi is None or len(value) <= hi)):
+            if hi is None:
+                size = f" of at least {lo}" if lo else ""
+            else:
+                size = f" of {lo}" if lo == hi else f" of {lo} to {hi}"
+            _fail(path, f"must be a list{size}")
         for i, entry in enumerate(value):
-            _walk(entry, item, f"{path}[{i}]", env)
+            _walk(entry, item, (path, i), env)
 
 
 def _build(name, *args):
@@ -621,23 +663,22 @@ def load_scenario(source: str) -> dict:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise SchemaError(f"not valid JSON: {err}") from err
-    _need(isinstance(data, dict), "", "must be a JSON object")
+    if not isinstance(data, dict):
+        raise SchemaError("scenario must be a JSON object")
     return dict(data, name=data.get("name", path.stem))
 
 
 def validate_scenario(sc: dict):
     """Check the whole scenario, its checks included; returns its kind."""
-    _walk(sc, SCENARIO, "", {})
+    _walk(sc, SCENARIO, None, {})
     return sc["kind"]
 
 
 def run_scenario(source: str, out_dir=None, prefix=None, budget=None, plot=False, log_base=None):
     """Run one scenario; returns (exit_code, message)."""
     try:
-        _need(
-            log_base is None or (math.isfinite(log_base) and log_base > 0 and log_base != 1),
-            "--log-base", f"must be finite, positive and not 1, got {log_base}",
-        )
+        if not (log_base is None or (math.isfinite(log_base) and log_base > 0 and log_base != 1)):
+            raise SchemaError(f"--log-base must be finite, positive and not 1, got {log_base}")
         sc = load_scenario(source)
         # an option replaces its scenario field and is checked as that field
         sc.update({k: v for k, v in (("prefix", prefix), ("budget", budget)) if v is not None})

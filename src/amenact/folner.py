@@ -14,7 +14,7 @@ from functools import cached_property, partial
 from itertools import product as iproduct
 from itertools import repeat
 from math import isqrt, prod
-from operator import add, gt, itemgetter, mul, sub
+from operator import add, floordiv, gt, itemgetter, mod, mul, sub
 
 from .errors import (
     BudgetExceededError,
@@ -448,13 +448,14 @@ def semidirect_defect(n: int, m: int, x, budget: int = DEFAULT_ELEMENT_BUDGET) -
     vector w = phi(c)(x_1, x_2), which is M w' for M the shear matrix and
     w' the slice below's.  The slice is a box, so the two axes count
     independently, and on one axis max(0, m - |w_i|) of the m points a
-    have a + w_i in [0, m).  The budget still bounds |G| = n m^2.
+    have a + w_i in [0, m).  The count walks the n slices, so the budget
+    bounds n.
     """
     g = SemidirectZZ()
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    if n * m * m > budget:
-        raise BudgetExceededError(f"|G| = {n * m * m} exceeds budget {budget}")
+    if n > budget:
+        raise BudgetExceededError(f"{n} slices exceed budget {budget}")
     x = tuple(x)
     if len(x) == 2:
         x = (x[0], x[1], 0)
@@ -661,12 +662,14 @@ class _Frame:
             rows = rows.rjust(stride, "0") * (b - a + 1)
         return int(rows, 2) << (self.offset(cells.lo) - self.origin)
 
-    def cell(self, index: int) -> tuple:
-        out = []
+    def cells(self, indices) -> list:
+        """The cells at bit indices ``indices``, decoded one coordinate at a
+        time over the whole list."""
+        cols, rest = [], indices
         for a, stride in zip(self.lo, self.strides):
-            q, index = divmod(index, stride)
-            out.append(a + q)
-        return tuple(out)
+            cols.append(list(map(add, map(floordiv, rest, repeat(stride)), repeat(a))))
+            rest = list(map(mod, rest, repeat(stride)))
+        return list(zip(*cols)) if cols else [()] * len(indices)
 
 
 def check_tiling(d_set: MSubset, witness: TilingWitness, eps) -> TilingReport:
@@ -812,7 +815,8 @@ def greedy_tiler(d_set: MSubset, tiles, eps, *, validate=True):
                     done = True
                     break
             free ^= _pack(chosen, -low) * body  # disjoint translates: no carry
-        centers.append(MSubset(monoid, frozenset(frame.cell(at) for at in chosen)))
+        # with no region there is no frame, and nothing was chosen
+        centers.append(MSubset(monoid, frozenset(frame.cells(chosen) if chosen else ())))
     witness = TilingWitness(tuple(tiles), tuple(centers))
     if not validate:
         return witness

@@ -1,5 +1,6 @@
 """folner-tiling: net generators, defects, eps-disjointness, tilings."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,6 +8,7 @@ from math import prod
 
 import pytest
 
+from amenact.cli import BUILTINS, run_scenario
 from amenact.errors import (
     BudgetExceededError,
     InvalidWitnessError,
@@ -17,6 +19,7 @@ from amenact.folner import (
     DefectReport,
     DefectRow,
     FolnerNet,
+    _Frame,
     _first_fit,
     TilingReport,
     TilingWitness,
@@ -498,9 +501,19 @@ def test_semidirect_defect_vanishes_for_large_m():
     assert semidirect_defect(4, 400, (0, 1)) == Fraction(3994, 640000) < Fraction(1, 20)
 
 
-def test_semidirect_defect_budget():
+def test_semidirect_defect_budget(tmp_path):
+    """The budget bounds the n slices that the count walks, whatever m is."""
+    assert 0 < semidirect_defect(10, 10**6, (0, 1), budget=10) < Fraction(1, 10**5)
     with pytest.raises(BudgetExceededError):
-        semidirect_defect(100, 1000, (0, 1), budget=10**6)
+        semidirect_defect(11, 1, (0, 1), budget=10)
+    path = tmp_path / "slices.json"
+    path.write_text(json.dumps(dict(BUILTINS["semidirect-defect-flat"], pairs=[[4, 10**6], [11, 1]])))
+    code, message = run_scenario(str(path), budget=10)
+    assert (code, message) == (3, "budget exceeded: 11 slices exceed budget 10")
+
+
+def test_semidirect_defect_counts_large_m_within_a_slice_budget():
+    assert semidirect_defect(100, 1000, (0, 1), budget=10**6) == per_coordinate_defect(100, 1000, (0, 1))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -950,6 +963,29 @@ def test_check_tiling_reads_a_box_by_its_bounds(case):
     _, d, witness, d_box, boxed, eps = case
     report = check_tiling(d_box, boxed, eps)
     assert report == check_tiling(d, witness, eps) == elementwise_check_tiling(d, witness, eps)
+
+
+def per_cell_decode(frame, index):
+    """Oracle: the cell at one bit index, one divmod per coordinate."""
+    out = []
+    for a, stride in zip(frame.lo, frame.strides):
+        q, index = divmod(index, stride)
+        out.append(a + q)
+    return tuple(out)
+
+
+def test_frame_cells_match_the_per_cell_decode():
+    rng = random.Random("frame-cells")
+    for _ in range(300):
+        dim = rng.randint(0, 3)
+        lo = [rng.randint(-9, 5) for _ in range(dim)]
+        hi = [a + rng.randint(0, 6) for a in lo]
+        frame = _Frame(lo, hi)
+        size = prod(b - a + 1 for a, b in zip(lo, hi))
+        indices = sorted(rng.sample(range(size), rng.randint(0, size)))
+        cells = frame.cells(indices)
+        assert cells == [per_cell_decode(frame, at) for at in indices]
+        assert [frame.offset(c) - frame.origin for c in cells] == indices
 
 
 def test_box_subset_is_the_subset_of_its_cells():

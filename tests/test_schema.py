@@ -2,6 +2,8 @@
 fault before any runner starts, and no input ends in a traceback."""
 
 import copy
+import hashlib
+from collections import Counter
 import json
 import os
 import subprocess
@@ -14,37 +16,77 @@ import pytest
 
 from amenact import cli
 from amenact.cli import BUILTINS, main, run_scenario
+from amenact.errors import SchemaError
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
-# corpus file -> the JSON path its schema error names
+# corpus file -> its full message; a schema error names the JSON path first
 SCHEMA_ERRORS = {
-    "addition-set-subgroup.json": "subgroup",
-    "bridge-set-seed.json": "seed",
-    "check-tol-string.json": "checks[1].tol",
-    "check-unknown-key.json": "checks[0].bogus",
-    "check-value-string.json": "checks[0].value",
-    "check-wrong-kind.json": "checks[0].type",
-    "constant-without-a.json": "function.a",
-    "dim-not-integer.json": "monoid.dim",
-    "direct-sum-entry-not-pair.json": "seed.subgroup_basis[0][0]",
-    "direct-sum-flat-element.json": "seed.subgroup_basis[0][0]",
-    "duality-zero-factor.json": "groups[1][1]",
-    "folner-verify-prefix-one.json": "prefix",
-    "fubini-subgroup-seed.json": "seed",
-    "fubini-c-prefix-one.json": "c_prefix",
-    "fubini-n-prefix-one.json": "n_prefix",
-    "group-without-index.json": "group.index",
-    "integral-prefix-one.json": "prefix",
-    "monoid-without-dim.json": "monoid.dim",
-    "seed-rng-removed.json": "seed_rng",
-    "seed-set-empty.json": "seed.set",
-    "semidirect-element-short.json": "element",
-    "semidirect-short-pair.json": "pairs[1]",
-    "shift-on-flat-group.json": "action.generators[0].by",
-    "tail-without-value.json": "checks[0].value",
-    "tiling-epsilon-not-ratio.json": "epsilon",
+    "addition-set-subgroup.json":
+        "schema error: subgroup needs exactly one of the keys ['percoord_basis', 'subgroup_basis']",
+    "bridge-set-seed.json":
+        "schema error: seed needs exactly one of the keys ['percoord_basis', 'subgroup_basis']",
+    "check-tol-string.json":
+        "schema error: checks[1].tol must be a number >= 0, got '1e-9'",
+    "check-unknown-key.json":
+        "schema error: checks[0].bogus is not a field here; fields: ['value']",
+    "check-value-string.json":
+        "schema error: checks[0].value must be a number, got '0.69'",
+    "check-wrong-kind.json":
+        "schema error: checks[0].type must be one of ['counts_power', 'every_ratio', 'tail', 'tail_below'], got 'exact_product'",
+    "constant-without-a.json":
+        "schema error: function.a is required",
+    "dim-not-integer.json":
+        "schema error: monoid.dim must be an integer >= 0, got 'x'",
+    "direct-sum-entry-not-pair.json":
+        "schema error: seed.subgroup_basis[0][0] must be a list of 2",
+    "direct-sum-flat-element.json":
+        "schema error: seed.subgroup_basis[0][0] must be a list of 2",
+    "duality-zero-factor.json":
+        "schema error: groups[1][1] must be an integer >= 1, got 0",
+    "folner-verify-prefix-one.json":
+        "schema error: prefix must be an integer >= 2, got 1",
+    "fubini-c-prefix-one.json":
+        "schema error: c_prefix must be an integer >= 2, got 1",
+    "fubini-n-prefix-one.json":
+        "schema error: n_prefix must be an integer >= 2, got 1",
+    "fubini-subgroup-seed.json":
+        "schema error: seed needs exactly one of the keys ['set']",
+    "group-without-index.json":
+        "schema error: group.index is required",
+    "integral-prefix-one.json":
+        "schema error: prefix must be an integer >= 2, got 1",
+    "monoid-without-dim.json":
+        "schema error: monoid.dim is required",
+    "seed-rng-removed.json":
+        "schema error: seed_rng is not a field here; fields: ['budget', 'checks', 'demonstrates', 'groups', 'name', 'plot', 'prefix']",
+    "seed-set-empty.json":
+        "schema error: seed.set must be a list of at least 1",
+    "semidirect-element-short.json":
+        "schema error: element must be a list of 2 to 3",
+    "semidirect-short-pair.json":
+        "schema error: pairs[1] must be a list of 2",
+    "shift-on-flat-group.json":
+        "schema error: action.generators[0].by is only defined on a direct-sum group",
+    "tail-without-value.json":
+        "schema error: checks[0].value is required",
+    "tiling-epsilon-not-ratio.json":
+        "schema error: epsilon must be a number or a 'p/q' string, got 'x'",
+}
+INVALID_SCENARIOS = {
+    "addition-fg-direct-sum-quotient.json":
+        "invalid scenario: direct-sum quotients are supported along coordinatewise subgroups only",
+    "addition-not-invariant.json":
+        "invalid scenario: generator image escapes the subgroup",
+    "bridge-shift-with-base.json":
+        "invalid scenario: bridge on direct sums needs pure shifts",
+    "generator-count.json":
+        "invalid scenario: need 1 generator endomorphisms, got 2",
+    "group-action-not-invertible.json":
+        "invalid scenario: group actions need invertible generator images",
+    "matrix-shape.json":
+        "invalid scenario: matrix shape does not match the group",
 }
 CORPORA = sorted((TESTS / "schema_errors").glob("*.json")) + sorted(
     (TESTS / "invalid_scenarios").glob("*.json")
@@ -52,6 +94,22 @@ CORPORA = sorted((TESTS / "schema_errors").glob("*.json")) + sorted(
 
 
 _DELETE = object()
+_SWEEP_VALUES = ("x", -1, [], {}, None, 1.5)
+
+# hand-made scenarios at the edges of path rendering -> their full message
+EDGE_CASES = [
+    ([], "scenario must be an object"),
+    ({}, "kind must be one of ['addition', 'bridge', 'canonical-net', 'duality-props', 'entropy',"
+         " 'folner-verify', 'fubini', 'integral', 'semidirect-defect', 'tiling'], got None"),
+    ({"kind": "duality-props", "groups": [[2]], "": 0},
+     "scenario is not a field here; fields: ['budget', 'checks', 'demonstrates', 'groups', 'name', 'plot', 'prefix']"),
+    ({"kind": "duality-props", "groups": [[2]], "checks": [{"type": "all_hold", "": 0}]},
+     "checks[0]. is not a field here; fields: []"),
+    ({"kind": "duality-props", "groups": [[2], "x"]}, "groups[1] must be a list"),
+    ({"kind": "entropy", "monoid": {"family": "N^d", "dim": 1}, "group": {"family": "free", "rank": 1},
+      "action": {"generators": []}, "seed": {"set": [[0]], "subgroup_basis": []}, "net": {"family": "box"}},
+     "seed needs exactly one of the keys ['percoord_basis', 'set', 'subgroup_basis']"),
+]
 
 
 def _paths(obj, path=()):
@@ -65,6 +123,38 @@ def _paths(obj, path=()):
     for key, value in items:
         yield path + (key,)
         yield from _paths(value, path + (key,))
+
+
+def _mutated(sc, path, value):
+    """A copy of ``sc`` with the entry at ``path`` set to ``value`` or deleted."""
+    sc = copy.deepcopy(sc)
+    *head, last = path
+    parent = reduce(getitem, head, sc)
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return sc
+
+
+def _validation_message(sc):
+    try:
+        cli.validate_scenario(sc)
+    except SchemaError as err:
+        return f"schema error: {err}"
+    return "valid"
+
+
+def _sweep():
+    """One line per mutation of every builtin: what was put where, and what
+    validation alone says of the result."""
+    for name in sorted(BUILTINS):
+        for path in _paths(BUILTINS[name]):
+            values = _SWEEP_VALUES + ((_DELETE,) if isinstance(path[-1], str) else ())
+            for value in values:
+                message = _validation_message(_mutated(BUILTINS[name], path, value))
+                shown = "<deleted>" if value is _DELETE else repr(value)
+                yield f"{name}\t{path!r}\t{shown}\t{message}"
 
 
 def _run(sc, directory, **options):
@@ -90,8 +180,64 @@ def test_every_schema_error_file_is_listed():
 def test_schema_error_names_the_path_before_any_runner(tmp_path, no_runner, name):
     code, message = run_scenario(str(TESTS / "schema_errors" / name), out_dir=tmp_path)
     assert code == 2, message
-    assert message.startswith(f"schema error: {SCHEMA_ERRORS[name]} "), message
+    assert message == SCHEMA_ERRORS[name]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_SCENARIOS))
+def test_invalid_scenario_message_is_pinned(name):
+    assert run_scenario(str(TESTS / "invalid_scenarios" / name)) == (2, INVALID_SCENARIOS[name])
+
+
+def test_every_invalid_scenario_file_is_listed():
+    assert sorted(p.name for p in (TESTS / "invalid_scenarios").glob("*.json")) == sorted(INVALID_SCENARIOS)
+
+
+@pytest.mark.parametrize("index", range(len(EDGE_CASES)))
+def test_edge_case_message_is_pinned(index):
+    sc, message = EDGE_CASES[index]
+    assert _validation_message(sc) == f"schema error: {message}"
+
+
+def test_mutation_sweep_messages_are_pinned():
+    """Every builtin with each entry replaced or deleted, validated: the
+    messages hash to a pinned digest."""
+    lines = list(_sweep())
+    errors = sum(not line.endswith("\tvalid") for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), errors, digest) == (
+        3219, 2957, "69537109aa88bab51a3b8f7295c32041d2d06760c0e2346d7469f28229e6db80"
+    )
+
+
+def test_valid_scenarios_build_no_message_and_parse_each_field_table_once(monkeypatch):
+    """Validating a valid scenario renders no path and lists no fields or
+    variants (``sorted`` is only called to word a message), and reads each
+    Spec's field table from one parse per process."""
+    from test_actions import FIBONACCI_SCENARIO, INFINITE_SEED_SCENARIOS
+
+    def refuse(*args):
+        raise AssertionError("a message was built for a valid scenario")
+
+    parses = Counter()
+    parse = cli._parse_fields
+
+    def counted(spec):
+        parses[id(spec)] += 1
+        return parse(spec)
+
+    monkeypatch.setattr(cli, "_render", refuse)
+    monkeypatch.setattr(cli, "sorted", refuse, raising=False)
+    monkeypatch.setattr(cli, "_TABLES", {})
+    monkeypatch.setattr(cli, "_parse_fields", counted)
+    files = sorted((TESTS / "scenarios").glob("*.json")) + sorted((TESTS / "invalid_scenarios").glob("*.json"))
+    scenarios = [cli.load_scenario(name) for name in sorted(BUILTINS)]
+    scenarios += [cli.load_scenario(str(path)) for path in files]
+    scenarios += [FIBONACCI_SCENARIO, *INFINITE_SEED_SCENARIOS.values()]
+    for _ in range(2):
+        for sc in scenarios:
+            cli.validate_scenario(sc)
+    assert parses and max(parses.values()) == 1
 
 
 @pytest.mark.parametrize("name", ["card-pi-half", "fubini-product", "folner-boxes-Z"])
@@ -136,12 +282,5 @@ def test_mutated_builtins_end_in_an_exit_code(tmp_path, name):
         if path[0] in ("prefix", "demonstrates"):
             continue
         for value in ("x", -1, [], {}, None) + ((_DELETE,) if isinstance(path[-1], str) else ()):
-            sc = copy.deepcopy(BUILTINS[name])
-            *head, last = path
-            parent = reduce(getitem, head, sc)
-            if value is _DELETE:
-                del parent[last]
-            else:
-                parent[last] = value
-            code, message = _run(sc, tmp_path, prefix=3, budget=10**4)
+            code, message = _run(_mutated(BUILTINS[name], path, value), tmp_path, prefix=3, budget=10**4)
             assert code in (0, 1, 2, 3), (path, value, message)
