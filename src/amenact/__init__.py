@@ -30,8 +30,6 @@ from .abelian import (
     quotient_group,
     rel_ell,
     subgroup_as_group,
-    subgroup_join,
-    subgroup_order,
 )
 from .actions import (
     Action,

@@ -690,16 +690,6 @@ def _flatten(group: DirectSum, x, window):
     return out
 
 
-def subgroup_join(B: Subgroup, C: Subgroup) -> Subgroup:
-    """Smallest subgroup containing both."""
-    return B.join(C)
-
-
-def subgroup_order(B: Subgroup):
-    """Exact order; math.inf for positive-rank subgroups of free groups."""
-    return B.order()
-
-
 def rel_ell(Y: FiniteSubset, B: Subgroup) -> float:
     """log of the number of distinct cosets y + B with y in Y."""
     if Y.group != B.group:

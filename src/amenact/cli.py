@@ -6,14 +6,15 @@ Usage:
     amenact list
     amenact describe <kind>
 
-Exit codes: 0 all checks pass; 1 a check failed; 2 schema error, bad option
-or construction error; 3 budget exceeded.  Scenario files are JSON, checked
-in full against one schema table (``KINDS``, ``SPECS``, ``CHECKS``) before
-anything runs: unknown keys are rejected at every level, ``checks``
-included, and a schema error names the JSON path at fault, such as
-``monoid.dim`` or ``checks[0].value``.  Validation is one pass over the
-scenario's JSON nodes: each condition is tested before any text is built,
-so a valid scenario formats no message and renders no path.
+Exit codes: 0 all checks pass; 1 a check failed; 2 schema error, bad option,
+construction error or an output directory that cannot be written; 3 budget
+exceeded.  Scenario files are JSON, checked in full against one schema
+table (``KINDS``, ``SPECS``, ``CHECKS``) before anything runs: unknown keys
+are rejected at every level, ``checks`` included, and a schema error names
+the JSON path at fault, such as ``monoid.dim`` or ``checks[0].value``.
+Validation is one pass over the scenario's JSON nodes: each condition is
+tested before any text is built, so a valid scenario formats no message
+and renders no path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -594,12 +596,16 @@ def _run_duality_props(sc, prefix, budget):
         order_law = all(b.order() * perp(h).order() == g.order for b, h in zip(subs, hermite))
         double = all(perp(perp(h)._flat()[1]) == b for b, h in zip(subs, hermite))
         # (B1 + B2)-perp against B1-perp meet B2-perp, as canonical HNFs: the
-        # join's basis is the Hermite form of the two bases stacked
+        # join's basis is the Hermite form of the two bases stacked.  Join and
+        # meet are symmetric, so each unordered pair {i, j} of the first 12
+        # runs once (236 pairs on duality-props-small); i < j goes in listed
+        # order when i + j is even and swapped when odd, so both argument
+        # orders of hnf and intersect still run
         pairs = [(h, perp(h)._flat()[1]) for h in hermite[:12]]
         sum_law = all(
             perp(lattices.hnf(h1 + h2, k))._flat()[1] == lattices.intersect(p1, p2, k)
-            for h1, p1 in pairs
-            for h2, p2 in pairs
+            for i, j in combinations_with_replacement(range(len(pairs)), 2)
+            for (h1, p1), (h2, p2) in [(pairs[i], pairs[j]) if (i + j) % 2 == 0 else (pairs[j], pairs[i])]
         )
         ok = order_law and double and sum_law
         values.append((tuple(factors), len(subs), order_law, double, sum_law, ok))
@@ -657,12 +663,18 @@ def load_scenario(source: str) -> dict:
     if source in BUILTINS:
         return dict(BUILTINS[source], name=source)
     path = Path(source)
-    if not path.exists():
-        raise SchemaError(f"no builtin or file named {source!r}")
     try:
-        data = json.loads(path.read_text())
+        if not path.exists():
+            raise SchemaError(f"no builtin or file named {source!r}")
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise SchemaError(f"not valid JSON: {err}") from err
+    except OSError as err:
+        raise SchemaError(f"cannot read {source!r}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{source!r} is not UTF-8 text: {err}") from err
+    except RecursionError as err:
+        raise SchemaError(f"{source!r} nests too deeply to parse as JSON") from err
     if not isinstance(data, dict):
         raise SchemaError("scenario must be a JSON object")
     return dict(data, name=data.get("name", path.stem))
@@ -690,10 +702,13 @@ def run_scenario(source: str, out_dir=None, prefix=None, budget=None, plot=False
             csv_text += f"# ratios in base {log_base}: {extra}\n"
         if out_dir is not None:
             out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"{sc['name']}.csv").write_text(csv_text)
-            if (plot or sc.get("plot")) and "estimate" in context:
-                (out / f"{sc['name']}.svg").write_text(ratio_plot_svg(context["estimate"]))
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+                (out / f"{sc['name']}.csv").write_text(csv_text)
+                if (plot or sc.get("plot")) and "estimate" in context:
+                    (out / f"{sc['name']}.svg").write_text(ratio_plot_svg(context["estimate"]))
+            except OSError as err:
+                return 2, f"cannot write {err.filename or out}: {err.strerror or err}"
         run_checks(sc.get("checks"), context)
     except SchemaError as err:
         return 2, f"schema error: {err}"

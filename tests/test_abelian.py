@@ -24,8 +24,6 @@ from amenact.abelian import (
     quotient_group,
     rel_ell,
     subgroup_as_group,
-    subgroup_join,
-    subgroup_order,
 )
 from amenact.duality import subgroup_lattice
 from amenact.errors import (
@@ -115,28 +113,28 @@ def test_subgroup_join_full_in_Z2_squared():
     g = FiniteProduct((2, 2))
     b = Subgroup.generated(g, [(1, 0)])
     c = Subgroup.generated(g, [(0, 1)])
-    j = subgroup_join(b, c)
-    assert subgroup_order(j) == len(closure(g, [(1, 0), (0, 1)])) == 4
+    j = b.join(c)
+    assert j.order() == len(closure(g, [(1, 0), (0, 1)])) == 4
 
 
 def test_join_with_trivial_is_identity():
     g = FiniteProduct((12,))
     b = Subgroup.generated(g, [(4,)])
-    assert subgroup_join(b, Subgroup.trivial(g)) == b
+    assert b.join(Subgroup.trivial(g)) == b
 
 
 def test_join_2_and_3_in_Z12():
     g = FiniteProduct((12,))
-    j = subgroup_join(Subgroup.generated(g, [(2,)]), Subgroup.generated(g, [(3,)]))
-    assert subgroup_order(j) == len(closure(g, [(2,), (3,)])) == 12
+    j = Subgroup.generated(g, [(2,)]).join(Subgroup.generated(g, [(3,)]))
+    assert j.order() == len(closure(g, [(2,), (3,)])) == 12
 
 
 def test_subgroup_order_examples():
     z8 = FiniteProduct((8,))
-    assert subgroup_order(Subgroup.generated(z8, [(2,)])) == len(closure(z8, [(2,)])) == 4
-    assert subgroup_order(Subgroup.trivial(z8)) == 1
+    assert Subgroup.generated(z8, [(2,)]).order() == len(closure(z8, [(2,)])) == 4
+    assert Subgroup.trivial(z8).order() == 1
     z2 = FreeZ(2)
-    assert subgroup_order(Subgroup.generated(z2, [(2, 0), (0, 2)])) == math.inf
+    assert Subgroup.generated(z2, [(2, 0), (0, 2)]).order() == math.inf
 
 
 @pytest.mark.parametrize("factors", [(8,), (2, 4), (12,), (2, 2, 2), (6, 4)])
@@ -146,7 +144,7 @@ def test_subgroup_order_matches_enumeration(factors, seed):
     g = FiniteProduct(factors)
     gens = [g.sample(rng, 0) for _ in range(rng.randint(1, 3))]
     b = Subgroup.generated(g, gens)
-    assert subgroup_order(b) == len(closure(g, gens))
+    assert b.order() == len(closure(g, gens))
     for x in closure(g, gens):
         assert b.contains(x)
 
@@ -341,10 +339,10 @@ def test_mixed_subgroup_join_contains_or_raises():
     a = DirectSum(FiniteProduct((4,)), FreeAbelian(1))
     per = Subgroup.percoord(a, Subgroup.generated(a.base, [(2,)]))
     inside = Subgroup.generated(a, [a.basis_vector((0,), (2,))])
-    assert subgroup_join(per, inside) == per
+    assert per.join(inside) == per
     outside = Subgroup.generated(a, [a.basis_vector((0,), (1,))])
     with pytest.raises(UnsupportedQuotientError):
-        subgroup_join(per, outside)
+        per.join(outside)
 
 
 def test_quotient_projection_is_hom_with_right_kernel():
@@ -543,7 +541,7 @@ def test_rel_ell_monotone_in_both_arguments():
         x = random_subset(rng, g)
         y = x.union(random_subset(rng, g))
         b = Subgroup.generated(g, [g.sample(rng, 0)])
-        bigger = subgroup_join(b, Subgroup.generated(g, [g.sample(rng, 0)]))
+        bigger = b.join(Subgroup.generated(g, [g.sample(rng, 0)]))
         assert rel_ell(x, b) <= rel_ell(y, b) + 1e-12
         assert rel_ell(x, bigger) <= rel_ell(x, b) + 1e-12
 
@@ -556,7 +554,7 @@ def test_rel_ell_subadditive_in_pairs():
         x, xp = random_subset(rng, g).with_zero(), random_subset(rng, g).with_zero()
         b = Subgroup.generated(g, [g.sample(rng, 0)])
         bp = Subgroup.generated(g, [g.sample(rng, 0)])
-        lhs = rel_ell(minkowski_sum(x, xp), subgroup_join(b, bp))
+        lhs = rel_ell(minkowski_sum(x, xp), b.join(bp))
         assert lhs <= rel_ell(x, b) + rel_ell(xp, bp) + 1e-12
 
 

@@ -46,6 +46,51 @@ def test_malformed_file_is_schema_error(tmp_path):
     assert code == 2 and "schema" in message
 
 
+def _unreadable_directory(tmp_path):
+    return tmp_path
+
+
+def _unreadable_long_name(tmp_path):
+    # past the file-system limit on one name: Path.exists raises
+    return tmp_path / ("x" * 300)
+
+
+def _unreadable_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    return path
+
+
+def _unreadable_deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    return path
+
+
+@pytest.mark.parametrize("make, reason", [
+    (_unreadable_directory, "cannot read"),
+    (_unreadable_long_name, "cannot read"),
+    (_unreadable_not_utf8, "is not UTF-8 text"),
+    (_unreadable_deep_nesting, "nests too deeply to parse as JSON"),
+], ids=["directory", "long-name", "not-utf8", "deep-nesting"])
+def test_unreadable_scenario_is_a_schema_error_naming_the_path(tmp_path, capsys, make, reason):
+    path = str(make(tmp_path))
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("schema error: ") and repr(path) in err and reason in err
+
+
+def test_out_naming_an_existing_file_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", "example-doubling", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip() == f"cannot write {taken}: File exists"
+    assert taken.read_text() == ""
+
+
 def test_unknown_keys_rejected(tmp_path):
     sc = dict(BUILTINS["example-doubling"])
     sc["surprise"] = 1
@@ -209,6 +254,23 @@ def test_sum_law_fails_with_a_wrong_intersection(tmp_path, monkeypatch):
     assert columns["order_law"] == columns["double_annihilator"] == {"True"}
 
 
+@pytest.mark.parametrize("wrong", [
+    # B2-perp in place of the meet: with one argument order per pair, only
+    # the alternation of that order catches both this and B1-perp
+    lambda rows1, rows2: rows2,
+    # the join B1-perp + B2-perp in place of the meet
+    lambda rows1, rows2: rows1 + rows2,
+], ids=["second-argument", "join"])
+def test_sum_law_fails_with_other_wrong_intersections(tmp_path, monkeypatch, wrong):
+    from amenact import lattices
+
+    hnf = lattices.hnf
+    monkeypatch.setattr(lattices, "intersect", lambda rows1, rows2, dim: hnf(wrong(rows1, rows2), dim))
+    columns = _duality_props_columns(tmp_path)
+    assert columns["sum_law"] == {"False"}
+    assert columns["order_law"] == columns["double_annihilator"] == {"True"}
+
+
 def _duality_props_values_per_call(sc):
     """Oracle: the duality-props laws with one annihilator per use, each the
     kernel oracle's on the subgroup's generators, every join's taken on its
@@ -281,9 +343,10 @@ def test_duality_props_reads_one_hermite_form_per_annihilator_and_join(monkeypat
 
     monkeypatch.setattr(lattices, "hnf", counted)
     assert run_scenario("duality-props-small")[0] == 0
-    # 52 annihilators and 424 joins; a listed subgroup keeps the Hermite
-    # form it is listed as, and an annihilator's is B's own
-    assert len(calls) == 52 + 424
+    # 52 annihilators and 236 joins, one per unordered pair; a listed
+    # subgroup keeps the Hermite form it is listed as, and an annihilator's
+    # is B's own
+    assert len(calls) == 52 + 236
 
 
 def test_duality_props_reads_a_join_missing_from_the_listing(tmp_path, monkeypatch, capsys):
@@ -316,7 +379,7 @@ def test_duality_props_reads_a_join_missing_from_the_listing(tmp_path, monkeypat
         assert {row[column] for row in rows} == {"True"}
 
 
-def test_duality_props_meets_every_ordered_pair(monkeypatch):
+def test_duality_props_meets_each_unordered_pair_once(monkeypatch):
     from amenact import cli, lattices
 
     calls = []
@@ -328,8 +391,8 @@ def test_duality_props_meets_every_ordered_pair(monkeypatch):
 
     monkeypatch.setattr(lattices, "intersect", counted)
     assert run_scenario("duality-props-small")[0] == 0
-    # min(12, subgroups)^2 per group: 16 + 64 + 144 + 100 + 64 + 36
-    assert len(calls) == 424
+    # m (m + 1) / 2 per group, m = min(12, subgroups): 10 + 36 + 78 + 55 + 36 + 21
+    assert len(calls) == 236
 
 
 def test_tiling_checks_its_witness_once(tmp_path, monkeypatch):

@@ -193,9 +193,11 @@ def test_annihilator_of_sum_is_intersection():
             assert joint == meet
 
 
-@pytest.mark.parametrize(
-    "factors", [tuple(f) for f in cli.BUILTINS["duality-props-small"]["groups"]] + [(4, 6), (2, 6, 4)]
-)
+# the groups of duality-props-small, and two with more subgroups
+DUALITY_GROUPS = [tuple(f) for f in cli.BUILTINS["duality-props-small"]["groups"]] + [(4, 6), (2, 6, 4)]
+
+
+@pytest.mark.parametrize("factors", DUALITY_GROUPS)
 def test_annihilator_of_a_join_of_raw_generators_matches_its_hermite_form(factors):
     # duality-props reads (B1 + B2)-perp from the subgroup the join equals;
     # here the kernel still runs on the two generating sets stacked as given
@@ -205,6 +207,22 @@ def test_annihilator_of_a_join_of_raw_generators_matches_its_hermite_form(factor
         raw = Subgroup.generated(g, b1.gens + b2.gens)
         hermite = Subgroup.generated(g, [tuple(r) for r in raw._flat()[1]])
         assert annihilator(raw) == annihilator(hermite), (b1.gens, b2.gens)
+
+
+@pytest.mark.parametrize("factors", DUALITY_GROUPS)
+def test_join_and_meet_of_listed_forms_do_not_depend_on_argument_order(factors):
+    # duality-props takes each unordered pair of listed forms in one argument
+    # order; here every ordered pair, against the element sets
+    g = FiniteProduct(factors)
+    k = len(factors)
+    listed = [(form, elems) for form, (_, elems) in zip(_subgroup_gens(g), subgroup_lattice(g))]
+    for (h1, e1), (h2, e2) in iproduct(listed, repeat=2):
+        join = lattices.hnf(h1 + h2, k)
+        meet = lattices.intersect(h1, h2, k)
+        assert join == lattices.hnf(h2 + h1, k), (h1, h2)
+        assert meet == lattices.intersect(h2, h1, k), (h1, h2)
+        assert join == Subgroup.generated(g, sorted(e1 | e2))._flat()[1], (h1, h2)
+        assert meet == Subgroup.generated(g, sorted(e1 & e2))._flat()[1], (h1, h2)
 
 
 # --- dual endomorphisms ----------------------------------------------------------
