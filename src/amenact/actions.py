@@ -40,7 +40,14 @@ from .errors import (
     NotInvariantError,
     UndecidableFamilyError,
 )
-from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along, box_net, translate_net
+from .folner import (
+    DEFAULT_ELEMENT_BUDGET,
+    FolnerNet,
+    _counts_along,
+    _pinned_shell,
+    box_net,
+    translate_net,
+)
 from .integral import IntegralEstimate, IntegralRow, SetFunction
 from .monoid import (
     FiniteAbelianMonoid,
@@ -115,14 +122,9 @@ class MatrixEndo(Endomorphism):
             raise GroupMismatchError("matrix endomorphisms act on flat groups")
 
     def apply(self, x):
-        rows = self.rows
         if isinstance(self.group, FiniteProduct):
-            n = self.group.factors
-            return tuple(
-                sum(r[j] * x[j] for j in range(len(x))) % n[i]
-                for i, r in enumerate(rows)
-            )
-        return tuple(sum(r[j] * x[j] for j in range(len(x))) for r in rows)
+            return tuple(sum(map(mul, r, x)) % m for r, m in zip(self.rows, self.group.factors))
+        return tuple(sum(map(mul, r, x)) for r in self.rows)
 
     def apply_set(self, xs):
         if len(self.rows) == 1:
@@ -721,7 +723,8 @@ class _GrowingTrajectory:
     echelon rows stay valid.  Every element of every shell counts against
     ``budget``, whether or not its key is new, restarts included; the
     element that passes it is the one a walk of the whole shell by
-    increasing l1 norm reaches.
+    increasing l1 norm reaches.  ``counts_along`` feeds a net to it, and
+    on a box net it builds one element per new key, not the whole shell.
     """
 
     def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
@@ -752,15 +755,44 @@ class _GrowingTrajectory:
         self._seen, self._seen_before = set(), set()  # images met in those shells
         self._walked = set()  # the _key values walked since the reset
 
-    def extend(self, added):
-        exponents = self.alpha.monoid.generator_exponents
-        if self.visited + len(added) > self.budget:
-            order = sorted(added, key=lambda s: _l1_order(exponents(s)))
+    def counts_along(self, net: FolnerNet, prefix: int):
+        """``_counts_along(self, net, prefix)``.  On a box net with identity
+        generators, shell i walks ``_pinned_shell`` of the net's axes, with
+        the identity generators' axes pinned to {0}: one element for each
+        new key, whose exponents are its masked exponents.  The boxes are
+        nested, so no key of F_{i-1} comes again.  The budget still counts
+        the whole shell, |F_i| - |F_{i-1}| from the axes; the shell is built
+        only to name the element where the budget runs out."""
+        if self._mask is None or net.axes is None:
+            yield from _counts_along(self, net, prefix)
+            return
+        before = 0
+        for i in range(1, prefix + 1):
+            size = net.size(i)
+            try:
+                self._charge(size - before, lambda: net.shell(i).elements)
+            except BudgetExceededError as err:
+                err.index = i
+                raise
+            self._walk({s: s for s in _pinned_shell(net.axes, self._mask, i)})
+            before = size
+            yield size, self.count
+
+    def _charge(self, n, shell):
+        """Count the n elements of the shell ``shell()`` as visited, or
+        raise naming the one that passes the budget."""
+        if self.visited + n > self.budget:
+            exponents = self.alpha.monoid.generator_exponents
+            order = sorted(shell(), key=lambda s: _l1_order(exponents(s)))
             raise BudgetExceededError(
                 f"subgroup trajectory visited more than {self.budget} monoid elements",
                 completed=order[self.budget - self.visited],
             )
-        self.visited += len(added)
+        self.visited += n
+
+    def extend(self, added):
+        self._charge(len(added), lambda: added)
+        exponents = self.alpha.monoid.generator_exponents
         if self._key is None:
             fresh = {exponents(s): s for s in added}
         else:
@@ -769,18 +801,24 @@ class _GrowingTrajectory:
             new = reps.keys() - self._walked
             self._walked |= new
             fresh = {tuple(map(mul, exponents(reps[k]), mask)): reps[k] for k in new}
+        self._walk(fresh)
+
+    def _walk(self, fresh):
+        """Insert the seed images of the keys in ``fresh`` (masked
+        exponents -> an element with them), by increasing l1 norm."""
         if not fresh:
             return
         self._before, self._images = self._images, {}
         self._seen_before, self._seen = self._seen, set()
         seen, seen_before = self._seen, self._seen_before
+        insert = self._echelon._insert
         for e in sorted(fresh, key=_l1_order):
             images = self._images[e] = self._seed_images(e, fresh[e])
             for x in images:
                 if x not in seen:
                     seen.add(x)
                     if x not in seen_before:
-                        self._echelon.insert(self._flat(x, grow=True))
+                        insert(self._flat(x, grow=True))
 
     def _seed_images(self, e, s):
         found = self.alpha._neighbour(e, lambda n: self._images.get(n, self._before.get(n)))
@@ -791,11 +829,11 @@ class _GrowingTrajectory:
         return [endo.apply(g) for g in self.seed.gens]
 
     def _flat(self, x, grow=False):
-        """Column -> nonzero coordinate of x, or None when x leaves the
-        columns (grow=False)."""
+        """Column -> coordinate of x reduced mod the column's modulus, zeros
+        left out, or None when x leaves the columns (grow=False)."""
         group = self.alpha.group
         if not isinstance(group, DirectSum):
-            return {j: a for j, a in enumerate(x) if a}
+            return {j: r for j, (a, m) in enumerate(zip(x, group.factors)) if (r := a % m)}
         factors = group.base.factors
         pos = self._pos
         for i, _ in x:
@@ -804,7 +842,14 @@ class _GrowingTrajectory:
                     return None
                 pos[i] = self._echelon.dim
                 self._echelon.add_columns(factors)
-        return {pos[i] + t: a for i, v in x for t, a in enumerate(v) if a}
+        flat = {}
+        for i, v in x:
+            c = pos[i]
+            for a, m in zip(v, factors):
+                if r := a % m:
+                    flat[c] = r
+                c += 1
+        return flat
 
     @property
     def count(self) -> int:
@@ -843,9 +888,10 @@ def _trajectory_orders(alpha: Action, seed: Subgroup, net: FolnerNet, prefix: in
     """Yield (|F_i|, |T_{F_i}(alpha, B)|) for i = 1..prefix.
 
     The seed's images share one growing echelon basis along the net, fed
-    with its shells (see ``_subgroup_accumulator`` for the seeds taken).
+    with its shells (see ``_subgroup_accumulator`` for the seeds taken and
+    ``_GrowingTrajectory.counts_along`` for box nets).
     """
-    return _counts_along(_subgroup_accumulator(alpha, seed, budget), net, prefix)
+    return _subgroup_accumulator(alpha, seed, budget).counts_along(net, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -896,22 +942,23 @@ def h_alg_estimate(
     when it changes.  No tuple is made unless the runs would hold more than
     64 bits per pair x + y the tuple route would add, or several runs
     average fewer than 64 points each (see ``_IncrementalTrajectory``).
-    Both are fed ``net.increments``:
-    on a nested net |F_i| is the running sum of its shell sizes.
+    Both are fed ``net.increments``, except a subgroup seed on a box net
+    with identity generators (``_GrowingTrajectory.counts_along``): on a
+    nested net |F_i| is the running sum of its shell sizes.
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     if isinstance(seed, Subgroup):
-        acc = _subgroup_accumulator(alpha, seed, budget)
+        along = _trajectory_orders(alpha, seed, net, prefix, budget)
         seed_label = "subgroup"
     elif isinstance(seed, FiniteSubset):
-        acc = _IncrementalTrajectory(alpha, seed, budget)
+        along = _counts_along(_IncrementalTrajectory(alpha, seed, budget), net, prefix)
         seed_label = f"set({len(seed)})"
     else:
         raise GroupMismatchError("seed must be a FiniteSubset or a Subgroup")
     est = IntegralEstimate("h_alg")
     counts = []
-    for i, (size, count) in enumerate(_counts_along(acc, net, prefix), start=1):
+    for i, (size, count) in enumerate(along, start=1):
         counts.append(count)
         value = ell_of_order(count)
         est.rows.append(IntegralRow(i, size, value, value / size))
@@ -955,9 +1002,8 @@ def _window_certificate(alpha, seed: Subgroup, scale: int):
         raise GroupMismatchError("certificates need torsion groups")
     acc = _subgroup_accumulator(alpha, seed)
     last = 4 * scale + 4
-    # the windows are the nested boxes: feed their shells
-    for m_scale, added, _, _ in box_net(alpha.monoid).increments(last):
-        acc.extend(added)
+    # the windows are the nested boxes
+    for m_scale, _ in enumerate(acc.counts_along(box_net(alpha.monoid), last), start=1):
         if m_scale >= scale and all(acc.contains(x) for x in targets):
             return GeneratorCertificate(scale, m_scale, True)
     return GeneratorCertificate(scale, last, False)

@@ -351,6 +351,12 @@ def _variant(typ, value):
     return typ.variants.get(tag) if isinstance(tag, str) else None
 
 
+def _shown(value, limit=60):
+    """repr(value), cut after ``limit`` characters and marked by '...'."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _walk(value, typ, path, env):
     """Check ``value`` against ``typ``; a SchemaError names the JSON path.
 
@@ -367,7 +373,7 @@ def _walk(value, typ, path, env):
             _fail(path, "is only defined on a direct-sum group")
     if isinstance(typ, Scalar):
         if not typ.ok(value):
-            _fail(path, f"must be {typ.what}, got {value!r}")
+            _fail(path, f"must be {typ.what}, got {_shown(value)}")
     elif isinstance(typ, (Spec, OneOf)):
         if not isinstance(value, dict):
             _fail(path, "must be an object")
@@ -375,7 +381,7 @@ def _walk(value, typ, path, env):
         tag = typ.tag if isinstance(typ, OneOf) else None
         if spec is None:
             raise SchemaError(
-                f"{_render((path, tag))} must be one of {sorted(typ.variants)}, got {value.get(tag)!r}"
+                f"{_render((path, tag))} must be one of {sorted(typ.variants)}, got {_shown(value.get(tag))}"
                 if tag else f"{_render(path)} needs exactly one of the keys {sorted(typ.variants)}"
             )
         fields = _field_table(spec)
@@ -557,7 +563,7 @@ def _run_folner_verify(sc, prefix, budget):
     monoid = parse_monoid(sc["monoid"])
     net = parse_net(monoid, sc["net"])
     test = MSubset.of(monoid, [tuple(e) for e in sc["test"]])
-    report = verify_folner(net, test, prefix)
+    report = verify_folner(net, test, prefix, budget)
     return report.to_csv(), {"report": report}
 
 

@@ -47,14 +47,18 @@ class FolnerNet:
     """Lazily generated, memoized sequence of finite subsets.
 
     ``shell``, when given, maps i to F_i \\ F_{i-1} (F_0 is empty) and
-    marks the net as nested: F_{i-1} <= F_i at every index.
+    marks the net as nested: F_{i-1} <= F_i at every index.  ``size``, when
+    given, maps i to |F_i| without building F_i.  ``axes`` is set on box
+    nets only: the axes of ``_box_axes``, whose product is F_i.
     """
 
-    def __init__(self, monoid, generate, label="net", shell=None):
+    def __init__(self, monoid, generate, label="net", shell=None, size=None, axes=None):
         self.monoid = monoid
         self._generate = generate
         self.label = label
         self._shell = shell
+        self._size = size
+        self.axes = axes
         self._cache = {}
 
     @property
@@ -77,7 +81,11 @@ class FolnerNet:
         before = self.subset(i - 1).elements if i > 1 else frozenset()
         return MSubset(self.monoid, self.subset(i).elements - before)
 
-    def increments(self, prefix: int):
+    def size(self, i: int) -> int:
+        """|F_i|, built only when the net cannot tell it otherwise."""
+        return self._size(i) if self._size is not None else len(self.subset(i))
+
+    def increments(self, prefix: int, budget=None):
         """Yield (i, added, fresh, |F_i|) for i = 1..prefix: a set that
         holds F_{i-1} becomes F_i by adding ``added``, after it starts over
         from the empty set when ``fresh``.  ``added`` never meets the set it
@@ -85,9 +93,15 @@ class FolnerNet:
         is fed these increments must start out holding the empty set.  A
         nested net hands out its shells and never builds F_i.  Any other
         net is compared with its previous set and starts over wherever
-        F_{i-1} is not inside F_i."""
+        F_{i-1} is not inside F_i.
+
+        With a ``budget``, an F_i of more elements raises
+        ``BudgetExceededError`` naming i: before anything of F_i is built
+        when the net knows its sizes, else before ``added`` is handed out."""
         size, last = 0, frozenset()
         for i in range(1, prefix + 1):
+            if budget is not None and self._size is not None:
+                _charge_net(self._size(i), budget, i)
             if self.nested:
                 added, fresh = self.shell(i).elements, False
                 size += len(added)
@@ -96,18 +110,26 @@ class FolnerNet:
                 fresh = not last <= fi
                 added = fi if fresh else fi - last
                 size, last = len(fi), fi
+            if budget is not None:
+                _charge_net(size, budget, i)
             yield i, added, fresh, size
 
     def __repr__(self):
         return f"FolnerNet({self.label} on {self.monoid})"
 
 
-def _counts_along(acc, net: FolnerNet, prefix: int):
+def _charge_net(size, budget, i):
+    if size > budget:
+        raise BudgetExceededError(f"F_{i} has {size} elements, over the budget of {budget}", index=i)
+
+
+def _counts_along(acc, net: FolnerNet, prefix: int, budget=None):
     """Yield (|F_i|, acc.count) for i = 1..prefix from one accumulator fed
-    with ``net.increments``: ``acc.reset()`` empties it, ``acc.extend(added)``
-    adds elements to it, and ``acc.count`` is its value at the set it holds.
-    A budget error gets the index it stopped at."""
-    for i, added, fresh, size in net.increments(prefix):
+    with ``net.increments`` (under ``budget``, when given): ``acc.reset()``
+    empties it, ``acc.extend(added)`` adds elements to it, and
+    ``acc.count`` is its value at the set it holds.  A budget error gets
+    the index it stopped at."""
+    for i, added, fresh, size in net.increments(prefix, budget):
         if fresh:
             acc.reset()
         try:
@@ -158,16 +180,34 @@ def _box_shell(axes, i: int) -> frozenset:
     return frozenset(out)
 
 
+# an axis pinned to {0}: 0 lies in every axis's box from n = 1 on
+_ORIGIN = (lambda n: [0] if n else [], lambda n: [0] if n == 1 else [])
+
+
+def _pinned_shell(axes, live, i: int) -> frozenset:
+    """``_box_shell`` with every axis k where live[k] is 0 pinned to {0}:
+    one element of F_i \\ F_{i-1} for each value that the live axes take
+    in F_i and not in F_{i-1}, the others zero."""
+    return _box_shell([axis if on else _ORIGIN for axis, on in zip(axes, live)], i)
+
+
+def _box_size(axes, i: int) -> int:
+    return prod(len(box(i)) for box, _ in axes)
+
+
 def box_net(monoid) -> FolnerNet:
     """The standard box sequence F_n = monoid.window(n): [0,n)^d for N^d,
     [-n,n]^d for Z^d, the whole group for finite S, and componentwise boxes
     for products.  The shear product's boxes are not Folner.  The boxes are
-    nested, and each shell is generated without building a box."""
+    nested, each shell is generated without building a box, and a box's
+    size is read off its axes.  Coordinate j of the monoid is the exponent
+    of its generator j."""
     if not _has_folner_boxes(monoid):
         raise UndecidableFamilyError(f"no box net for {monoid}")
     label = "constant" if isinstance(monoid, FiniteAbelianMonoid) else "boxes"
     axes = _box_axes(monoid)
-    return FolnerNet(monoid, monoid.window, label, partial(_box_shell, axes))
+    return FolnerNet(monoid, monoid.window, label, partial(_box_shell, axes),
+                     partial(_box_size, axes), axes)
 
 
 @dataclass(frozen=True)
@@ -193,13 +233,6 @@ class DefectReport:
 
     def tail_max(self) -> Fraction:
         return self.max_defect(self.indices()[-1])
-
-    def tail_nonincreasing(self) -> bool:
-        """True when the per-index max defect never increases over the
-        second half of the evaluated prefix."""
-        idx = self.indices()
-        back = [self.max_defect(i) for i in idx[len(idx) // 2 :]]
-        return all(a >= b for a, b in zip(back, back[1:]))
 
     def to_csv(self) -> str:
         rows = ([r.index, r.size, r.element, float(r.ratio)] for r in self.rows)
@@ -239,10 +272,13 @@ class _Overlaps:
         return [len(image) + size - 2 * meet for image, meet in zip(self._images, self._meets)]
 
 
-def verify_folner(net: FolnerNet, test: MSubset, prefix: int) -> DefectReport:
+def verify_folner(net: FolnerNet, test: MSubset, prefix: int,
+                  budget: int = DEFAULT_ELEMENT_BUDGET) -> DefectReport:
     """Exact defect table of the net against every element of ``test`` and
     against the whole set at once.  The sets F s and F E grow with the net's
-    increments, so a nested net builds no F_i."""
+    increments, so a nested net builds no F_i.  An F_i of more than
+    ``budget`` elements raises ``BudgetExceededError`` naming i, before it
+    is built on a net that knows its sizes."""
     if prefix < 2:
         raise ValueError("prefix must be >= 2")
     if test.monoid != net.monoid:
@@ -250,7 +286,7 @@ def verify_folner(net: FolnerNet, test: MSubset, prefix: int) -> DefectReport:
     report = DefectReport(net.label)
     tags = [*test, "E"]
     overlaps = _Overlaps(net.monoid.op, [(s,) for s in test] + [tuple(test.elements)])
-    for i, (size, moved) in enumerate(_counts_along(overlaps, net, prefix), start=1):
+    for i, (size, moved) in enumerate(_counts_along(overlaps, net, prefix, budget), start=1):
         report.rows.extend(DefectRow(i, size, s, Fraction(m, size)) for s, m in zip(tags, moved))
     return report
 
@@ -334,7 +370,11 @@ def product_net(net_h: FolnerNet, net_k: FolnerNet, monoid=None) -> FolnerNet:
         ks = net_k.subset(b).elements
         return MSubset(target, frozenset(h + k for h in net_h.subset(a).elements for k in ks))
 
-    return FolnerNet(target, gen, f"{net_h.label}x{net_k.label}")
+    def size(i):
+        a, b = pair(i)
+        return net_h.size(a) * net_k.size(b)
+
+    return FolnerNet(target, gen, f"{net_h.label}x{net_k.label}", size=size)
 
 
 def kernel_box_net(pi: MonoidHom) -> FolnerNet:

@@ -273,7 +273,11 @@ class ModularEchelon:
 
     def insert(self, vec):
         """Add ``vec`` to the lattice."""
-        v = self._sparse(vec)
+        self._insert(self._sparse(vec))
+
+    def _insert(self, v):
+        """``insert`` of a vector in the form ``_sparse`` returns, which is
+        not checked: column in [0, dim) -> entry in (0, m_j).  Consumes v."""
         moduli, rows = self.moduli, self.rows
         while v:
             # reducing column j only touches later columns, so the smallest

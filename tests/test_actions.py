@@ -1365,12 +1365,89 @@ def test_live_keys_match_the_full_walk(alpha, seed, net, prefix, mask):
     assert engine.visited == oracle.visited
 
 
+def refuse_shells(net):
+    """Make ``net`` fail the test if it builds a shell or a set."""
+    def refuse(i):
+        raise AssertionError(f"index {i} of the full box was built")
+
+    net._shell = net._generate = refuse
+
+
+@pytest.mark.parametrize("alpha, seed, net, prefix, mask", list(identity_generator_cases()))
+def test_trajectory_route_matches_the_full_walk(alpha, seed, net, prefix, mask):
+    """The route of h_alg_estimate and bridge_check: on a box net with
+    identity generators it walks the pinned shells and builds no full one,
+    and it agrees with the full walk at every index, visited counts
+    included.  Every other case is fed the net's increments."""
+    oracle = FullWalkTrajectory(alpha, seed)
+    want = list(_counts_along(oracle, net, prefix))
+    engine = _GrowingTrajectory(alpha, seed)
+    if mask is not None and net.axes is not None:
+        net = box_net(net.monoid)
+        refuse_shells(net)
+    assert list(engine.counts_along(net, prefix)) == want
+    assert engine.visited == oracle.visited
+    assert list(_trajectory_orders(alpha, seed, net, prefix)) == want
+
+
 def stop_of(engine, net, prefix):
     """The counts along the net, or where the budget stopped them."""
     try:
         return list(_counts_along(engine, net, prefix))
     except BudgetExceededError as err:
         return str(err), err.completed, err.index
+
+
+def live_stop_of(engine, net, prefix):
+    """``stop_of`` for the route of ``_GrowingTrajectory.counts_along``."""
+    try:
+        return list(engine.counts_along(net, prefix))
+    except BudgetExceededError as err:
+        return str(err), err.completed, err.index
+
+
+@pytest.mark.parametrize("case", [6, 9], ids=["Z^3", "Z/3 x Z"])
+def test_live_route_stops_where_the_full_walk_stops(case):
+    """Budgets at each shell boundary and one element to either side, on
+    the box-net cases over Z^3 (one live axis of three) and Z/3 x Z (the
+    finite axis dead)."""
+    alpha, seed, net, prefix, mask = list(identity_generator_cases())[case]
+    assert net.axes is not None and 0 in mask
+    sizes = [net.size(i) for i in range(1, prefix + 1)]
+    stops = set()
+    for budget in sorted(size + d for size in sizes for d in (-1, 0, 1)):
+        want = stop_of(FullWalkTrajectory(alpha, seed, budget), net, prefix)
+        assert live_stop_of(_GrowingTrajectory(alpha, seed, budget), net, prefix) == want, budget
+        stops.add(want[-1] if isinstance(want, tuple) else None)
+    assert stops == {*range(1, prefix + 1), None}
+
+
+def test_quotient_vanishing_walks_one_element_per_live_key(monkeypatch, tmp_path):
+    """At prefix 64 the engine is handed 2 * 64 + 1 monoid elements, one per
+    value of the live coordinate, while all 129^2 count as visited; no
+    shell or box of Z^2 is built unless the budget runs out, and then only
+    the shell it runs out in."""
+    walk, shell, subset = _GrowingTrajectory._walk, FolnerNet.shell, FolnerNet.subset
+    handed, engines, built = [], [], []
+
+    def walked(self, fresh):
+        engines.append(self)
+        handed.extend(fresh.values())
+        return walk(self, fresh)
+
+    monkeypatch.setattr(_GrowingTrajectory, "_walk", walked)
+    monkeypatch.setattr(FolnerNet, "shell", lambda self, i: built.append(("shell", i)) or shell(self, i))
+    monkeypatch.setattr(FolnerNet, "subset", lambda self, i: built.append(("subset", i)) or subset(self, i))
+    code, message = cli.run_scenario("quotient-vanishing", tmp_path, 64)
+    assert code == 0, message
+    assert sorted(handed) == [(0, k) for k in range(-64, 65)]
+    assert {engine.visited for engine in engines} == {129**2}
+    assert built == []
+    handed.clear()
+    code, message = cli.run_scenario("quotient-vanishing", tmp_path, 64, budget=1000)
+    assert code == 3 and message.endswith(", net index 16)"), message
+    assert built == [("shell", 16)]
+    assert len(handed) == 2 * 15 + 1
 
 
 def test_budget_stops_where_the_full_walk_stops(tmp_path):

@@ -244,7 +244,9 @@ def test_verify_folner_boxes_of_Z():
     report = verify_folner(box_net(Z1), ms(Z1, [(1,), (-1,)]), 30)
     for n in (1, 10, 30):
         assert report.max_defect(n) == Fraction(2, 2 * n + 1)
-    assert report.tail_nonincreasing()
+    # the max defect never increases over the second half of the prefix
+    back = [report.max_defect(i) for i in report.indices()[15:]]
+    assert all(a >= b for a, b in zip(back, back[1:]))
 
 
 def test_submonoid_boxes_are_folner_in_the_group():
@@ -334,6 +336,71 @@ def test_verify_folner_builds_no_set_of_a_nested_net(monoid):
     test = probe_set(monoid)
     want = verify_folner_by_elements(box_net(monoid), test, 5)
     assert verify_folner(net, test, 5).rows == want.rows
+
+
+@pytest.mark.parametrize("net, prefix, nested", list(every_net_family()), ids=repr)
+def test_net_size_is_the_size_of_the_set(net, prefix, nested):
+    assert [net.size(i) for i in range(1, prefix + 1)] == [len(net.subset(i)) for i in range(1, prefix + 1)]
+
+
+def test_box_and_product_nets_tell_their_sizes_without_building_a_set():
+    z5 = FreeAbelian(5)
+    net = box_net(z5)
+    net._generate = refuse
+    assert [net.size(i) for i in range(1, 5)] == [3**5, 5**5, 7**5, 9**5]
+    pair = product_net(box_net(N1), box_net(Z1))
+    pair._generate = refuse
+    assert [pair.size(i) for i in range(1, 5)] == [3, 5, 6, 10]
+
+
+def shells_built(net):
+    """Record the indices whose shell ``net`` builds."""
+    built, shell = [], net._shell
+    net._shell = lambda i: built.append(i) or shell(i)
+    return built
+
+
+def test_verify_folner_stops_before_building_a_set_over_the_budget():
+    """|F_i| of Z^5 boxes is 3^5, 5^5, 7^5, 9^5: a budget between two sizes
+    stops at the larger one's index, before its shell is built."""
+    z5 = FreeAbelian(5)
+    test = ms(z5, [(1, 0, 0, 0, 0)])
+    for budget, index in ((10, 1), (3**5, 2), (7**5 - 1, 3)):
+        net = box_net(z5)
+        built = shells_built(net)
+        with pytest.raises(BudgetExceededError) as err:
+            verify_folner(net, test, 4, budget)
+        assert err.value.index == index
+        assert str(err.value) == f"F_{index} has {(2 * index + 1) ** 5} elements, over the budget of {budget}"
+        assert built == list(range(1, index))
+    rows = verify_folner(box_net(z5), test, 3, 7**5).rows
+    assert rows == verify_folner(box_net(z5), test, 3).rows
+
+
+def test_verify_folner_budget_on_a_net_that_cannot_tell_its_sizes():
+    # F_i = [-i, i] + {3, -2} holds 6, 10, 12, 14, 16 points
+    net = translate_net(box_net(Z1), ms(Z1, [(3,), (-2,)]))
+    with pytest.raises(BudgetExceededError) as err:
+        verify_folner(net, ms(Z1, [(1,)]), 5, 11)
+    assert (err.value.index, str(err.value)) == (3, "F_3 has 12 elements, over the budget of 11")
+    assert len(verify_folner(net, ms(Z1, [(1,)]), 5, 16).rows) == 10
+
+
+def test_folner_verify_run_exits_three_at_the_net_index(tmp_path):
+    sc = {"kind": "folner-verify", "monoid": {"family": "Z^d", "dim": 5},
+          "test": [[1, 0, 0, 0, 0]], "net": {"family": "box"}, "prefix": 4}
+    source = tmp_path / "z5.json"
+    source.write_text(json.dumps(sc))
+    assert run_scenario(str(source), tmp_path, budget=10) == (
+        3, "budget exceeded: F_1 has 243 elements, over the budget of 10 (net index 1)"
+    )
+    assert not (tmp_path / "z5.csv").exists()
+    sc["monoid"] = {"family": "product", "parts": [{"family": "N^d", "dim": 1}, {"family": "Z^d", "dim": 1}]}
+    sc.update(test=[[1, 0]], net={"family": "product"})
+    source.write_text(json.dumps(sc))
+    assert run_scenario(str(source), tmp_path, budget=5) == (
+        3, "budget exceeded: F_3 has 6 elements, over the budget of 5 (net index 3)"
+    )
 
 
 # --- canonical nets ------------------------------------------------------------

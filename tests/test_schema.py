@@ -199,6 +199,26 @@ def test_edge_case_message_is_pinned(index):
     assert _validation_message(sc) == f"schema error: {message}"
 
 
+def test_echoed_values_are_cut_after_sixty_characters():
+    """A schema error echoes the value at fault, cut after 60 characters,
+    however deep or long the value is."""
+    deep = reduce(lambda v, _: [v], range(500), 0)
+    wide = list(range(10**5))
+    cut = repr(wide)[:60] + "..."
+    assert len(cut) == 63
+    cases = [
+        ({"kind": "duality-props", "groups": [[2], [deep]]},
+         "groups[1][0] must be an integer >= 1, got " + "[" * 60 + "..."),
+        ({"kind": "duality-props", "groups": [[2]], "prefix": wide},
+         f"prefix must be an integer >= 1, got {cut}"),
+        ({"kind": wide}, "kind must be one of ['addition', 'bridge', 'canonical-net', 'duality-props',"
+                         " 'entropy', 'folner-verify', 'fubini', 'integral', 'semidirect-defect',"
+                         f" 'tiling'], got {cut}"),
+    ]
+    for sc, message in cases:
+        assert _validation_message(sc) == f"schema error: {message}"
+
+
 def test_mutation_sweep_messages_are_pinned():
     """Every builtin with each entry replaced or deleted, validated: the
     messages hash to a pinned digest."""
