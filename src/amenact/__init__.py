@@ -23,12 +23,9 @@ from .abelian import (
     FiniteSubset,
     FreeZ,
     Subgroup,
-    ell,
     ell_of_order,
-    iterated_sum,
     minkowski_sum,
     quotient_group,
-    rel_ell,
     subgroup_as_group,
 )
 from .actions import (
@@ -67,7 +64,6 @@ from .duality import (
     dual_endomorphism,
     h_top_estimate,
     subgroup_lattice,
-    vanishing_subgroup,
 )
 from .folner import (
     CanonicalNet,
@@ -75,9 +71,7 @@ from .folner import (
     FolnerNet,
     TilingWitness,
     box_net,
-    canonical_net,
     check_tiling,
-    filling_hypotheses,
     greedy_tiler,
     is_eps_disjoint,
     kernel_box_net,
@@ -113,15 +107,11 @@ from .monoid import (
     ProductMonoid,
     Section,
     SemidirectZZ,
-    boundary,
-    cap_hom,
-    eps_equiv,
     fiber,
     fiber_conjugation,
     find_good_section,
     is_good_element,
     mod_hom,
-    multi_ore,
     projection_hom,
     scale_hom,
     semidirect_quotient_hom,

@@ -320,9 +320,6 @@ class FiniteSubset:
     def __contains__(self, x):
         return x in self.elements
 
-    def with_zero(self) -> "FiniteSubset":
-        return FiniteSubset(self.group, self.elements | {self.group.zero})
-
     def union(self, other):
         _same_group(self, other)
         return FiniteSubset(self.group, self.elements | other.elements)
@@ -337,21 +334,6 @@ def minkowski_sum(X: FiniteSubset, Y: FiniteSubset) -> FiniteSubset:
     """{x + y : x in X, y in Y}."""
     _same_group(X, Y)
     return FiniteSubset(X.group, X.group.sumset(X.elements, Y.elements))
-
-
-def iterated_sum(X: FiniteSubset, m: int) -> FiniteSubset:
-    """The m-fold sumset X + X + ... + X."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    acc = X
-    for _ in range(m - 1):
-        acc = minkowski_sum(acc, X)
-    return acc
-
-
-def ell(X: FiniteSubset) -> float:
-    """log |X|; zero on singletons."""
-    return math.log(len(X.elements))
 
 
 def ell_of_order(order) -> float:
@@ -690,13 +672,6 @@ def _flatten(group: DirectSum, x, window):
     return out
 
 
-def rel_ell(Y: FiniteSubset, B: Subgroup) -> float:
-    """log of the number of distinct cosets y + B with y in Y."""
-    if Y.group != B.group:
-        raise GroupMismatchError("subset and subgroup live in different groups")
-    return math.log(len({B.coset_key(y) for y in Y.elements}))
-
-
 def subgroup_as_group(B: Subgroup):
     """(G, embed, express): an abstract presentation of B.
 
@@ -720,11 +695,6 @@ class QuotientProjection:
 
     source: AbelianGroup
     target: AbelianGroup
-
-    def on_subset(self, X: FiniteSubset) -> FiniteSubset:
-        if X.group != self.source:
-            raise GroupMismatchError("subset is not in the quotient's source")
-        return FiniteSubset(self.target, frozenset(self(x) for x in X.elements))
 
 
 @dataclass(frozen=True)

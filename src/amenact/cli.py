@@ -54,9 +54,9 @@ from .errors import (
     UnsupportedQuotientError,
 )
 from .folner import (
+    CanonicalNet,
     _reciprocal_gap_ok,
     box_net,
-    canonical_net,
     check_tiling,
     greedy_tiler,
     product_net,
@@ -454,7 +454,7 @@ def _run_integral(sc, prefix, budget):
     monoid = parse_monoid(sc["monoid"])
     f = _build("function", monoid, sc["function"])
     net = parse_net(monoid, sc["net"])
-    est = integral(f, net, prefix)
+    est = integral(f, net, prefix, budget)
     return est.to_csv(), {"estimate": est}
 
 
@@ -569,7 +569,7 @@ def _run_folner_verify(sc, prefix, budget):
 
 def _run_canonical(sc, prefix, budget):
     monoid = parse_monoid(sc["monoid"])
-    net = canonical_net(monoid)
+    net = CanonicalNet(monoid, budget)
     values = []
     for req in sc["requests"]:
         e = MSubset.of(monoid, [tuple(x) for x in req["test"]])

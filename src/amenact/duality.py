@@ -163,26 +163,6 @@ class OpenSubgroup:
     support: tuple
     rows: tuple
 
-    def index_in_space(self) -> int:
-        return math.prod(row[j] for j, row in enumerate(self.rows))
-
-
-def vanishing_subgroup(space: DirectSum, coords, base_subgroup: Subgroup) -> OpenSubgroup:
-    """{chi : chi_i in B0 for the listed i}; B0 a subgroup of the base."""
-    coords = tuple(sorted(tuple(c) for c in coords))
-    k = len(space.base.factors)
-    for c in coords:
-        if not space.index.contains(c):
-            raise GroupMismatchError(f"coordinate {c} is not in the index monoid {space.index}")
-    _, basis, _, _ = Subgroup.generated(space.base, base_subgroup.gens)._flat()
-    blocks = []
-    for t in range(len(coords)):
-        for row in basis:
-            placed = [0] * (len(coords) * k)
-            placed[t * k : (t + 1) * k] = row
-            blocks.append(placed)
-    return OpenSubgroup(space, coords, tuple(tuple(r) for r in blocks))
-
 
 def annihilator_window(space: DirectSum, b: Subgroup) -> OpenSubgroup:
     """The annihilator in K^I of a finitely supported subgroup of the direct

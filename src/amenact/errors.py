@@ -51,10 +51,6 @@ class BudgetExceededError(AmenactError):
         self.index = index
 
 
-class SearchBudgetError(BudgetExceededError):
-    """A bounded search (canonical-net box scan) exhausted its budget."""
-
-
 class InvalidWitnessError(AmenactError):
     """A tiling witness failed the checks required before a derived test."""
 

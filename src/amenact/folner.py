@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product as iproduct
-from itertools import repeat
+from itertools import count, repeat
 from math import isqrt, prod
 from operator import add, floordiv, gt, itemgetter, mod, mul, sub
 
@@ -20,7 +20,6 @@ from .errors import (
     BudgetExceededError,
     InvalidWitnessError,
     MonoidMismatchError,
-    SearchBudgetError,
     UndecidableFamilyError,
 )
 from .monoid import (
@@ -33,13 +32,11 @@ from .monoid import (
     ProductMonoid,
     Section,
     SemidirectZZ,
-    boundary,
     set_product,
 )
 from .tables import csv_table
 
 DEFAULT_ELEMENT_BUDGET = 10**7
-CANONICAL_SEARCH_BUDGET = 2**16
 FRAME_BUDGET = 2**24  # cells of the frame a tiling is packed into
 
 
@@ -300,54 +297,50 @@ def translate_net(net: FolnerNet, e: MSubset) -> FolnerNet:
 
 class CanonicalNet:
     """Canonically indexed net: at (E, n), the smallest box F of its family
-    with F s ~_{1/n} F for every s in E."""
+    with F s ~_{1/n} F for every s in E.
 
-    def __init__(self, monoid, budget: int = CANONICAL_SEARCH_BUDGET):
+    The searches count the cells of every box they build against one
+    ``budget``, and raise ``BudgetExceededError`` before they build a box
+    that would take the count over it."""
+
+    def __init__(self, monoid, budget: int = DEFAULT_ELEMENT_BUDGET):
         if not isinstance(monoid, (FreeCommutative, FreeAbelian, FiniteAbelianMonoid, ProductMonoid)):
             raise UndecidableFamilyError(f"no canonical boxes for {monoid}")
         self.monoid = monoid
         self.budget = budget
+        self._cells = 0  # cells of the boxes built so far
         self._cache = {}
-
-    def _box(self, m: int) -> MSubset:
-        mon = self.monoid
-        if isinstance(mon, FiniteAbelianMonoid):
-            return MSubset(mon, frozenset(mon.elements()))
-        if isinstance(mon, ProductMonoid):
-            grids = [sorted(CanonicalNet(p)._box(m).elements) for p in mon.parts]
-            return MSubset(mon, frozenset(sum(c, ()) for c in iproduct(*grids)))
-        return MSubset(mon, frozenset(iproduct(range(m), repeat=mon.dim)))
 
     def at(self, e: MSubset, n: int) -> MSubset:
         key = (e.sorted_key(), n)
         if key in self._cache:
             return self._cache[key]
-        if isinstance(self.monoid, FiniteAbelianMonoid):
-            out = self._box(1)
-            self._cache[key] = out
-            return out
-        for m in range(1, self.budget + 1):
-            f = self._box(m)
+        # a finite group's box is the whole group, which every s fixes
+        for m in count(1):
+            axes = _canonical_axes(self.monoid, m)
+            self._cells += prod(map(len, axes))
+            if self._cells > self.budget:
+                raise BudgetExceededError(
+                    f"a canonical box of side {m} takes the cells built to {self._cells}, "
+                    f"over the budget of {self.budget}"
+                )
+            f = MSubset(self.monoid, frozenset(iproduct(*axes)))
             size = len(f)
             if all(
                 n * len(f.translate(s).elements ^ f.elements) <= size for s in e
             ):
                 self._cache[key] = f
                 return f
-        raise SearchBudgetError(f"no box of side <= {self.budget} works for {key}")
-
-    def folner_net(self, e: MSubset | None = None) -> FolnerNet:
-        """Cofinal linearization n -> F_(E, n) with E fixed."""
-        if e is None:
-            gens = [self.monoid.identity]
-            if not isinstance(self.monoid, FiniteAbelianMonoid):
-                gens += self.monoid.generators()
-            e = MSubset(self.monoid, frozenset(gens))
-        return FolnerNet(self.monoid, lambda n: self.at(e, n), "canonical")
 
 
-def canonical_net(monoid) -> CanonicalNet:
-    return CanonicalNet(monoid)
+def _canonical_axes(monoid, m: int):
+    """The canonical box of side m as the values of each coordinate:
+    [0, m) on N^d and Z^d, the whole group on a finite one."""
+    if isinstance(monoid, ProductMonoid):
+        return [axis for p in monoid.parts for axis in _canonical_axes(p, m)]
+    if isinstance(monoid, FiniteAbelianMonoid):
+        return [range(k) for k in monoid.factors]
+    return [range(m)] * monoid.dim
 
 
 def product_net(net_h: FolnerNet, net_k: FolnerNet, monoid=None) -> FolnerNet:
@@ -862,38 +855,3 @@ def greedy_tiler(d_set: MSubset, tiles, eps, *, validate=True):
         return witness
     report = check_tiling(d_set, witness, eps)
     return witness if report.ok else None
-
-
-@dataclass
-class FillingReport:
-    pair_ratios: list   # (j, k, ratio, bound, holds) over tile pairs j < k
-    region_ratios: list  # (j, ratio, bound, holds) against the region
-    n_tiles: int
-
-    @property
-    def pairs_hold(self):
-        return all(h for *_, h in self.pair_ratios)
-
-    @property
-    def region_holds(self):
-        return all(h for *_, h in self.region_ratios)
-
-
-def filling_hypotheses(tiles, d_set: MSubset, eps) -> FillingReport:
-    """Exact check of the two boundary-ratio hypotheses that feed the
-    filling argument: |bd_{F_j}(F_k)|/|F_k| <= eps^{2N}/|F_j| for j < k and
-    |bd_{F_j}(D)|/|D| <= eps^{2N}."""
-    eps = Fraction(eps)
-    tiles = list(tiles)
-    n = len(tiles)
-    power = eps**(2 * n)
-    pair_rows, region_rows = [], []
-    for j in range(n):
-        for k in range(j + 1, n):
-            ratio = Fraction(len(boundary(tiles[k], tiles[j])), len(tiles[k]))
-            bound = power / len(tiles[j])
-            pair_rows.append((j, k, ratio, bound, ratio <= bound))
-    for j in range(n):
-        ratio = Fraction(len(boundary(d_set, tiles[j])), len(d_set))
-        region_rows.append((j, ratio, power, ratio <= power))
-    return FillingReport(pair_rows, region_rows, n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import MonoidMismatchError
-from .folner import FolnerNet, _counts_along, kernel_box_net
+from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along, kernel_box_net
 from .monoid import MonoidHom, MSubset, Section, set_product
 from .tables import csv_table
 
@@ -204,18 +204,21 @@ class IntegralEstimate:
         return csv_table("index,size,value,ratio", rows)
 
 
-def integral(f: SetFunction, net: FolnerNet, prefix: int) -> IntegralEstimate:
+def integral(f: SetFunction, net: FolnerNet, prefix: int,
+             budget: int = DEFAULT_ELEMENT_BUDGET) -> IntegralEstimate:
     """Evaluate the ratio table over the first ``prefix`` net indices.
 
     f follows the net's increments through ``f.accumulator()``, so on a
     nested net card, constant, card_pi, trajectory functions and their
-    shifts never build an F_i."""
+    shifts never build an F_i.  An F_i of more than ``budget`` elements
+    raises ``BudgetExceededError`` naming i, before it is built on a net
+    that knows its sizes."""
     if prefix < 2:
         raise ValueError("prefix must be >= 2")
     if net.monoid != f.monoid:
         raise MonoidMismatchError(f"{f.label} expects subsets of {f.monoid}")
     est = IntegralEstimate(f.label)
-    for i, (size, value) in enumerate(_counts_along(f.accumulator(), net, prefix), start=1):
+    for i, (size, value) in enumerate(_counts_along(f.accumulator(), net, prefix, budget), start=1):
         value = float(value)
         est.rows.append(IntegralRow(i, size, value, value / size))
     return est

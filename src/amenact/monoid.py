@@ -460,35 +460,6 @@ def sym_diff_ratio(F: MSubset, s) -> Fraction:
     return Fraction(len(fs ^ F.elements), len(F.elements))
 
 
-def eps_equiv(F: MSubset, Fp: MSubset, eps) -> bool:
-    """|F| == |F'| and |F sym-diff F'| <= eps |F|, decided exactly."""
-    _same_monoid(F, Fp)
-    if len(F.elements) != len(Fp.elements):
-        return False
-    return len(F.elements ^ Fp.elements) <= Fraction(eps) * len(F.elements)
-
-
-def boundary(D: MSubset, E: MSubset) -> MSubset:
-    """The E-boundary {s in D : sE not fully inside D}."""
-    _same_monoid(D, E)
-    op = D.monoid.op
-    din = D.elements
-    out = frozenset(s for s in din if any(op(s, e) not in din for e in E.elements))
-    return MSubset(D.monoid, out)
-
-
-def multi_ore(monoid: Monoid, ss):
-    """Common right multiple t = r_i s_i for commutative/group families."""
-    ss = list(ss)
-    if isinstance(monoid, (FreeCommutative, FiniteAbelianMonoid)) or monoid.is_group:
-        if monoid.is_group:
-            t = ss[0]
-            return t, [monoid.op(t, monoid.inverse(s)) for s in ss]
-        t = tuple(max(s[i] for s in ss) for i in range(monoid.dim))
-        return t, [tuple(a - b for a, b in zip(t, s)) for s in ss]
-    raise UndecidableFamilyError(f"no common-multiple rule for {monoid}")
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms, kernels, sections
 
@@ -499,7 +470,7 @@ class MonoidHom:
 
     source: MonoidBase
     target: MonoidBase
-    kind: str  # 'project' | 'mod' | 'scale' | 'cap' | 'semidirect-c'
+    kind: str  # 'project' | 'mod' | 'scale' | 'semidirect-c'
     data: tuple = ()
 
     def __call__(self, x):
@@ -509,8 +480,6 @@ class MonoidHom:
             return tuple(a % n for a, n in zip(x, self.target.factors))
         if self.kind == "scale":
             return tuple(a * k for a, k in zip(x, self.data))
-        if self.kind == "cap":
-            return (min(self.target.cap, x[0]),)
         if self.kind == "semidirect-c":
             return (x[2],)
         raise UndecidableFamilyError(self.kind)
@@ -541,8 +510,6 @@ class MonoidHom:
             else:
                 raise UndecidableFamilyError(f"mod kernel for {src}")
             return n, lambda t: tuple(a * m for a, m in zip(t, factors))
-        if self.kind == "cap":
-            return FreeCommutative(0), lambda t: (0,)
         if self.kind == "semidirect-c":
             return FreeAbelian(2), lambda t: (t[0], t[1], 0)
         raise UndecidableFamilyError(f"kernel of {self.kind}")
@@ -560,10 +527,6 @@ class MonoidHom:
             if any(a % n for a, n in zip(s, factors)):
                 raise MonoidMismatchError(f"{s} is not in the kernel")
             return tuple(a // n for a, n in zip(s, factors))
-        if self.kind == "cap":
-            if s != (0,):
-                raise MonoidMismatchError(f"{s} is not in the kernel")
-            return ()
         if self.kind == "semidirect-c":
             if s[2] != 0:
                 raise MonoidMismatchError(f"{s} is not in the kernel")
@@ -631,10 +594,6 @@ def scale_hom(source: Monoid, target: Monoid, scale) -> MonoidHom:
     return MonoidHom(source, target, "scale", tuple(scale))
 
 
-def cap_hom(cap: int) -> MonoidHom:
-    return MonoidHom(FreeCommutative(1), CappedAdd(cap), "cap")
-
-
 def semidirect_quotient_hom(source: SemidirectZZ) -> MonoidHom:
     return MonoidHom(source, FreeAbelian(1), "semidirect-c", ())
 
@@ -686,8 +645,6 @@ def is_good_element(pi: MonoidHom, s) -> bool:
     if pi.kind == "mod":
         # N + s covers the fiber iff s is the minimal representative
         return all(0 <= a < m for a, m in zip(s, pi.target.factors))
-    if pi.kind == "cap":
-        return s[0] < pi.target.cap
     raise UndecidableFamilyError(f"no goodness rule for {pi.kind} on {src}")
 
 
@@ -711,11 +668,9 @@ def check_good_window(pi: MonoidHom, s, bound: int) -> bool:
 
 
 def find_good_section(pi: MonoidHom):
-    """A good section with sigma(1) = 1, or None if no section is good."""
+    """A good section with sigma(1) = 1."""
     if not pi.is_surjective:
         raise UndecidableFamilyError("sections are for surjections")
-    if pi.kind == "cap":
-        return None  # every section hits a preimage of the cap, which is bad
     if pi.kind in ("project", "mod", "semidirect-c"):
         return Section(pi)
     raise UndecidableFamilyError(f"no section rule for {pi.kind} on {pi.source}")

@@ -274,8 +274,8 @@ def test_trajectory_sum_splits_over_seed_sums():
     alpha = m4_action()
     rng = random.Random(3)
     for _ in range(40):
-        x = FiniteSubset.of(Z, [(rng.randint(-3, 3),) for _ in range(2)]).with_zero()
-        y = FiniteSubset.of(Z, [(rng.randint(-3, 3),) for _ in range(2)]).with_zero()
+        x = FiniteSubset.of(Z, [(rng.randint(-3, 3),) for _ in range(2)] + [(0,)])
+        y = FiniteSubset.of(Z, [(rng.randint(-3, 3),) for _ in range(2)] + [(0,)])
         f = interval(rng.randint(1, 4))
         left = trajectory(alpha, f, minkowski_sum(x, y))
         right = minkowski_sum(trajectory(alpha, f, x), trajectory(alpha, f, y))

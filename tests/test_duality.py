@@ -35,7 +35,6 @@ from amenact.duality import (
     h_top_estimate,
     random_endomorphism,
     subgroup_lattice,
-    vanishing_subgroup,
 )
 from amenact.errors import GroupMismatchError, UndecidableFamilyError
 from amenact.folner import FolnerNet, _counts_along, box_net
@@ -169,7 +168,8 @@ def test_annihilator_makes_no_kernel_call(monkeypatch):
             assert len(elems) * annihilator(Subgroup.generated(g, gens)).order() == g.order
     space = shift_space(4)
     b = Subgroup.generated(space, [space.element({(0,): (2,), (3,): (1,)})])
-    assert annihilator_window(space, b).index_in_space() == 4
+    u = annihilator_window(space, b)
+    assert math.prod(row[j] for j, row in enumerate(u.rows)) == 4
 
 
 def test_listed_forms_are_the_hermite_forms_of_their_generators():
@@ -336,44 +336,48 @@ def dense_hnf(rows, dim):
 
 def _assert_hermite_rows(u):
     """An OpenSubgroup's rows are the full-rank Hermite form of their own
-    lattice, which frozen-dataclass equality and ``index_in_space`` (the
+    lattice, which frozen-dataclass equality and the index in K^I (the
     product of the pivots) rely on."""
     dim = len(u.support) * len(u.space.base.factors)
     assert len(u.rows) == dim and [list(r) for r in u.rows] == dense_hnf(u.rows, dim)
 
 
 def test_vanishing_subgroup_index():
+    # {chi : chi_i in B0 at the listed i} is the annihilator of B0-perp
+    # placed at each of them; B0 = 0 has B0-perp = K
     space = shift_space(3)
-    base0 = Subgroup.trivial(space.base)
-    u = vanishing_subgroup(space, [(0,)], base0)
-    assert u.index_in_space() == 3
+    u = annihilator_window(space, Subgroup.generated(space, [space.basis_vector((0,))]))
+    assert math.prod(row[j] for j, row in enumerate(u.rows)) == 3
     _assert_hermite_rows(u)
     space = DirectSum(FiniteProduct((2, 4)), N1)
-    u = vanishing_subgroup(space, [(2,), (0,)], Subgroup.generated(space.base, [(1, 2)]))
-    assert u.support == ((0,), (2,)) and u.index_in_space() == (8 // 2) ** 2
+    perp = annihilator(Subgroup.generated(space.base, [(1, 2)]))
+    b = Subgroup.generated(space, [space.element({i: g}) for i in [(2,), (0,)] for g in perp.gens])
+    u = annihilator_window(space, b)
+    assert u.support == ((0,), (2,))
+    assert math.prod(row[j] for j, row in enumerate(u.rows)) == (8 // 2) ** 2
     _assert_hermite_rows(u)
 
 
 def test_vanishing_subgroup_refuses_a_coordinate_outside_the_index_monoid():
     space = shift_space(2)
     with pytest.raises(GroupMismatchError):
-        vanishing_subgroup(space, [(-1,)], Subgroup.trivial(space.base))
+        annihilator_window(space, Subgroup.generated(space, [space.element({(-1,): (1,)})]))
 
 
 def test_cotrajectory_window_shift_stacks_constraints():
     space = shift_space(2)
     gamma = ProfiniteShiftAction(space, N1, [(1,)])
-    u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
+    u = annihilator_window(space, Subgroup.generated(space, [space.basis_vector((0,))]))
     for n in (1, 2, 5):
         cot = cotrajectory_window(gamma, ms(N1, [(i,) for i in range(n)]), u)
-        assert cot.index_in_space() == 2**n
+        assert math.prod(row[j] for j, row in enumerate(cot.rows)) == 2**n
 
 
 def test_cotrajectory_window_brute_force_oracle():
     # count solutions over K^{0..4} directly
     space = shift_space(2)
     gamma = ProfiniteShiftAction(space, N1, [(1,)])
-    u = vanishing_subgroup(space, [(0,), (2,)], Subgroup.trivial(space.base))
+    u = annihilator_window(space, Subgroup.generated(space, [space.basis_vector((0,)), space.basis_vector((2,))]))
     f = ms(N1, [(0,), (1,)])
     cot = cotrajectory_window(gamma, f, u)
     count = 0
@@ -384,7 +388,7 @@ def test_cotrajectory_window_brute_force_oracle():
                 ok = False
         if ok:
             count += 1
-    assert cot.index_in_space() == 2**5 // count
+    assert math.prod(row[j] for j, row in enumerate(cot.rows)) == 2**5 // count
 
 
 def test_cotrajectory_window_reaches_new_coordinates_exactly():
@@ -392,20 +396,20 @@ def test_cotrajectory_window_reaches_new_coordinates_exactly():
     # exist at once, and the index is the brute-force one over K^{0..3}
     space = shift_space(2)
     gamma = ProfiniteShiftAction(space, N1, [(1,)])
-    u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
+    u = annihilator_window(space, Subgroup.generated(space, [space.basis_vector((0,))]))
     f = ms(N1, [(0,), (3,)])
     cot = cotrajectory_window(gamma, f, u)
     count = sum(
         all(vec[s] == 0 for (s,) in f.elements) for vec in iproduct(range(2), repeat=4)
     )
     assert cot.support == ((0,), (3,))
-    assert cot.index_in_space() == 2**4 // count == 4
+    assert math.prod(row[j] for j, row in enumerate(cot.rows)) == 2**4 // count == 4
 
 
 def test_h_top_shift_is_log_p():
     space = shift_space(5)
     gamma = ProfiniteShiftAction(space, N1, [(1,)])
-    u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
+    u = annihilator_window(space, Subgroup.generated(space, [space.basis_vector((0,))]))
     est = h_top_estimate(gamma, u, box_net(N1), 8)
     for row in est.rows:
         assert row.ratio == pytest.approx(math.log(5))
@@ -415,7 +419,7 @@ def test_h_top_shift_is_log_p_at_prefix_30():
     # no extent is fixed in advance: F_30 = [0, 30) reaches 30 coordinates
     space = shift_space(3)
     gamma = ProfiniteShiftAction(space, N1, [(1,)])
-    u = vanishing_subgroup(space, [(0,)], Subgroup.trivial(space.base))
+    u = annihilator_window(space, Subgroup.generated(space, [space.basis_vector((0,))]))
     est = h_top_estimate(gamma, u, box_net(N1), 30)
     assert len(est.rows) == 30
     for row in est.rows:
@@ -791,8 +795,10 @@ def _scratch_cotrajectory_window(gamma, f_set, u):
 
 def _scratch_index(gamma, f_set, u):
     if isinstance(gamma, ProfiniteShiftAction):
-        return _scratch_cotrajectory_window(gamma, f_set, u).index_in_space()
-    return math.prod(row[j] for j, row in enumerate(_scratch_cotrajectory(gamma, f_set, u)))
+        rows = _scratch_cotrajectory_window(gamma, f_set, u).rows
+    else:
+        rows = _scratch_cotrajectory(gamma, f_set, u)
+    return math.prod(row[j] for j, row in enumerate(rows))
 
 
 def _dense_meet_preimage(basis, images, target_rows, image_dim):

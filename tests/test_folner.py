@@ -3,11 +3,13 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import prod
 
 import pytest
 
+from amenact import folner
 from amenact.cli import BUILTINS, run_scenario
 from amenact.errors import (
     BudgetExceededError,
@@ -23,10 +25,9 @@ from amenact.folner import (
     _first_fit,
     TilingReport,
     TilingWitness,
+    CanonicalNet,
     box_net,
-    canonical_net,
     check_tiling,
-    filling_hypotheses,
     greedy_tiler,
     is_eps_disjoint,
     kernel_box_net,
@@ -46,8 +47,6 @@ from amenact.monoid import (
     MSubset,
     ProductMonoid,
     SemidirectZZ,
-    eps_equiv,
-    cap_hom,
     find_good_section,
     mod_hom,
     projection_hom,
@@ -130,12 +129,14 @@ def every_net_family():
     s = ProductMonoid((FiniteAbelianMonoid((2,)), FreeAbelian(1)))
     yield kernel_box_net(projection_hom(s, (0,))), 4, True
     yield kernel_box_net(projection_hom(s, (1,))), 4, True
-    yield canonical_net(Z1).folner_net(), 5, True
+    # the canonical boxes of {0, 1} at precision 1/n, by n
+    canon = CanonicalNet(Z1)
+    yield FolnerNet(Z1, partial(canon.at, ms(Z1, [(0,), (1,)])), "canonical"), 5, True
     yield product_net(box_net(N1), box_net(Z1)), 6, False
     yield sliding_net(N1), 4, False
     yield sliding_net(Z2), 3, False
     pi = projection_hom(Z2, (0,))
-    split = split_extension_net(canonical_net(Z1), canonical_net(Z1), pi, find_good_section(pi))
+    split = split_extension_net(CanonicalNet(Z1), CanonicalNet(Z1), pi, find_good_section(pi))
     yield split.folner_net(), 4, False
 
 
@@ -406,14 +407,14 @@ def test_folner_verify_run_exits_three_at_the_net_index(tmp_path):
 # --- canonical nets ------------------------------------------------------------
 
 def test_canonical_minimal_boxes_in_Z():
-    net = canonical_net(Z1)
+    net = CanonicalNet(Z1)
     f = net.at(ms(Z1, [(0,), (1,)]), 2)
     assert f.elements == {(i,) for i in range(4)}
     assert net.at(ms(Z1, [(0,)]), 9).elements == {(0,)}
 
 
 def test_canonical_minimal_boxes_in_Z2():
-    net = canonical_net(Z2)
+    net = CanonicalNet(Z2)
     f = net.at(ms(Z2, [(1, 0)]), 4)
     assert len(f) == 64  # the 8x8 box is the first with defect <= 1/4
 
@@ -421,13 +422,49 @@ def test_canonical_minimal_boxes_in_Z2():
 def test_canonical_nets_meet_their_precision():
     rng = random.Random(3)
     for mon in (N1, Z1, FreeCommutative(2)):
-        net = canonical_net(mon)
+        net = CanonicalNet(mon)
         for _ in range(20):
             e = MSubset(mon, frozenset(mon.sample(rng, 3) for _ in range(2)))
             n = rng.randint(1, 9)
             f = net.at(e, n)
             for s in e:
                 assert n * len(f.translate(s).elements ^ f.elements) <= len(f)
+
+
+def test_canonical_search_stops_before_a_box_over_the_budget(monkeypatch):
+    """Boxes of Z^3 with sides 1, 2, 3 hold 1, 8, 27 cells: a budget of 10
+    stops the search before it builds the box of side 3."""
+    built = []  # the side of each box, from the cells of its first axis
+    monkeypatch.setattr(folner, "iproduct", lambda *axes: built.append(len(axes[0])) or product(*axes))
+    net = CanonicalNet(FreeAbelian(3), 10)
+    with pytest.raises(BudgetExceededError) as err:
+        net.at(ms(net.monoid, [(1, 0, 0), (0, 1, 0)]), 60)
+    assert str(err.value) == "a canonical box of side 3 takes the cells built to 36, over the budget of 10"
+    assert built == [1, 2]
+
+
+def test_canonical_searches_share_one_budget():
+    # {0, 1} at precision 1/2 needs the side 4 (1 + 2 + 3 + 4 = 10 cells
+    # searched), and at 1/3 the side 6 (21 more); a memoized box costs none
+    e = ms(Z1, [(0,), (1,)])
+    for budget, ok in ((30, False), (31, True)):
+        net = CanonicalNet(Z1, budget)
+        assert len(net.at(e, 2)) == 4 and len(net.at(e, 2)) == 4
+        if ok:
+            assert len(net.at(e, 3)) == 6
+        else:
+            with pytest.raises(BudgetExceededError, match="side 6 takes the cells built to 31"):
+                net.at(e, 3)
+
+
+def test_canonical_net_run_exits_three_within_its_budget(tmp_path):
+    sc = {"kind": "canonical-net", "monoid": {"family": "Z^d", "dim": 3},
+          "requests": [{"test": [[1, 0, 0], [0, 1, 0]], "n": 60}], "budget": 10}
+    source = tmp_path / "z3.json"
+    source.write_text(json.dumps(sc))
+    assert run_scenario(str(source), tmp_path) == (
+        3, "budget exceeded: a canonical box of side 3 takes the cells built to 36, over the budget of 10"
+    )
 
 
 # --- derived nets ---------------------------------------------------------------
@@ -487,7 +524,7 @@ KERNEL_HOMS = {
     "project-N3": lambda: projection_hom(FreeCommutative(3), (1,)),
     "mod-Z2": lambda: mod_hom(Z2, (3, 2)),
     "mod-N1": lambda: mod_hom(N1, (4,)),
-    "cap": lambda: cap_hom(2),
+    "project-N1-all": lambda: projection_hom(N1, (0,)),
     "semidirect": lambda: semidirect_quotient_hom(SemidirectZZ()),
 }
 
@@ -515,12 +552,12 @@ def test_kernel_box_net_shells_partition_its_boxes(monkeypatch, make_pi):
 def test_split_extension_trivial_corrections_on_Z2():
     pi = projection_hom(Z2, (0,))
     sigma = find_good_section(pi)
-    net = split_extension_net(canonical_net(FreeAbelian(1)), canonical_net(FreeAbelian(1)), pi, sigma)
+    net = split_extension_net(CanonicalNet(FreeAbelian(1)), CanonicalNet(FreeAbelian(1)), pi, sigma)
     x = ms(FreeAbelian(1), [(0,), (1,)])
     y = ms(FreeAbelian(1), [(0,), (1,)])
     f = net.at(x, 4, y, 2)
-    n_size = len(canonical_net(FreeAbelian(1)).at(x, 4))
-    c_size = len(canonical_net(FreeAbelian(1)).at(y, 2))
+    n_size = len(CanonicalNet(FreeAbelian(1)).at(x, 4))
+    c_size = len(CanonicalNet(FreeAbelian(1)).at(y, 2))
     assert len(f) == n_size * c_size
 
 
@@ -528,7 +565,7 @@ def test_split_extension_net_on_semidirect():
     g = SemidirectZZ()
     pi = semidirect_quotient_hom(g)
     sigma = find_good_section(pi)
-    net = split_extension_net(canonical_net(FreeAbelian(2)), canonical_net(FreeAbelian(1)), pi, sigma)
+    net = split_extension_net(CanonicalNet(FreeAbelian(2)), CanonicalNet(FreeAbelian(1)), pi, sigma)
     x = ms(FreeAbelian(2), [(0, 0), (1, 0), (0, 1)])
     y = ms(FreeAbelian(1), [(0,), (1,)])
     for (m, n) in [(2, 2), (4, 2), (4, 3)]:
@@ -536,15 +573,15 @@ def test_split_extension_net_on_semidirect():
         for xe in x:
             for ye in y:
                 shift = g.op((xe[0], xe[1], 0), sigma(ye))
-                assert eps_equiv(f.translate(shift), f, Fraction(3, n))
+                assert n * len(f.translate(shift).elements ^ f.elements) <= 3 * len(f)
 
 
 def test_split_extension_cardinality_law():
     g = SemidirectZZ()
     pi = semidirect_quotient_hom(g)
     sigma = find_good_section(pi)
-    n_canon = canonical_net(FreeAbelian(2))
-    c_canon = canonical_net(FreeAbelian(1))
+    n_canon = CanonicalNet(FreeAbelian(2))
+    c_canon = CanonicalNet(FreeAbelian(1))
     net = split_extension_net(n_canon, c_canon, pi, sigma)
     lin = net.folner_net()
     for i in (1, 3, 6):
@@ -1134,22 +1171,3 @@ def test_tiling_square_makes_no_monoid_op_call(tmp_path, monkeypatch):
     monkeypatch.setattr(FreeAbelian, "op", lambda self, x, y: calls.append(x) or op(self, x, y))
     assert run_scenario("tiling-square", out_dir=tmp_path)[0] == 0
     assert calls == []
-
-
-def test_filling_hypotheses_tiny_tiles_in_huge_box():
-    d = ms(Z2, [(i, j) for i in range(30) for j in range(30)])
-    t1 = ms(Z2, [(0, 0), (1, 0)])
-    report = filling_hypotheses([t1], d, Fraction(1, 2))
-    assert report.region_holds and report.pairs_hold
-
-
-def test_filling_hypotheses_region_equal_to_tile_fails():
-    t1 = ms(Z2, [(i, j) for i in range(3) for j in range(3)])
-    report = filling_hypotheses([t1], t1, Fraction(1, 2))
-    assert not report.region_holds
-
-
-def test_filling_hypotheses_identity_tile():
-    d = ms(N1, [(i,) for i in range(5)])
-    report = filling_hypotheses([ms(N1, [(0,)])], d, Fraction(1, 2))
-    assert report.region_holds and report.pairs_hold

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import sys
 from functools import partial
@@ -33,7 +34,6 @@ from amenact.monoid import (
     FreeCommutative,
     MSubset,
     ProductMonoid,
-    cap_hom,
     find_good_section,
     mod_hom,
     projection_hom,
@@ -308,9 +308,9 @@ EXTRA = {
         lambda: theta_function(card(Z2), PI_Z2, find_good_section(PI_Z2), None, 5),
         lambda: box_net(PI_Z2.target), 4,
     ),
-    # min(2, x) merges images, so |pi(F)| < |F|
-    "card_pi-cap-boxes": (lambda: card_pi(cap_hom(2)), lambda: box_net(N1), 6),
-    "card_pi-cap-sliding": (lambda: card_pi(cap_hom(2)), lambda: sliding_net(N1), 6),
+    # x mod 2 merges images, so |pi(F)| < |F|
+    "card_pi-mod2-boxes": (lambda: card_pi(mod_hom(N1, (2,))), lambda: box_net(N1), 6),
+    "card_pi-mod2-sliding": (lambda: card_pi(mod_hom(N1, (2,))), lambda: sliding_net(N1), 6),
 }
 
 CASES = {
@@ -468,3 +468,25 @@ def test_fubini_run_makes_no_set_product(tmp_path, monkeypatch):
     # the shift's evaluator, outside a net, still goes through the counted name
     shifted(card(Z1), MSubset.of(Z1, [(0,), (1,)]))(MSubset.of(Z1, [(0,)]))
     assert calls == [1]
+
+
+def test_integral_stops_before_building_a_set_over_the_budget(tmp_path, monkeypatch):
+    """|F_i| of Z^6 boxes is 3^6, 5^6, ...: a budget of 1000 stops an
+    integral at net index 2, before any of F_2 is built."""
+    from amenact import cli, folner
+
+    built, shell = [], folner._box_shell
+    monkeypatch.setattr(folner, "_box_shell", lambda axes, i: built.append(i) or shell(axes, i))
+    sc = {"kind": "integral", "name": "int6", "monoid": {"family": "Z^d", "dim": 6},
+          "function": {"kind": "card"}, "net": {"family": "box"}, "prefix": 5, "budget": 1000}
+    source = tmp_path / "int6.json"
+    source.write_text(json.dumps(sc))
+    assert cli.run_scenario(str(source), tmp_path) == (
+        3, "budget exceeded: F_2 has 15625 elements, over the budget of 1000 (net index 2)"
+    )
+    assert built == [1]
+    z6 = FreeAbelian(6)
+    with pytest.raises(BudgetExceededError) as err:
+        integral(card(z6), box_net(z6), 5, 3**6 - 1)
+    assert err.value.index == 1
+    assert integral(card(z6), box_net(z6), 2, 5**6).rows == integral(card(z6), box_net(z6), 2).rows

@@ -7,7 +7,7 @@ from fractions import Fraction
 from amenact.abelian import DirectSum, FiniteProduct, Subgroup
 from amenact.actions import Action, h_alg_estimate, shift_endo
 from amenact.duality import bridge_check
-from amenact.folner import box_net, canonical_net, verify_folner
+from amenact.folner import CanonicalNet, FolnerNet, box_net, verify_folner
 from amenact.integral import card, integral
 from amenact.monoid import FreeAbelian, FreeCommutative, MSubset
 from amenact.tables import csv_table
@@ -51,8 +51,9 @@ def test_bridge_report_csv_columns():
 
 
 def test_canonical_linearization_meets_one_over_n():
-    net = canonical_net(Z1).folner_net()
     test = MSubset.of(Z1, [(0,), (1,)])
+    canon = CanonicalNet(Z1)
+    net = FolnerNet(Z1, lambda n: canon.at(test, n), "canonical")
     report = verify_folner(net, test, 12)
     for n in report.indices():
         per_element = [
