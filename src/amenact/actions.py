@@ -44,16 +44,15 @@ from .folner import (
     DEFAULT_ELEMENT_BUDGET,
     FolnerNet,
     _counts_along,
-    _pinned_shell,
+    _is_box_net,
+    _live_shells,
     box_net,
     translate_net,
 )
 from .integral import IntegralEstimate, IntegralRow, SetFunction
 from .monoid import (
-    FiniteAbelianMonoid,
     MonoidHom,
     MSubset,
-    ProductMonoid,
     SemidirectZZ,
 )
 from .tables import csv_table
@@ -309,13 +308,12 @@ class Action:
                     raise MonoidMismatchError(
                         "group actions need invertible generator images"
                     )
-        if isinstance(self.monoid, (FiniteAbelianMonoid, ProductMonoid)):
-            for g, phi in zip(self.monoid.generators(), self.gen_endos):
-                order = _generator_order(self.monoid, g)
-                if order is not None and phi.power(order) != identity_endo(self.group):
-                    raise MonoidMismatchError(
-                        "generator image must respect the generator's order"
-                    )
+        # generator j is coordinate j, of order k on a coordinate Z/k
+        for k, phi in zip(self.monoid.coordinates, self.gen_endos):
+            if isinstance(k, int) and phi.power(k) != identity_endo(self.group):
+                raise MonoidMismatchError(
+                    "generator image must respect the generator's order"
+                )
 
     def endo(self, s) -> Endomorphism:
         """alpha(s), cached by exponent vector.  Nets add one generator step
@@ -366,22 +364,6 @@ class Action:
 
     def __repr__(self):
         return f"Action({self.monoid} on {self.group})"
-
-
-def _generator_order(monoid, g):
-    if isinstance(monoid, FiniteAbelianMonoid):
-        j = g.index(1)
-        return monoid.factors[j]
-    if isinstance(monoid, ProductMonoid):
-        at = 0
-        for p in monoid.parts:
-            block = g[at : at + p.dim]
-            if any(block):
-                if isinstance(p, FiniteAbelianMonoid):
-                    return p.factors[block.index(1)]
-                return None
-            at += p.dim
-    return None
 
 
 class ConjugatedAction(Action):
@@ -735,12 +717,12 @@ class _GrowingTrajectory:
         identity = identity_endo(alpha.group)
         n = len(alpha.monoid.generators())
         live = [j for j in range(n) if alpha._generator_step(j, 1) != identity]
-        # with identity generators, _key reads the live exponents of s and
-        # _mask zeroes the others
-        self._key = self._mask = None
+        # _mask zeroes the exponents of identity generators; with any, _key
+        # reads the live exponents of s
+        self._mask = tuple(int(j in live) for j in range(n))
+        self._key = None
         if len(live) < n:
             self._key = itemgetter(*live) if live else lambda e: ()
-            self._mask = tuple(int(j in live) for j in range(n))
         self.reset()
 
     def reset(self):
@@ -756,25 +738,25 @@ class _GrowingTrajectory:
         self._walked = set()  # the _key values walked since the reset
 
     def counts_along(self, net: FolnerNet, prefix: int):
-        """``_counts_along(self, net, prefix)``.  On a box net with identity
-        generators, shell i walks ``_pinned_shell`` of the net's axes, with
-        the identity generators' axes pinned to {0}: one element for each
-        new key, whose exponents are its masked exponents.  The boxes are
-        nested, so no key of F_{i-1} comes again.  The budget still counts
-        the whole shell, |F_i| - |F_{i-1}| from the axes; the shell is built
-        only to name the element where the budget runs out."""
-        if self._mask is None or net.axes is None:
+        """``_counts_along(self, net, prefix)``.  On a box net, shell i is
+        walked as ``_live_shells`` gives it, with the identity generators'
+        coordinates pinned to 0: one element for each new key, whose
+        exponents are its masked exponents.  The boxes are nested, so no key
+        of F_{i-1} comes again.  The budget still counts the whole shell,
+        |F_i| - |F_{i-1}| from the windows' sides; with an identity
+        generator the shell is built only to name the element where the
+        budget runs out."""
+        if not _is_box_net(net):
             yield from _counts_along(self, net, prefix)
             return
         before = 0
-        for i in range(1, prefix + 1):
-            size = net.size(i)
+        for i, size, shell in _live_shells(net, self._mask, prefix):
             try:
                 self._charge(size - before, lambda: net.shell(i).elements)
             except BudgetExceededError as err:
                 err.index = i
                 raise
-            self._walk({s: s for s in _pinned_shell(net.axes, self._mask, i)})
+            self._walk({s: s for s in shell})
             before = size
             yield size, self.count
 

@@ -28,7 +28,7 @@ from .actions import (
     Action,
     MatrixEndo,
     ShiftEndo,
-    _trajectory_orders,
+    _subgroup_accumulator,
     subgroup_trajectory,
 )
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     GroupMismatchError,
     UndecidableFamilyError,
 )
-from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along
+from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along, _is_box_net, _live_shells
 from .integral import IntegralEstimate, IntegralRow
 from .monoid import MSubset
 from .tables import csv_table
@@ -294,6 +294,20 @@ class _GrowingCotrajectory:
                       for j, row in enumerate(rows) if not row.keys().isdisjoint(cols))
         return {j: img for j, img in images if any(img)}
 
+    def counts_along(self, net: FolnerNet, prefix: int, live):
+        """``_counts_along(self, net, prefix)``.  On a box net, shell i is
+        fed as ``_live_shells`` gives it, pinning the coordinates where
+        ``live`` (the trajectory's mask) is 0: the dual of a generator that
+        acts as the identity is the identity, so gamma(s) depends only on
+        the live coordinates of s, and one element per new key meets the
+        echelon with every constraint of the shell."""
+        if not _is_box_net(net):
+            yield from _counts_along(self, net, prefix)
+            return
+        for _, size, shell in _live_shells(net, live, prefix):
+            self.extend(shell)
+            yield size, self.count
+
     @property
     def count(self) -> int:
         return self._full // self._echelon.order()
@@ -379,13 +393,15 @@ def bridge_check(
     """Pair the subgroup seed with its annihilator and compare trajectory
     length against cotrajectory log-index at every net index, exactly.
     The budget bounds the monoid elements the trajectory visits; the
-    cotrajectory visits the same ones after it."""
+    cotrajectory visits the same ones after it, or on a box net one per
+    key of the trajectory's live generators."""
     gamma, u = _dual_pair(alpha, b)
     rows = []
     exact = True
+    walk = _subgroup_accumulator(alpha, b, budget)
     sides = zip(
-        _trajectory_orders(alpha, b, net, prefix, budget),
-        _counts_along(_GrowingCotrajectory(gamma, u), net, prefix),
+        walk.counts_along(net, prefix),
+        _GrowingCotrajectory(gamma, u).counts_along(net, prefix, walk._mask),
     )
     for i, ((size, order), (_, index)) in enumerate(sides, start=1):
         exact = exact and order == index

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from itertools import count, repeat
 from math import isqrt, prod
@@ -45,17 +45,15 @@ class FolnerNet:
 
     ``shell``, when given, maps i to F_i \\ F_{i-1} (F_0 is empty) and
     marks the net as nested: F_{i-1} <= F_i at every index.  ``size``, when
-    given, maps i to |F_i| without building F_i.  ``axes`` is set on box
-    nets only: the axes of ``_box_axes``, whose product is F_i.
+    given, maps i to |F_i| without building F_i.
     """
 
-    def __init__(self, monoid, generate, label="net", shell=None, size=None, axes=None):
+    def __init__(self, monoid, generate, label="net", shell=None, size=None):
         self.monoid = monoid
         self._generate = generate
         self.label = label
         self._shell = shell
         self._size = size
-        self.axes = axes
         self._cache = {}
 
     @property
@@ -137,74 +135,60 @@ def _counts_along(acc, net: FolnerNet, prefix: int, budget=None):
         yield size, acc.count
 
 
-def _has_folner_boxes(monoid) -> bool:
-    if isinstance(monoid, ProductMonoid):
-        return all(_has_folner_boxes(p) for p in monoid.parts)
-    return isinstance(monoid, (FreeCommutative, FreeAbelian, FiniteAbelianMonoid))
-
-
-def _box_axes(monoid):
-    """window(n) as a product of axes, one per coordinate: a coordinate of
-    N^d or Z^d, or one factor Z/m of a finite group.  An axis is a pair of
-    maps from n to its values in window(n) (none at n = 0) and to the
-    values that are new at n."""
-    if isinstance(monoid, ProductMonoid):
-        return [axis for p in monoid.parts for axis in _box_axes(p)]
-    if isinstance(monoid, FreeCommutative):
-        return [(range, lambda n: [n - 1] if n else [])] * monoid.dim
-    if isinstance(monoid, FreeAbelian):
-        def new(n):
-            return [-n, n] if n > 1 else [-1, 0, 1] if n else []
-
-        return [(lambda n: range(-n, n + 1) if n else [], new)] * monoid.dim
-    return [(lambda n, m=m: range(m) if n else [], lambda n, m=m: range(m) if n == 1 else [])
-            for m in monoid.factors]
-
-
-def _box_shell(axes, i: int) -> frozenset:
-    """F_i \\ F_{i-1} for the box over ``axes``, as disjoint parts: in part
-    k, axis k takes its values new at i, the axes before it their values in
-    F_{i-1} and the axes after it their values in F_i."""
-    if not axes:
-        return frozenset({()}) if i == 1 else frozenset()
+def _box_shell(inner, outer) -> frozenset:
+    """outer \\ inner for boxes inner <= outer given by their sides, one
+    range per coordinate (inner None: the empty box), as disjoint parts:
+    part k is the product of the values of coordinate k in outer and not
+    in inner, those of the coordinates before it in inner, and those of
+    the coordinates after it in outer."""
+    parts = list(outer)
+    if inner is None:
+        return frozenset(iproduct(*parts))
     out = []
-    for k, (_, new) in enumerate(axes):
-        fresh = new(i)
-        if fresh:
-            before = [box(i - 1) for box, _ in axes[:k]]
-            after = [box(i) for box, _ in axes[k + 1 :]]
-            out.extend(iproduct(*before, fresh, *after))
+    for k, have in enumerate(inner):
+        full = parts[k]
+        if have != full:
+            parts[k] = [*range(full.start, have.start), *range(have.stop, full.stop)]
+            out.extend(iproduct(*parts))
+            parts[k] = have
     return frozenset(out)
 
 
-# an axis pinned to {0}: 0 lies in every axis's box from n = 1 on
-_ORIGIN = (lambda n: [0] if n else [], lambda n: [0] if n == 1 else [])
+def _is_box_net(net: FolnerNet) -> bool:
+    """The net's sets are its monoid's windows, as on a ``box_net``."""
+    return net.nested and net._generate == net.monoid.window
 
 
-def _pinned_shell(axes, live, i: int) -> frozenset:
-    """``_box_shell`` with every axis k where live[k] is 0 pinned to {0}:
-    one element of F_i \\ F_{i-1} for each value that the live axes take
-    in F_i and not in F_{i-1}, the others zero."""
-    return _box_shell([axis if on else _ORIGIN for axis, on in zip(axes, live)], i)
-
-
-def _box_size(axes, i: int) -> int:
-    return prod(len(box(i)) for box, _ in axes)
+def _live_shells(net: FolnerNet, live, prefix: int):
+    """Yield (i, |F_i|, shell) for i = 1..prefix on a box net, where shell
+    is F_i \\ F_{i-1} with each coordinate k where live[k] is 0 pinned to
+    0: the difference of the two windows' sides (``monoid.sides``), both
+    pinned.  It holds one element for each value that the live
+    coordinates take in F_i and not in F_{i-1}, and no cell of F_i is
+    built."""
+    inner = None
+    for i in range(1, prefix + 1):
+        sides = net.monoid.sides(i)
+        outer = [side if on else range(1) for side, on in zip(sides, live)]
+        yield i, prod(map(len, sides)), _box_shell(inner, outer)
+        inner = outer
 
 
 def box_net(monoid) -> FolnerNet:
     """The standard box sequence F_n = monoid.window(n): [0,n)^d for N^d,
     [-n,n]^d for Z^d, the whole group for finite S, and componentwise boxes
     for products.  The shear product's boxes are not Folner.  The boxes are
-    nested, each shell is generated without building a box, and a box's
-    size is read off its axes.  Coordinate j of the monoid is the exponent
-    of its generator j."""
-    if not _has_folner_boxes(monoid):
+    nested: shell n is the difference of the sides of window(n - 1) and
+    window(n), and |F_n| the product of window(n)'s sides, both read off
+    ``monoid.sides`` (kept for each n), so neither a box nor its cells
+    are built.  Coordinate j of the monoid is the exponent of its
+    generator j."""
+    if monoid.coordinates is None:
         raise UndecidableFamilyError(f"no box net for {monoid}")
     label = "constant" if isinstance(monoid, FiniteAbelianMonoid) else "boxes"
-    axes = _box_axes(monoid)
-    return FolnerNet(monoid, monoid.window, label, partial(_box_shell, axes),
-                     partial(_box_size, axes), axes)
+    sides = lru_cache(maxsize=None)(monoid.sides)
+    return FolnerNet(monoid, monoid.window, label, lambda i: _box_shell(sides(i - 1) if i > 1 else None, sides(i)),
+                     lambda i: prod(map(len, sides(i))))
 
 
 @dataclass(frozen=True)
@@ -304,7 +288,7 @@ class CanonicalNet:
     that would take the count over it."""
 
     def __init__(self, monoid, budget: int = DEFAULT_ELEMENT_BUDGET):
-        if not isinstance(monoid, (FreeCommutative, FreeAbelian, FiniteAbelianMonoid, ProductMonoid)):
+        if monoid.coordinates is None:
             raise UndecidableFamilyError(f"no canonical boxes for {monoid}")
         self.monoid = monoid
         self.budget = budget
@@ -315,32 +299,23 @@ class CanonicalNet:
         key = (e.sorted_key(), n)
         if key in self._cache:
             return self._cache[key]
-        # a finite group's box is the whole group, which every s fixes
+        # the box of side m: [0, m) on N and Z, all of Z/k; a finite
+        # group's box is the whole group, which every s fixes
+        table = self.monoid.coordinates
         for m in count(1):
-            axes = _canonical_axes(self.monoid, m)
-            self._cells += prod(map(len, axes))
+            f = BoxSubset(self.monoid, [0] * len(table), [k - 1 if isinstance(k, int) else m - 1 for k in table])
+            size = len(f)
+            self._cells += size
             if self._cells > self.budget:
                 raise BudgetExceededError(
                     f"a canonical box of side {m} takes the cells built to {self._cells}, "
                     f"over the budget of {self.budget}"
                 )
-            f = MSubset(self.monoid, frozenset(iproduct(*axes)))
-            size = len(f)
             if all(
                 n * len(f.translate(s).elements ^ f.elements) <= size for s in e
             ):
                 self._cache[key] = f
                 return f
-
-
-def _canonical_axes(monoid, m: int):
-    """The canonical box of side m as the values of each coordinate:
-    [0, m) on N^d and Z^d, the whole group on a finite one."""
-    if isinstance(monoid, ProductMonoid):
-        return [axis for p in monoid.parts for axis in _canonical_axes(p, m)]
-    if isinstance(monoid, FiniteAbelianMonoid):
-        return [range(k) for k in monoid.factors]
-    return [range(m)] * monoid.dim
 
 
 def product_net(net_h: FolnerNet, net_k: FolnerNet, monoid=None) -> FolnerNet:

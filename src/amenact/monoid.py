@@ -29,6 +29,9 @@ class MonoidBase:
     """Minimal monoid protocol: identity, multiplication, membership."""
 
     is_cancellative = True
+    # the box table, one entry per coordinate: "N", "Z", or the order k of
+    # Z/k; None in a family without boxes
+    coordinates = None
 
     @property
     def identity(self):
@@ -57,13 +60,28 @@ class Monoid(MonoidBase):
     def is_unit(self, x) -> bool:
         return self.is_group or x == self.identity
 
-    def window(self, n: int) -> "MSubset":
-        """Canonical finite window of scale n (exhaustive for finite S)."""
-        raise NotImplementedError
+    def sides(self, n: int) -> list:
+        """The box of scale n as one range per coordinate, read off the box
+        table: [0, n) on N, [-n, n] on Z and [0, k) on Z/k, so all of a
+        finite group at every n."""
+        table = self.coordinates
+        if table is None:
+            raise UndecidableFamilyError(f"no boxes in {self}")
+        return [range(n) if c == "N" else range(-n, n + 1) if c == "Z" else range(c) for c in table]
+
+    def window(self, n: int) -> "BoxSubset":
+        """The BoxSubset of the sides of scale n: its corners are [0, n-1]
+        on N, [-n, n] on Z and [0, k-1] on Z/k."""
+        sides = self.sides(n)
+        return BoxSubset(self, [side.start for side in sides], [side.stop - 1 for side in sides])
 
     def generators(self):
-        """Canonical generating directions, one per coordinate."""
-        raise NotImplementedError
+        """Canonical generating directions: generator j is the unit vector
+        of coordinate j of the box table."""
+        if self.coordinates is None:
+            raise UndecidableFamilyError(f"{self} carries no action generators here")
+        d = len(self.coordinates)
+        return [tuple(int(i == j) for j in range(d)) for i in range(d)]
 
     def generator_exponents(self, x):
         """Exponent vector of x over generators(); negative parts allowed
@@ -94,11 +112,9 @@ class FreeCommutative(Monoid):
     def is_unit(self, x):
         return not any(x)
 
-    def window(self, n):
-        return MSubset(self, frozenset(iproduct(range(n), repeat=self.dim)))
-
-    def generators(self):
-        return [tuple(1 if i == j else 0 for j in range(self.dim)) for i in range(self.dim)]
+    @cached_property
+    def coordinates(self):
+        return ("N",) * self.dim
 
     def __str__(self):
         return f"N^{self.dim}"
@@ -124,11 +140,9 @@ class FreeAbelian(Monoid):
     def contains(self, x):
         return len(x) == self.dim and all(isinstance(a, int) for a in x)
 
-    def window(self, n):
-        return MSubset(self, frozenset(iproduct(range(-n, n + 1), repeat=self.dim)))
-
-    def generators(self):
-        return [tuple(1 if i == j else 0 for j in range(self.dim)) for i in range(self.dim)]
+    @cached_property
+    def coordinates(self):
+        return ("Z",) * self.dim
 
     def __str__(self):
         return f"Z^{self.dim}"
@@ -170,15 +184,12 @@ class FiniteAbelianMonoid(Monoid):
             isinstance(a, int) and 0 <= a < n for a, n in zip(x, self.factors)
         )
 
+    @property
+    def coordinates(self):
+        return self.factors
+
     def elements(self):
         return iproduct(*(range(n) for n in self.factors))
-
-    def window(self, n):
-        return MSubset(self, frozenset(self.elements()))
-
-    def generators(self):
-        d = len(self.factors)
-        return [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
 
     def __str__(self):
         return " x ".join(f"Z/{n}" for n in self.factors) if self.factors else "1"
@@ -238,17 +249,10 @@ class ProductMonoid(Monoid):
     def is_unit(self, x):
         return all(p.is_unit(x[a:b]) for p, a, b in self._slices)
 
-    def window(self, n):
-        grids = [sorted(p.window(n).elements) for p in self.parts]
-        elems = frozenset(sum(combo, ()) for combo in iproduct(*grids))
-        return MSubset(self, elems)
-
-    def generators(self):
-        gens = []
-        for p, a, b in self._slices:
-            pad_l, pad_r = (0,) * a, (0,) * (self.dim - b)
-            gens.extend(pad_l + g + pad_r for g in p.generators())
-        return gens
+    @cached_property
+    def coordinates(self):
+        tables = [p.coordinates for p in self.parts]
+        return None if None in tables else sum(tables, ())
 
     def __str__(self):
         return " x ".join(str(p) for p in self.parts)
@@ -317,9 +321,6 @@ class SemidirectZZ(Monoid):
     def window(self, n):
         rng = range(-n, n + 1)
         return MSubset(self, frozenset((a, b, c) for a in rng for b in rng for c in rng))
-
-    def generators(self):
-        raise UndecidableFamilyError("semidirect products carry no action generators here")
 
     def __str__(self):
         return "Z^2 x| Z"
@@ -395,21 +396,28 @@ class MSubset:
 
 
 class BoxSubset(MSubset):
-    """The box lo..hi (both corners included) of N^d or Z^d, kept as its
-    corners: its size is the product of its sides, and its cells are built
-    only when ``elements`` is read.  It equals the MSubset of the same
-    cells; a side below 1 makes it empty."""
+    """The box lo..hi (both corners included) of a monoid with a box table
+    (N^d, Z^d, finite groups and their products), kept as its corners: its
+    size is the product of its sides, and its cells are built only when
+    ``elements`` is read.  A nonempty box has both corners in the monoid.
+    It equals the MSubset of the same cells; a side below 1 makes it
+    empty.  Every ``window`` of these families is one."""
 
     def __init__(self, monoid, lo, hi):
         lo, hi = tuple(lo), tuple(hi)
-        if not isinstance(monoid, (FreeCommutative, FreeAbelian)) or not len(lo) == len(hi) == monoid.dim:
+        table = monoid.coordinates
+        if table is None or not len(lo) == len(hi) == len(table):
             raise MonoidMismatchError(f"no box {lo}..{hi} in {monoid}")
-        object.__setattr__(self, "monoid", monoid)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "size", prod(max(b - a + 1, 0) for a, b in zip(lo, hi)))
-        if self.size and not monoid.contains(lo):
-            raise MonoidMismatchError(f"{lo} is not an element of {monoid}")
+        size, inside = 1, True
+        for c, a, b in zip(table, lo, hi):
+            size *= b - a + 1 if a <= b else 0
+            # lo <= hi in a nonempty box: lo >= 0 on N and Z/k, hi < k on Z/k
+            if c != "Z" and (a < 0 or c != "N" and b >= c):
+                inside = False
+        if size and not inside:
+            raise MonoidMismatchError(f"a corner of {lo}..{hi} is not an element of {monoid}")
+        # a frozen dataclass: the fields go straight into the instance dict
+        self.__dict__.update(monoid=monoid, lo=lo, hi=hi, size=size)
 
     @cached_property
     def elements(self) -> frozenset:
@@ -420,7 +428,7 @@ class BoxSubset(MSubset):
 
     def __iter__(self):
         """The cells in sorted (lexicographic) order."""
-        return iproduct(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
+        return iproduct(*[range(a, b + 1) for a, b in zip(self.lo, self.hi)])
 
     def __contains__(self, x):
         return len(x) == len(self.lo) and all(a <= c <= b for a, c, b in zip(self.lo, x, self.hi))

@@ -43,7 +43,7 @@ from amenact.actions import (
     trajectory,
     trajectory_function,
 )
-from amenact.duality import random_endomorphism
+from amenact.duality import _GrowingCotrajectory, random_endomorphism
 from amenact.errors import (
     BudgetExceededError,
     GroupMismatchError,
@@ -51,9 +51,18 @@ from amenact.errors import (
     NotInvariantError,
     UndecidableFamilyError,
 )
-from amenact.folner import FolnerNet, _counts_along, box_net, kernel_box_net, product_net, translate_net
+from amenact.folner import (
+    FolnerNet,
+    _counts_along,
+    _is_box_net,
+    box_net,
+    kernel_box_net,
+    product_net,
+    translate_net,
+)
 from amenact.integral import sample_axioms
 from amenact.monoid import (
+    BoxSubset,
     FiniteAbelianMonoid,
     FreeAbelian,
     FreeCommutative,
@@ -1312,7 +1321,8 @@ class FullWalkTrajectory(_GrowingTrajectory):
 def identity_generator_cases():
     """(alpha, seed, net, prefix, mask): actions with one or two generators
     that act as the identity, on finite products and direct sums, over
-    nested and restarting nets; mask marks the generators left live."""
+    nested and restarting nets; mask marks the generators left live (None:
+    all of them)."""
     sc, monoid, group, vanishing = scenario_parts("quotient-vanishing")
     point = cli.parse_seed(group, sc["seed"])
     yield vanishing, point, box_net(monoid), 8, (0, 1)
@@ -1352,7 +1362,7 @@ def identity_generator_cases():
                                                                    box_net(Z1)), 5, (0, 1)
 
     # xi alpha xi^{-1} with the identity generator is not recognised as
-    # the identity, so the conjugated action takes the full walk
+    # the identity, so the conjugated action walks every element
     beta = conjugate_action(vanishing, GroupIso.negation(group), MonoidIso.negation(monoid))
     yield beta, point, box_net(monoid), 4, None
 
@@ -1360,31 +1370,33 @@ def identity_generator_cases():
 @pytest.mark.parametrize("alpha, seed, net, prefix, mask", list(identity_generator_cases()))
 def test_live_keys_match_the_full_walk(alpha, seed, net, prefix, mask):
     engine, oracle = _GrowingTrajectory(alpha, seed), FullWalkTrajectory(alpha, seed)
-    assert engine._mask == mask
+    assert engine._mask == (mask or (1,) * len(engine._mask))
     assert list(_counts_along(engine, net, prefix)) == list(_counts_along(oracle, net, prefix))
     assert engine.visited == oracle.visited
 
 
-def refuse_shells(net):
-    """Make ``net`` fail the test if it builds a shell or a set."""
+def refuse_shells(monkeypatch, net):
+    """Make ``net`` fail the test if it builds a shell or the cells of a box."""
     def refuse(i):
-        raise AssertionError(f"index {i} of the full box was built")
+        raise AssertionError(f"{i!r} of the full box was built")
 
-    net._shell = net._generate = refuse
+    net._shell = refuse
+    monkeypatch.setattr(BoxSubset, "__iter__", refuse)
 
 
 @pytest.mark.parametrize("alpha, seed, net, prefix, mask", list(identity_generator_cases()))
-def test_trajectory_route_matches_the_full_walk(alpha, seed, net, prefix, mask):
-    """The route of h_alg_estimate and bridge_check: on a box net with
-    identity generators it walks the pinned shells and builds no full one,
-    and it agrees with the full walk at every index, visited counts
-    included.  Every other case is fed the net's increments."""
+def test_trajectory_route_matches_the_full_walk(monkeypatch, alpha, seed, net, prefix, mask):
+    """The route of h_alg_estimate and bridge_check: on a box net it walks
+    the shells pinned at the identity generators, read off the windows'
+    sides, and never has the net build a shell or a box's cells; it
+    agrees with the full walk at every index, visited counts included.
+    Every other net is fed its increments."""
     oracle = FullWalkTrajectory(alpha, seed)
     want = list(_counts_along(oracle, net, prefix))
     engine = _GrowingTrajectory(alpha, seed)
-    if mask is not None and net.axes is not None:
+    if _is_box_net(net):
         net = box_net(net.monoid)
-        refuse_shells(net)
+        refuse_shells(monkeypatch, net)
     assert list(engine.counts_along(net, prefix)) == want
     assert engine.visited == oracle.visited
     assert list(_trajectory_orders(alpha, seed, net, prefix)) == want
@@ -1412,7 +1424,7 @@ def test_live_route_stops_where_the_full_walk_stops(case):
     the box-net cases over Z^3 (one live axis of three) and Z/3 x Z (the
     finite axis dead)."""
     alpha, seed, net, prefix, mask = list(identity_generator_cases())[case]
-    assert net.axes is not None and 0 in mask
+    assert _is_box_net(net) and 0 in mask
     sizes = [net.size(i) for i in range(1, prefix + 1)]
     stops = set()
     for budget in sorted(size + d for size in sizes for d in (-1, 0, 1)):
@@ -1423,10 +1435,10 @@ def test_live_route_stops_where_the_full_walk_stops(case):
 
 
 def test_quotient_vanishing_walks_one_element_per_live_key(monkeypatch, tmp_path):
-    """At prefix 64 the engine is handed 2 * 64 + 1 monoid elements, one per
-    value of the live coordinate, while all 129^2 count as visited; no
-    shell or box of Z^2 is built unless the budget runs out, and then only
-    the shell it runs out in."""
+    """At prefix 192 the engine is handed 2 * 192 + 1 = 385 monoid
+    elements, one per value of the live coordinate, while all 385^2 count
+    as visited; no shell or box of Z^2 is built unless the budget runs
+    out, and then only the shell it runs out in."""
     walk, shell, subset = _GrowingTrajectory._walk, FolnerNet.shell, FolnerNet.subset
     handed, engines, built = [], [], []
 
@@ -1438,10 +1450,10 @@ def test_quotient_vanishing_walks_one_element_per_live_key(monkeypatch, tmp_path
     monkeypatch.setattr(_GrowingTrajectory, "_walk", walked)
     monkeypatch.setattr(FolnerNet, "shell", lambda self, i: built.append(("shell", i)) or shell(self, i))
     monkeypatch.setattr(FolnerNet, "subset", lambda self, i: built.append(("subset", i)) or subset(self, i))
-    code, message = cli.run_scenario("quotient-vanishing", tmp_path, 64)
+    code, message = cli.run_scenario("quotient-vanishing", tmp_path, 192)
     assert code == 0, message
-    assert sorted(handed) == [(0, k) for k in range(-64, 65)]
-    assert {engine.visited for engine in engines} == {129**2}
+    assert sorted(handed) == [(0, k) for k in range(-192, 193)] and len(handed) == 385
+    assert {engine.visited for engine in engines} == {385**2}
     assert built == []
     handed.clear()
     code, message = cli.run_scenario("quotient-vanishing", tmp_path, 64, budget=1000)
@@ -1472,19 +1484,24 @@ def test_budget_stops_where_the_full_walk_stops(tmp_path):
 
 
 def test_bridge_on_an_action_through_a_quotient_stays_exact(tmp_path, monkeypatch):
-    """The trajectory side walks live keys, the cotrajectory side every
-    element; their orders still agree at every index."""
+    """Both sides walk live keys: the trajectory takes seed images once
+    per key, and the cotrajectory is extended with one element per key;
+    their orders still agree at every index."""
     sc = dict(cli.BUILTINS["quotient-vanishing"], kind="bridge", prefix=8,
               checks=[{"type": "exact_rows"}])
     sc.pop("demonstrates")
     source = tmp_path / "bridge-through-quotient.json"
     source.write_text(json.dumps(sc))
     seed_images, walked = _GrowingTrajectory._seed_images, []
+    extend, extended = _GrowingCotrajectory.extend, []
     monkeypatch.setattr(_GrowingTrajectory, "_seed_images",
                         lambda self, e, s: walked.append(e) or seed_images(self, e, s))
+    monkeypatch.setattr(_GrowingCotrajectory, "extend",
+                        lambda self, added: extended.extend(added) or extend(self, added))
     code, message = cli.run_scenario(str(source), tmp_path)
     assert code == 0, message
     assert len(walked) == 2 * 8 + 1
+    assert sorted(extended) == [(0, k) for k in range(-8, 9)]
     rows = (tmp_path / "bridge-through-quotient.csv").read_text().splitlines()[1:]
     assert len(rows) == 8 and all(row.endswith(",0.0") for row in rows)
 

@@ -513,3 +513,48 @@ def test_builtin_csv_matches_recorded_digest(tmp_path, name):
     data = (tmp_path / f"{name}.csv").read_bytes()
     assert code == GOLDEN[name]["exit"], message
     assert hashlib.sha256(data).hexdigest() == GOLDEN[name]["csv_sha256"]
+
+
+Z2_TIMES_Z = {"family": "product", "parts": [{"family": "finite", "factors": [2]}, {"family": "Z^d", "dim": 1}]}
+LINE_SHIFTS = {
+    "group": {"family": "direct-sum", "base": [2], "index": {"family": "Z^d", "dim": 1}},
+    "action": {"generators": [{"kind": "shift", "by": [0]}, {"kind": "shift", "by": [1]}]},
+    "seed": {"subgroup_basis": [[[[0], [1]]]]},
+}
+BOX_FAMILY_RUNS = {
+    "entropy-N0": ({"kind": "entropy", "monoid": {"family": "N^d", "dim": 0},
+                    "group": {"family": "finite", "factors": [2, 3]}, "action": {"generators": []},
+                    "seed": {"subgroup_basis": [[1, 1]]}, "net": {"family": "box"}, "prefix": 3},
+                   "f6442f51b29e2787a5a6b7beed6b706ead9ec3c04419f528b45c21893289f59c"),
+    "entropy-Z1": ({"kind": "entropy", "monoid": {"family": "finite", "factors": [1]},
+                    "group": {"family": "finite", "factors": [4]}, "action": {"generators": [{"kind": "identity"}]},
+                    "seed": {"subgroup_basis": [[2]]}, "net": {"family": "box"}, "prefix": 3},
+                   "730f722855e3d5512d12be7c57b37bb1bec3109e032c6e8d603b898654af76e3"),
+    "entropy-Z2xZ-product": ({"kind": "entropy", "monoid": Z2_TIMES_Z, **LINE_SHIFTS,
+                              "net": {"family": "product"}, "prefix": 9},
+                             "617bd5bce091fecd596a1834ef68e0999638e1985f7f0c9d1f69adeb86a361c7"),
+    "bridge-Z2xZ-box": ({"kind": "bridge", "monoid": Z2_TIMES_Z, **LINE_SHIFTS, "net": {"family": "box"}, "prefix": 6},
+                        "d420492c923cd0a236dcc9ca2d9ef871912bcb0e8752ccf5907cdd6f8030b9db"),
+    "folner-verify-Z2xN": ({"kind": "folner-verify", "monoid": {"family": "product", "parts": [
+                                {"family": "finite", "factors": [2]}, {"family": "N^d", "dim": 1}]},
+                            "test": [[1, 0], [0, 1], [1, 2]], "net": {"family": "box"}, "prefix": 5},
+                           "060073137a673ad799f7d21227ed876170489e758fb3fcaa1896b8a72657324a"),
+    "integral-card-Z0": ({"kind": "integral", "monoid": {"family": "Z^d", "dim": 0},
+                          "function": {"kind": "card"}, "net": {"family": "box"}, "prefix": 3},
+                         "1aa23cac61814d8f52c530813186efeebf0c19786270f47e37a756335c47dd5e"),
+    "canonical-net-Z3": ({"kind": "canonical-net", "monoid": {"family": "finite", "factors": [3]},
+                          "requests": [{"test": [[1]], "n": 2}, {"test": [[0], [2]], "n": 5}]},
+                         "c5c9d4f1870cd9b0d6570aa28d9e66825dea4641753d6b37f676f32dc85c55dc"),
+}
+
+
+@pytest.mark.parametrize("name", BOX_FAMILY_RUNS)
+def test_box_family_csv_matches_recorded_digest(tmp_path, name):
+    """Box families no builtin covers: N^0, Z^0, Z/1, Z/3 and products of a
+    finite group with N or Z, over box and product nets."""
+    sc, digest = BOX_FAMILY_RUNS[name]
+    source = tmp_path / f"{name}.json"
+    source.write_text(json.dumps(sc))
+    code, message = run_scenario(str(source), out_dir=tmp_path)
+    assert code == 0, message
+    assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest

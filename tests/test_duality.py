@@ -1,5 +1,6 @@
 """duality-bridge: pairings, annihilators, cotrajectories, the bridge."""
 
+import hashlib
 import json
 import math
 import operator
@@ -14,6 +15,7 @@ from amenact.abelian import DirectSum, FiniteProduct, Subgroup
 from amenact.actions import (
     Action,
     MatrixEndo,
+    _subgroup_accumulator,
     identity_endo,
     scalar_endo,
     shift_endo,
@@ -1084,3 +1086,46 @@ def test_box_net_bridges_build_no_net_set(monkeypatch):
         gamma, u = _dual_pair(alpha, b)
         assert len(h_top_estimate(gamma, u, net, prefix).rows) == prefix
     assert calls == []
+
+
+def _identity_generator_bridges():
+    """(alpha, B, box net, prefix): bridges with a generator that acts as
+    the identity, on a direct sum over Z^2 and over Z/2 x Z, and on a
+    finite product over N^2 (its dual is the identity matrix)."""
+    alpha, b, net = cli._action_parts(dict(cli.BUILTINS["quotient-vanishing"], kind="bridge"))
+    yield alpha, b, net, 12
+    monoid = ProductMonoid((FiniteAbelianMonoid((2,)), FreeAbelian(1)))
+    line = DirectSum(FiniteProduct((2,)), FreeAbelian(1))
+    alpha = Action(monoid, line, [shift_endo(line, (0,)), shift_endo(line, (1,))])
+    yield alpha, Subgroup.generated(line, [line.element({(0,): (1,)})]), box_net(monoid), 6
+    n2, g = FreeCommutative(2), FiniteProduct((4, 6))
+    alpha = Action(n2, g, [identity_endo(g), MatrixEndo(g, ((1, 2), (0, 5)))])
+    yield alpha, Subgroup.generated(g, [(1, 0)]), box_net(n2), 5
+
+
+@pytest.mark.parametrize("alpha, b, net, prefix", list(_identity_generator_bridges()))
+def test_live_cotrajectory_matches_the_full_walk(alpha, b, net, prefix):
+    """Fed one element per live key of each box shell, the cotrajectory
+    has the index of the one fed every element, at every net index."""
+    gamma, u = _dual_pair(alpha, b)
+    mask = _subgroup_accumulator(alpha, b)._mask
+    assert 0 in mask
+    got = list(_GrowingCotrajectory(gamma, u).counts_along(net, prefix, mask))
+    assert got == list(_counts_along(_GrowingCotrajectory(gamma, u), net, prefix))
+    assert bridge_check(alpha, b, net, prefix).exact_at_every_index
+
+
+@pytest.mark.parametrize("prefix, digest", [
+    (16, "8d11f0c86979ac16df59e803b6f69f3bdb5500be1ca775d7ef37c1fe5a4e0040"),
+    (32, "8787ab8350b44350bd704a58394de48c6acbc312a2d23f6eb91e27090ad2e8de"),
+    (64, "c38011670a29cd95f5c63cbf81dcf27325c0fadb0fc997683ee974b9de90ad8b"),
+])
+def test_quotient_vanishing_as_a_bridge_keeps_its_csv(tmp_path, prefix, digest):
+    """quotient-vanishing run as a bridge, where the cotrajectory walks one
+    element per live key; digests recorded when it walked every element."""
+    sc = dict(cli.BUILTINS["quotient-vanishing"], kind="bridge", name="qv-bridge", prefix=prefix)
+    sc.pop("checks")
+    source = tmp_path / "qv-bridge.json"
+    source.write_text(json.dumps(sc))
+    assert cli.run_scenario(str(source), tmp_path)[0] == 0
+    assert hashlib.sha256((tmp_path / "qv-bridge.csv").read_bytes()).hexdigest() == digest

@@ -9,7 +9,6 @@ from math import prod
 
 import pytest
 
-from amenact import folner
 from amenact.cli import BUILTINS, run_scenario
 from amenact.errors import (
     BudgetExceededError,
@@ -26,6 +25,7 @@ from amenact.folner import (
     TilingReport,
     TilingWitness,
     CanonicalNet,
+    _live_shells,
     box_net,
     check_tiling,
     greedy_tiler,
@@ -172,7 +172,8 @@ def test_increments_rebuild_every_set_of_the_net(net, prefix, nested):
     assert bool(fresh_at) != nested
 
 
-@pytest.mark.parametrize("monoid", [N1, FreeCommutative(2), FreeCommutative(3), Z1, Z2, FreeAbelian(3)])
+@pytest.mark.parametrize("monoid", [N1, FreeCommutative(2), FreeCommutative(3), Z1, Z2, FreeAbelian(3),
+                                    FiniteAbelianMonoid((2, 3)), ProductMonoid((FiniteAbelianMonoid((2,)), N1))])
 def test_box_shells_never_build_a_window(monkeypatch, monoid):
     calls = []
     window = type(monoid).window
@@ -180,12 +181,111 @@ def test_box_shells_never_build_a_window(monkeypatch, monoid):
     net = box_net(monoid)
     shells = [net.shell(i).elements for i in range(1, 6)]
     nets = list(net.increments(5))
+    sizes = [net.size(i) for i in range(1, 6)]
     assert not calls
     for i in range(1, 6):
         box = window(monoid, i).elements
         before = window(monoid, i - 1).elements if i > 1 else set()
         assert shells[i - 1] == nets[i - 1][1] == box - before
-        assert nets[i - 1][3] == len(box)
+        assert nets[i - 1][3] == sizes[i - 1] == len(box)
+
+
+# --- one box table per family, against enumeration ---------------------------------
+
+ORACLE_MONOIDS = [
+    *map(FreeCommutative, range(4)), *map(FreeAbelian, range(4)),
+    *(FiniteAbelianMonoid(f) for f in [(), (1,), (2, 3), (2, 1, 3)]),
+    ProductMonoid((N1, Z1)),
+    ProductMonoid((FiniteAbelianMonoid(()), Z1)),
+    ProductMonoid((FiniteAbelianMonoid((2,)), FreeCommutative(2))),
+    ProductMonoid((Z1, FiniteAbelianMonoid((1, 3)), N1)),
+    ProductMonoid((FreeCommutative(0), FiniteAbelianMonoid((2,)), FiniteAbelianMonoid(()))),
+]
+
+
+def oracle_ranges(monoid, n):
+    """window(n) as one range per coordinate, read off the family."""
+    if isinstance(monoid, ProductMonoid):
+        return [r for p in monoid.parts for r in oracle_ranges(p, n)]
+    if isinstance(monoid, FreeCommutative):
+        return [range(n)] * monoid.dim
+    if isinstance(monoid, FreeAbelian):
+        return [range(-n, n + 1)] * monoid.dim
+    return [range(k) for k in monoid.factors]
+
+
+def oracle_cells(monoid, n):
+    return frozenset(product(*oracle_ranges(monoid, n)))
+
+
+@pytest.mark.parametrize("monoid", ORACLE_MONOIDS, ids=str)
+def test_windows_are_the_products_of_their_coordinate_ranges(monoid):
+    for n in range(6):
+        box, cells = monoid.window(n), oracle_cells(monoid, n)
+        as_set = MSubset(monoid, cells)
+        assert isinstance(box, BoxSubset)
+        assert box == as_set and as_set == box and hash(box) == hash(as_set)
+        assert len(box) == len(cells) and list(box) == list(as_set) == sorted(cells)
+        grown = product(*(range(r.start - 1, r.stop + 1) for r in oracle_ranges(monoid, n)))
+        for x in [*grown, (0,) * (monoid.dim + 1)]:
+            assert (x in box) == (x in as_set) == (x in cells), x
+
+
+@pytest.mark.parametrize("monoid", ORACLE_MONOIDS, ids=str)
+def test_box_net_shells_are_differences_of_enumerated_boxes(monoid):
+    net = box_net(monoid)
+    for i in range(1, 6):
+        before = oracle_cells(monoid, i - 1) if i > 1 else frozenset()
+        assert net.shell(i).elements == oracle_cells(monoid, i) - before, i
+        assert net.size(i) == len(oracle_cells(monoid, i))
+
+
+@pytest.mark.parametrize("monoid", ORACLE_MONOIDS, ids=str)
+def test_pinned_shells_are_differences_of_enumerated_pinned_boxes(monoid):
+    """Every mask of live coordinates: shell i holds the cells of F_i with
+    the dead coordinates set to 0, less those of F_{i-1}."""
+    for live in product((0, 1), repeat=monoid.dim):
+        def pinned(cells):
+            return {tuple(a * on for a, on in zip(x, live)) for x in cells}
+
+        for i, size, shell in _live_shells(box_net(monoid), live, 5):
+            before = pinned(oracle_cells(monoid, i - 1)) if i > 1 else set()
+            assert shell == pinned(oracle_cells(monoid, i)) - before, (live, i)
+            assert size == len(oracle_cells(monoid, i))
+
+
+@pytest.mark.parametrize("monoid", ORACLE_MONOIDS, ids=str)
+def test_canonical_boxes_are_their_enumerations(monkeypatch, monoid):
+    """The search builds the boxes of sides 1, 2, ...: [0, m) on N and Z
+    coordinates, all of Z/k.  {0, g} for a generator g of N or Z at
+    precision 1/2 needs the side 4."""
+    built, cells = [], BoxSubset.__iter__
+    monkeypatch.setattr(BoxSubset, "__iter__", lambda self: built.append(self) or cells(self))
+    free = [j for j, (a, b) in enumerate(zip(oracle_ranges(monoid, 1), oracle_ranges(monoid, 2))) if a != b]
+    e = ms(monoid, [monoid.identity] + [monoid.generators()[j] for j in free[:1]])
+    found = CanonicalNet(monoid).at(e, 2)
+    monkeypatch.undo()
+    assert len(built) == (4 if free else 1) and found is built[-1]
+    for m, box in enumerate(built, start=1):
+        want = product(*(range(m) if j in free else r for j, r in enumerate(oracle_ranges(monoid, 1))))
+        assert box == MSubset(monoid, frozenset(want)), m
+
+
+@pytest.mark.parametrize("monoid", ORACLE_MONOIDS, ids=str)
+def test_a_box_corner_outside_the_monoid_is_refused(monoid):
+    """hi >= k on a coordinate Z/k, or lo < 0 on one of N, leaves the
+    monoid; an empty box has no cell to check."""
+    box = monoid.window(1)
+    for j, r in enumerate(oracle_ranges(monoid, 1)):
+        if r == range(1):  # N (or Z/1): lo = -1 leaves it
+            bad = (box.lo[:j] + (-1,) + box.lo[j + 1 :], box.hi)
+        elif r.start == 0:  # Z/k: hi = k leaves it
+            bad = (box.lo, box.hi[:j] + (r.stop,) + box.hi[j + 1 :])
+        else:  # Z: every integer is in it
+            continue
+        with pytest.raises(MonoidMismatchError):
+            BoxSubset(monoid, *bad)
+        assert len(BoxSubset(monoid, box.lo, box.hi[:j] + (box.lo[j] - 1,) + box.hi[j + 1 :])) == 0
 
 
 def block_box_axes(monoid):
@@ -434,8 +534,8 @@ def test_canonical_nets_meet_their_precision():
 def test_canonical_search_stops_before_a_box_over_the_budget(monkeypatch):
     """Boxes of Z^3 with sides 1, 2, 3 hold 1, 8, 27 cells: a budget of 10
     stops the search before it builds the box of side 3."""
-    built = []  # the side of each box, from the cells of its first axis
-    monkeypatch.setattr(folner, "iproduct", lambda *axes: built.append(len(axes[0])) or product(*axes))
+    built, cells = [], BoxSubset.__iter__  # the side of each box whose cells are built
+    monkeypatch.setattr(BoxSubset, "__iter__", lambda self: built.append(self.hi[0] + 1) or cells(self))
     net = CanonicalNet(FreeAbelian(3), 10)
     with pytest.raises(BudgetExceededError) as err:
         net.at(ms(net.monoid, [(1, 0, 0), (0, 1, 0)]), 60)
@@ -1108,8 +1208,12 @@ def test_box_subset_is_the_subset_of_its_cells():
         BoxSubset(N2, (-1, 0), (2, 2))
     with pytest.raises(MonoidMismatchError):
         BoxSubset(Z2, (0,), (2,))
+    z3 = FiniteAbelianMonoid((3,))
+    assert BoxSubset(z3, (0,), (2,)) == z3.window(0) == ms(z3, z3.elements())
     with pytest.raises(MonoidMismatchError):
-        BoxSubset(FiniteAbelianMonoid((3,)), (0,), (2,))
+        BoxSubset(z3, (0,), (3,))
+    with pytest.raises(MonoidMismatchError):
+        BoxSubset(SemidirectZZ(), (0, 0, 0), (1, 1, 1))
 
 
 def test_tiling_a_million_cell_region_holds_no_cell_tuples(tmp_path):

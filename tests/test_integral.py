@@ -29,6 +29,7 @@ from amenact.integral import (
     theta_function,
 )
 from amenact.monoid import (
+    BoxSubset,
     FiniteAbelianMonoid,
     FreeAbelian,
     FreeCommutative,
@@ -472,11 +473,13 @@ def test_fubini_run_makes_no_set_product(tmp_path, monkeypatch):
 
 def test_integral_stops_before_building_a_set_over_the_budget(tmp_path, monkeypatch):
     """|F_i| of Z^6 boxes is 3^6, 5^6, ...: a budget of 1000 stops an
-    integral at net index 2, before any of F_2 is built."""
+    integral at net index 2, before any of F_2 is built: only shell 1 is,
+    and no box's cells."""
     from amenact import cli, folner
 
-    built, shell = [], folner._box_shell
-    monkeypatch.setattr(folner, "_box_shell", lambda axes, i: built.append(i) or shell(axes, i))
+    built, shell = [], folner._box_shell  # the index of each shell built, off its outer sides
+    monkeypatch.setattr(folner, "_box_shell", lambda inner, outer: built.append(outer[0].stop - 1) or shell(inner, outer))
+    monkeypatch.setattr(BoxSubset, "__iter__", refuse)
     sc = {"kind": "integral", "name": "int6", "monoid": {"family": "Z^d", "dim": 6},
           "function": {"kind": "card"}, "net": {"family": "box"}, "prefix": 5, "budget": 1000}
     source = tmp_path / "int6.json"
@@ -485,6 +488,7 @@ def test_integral_stops_before_building_a_set_over_the_budget(tmp_path, monkeypa
         3, "budget exceeded: F_2 has 15625 elements, over the budget of 1000 (net index 2)"
     )
     assert built == [1]
+    monkeypatch.undo()
     z6 = FreeAbelian(6)
     with pytest.raises(BudgetExceededError) as err:
         integral(card(z6), box_net(z6), 5, 3**6 - 1)
