@@ -8,7 +8,12 @@ hold at most 64 bits per pair and, when there are several, 64 points per
 run on average; tuples otherwise), and for subgroup seeds through one
 modular echelon basis that grows along the net (exact big-integer orders),
 which is what keeps the box-scale checks of the addition and vanishing
-laws cheap.
+laws cheap.  On a box net where one shift by +-1 on K^(N) or K^(Z) is the
+only generator that does not act as the identity, the basis follows the
+seed's one-sided orbit until its state (the tail of the trajectory and
+the seed's images, both moved back) repeats; from there every count is
+the last one times a power of a certified step ratio a, while the budget
+still counts every element of every box.
 """
 
 from __future__ import annotations
@@ -705,8 +710,14 @@ class _GrowingTrajectory:
     echelon rows stay valid.  Every element of every shell counts against
     ``budget``, whether or not its key is new, restarts included; the
     element that passes it is the one a walk of the whole shell by
-    increasing l1 norm reaches.  ``counts_along`` feeds a net to it, and
-    on a box net it builds one element per new key, not the whole shell.
+    increasing l1 norm reaches.  ``counts_along`` feeds a net to it.  On a
+    box net it builds one element per new key, not the whole shell
+    (``shell_counts``).  When the one live generator is a shift by +-1 on
+    K^(N) or K^(Z), it walks the seed's one-sided orbit instead, with the
+    state of step j keyed by the Hermite form of the tail of T_j and the
+    seed images, both moved back j places, and inserts nothing once a
+    state repeats (``_orbit_counts``, which sets ``limit``).  Either way
+    the budget counts every element of every shell.
     """
 
     def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
@@ -714,15 +725,16 @@ class _GrowingTrajectory:
         self.seed = seed
         self.budget = budget
         self.visited = 0
-        identity = identity_endo(alpha.group)
-        n = len(alpha.monoid.generators())
-        live = [j for j in range(n) if alpha._generator_step(j, 1) != identity]
+        # (a, m) once _orbit_counts has certified that |T_{j+1}| = a |T_j|
+        # for every one-sided step j >= m
+        self.limit = None
         # _mask zeroes the exponents of identity generators; with any, _key
         # reads the live exponents of s
-        self._mask = tuple(int(j in live) for j in range(n))
+        self._mask = _live_mask(alpha)
+        self._live = [j for j, on in enumerate(self._mask) if on]
         self._key = None
-        if len(live) < n:
-            self._key = itemgetter(*live) if live else lambda e: ()
+        if len(self._live) < len(self._mask):
+            self._key = itemgetter(*self._live) if self._live else lambda e: ()
         self.reset()
 
     def reset(self):
@@ -738,27 +750,120 @@ class _GrowingTrajectory:
         self._walked = set()  # the _key values walked since the reset
 
     def counts_along(self, net: FolnerNet, prefix: int):
-        """``_counts_along(self, net, prefix)``.  On a box net, shell i is
+        """``_counts_along(self, net, prefix)``.  On a box net, one live
+        shift by +-1 on a direct sum over N or Z walks its orbit
+        (``_orbit_counts``), and any other action walks the live shells
+        (``shell_counts``)."""
+        if not _is_box_net(net):
+            yield from _counts_along(self, net, prefix)
+            return
+        orbit = self._shift_orbit()
+        if orbit is None:
+            yield from self.shell_counts(net, prefix)
+        else:
+            yield from self._orbit_counts(net, prefix, *orbit)
+
+    def shell_counts(self, net: FolnerNet, prefix: int):
+        """``_counts_along(self, net, prefix)`` on a box net: shell i is
         walked as ``_live_shells`` gives it, with the identity generators'
         coordinates pinned to 0: one element for each new key, whose
         exponents are its masked exponents.  The boxes are nested, so no key
         of F_{i-1} comes again.  The budget still counts the whole shell,
         |F_i| - |F_{i-1}| from the windows' sides; with an identity
         generator the shell is built only to name the element where the
-        budget runs out."""
-        if not _is_box_net(net):
-            yield from _counts_along(self, net, prefix)
-            return
+        budget runs out.  ``count`` and ``contains`` read T_{F_i} after
+        index i."""
         before = 0
         for i, size, shell in _live_shells(net, self._mask, prefix):
-            try:
-                self._charge(size - before, lambda: net.shell(i).elements)
-            except BudgetExceededError as err:
-                err.index = i
-                raise
+            self._charge_shell(net, i, size - before)
             self._walk({s: s for s in shell})
             before = size
             yield size, self.count
+
+    def _shift_orbit(self):
+        """(axis, phi, sign) when generator ``axis`` alone is live, phi is a
+        ShiftEndo by sign = +1, or -1 over a Z index, on a direct sum over
+        a one-dimensional index N or Z, and coordinate ``axis`` of the
+        acting monoid is N, or Z with phi an automorphism; else None."""
+        group, coordinates = self.alpha.group, self.alpha.monoid.coordinates
+        if len(self._live) != 1 or not isinstance(group, DirectSum):
+            return None
+        axis = self._live[0]
+        phi = self.alpha._generator_step(axis, 1)
+        index = group.index
+        if not isinstance(phi, ShiftEndo) or index.coordinates not in (("N",), ("Z",)):
+            return None
+        if phi.shift != (1,) and not (phi.shift == (-1,) and index.is_group):
+            return None
+        # an Action of a group has checked that phi is an automorphism
+        if coordinates[axis] == "N" or self.alpha.monoid.is_group or phi.is_automorphism():
+            return axis, phi, phi.shift[0]
+        return None
+
+    def _orbit_counts(self, net: FolnerNet, prefix: int, axis, phi, sign):
+        """``shell_counts`` for one live shift phi by ``sign`` on K^(N) or
+        K^(Z), through the one-sided orbit of the seed: T_j is spanned by
+        B_t = phi^t(B) for t < j, and net index i holds T_j for j the length
+        of side ``axis`` of F_i: i steps on N, and 2i + 1 on Z, where
+        |T_[-i,i]| = |T_[0,2i]| as alpha(-i) is an automorphism.  Index t
+        gets its columns in the order of sign * t, so the rows from column
+        j k (k the base's rank) span the tail R_j of T_j, its part on the
+        indices that B_j reaches and later ones.  The state (R_j, B_j),
+        read as the Hermite form of those rows and the seed images, both
+        moved back j places, fixes a_j = |T_{j+1}| / |T_j| = |B_j| / |B_j
+        meet R_j| and the state after it.  So once a state met at step m
+        comes again, the a_j repeat from m on; each divides the one before
+        (Dikranjan, Goldsmith, Salce and Zanardo, Trans. AMS 361, 2009), so
+        they all equal a = a_m, ``limit`` becomes (a, m), and every later
+        count is the last one times a power of a, with no more echelon
+        work.  The budget is charged shell by shell as ``shell_counts``
+        charges it; ``count`` and ``contains`` read the last T_j walked."""
+        self.reset()
+        self.limit = None
+        factors = self.alpha.group.base.factors
+        k = len(factors)
+        images = list(self.seed.gens)
+        places = [sign * t for x in images for (t,), _ in x]
+        lo = min(places, default=0)
+        width = max(places, default=0) - lo + 1
+        echelon, pos = self._echelon, self._pos
+        counts = [1]  # |T_j| for every step j walked
+        states = {}  # state key -> the first step it was met at
+        before = 0
+        for i in range(1, prefix + 1):
+            sides = net.monoid.sides(i)
+            size = math.prod(map(len, sides))
+            self._charge_shell(net, i, size - before)
+            before = size
+            n = len(sides[axis])
+            while self.limit is None and len(counts) <= n:
+                j = len(counts) - 1
+                while len(pos) < width + j:  # the indices up to the ones B_j reaches
+                    pos[(sign * (lo + len(pos)),)] = echelon.dim
+                    echelon.add_columns(factors)
+                moved = tuple(frozenset((sign * t - j, v) for (t,), v in x) for x in images)
+                first = states.setdefault((tuple(map(tuple, echelon.basis(j * k))), moved), j)
+                if first < j:
+                    self.limit = (counts[first + 1] // counts[first], first)
+                    break
+                for x in images:
+                    if x:
+                        echelon._insert(self._flat(x))
+                counts.append(echelon.order())
+                images = [phi.apply(x) for x in images]
+            if n < len(counts):
+                yield size, counts[n]
+            else:
+                yield size, counts[-1] * self.limit[0] ** (n + 1 - len(counts))
+
+    def _charge_shell(self, net: FolnerNet, i: int, n: int):
+        """``_charge`` the n elements of shell i of a box net, naming index i
+        in a budget error."""
+        try:
+            self._charge(n, lambda: net.shell(i).elements)
+        except BudgetExceededError as err:
+            err.index = i
+            raise
 
     def _charge(self, n, shell):
         """Count the n elements of the shell ``shell()`` as visited, or
@@ -842,6 +947,13 @@ class _GrowingTrajectory:
         return flat is not None and self._echelon.contains(flat)
 
 
+def _live_mask(alpha: Action) -> tuple:
+    """1 for each generator of alpha that does not act as the identity, 0
+    for each that does."""
+    identity = identity_endo(alpha.group)
+    return tuple(int(alpha._generator_step(j, 1) != identity) for j in range(len(alpha.monoid.generators())))
+
+
 def _l1_order(e):
     return sum(map(abs, e)), e
 
@@ -865,17 +977,6 @@ def _subgroup_accumulator(alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_
     return _GrowingTrajectory(alpha, seed, budget)
 
 
-def _trajectory_orders(alpha: Action, seed: Subgroup, net: FolnerNet, prefix: int,
-                       budget: int = DEFAULT_ELEMENT_BUDGET):
-    """Yield (|F_i|, |T_{F_i}(alpha, B)|) for i = 1..prefix.
-
-    The seed's images share one growing echelon basis along the net, fed
-    with its shells (see ``_subgroup_accumulator`` for the seeds taken and
-    ``_GrowingTrajectory.counts_along`` for box nets).
-    """
-    return _subgroup_accumulator(alpha, seed, budget).counts_along(net, prefix)
-
-
 # ---------------------------------------------------------------------------
 # entropy estimates
 
@@ -888,6 +989,9 @@ class EntropyEstimate:
     counts: list
     seed_label: str
     net_label: str
+    # (a, m): from one-sided step m on, each step of a certified shift
+    # orbit multiplies the count by a (``_GrowingTrajectory.limit``)
+    limit: tuple | None = None
 
     @property
     def tail(self):
@@ -925,13 +1029,19 @@ def h_alg_estimate(
     64 bits per pair x + y the tuple route would add, or several runs
     average fewer than 64 points each (see ``_IncrementalTrajectory``).
     Both are fed ``net.increments``, except a subgroup seed on a box net
-    with identity generators (``_GrowingTrajectory.counts_along``): on a
-    nested net |F_i| is the running sum of its shell sizes.
+    (``_GrowingTrajectory.counts_along``): it walks the live shells, or,
+    for one live shift by +-1 on K^(N) or K^(Z), the seed's one-sided
+    orbit until its state repeats, and then keeps (a, m) as ``limit``: from
+    one-sided step m on each step multiplies the count by a, so h = log a
+    per step.  On a nested net |F_i| is the running sum of its shell
+    sizes, and the budget counts every element of every shell.
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
+    acc = None
     if isinstance(seed, Subgroup):
-        along = _trajectory_orders(alpha, seed, net, prefix, budget)
+        acc = _subgroup_accumulator(alpha, seed, budget)
+        along = acc.counts_along(net, prefix)
         seed_label = "subgroup"
     elif isinstance(seed, FiniteSubset):
         along = _counts_along(_IncrementalTrajectory(alpha, seed, budget), net, prefix)
@@ -944,7 +1054,8 @@ def h_alg_estimate(
         counts.append(count)
         value = ell_of_order(count)
         est.rows.append(IntegralRow(i, size, value, value / size))
-    return EntropyEstimate(est, counts, seed_label, net.label)
+    return EntropyEstimate(est, counts, seed_label, net.label,
+                           None if acc is None else acc.limit)
 
 
 @dataclass
@@ -985,7 +1096,7 @@ def _window_certificate(alpha, seed: Subgroup, scale: int):
     acc = _subgroup_accumulator(alpha, seed)
     last = 4 * scale + 4
     # the windows are the nested boxes
-    for m_scale, _ in enumerate(acc.counts_along(box_net(alpha.monoid), last), start=1):
+    for m_scale, _ in enumerate(acc.shell_counts(box_net(alpha.monoid), last), start=1):
         if m_scale >= scale and all(acc.contains(x) for x in targets):
             return GeneratorCertificate(scale, m_scale, True)
     return GeneratorCertificate(scale, last, False)

@@ -447,7 +447,7 @@ def _action_parts(sc, seed_field="seed"):
 def _run_entropy(sc, prefix, budget):
     action, seed, net = _action_parts(sc)
     est = h_alg_estimate(action, seed, net, prefix, budget)
-    return est.to_csv(), {"estimate": est.estimate, "counts": est.counts}
+    return est.to_csv(), {"estimate": est.estimate, "counts": est.counts, "limit": est.limit}
 
 
 def _run_integral(sc, prefix, budget):

@@ -28,6 +28,7 @@ from .actions import (
     Action,
     MatrixEndo,
     ShiftEndo,
+    _live_mask,
     _subgroup_accumulator,
     subgroup_trajectory,
 )
@@ -184,6 +185,7 @@ class ProfiniteShiftAction:
     def __init__(self, space: DirectSum, monoid, shifts):
         self.space = space
         self.monoid = monoid
+        self.shifts = [tuple(shift) for shift in shifts]
         # entry k of every shift, per index coordinate k (none if no generator)
         self._columns = list(zip(*shifts)) or [()] * space.index.dim
 
@@ -317,15 +319,26 @@ class _GrowingCotrajectory:
         return [tuple(row.get(c, 0) for c in cols) for row in self._echelon.rows]
 
 
+def _cotrajectory_mask(gamma) -> tuple:
+    """1 for each generator of gamma that does not act as the identity, 0
+    for each that does: a zero shift of a ProfiniteShiftAction, or a
+    generator endomorphism of an Action equal to the identity."""
+    if isinstance(gamma, ProfiniteShiftAction):
+        return tuple(int(any(shift)) for shift in gamma.shifts)
+    return _live_mask(gamma)
+
+
 def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
     """Ratio table log [K : C_{F_i}(gamma, U)] / |F_i|.
 
     ``gamma`` is either an Action on a finite character group (with U a
     Subgroup) or a ProfiniteShiftAction on K^I (with U an OpenSubgroup),
-    whose coordinates enter as translated supports first reach them.
+    whose coordinates enter as translated supports first reach them.  On
+    a box net the generators that act as the identity are pinned
+    (``_cotrajectory_mask``), so one element per live key meets the echelon.
     """
     est = IntegralEstimate("h_top")
-    indices = _counts_along(_GrowingCotrajectory(gamma, u), net, prefix)
+    indices = _GrowingCotrajectory(gamma, u).counts_along(net, prefix, _cotrajectory_mask(gamma))
     for i, (size, index) in enumerate(indices, start=1):
         value = math.log(index)
         est.rows.append(IntegralRow(i, size, value, value / size))

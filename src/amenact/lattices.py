@@ -320,18 +320,20 @@ class ModularEchelon:
     def order(self) -> int:
         return self._order
 
-    def basis(self) -> list[list[int]]:
+    def basis(self, start: int = 0) -> list[list[int]]:
         """The Hermite normal form of the rows' lattice, L unless a
         ``truncate`` awaits its refill, as dense rows: bottom up, each row's
         entry in column k > j is reduced into [0, p_k) by row k (Cohen, GTM
-        138, Alg. 2.4.8)."""
-        d = self.dim
+        138, Alg. 2.4.8).  From ``start`` on, only rows and columns start..
+        are read: the form of L meet the vectors that are zero before
+        column ``start``, moved back ``start`` places."""
+        d = self.dim - start
         out = [None] * d
         for j in reversed(range(d)):
-            row = self.rows[j]
+            row = self.rows[j + start]
             v = [0] * d
             for k, x in row.items():
-                v[k] = x
+                v[k - start] = x
             if len(row) > 1:  # a lone pivot is reduced
                 for k in range(j + 1, d):
                     if q := v[k] // out[k][k]:

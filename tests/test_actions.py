@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from amenact import cli
+from amenact import cli, lattices
 from amenact.abelian import (
     DirectSum,
     FiniteProduct,
@@ -23,11 +23,11 @@ from amenact.actions import (
     Action,
     _GrowingTrajectory,
     _IncrementalTrajectory,
+    _subgroup_accumulator,
     GeneratorCertificate,
     GroupIso,
     MatrixEndo,
     MonoidIso,
-    _trajectory_orders,
     _window_certificate,
     addition_check,
     conjugate_action,
@@ -1111,6 +1111,11 @@ def test_window_certificates_unchanged(alpha, seed, scale, covered):
 
 # --- the shell-fed trajectory engine, against a fresh trajectory per index ---------
 
+def trajectory_orders(alpha, seed, net, prefix):
+    """(|F_i|, |T_{F_i}(alpha, B)|) along the net, as h_alg_estimate counts them."""
+    return list(_subgroup_accumulator(alpha, seed).counts_along(net, prefix))
+
+
 def fresh_orders(alpha, seed, net, prefix):
     """Oracle: |F_i| and |T_{F_i}(alpha, B)| built from all of F_i at every index."""
     return [
@@ -1149,7 +1154,7 @@ def test_shell_fed_counts_match_fresh_trajectories_on_builtins(name, alpha, seed
     got = [(row.size, count) for row, count in zip(est.estimate.rows, est.counts)]
     if isinstance(seed, Subgroup):
         assert got == fresh_orders(alpha, seed, net, prefix)
-        assert list(_trajectory_orders(alpha, seed, net, prefix)) == got
+        assert trajectory_orders(alpha, seed, net, prefix) == got
     else:
         assert got == fresh_set_counts(alpha, seed, net, prefix)
 
@@ -1213,7 +1218,7 @@ def net_shape_cases():
 
 @pytest.mark.parametrize("alpha, seed, net, prefix", list(net_shape_cases()))
 def test_shell_fed_counts_match_fresh_trajectories_on_every_net_shape(alpha, seed, net, prefix):
-    assert list(_trajectory_orders(alpha, seed, net, prefix)) == fresh_orders(alpha, seed, net, prefix)
+    assert trajectory_orders(alpha, seed, net, prefix) == fresh_orders(alpha, seed, net, prefix)
 
 
 def test_non_nested_nets_start_over():
@@ -1252,41 +1257,91 @@ FIBONACCI_SCENARIO = {
 }
 
 
-# the generators that do not act as the identity, and the distinct live keys
-# of F_prefix: quotient-vanishing's first generator is the identity
-WORK_KEYS = {"quotient-vanishing": ((0, 1), 2 * 24 + 1), "fibonacci-shift": ((1,), 81)}
+# the echelon inserts of the trajectory and its certified (a, m): each
+# step of the seed's one-sided orbit inserts one image per seed generator,
+# and fibonacci-shift's state first repeats at step 25 (Z/6's Fibonacci
+# numbers have period 24), quotient-vanishing's at step 1
+WORK = {"quotient-vanishing": (1, (2, 0)), "fibonacci-shift": (2 * 25, (12, 1))}
+
+
+def count_inserts(monkeypatch):
+    """The echelons that ``ModularEchelon._insert`` is called on, one entry per call."""
+    insert, echelons = lattices.ModularEchelon._insert, []
+    monkeypatch.setattr(lattices.ModularEchelon, "_insert",
+                        lambda self, v: echelons.append(self) or insert(self, v))
+    return echelons
+
+
+def record_engines(monkeypatch):
+    init, engines = _GrowingTrajectory.__init__, []
+    monkeypatch.setattr(_GrowingTrajectory, "__init__",
+                        lambda self, *args: engines.append(self) or init(self, *args))
+    return engines
+
+
+def inserts_into(engine, echelons):
+    return sum(echelon is engine._echelon for echelon in echelons)
 
 
 @pytest.mark.parametrize("name, prefix", [("quotient-vanishing", 24), ("fibonacci-shift", 40)])
 def test_trajectory_work_counts(monkeypatch, tmp_path, name, prefix):
-    """A count of work, not of time: alpha(s) is built for the identity
-    alone, seed images are taken once per distinct live key (the exponents
-    with those of identity generators zeroed), every element of F_prefix
-    still counts as visited, and no F_i is built."""
-    live, keys = WORK_KEYS[name]
+    """A count of work, not of time: the trajectory walks the seed's
+    one-sided orbit until its state repeats, taking images with the shift
+    alone, and inserts nothing after that; alpha(s) is built for no s,
+    every element of F_prefix still counts as visited, and no F_i is
+    built."""
+    inserts, limit = WORK[name]
     source = name
     if name == "fibonacci-shift":
         source = tmp_path / "fibonacci-shift.json"
         source.write_text(json.dumps(FIBONACCI_SCENARIO))
-    endo, seed_images, subset = Action.endo, _GrowingTrajectory._seed_images, FolnerNet.subset
-    init = _GrowingTrajectory.__init__
-    endo_calls, walked, subsets, engines = [], [], [], []
+    endo, subset = Action.endo, FolnerNet.subset
+    endo_calls, subsets = [], []
     monkeypatch.setattr(Action, "endo", lambda self, s: endo_calls.append(s) or endo(self, s))
-    monkeypatch.setattr(_GrowingTrajectory, "_seed_images",
-                        lambda self, e, s: walked.append(e) or seed_images(self, e, s))
     monkeypatch.setattr(FolnerNet, "subset", lambda self, i: subsets.append(i) or subset(self, i))
-    monkeypatch.setattr(_GrowingTrajectory, "__init__",
-                        lambda self, *args: engines.append(self) or init(self, *args))
+    echelons, engines = count_inserts(monkeypatch), record_engines(monkeypatch)
     code, message = cli.run_scenario(str(source), tmp_path, prefix)
     assert code == 0, message
     sc = json.loads(source.read_text()) if name == "fibonacci-shift" else cli.BUILTINS[name]
     monoid = cli.parse_monoid(sc["monoid"])
     window = monoid.window(prefix).elements
-    assert len(endo_calls) <= len(monoid.generators())
-    assert len(walked) == len(set(walked)) == keys
-    assert set(walked) == {tuple(a * on for a, on in zip(s, live)) for s in window}
-    assert [engine.visited for engine in engines] == [len(window)]
+    assert endo_calls == []
+    [engine] = engines
+    assert inserts_into(engine, echelons) == inserts
+    assert engine.limit == limit
+    assert engine.visited == len(window)
     assert not subsets
+
+
+@pytest.mark.parametrize("name, limit", [
+    ("fibonacci-shift", (12, 1)),
+    ("bernoulli-one-sided", (2, 0)),
+    ("bridge-bernoulli", (2, 0)),
+    ("restricted-shift-doubles", None),
+])
+def test_entropy_runs_keep_the_certified_limit(name, limit):
+    """h_alg_estimate keeps the orbit's (a, m) and the entropy run puts it in
+    its context; the CSV is the one of the shell walk.  On the
+    Fibonacci-base shift h = log 12 per step, and a shift by 2 has no
+    certificate."""
+    sc = FIBONACCI_SCENARIO if name == "fibonacci-shift" else cli.BUILTINS[name]
+    alpha, seed, net = cli._action_parts(sc)
+    est = h_alg_estimate(alpha, seed, net, 16)
+    assert est.limit == limit
+    text, context = cli._run_entropy(dict(sc, kind="entropy"), 16, 10**7)
+    assert context["limit"] == limit
+    engine = _GrowingTrajectory(alpha, seed)
+    assert [count for _, count in _counts_along(engine, net, 16)] == est.counts
+    assert text == est.to_csv()
+    if limit is not None:
+        # |T_j| for j one-sided steps: j = i on N and 2i + 1 on Z
+        a, m = limit
+        steps = [len(net.monoid.sides(i)[0]) for i in range(1, 17)]
+        for i in range(1, 16):
+            if steps[i - 1] >= m:
+                assert est.counts[i] == est.counts[i - 1] * a ** (steps[i] - steps[i - 1])
+    if name == "fibonacci-shift":
+        assert math.log(limit[0]) == pytest.approx(2.484907, abs=1e-6)
 
 
 # --- identity generators share one image set, against the full walk ----------------
@@ -1399,7 +1454,7 @@ def test_trajectory_route_matches_the_full_walk(monkeypatch, alpha, seed, net, p
         refuse_shells(monkeypatch, net)
     assert list(engine.counts_along(net, prefix)) == want
     assert engine.visited == oracle.visited
-    assert list(_trajectory_orders(alpha, seed, net, prefix)) == want
+    assert trajectory_orders(alpha, seed, net, prefix) == want
 
 
 def stop_of(engine, net, prefix):
@@ -1418,48 +1473,75 @@ def live_stop_of(engine, net, prefix):
         return str(err), err.completed, err.index
 
 
-@pytest.mark.parametrize("case", [6, 9], ids=["Z^3", "Z/3 x Z"])
-def test_live_route_stops_where_the_full_walk_stops(case):
-    """Budgets at each shell boundary and one element to either side, on
-    the box-net cases over Z^3 (one live axis of three) and Z/3 x Z (the
-    finite axis dead)."""
-    alpha, seed, net, prefix, mask = list(identity_generator_cases())[case]
-    assert _is_box_net(net) and 0 in mask
+def budget_cases():
+    """(alpha, seed, net, prefix, scenario): the box-net cases over Z^3 (one
+    live axis of three) and Z/3 x Z (the finite axis dead), and the
+    Fibonacci-base shift and bernoulli-two-sided, whose orbits certify at
+    net index 12 and 1 (scenario: the one ``amenact run`` takes)."""
+    cases = list(identity_generator_cases())
+    yield (*cases[6][:4], None)
+    yield (*cases[9][:4], None)
+    alpha, seed, net = cli._action_parts(FIBONACCI_SCENARIO)
+    yield alpha, seed, net, 16, FIBONACCI_SCENARIO
+    sc = cli.BUILTINS["bernoulli-two-sided"]
+    yield (*cli._action_parts(sc), 8, sc)
+
+
+@pytest.mark.parametrize("case", range(4), ids=["Z^3", "Z/3 x Z", "fibonacci-shift", "bernoulli-two-sided"])
+def test_live_route_stops_where_the_full_walk_stops(case, tmp_path):
+    """Budgets at each shell boundary and one element to either side, before
+    and after an orbit's certificate, stop at the element and net index of
+    the full walk, and ``amenact run`` exits 3 naming them."""
+    alpha, seed, net, prefix, scenario = list(budget_cases())[case]
+    assert _is_box_net(net)
+    source = tmp_path / "budget.json"
+    if scenario is not None:
+        source.write_text(json.dumps({k: v for k, v in scenario.items() if k != "prefix"}))
     sizes = [net.size(i) for i in range(1, prefix + 1)]
     stops = set()
     for budget in sorted(size + d for size in sizes for d in (-1, 0, 1)):
         want = stop_of(FullWalkTrajectory(alpha, seed, budget), net, prefix)
         assert live_stop_of(_GrowingTrajectory(alpha, seed, budget), net, prefix) == want, budget
         stops.add(want[-1] if isinstance(want, tuple) else None)
+        if scenario is not None:
+            code, message = cli.run_scenario(str(source), tmp_path, prefix, budget)
+            if isinstance(want, list):
+                assert code == 0, message
+            else:
+                text, completed, index = want
+                assert (code, message) == (
+                    3, f"budget exceeded: {text} (ran out at {completed}, net index {index})"
+                ), budget
     assert stops == {*range(1, prefix + 1), None}
+    engine = _GrowingTrajectory(alpha, seed)
+    list(engine.counts_along(net, prefix))
+    if scenario is not None:
+        assert engine.limit == ((12, 1) if scenario is FIBONACCI_SCENARIO else (2, 0))
 
 
 def test_quotient_vanishing_walks_one_element_per_live_key(monkeypatch, tmp_path):
-    """At prefix 192 the engine is handed 2 * 192 + 1 = 385 monoid
-    elements, one per value of the live coordinate, while all 385^2 count
-    as visited; no shell or box of Z^2 is built unless the budget runs
-    out, and then only the shell it runs out in."""
-    walk, shell, subset = _GrowingTrajectory._walk, FolnerNet.shell, FolnerNet.subset
-    handed, engines, built = [], [], []
-
-    def walked(self, fresh):
-        engines.append(self)
-        handed.extend(fresh.values())
-        return walk(self, fresh)
-
-    monkeypatch.setattr(_GrowingTrajectory, "_walk", walked)
+    """At prefix 192 the trajectory inserts the seed's one image, sees its
+    state repeat at the next step of the orbit and inserts nothing more,
+    while all 385^2 elements count as visited; no shell or box of Z^2 is
+    built unless the budget runs out, and then only the shell it runs out
+    in."""
+    shell, subset = FolnerNet.shell, FolnerNet.subset
+    built = []
+    echelons, engines = count_inserts(monkeypatch), record_engines(monkeypatch)
     monkeypatch.setattr(FolnerNet, "shell", lambda self, i: built.append(("shell", i)) or shell(self, i))
     monkeypatch.setattr(FolnerNet, "subset", lambda self, i: built.append(("subset", i)) or subset(self, i))
     code, message = cli.run_scenario("quotient-vanishing", tmp_path, 192)
     assert code == 0, message
-    assert sorted(handed) == [(0, k) for k in range(-192, 193)] and len(handed) == 385
-    assert {engine.visited for engine in engines} == {385**2}
+    [engine] = engines
+    assert inserts_into(engine, echelons) == 1 and engine.limit == (2, 0)
+    assert engine.visited == 385**2
     assert built == []
-    handed.clear()
+    engines.clear()
     code, message = cli.run_scenario("quotient-vanishing", tmp_path, 64, budget=1000)
     assert code == 3 and message.endswith(", net index 16)"), message
     assert built == [("shell", 16)]
-    assert len(handed) == 2 * 15 + 1
+    [engine] = engines
+    assert inserts_into(engine, echelons) == 1
 
 
 def test_budget_stops_where_the_full_walk_stops(tmp_path):
@@ -1484,26 +1566,134 @@ def test_budget_stops_where_the_full_walk_stops(tmp_path):
 
 
 def test_bridge_on_an_action_through_a_quotient_stays_exact(tmp_path, monkeypatch):
-    """Both sides walk live keys: the trajectory takes seed images once
-    per key, and the cotrajectory is extended with one element per key;
-    their orders still agree at every index."""
+    """The trajectory walks the shift's orbit until its state repeats (one
+    insert), and the cotrajectory is still extended with one element per
+    live key; their orders still agree at every index."""
     sc = dict(cli.BUILTINS["quotient-vanishing"], kind="bridge", prefix=8,
               checks=[{"type": "exact_rows"}])
     sc.pop("demonstrates")
     source = tmp_path / "bridge-through-quotient.json"
     source.write_text(json.dumps(sc))
-    seed_images, walked = _GrowingTrajectory._seed_images, []
     extend, extended = _GrowingCotrajectory.extend, []
-    monkeypatch.setattr(_GrowingTrajectory, "_seed_images",
-                        lambda self, e, s: walked.append(e) or seed_images(self, e, s))
+    echelons, engines = count_inserts(monkeypatch), record_engines(monkeypatch)
     monkeypatch.setattr(_GrowingCotrajectory, "extend",
                         lambda self, added: extended.extend(added) or extend(self, added))
     code, message = cli.run_scenario(str(source), tmp_path)
     assert code == 0, message
-    assert len(walked) == 2 * 8 + 1
+    [engine] = engines
+    assert inserts_into(engine, echelons) == 1 and engine.limit == (2, 0)
     assert sorted(extended) == [(0, k) for k in range(-8, 9)]
     rows = (tmp_path / "bridge-through-quotient.csv").read_text().splitlines()[1:]
     assert len(rows) == 8 and all(row.endswith(",0.0") for row in rows)
+
+
+# --- the certified orbit of one live shift, against the shell walk -------------
+
+ORBIT_MODULI = (2, 3, 4, 6, 8, 9)
+
+
+def random_base(base, rng, invertible):
+    """A random matrix endomorphism of ``base`` that is an automorphism
+    or is not, as asked; None (the identity) if 200 draws find none."""
+    for _ in range(200):
+        phi = random_endomorphism(base, rng)
+        if phi.is_automorphism() == invertible:
+            return phi
+    return None
+
+
+def orbit_case(rng):
+    """(alpha, seed, prefix): one live shift by +-1 on K^(N) or K^(Z), K of
+    one or two factors, with no base, an automorphism or a map that is
+    not one, over N or Z, perhaps beside a generator that acts as the
+    identity; the seed has one or two generators within 1-4 indices."""
+    base = FiniteProduct(tuple(rng.choice(ORBIT_MODULI) for _ in range(rng.randint(1, 2))))
+    index = rng.choice((N1, Z1))
+    over = Z1 if index is Z1 and rng.random() < 0.5 else N1
+    group = DirectSum(base, index)
+    sign = rng.choice((1, -1)) if index is Z1 else 1
+    kind = rng.choice(("none", "automorphism", "endomorphism" if over is N1 else "automorphism"))
+    phi = shift_endo(group, (sign,), None if kind == "none" else random_base(base, rng, kind == "automorphism"))
+    extra = rng.choice((None, N1, Z1, FiniteAbelianMonoid((2,))))
+    if extra is None:
+        alpha = Action(over, group, [phi])
+    elif rng.random() < 0.5:
+        alpha = Action(ProductMonoid((over, extra)), group, [phi, identity_endo(group)])
+    else:
+        alpha = Action(ProductMonoid((extra, over)), group, [identity_endo(group), phi])
+    width = rng.randint(1, 4)
+    start = rng.randint(0, 3) if index is N1 else rng.randint(-3, 3)
+    gens = [
+        group.element({(start + t,): tuple(rng.randrange(m) for m in base.factors) for t in range(width)})
+        for _ in range(rng.randint(1, 2))
+    ]
+    return alpha, Subgroup.generated(group, gens), rng.randint(1, 25)
+
+
+def orbit_cases(count=200):
+    rng = random.Random("orbit-route")
+    return [orbit_case(rng) for _ in range(count)]
+
+
+def test_orbit_route_matches_the_shell_walk_on_a_random_family():
+    """Every case takes the orbit route and agrees with the shell walk of
+    ``_counts_along`` at every index, visited counts included; the family
+    holds cases whose state repeats by the prefix and cases where it
+    does not."""
+    limits = []
+    for n, (alpha, seed, prefix) in enumerate(orbit_cases()):
+        net = box_net(alpha.monoid)
+        engine, oracle = _GrowingTrajectory(alpha, seed), _GrowingTrajectory(alpha, seed)
+        assert engine._shift_orbit() is not None, n
+        assert list(engine.counts_along(net, prefix)) == list(_counts_along(oracle, net, prefix)), n
+        assert engine.visited == oracle.visited, n
+        limits.append(engine.limit)
+    certified = [limit for limit in limits if limit is not None]
+    assert 50 < len(certified) < len(limits)
+    assert {a for a, _ in certified} > {1, 2}
+
+
+def two_part_orbit(rows, gens, index=N1):
+    """A shift by +1 with base ``rows`` on (Z/2 x Z/2)^(index), over N."""
+    base = FiniteProduct((2, 2))
+    group = DirectSum(base, index)
+    alpha = Action(N1, group, [shift_endo(group, (1,), MatrixEndo(base, rows))])
+    return alpha, Subgroup.generated(group, [group.element(g) for g in gens])
+
+
+@pytest.mark.parametrize("rows, gens, limit, counts", [
+    # (x, y) -> (y, 0): the tail stays {0} while the images go (0, 1) at 0,
+    # (1, 0) at 1, then 0, so a key of the tail alone repeats at step 1
+    # and would read a = 2 for ever
+    (((0, 1), (0, 0)), [{(0,): (0, 1)}], (1, 2), [2, 4, 4, 4, 4, 4]),
+    # identity base, B = <e_0, e_1> on the first factor: the images repeat
+    # at step 1, but the tail does so only at step 2, after a_0 = 4 has
+    # dropped to a_1 = 2, so a key of the images alone would read a = 4
+    (((1, 0), (0, 1)), [{(0,): (1, 0)}, {(1,): (1, 0)}], (2, 1), [4, 8, 16, 32, 64, 128]),
+], ids=["tail-repeats-first", "images-repeat-first"])
+def test_orbit_state_needs_both_the_tail_and_the_images(rows, gens, limit, counts):
+    alpha, seed = two_part_orbit(rows, gens)
+    net = box_net(N1)
+    engine, oracle = _GrowingTrajectory(alpha, seed), _GrowingTrajectory(alpha, seed)
+    got = list(engine.counts_along(net, len(counts)))
+    assert got == list(_counts_along(oracle, net, len(counts)))
+    assert [count for _, count in got] == counts
+    assert engine.limit == limit
+
+
+def test_orbit_route_leaves_the_other_box_net_actions_to_the_shell_walk():
+    """Several live generators, finite products, a shift by 2 and a 2-D
+    index keep the shell walk; so does a conjugated shift."""
+    sc, monoid, group, doubles = scenario_parts("restricted-shift-doubles")
+    plane = DirectSum(FiniteProduct((3,)), FreeAbelian(2))
+    z2 = FreeAbelian(2)
+    on_plane = Action(z2, plane, [shift_endo(plane, (1, 0)), shift_endo(plane, (0, 0))])
+    two_live = Action(FreeCommutative(2), group, [shift_endo(group, (1,)), shift_endo(group, (2,))])
+    _, _, _, vanishing = scenario_parts("quotient-vanishing")
+    conjugated = conjugate_action(vanishing, GroupIso.negation(vanishing.group), MonoidIso.negation(vanishing.monoid))
+    for alpha in (doubles, on_plane, two_live, finite_product_action()[0], conjugated):
+        engine = _GrowingTrajectory(alpha, Subgroup.trivial(alpha.group))
+        assert engine._shift_orbit() is None
 
 
 def test_tuple_sums_stop_at_the_budget(tmp_path):

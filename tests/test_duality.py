@@ -26,6 +26,7 @@ from amenact.duality import (
     ProfiniteShiftAction,
     _dual_pair,
     _GrowingCotrajectory,
+    _cotrajectory_mask,
     _subgroup_gens,
     annihilator,
     annihilator_window,
@@ -1113,6 +1114,34 @@ def test_live_cotrajectory_matches_the_full_walk(alpha, b, net, prefix):
     got = list(_GrowingCotrajectory(gamma, u).counts_along(net, prefix, mask))
     assert got == list(_counts_along(_GrowingCotrajectory(gamma, u), net, prefix))
     assert bridge_check(alpha, b, net, prefix).exact_at_every_index
+
+
+@pytest.mark.parametrize("alpha, b, net, prefix", list(_identity_generator_bridges()))
+def test_h_top_estimate_feeds_one_element_per_live_key(monkeypatch, alpha, b, net, prefix):
+    """The ratio table pins the dual's identity generators as the bridge
+    does: its indices are those of the walk fed every element, and the
+    cotrajectory is fed one element per live key of F_prefix."""
+    gamma, u = _dual_pair(alpha, b)
+    want = list(_counts_along(_GrowingCotrajectory(gamma, u), net, prefix))
+    mask = _subgroup_accumulator(alpha, b)._mask
+    extend, fed = _GrowingCotrajectory.extend, []
+    monkeypatch.setattr(_GrowingCotrajectory, "extend",
+                        lambda self, added: fed.extend(added) or extend(self, added))
+    est = h_top_estimate(gamma, u, net, prefix)
+    assert [(row.size, row.value) for row in est.rows] == [(size, math.log(index)) for size, index in want]
+    keys = {tuple(a * on for a, on in zip(s, mask)) for s in net.monoid.window(prefix).elements}
+    assert sorted(fed) == sorted(keys)
+
+
+def test_live_masks_of_dual_actions():
+    """A zero shift of a ProfiniteShiftAction, or a generator equal to the
+    identity, acts as the identity."""
+    line = DirectSum(FiniteProduct((2,)), FreeAbelian(1))
+    assert _cotrajectory_mask(ProfiniteShiftAction(line, FreeAbelian(2), [(0,), (1,)])) == (0, 1)
+    assert _cotrajectory_mask(ProfiniteShiftAction(line, FreeCommutative(0), [])) == ()
+    g = FiniteProduct((4, 6))
+    n2 = FreeCommutative(2)
+    assert _cotrajectory_mask(Action(n2, g, [MatrixEndo(g, ((1, 2), (0, 5))), identity_endo(g)])) == (1, 0)
 
 
 @pytest.mark.parametrize("prefix, digest", [
