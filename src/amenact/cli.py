@@ -252,6 +252,17 @@ def _check_counts_power(check, context):
             raise CheckFailure(f"count at index {n} is {count}, expected {want}")
 
 
+def _check_limit(check, context):
+    """Every side of the run certified the step ratio a: the trajectory of
+    an entropy run, and both sides of a bridge."""
+    limits = context["limits"] if "limits" in context else {"trajectory": context["limit"]}
+    for side, limit in limits.items():
+        if limit is None:
+            raise CheckFailure(f"the {side} has no certified step ratio")
+        if limit[0] != check["a"]:
+            raise CheckFailure(f"the {side} certified step ratio {limit[0]}, expected {check['a']}")
+
+
 # check type -> (the kinds whose run context it reads, Spec(its fields, its test))
 _RATIOS = ("entropy", "integral")
 _VALUE, _TOL = {"value": NUM}, {"value": NUM, "tol?": NONNEG}
@@ -261,6 +272,7 @@ CHECKS = {
     "every_ratio": (_RATIOS, Spec(
         _TOL, lambda c, x: _near(c, [(f"row {r.index}: ratio", r.ratio) for r in x["estimate"].rows]))),
     "counts_power": (("entropy",), Spec({"base": INT, "scale?": INT, "offset?": INT}, _check_counts_power)),
+    "limit": (("entropy", "bridge"), Spec({"a": POS}, _check_limit)),
     "all_at_least": (("semidirect-defect",), Spec(_VALUE, _check_all_at_least)),
     "all_below": (("semidirect-defect",), Spec(
         _VALUE, lambda c, x: _below(c, [(f"value {row}", row[-1]) for row in x["values"]], rational=True))),
@@ -523,7 +535,8 @@ def _default_generator_subgroup(group):
 def _run_bridge(sc, prefix, budget):
     action, seed, net = _action_parts(sc)
     report = bridge_check(action, seed, net, prefix, budget)
-    return report.to_csv(), {"report": report}
+    limits = {"trajectory": report.trajectory_limit, "cotrajectory": report.cotrajectory_limit}
+    return report.to_csv(), {"report": report, "limits": limits}
 
 
 def _run_semidirect(sc, prefix, budget):

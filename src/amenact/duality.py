@@ -222,7 +222,11 @@ class _GrowingCotrajectory:
     the kernel vectors.  ``gamma`` is an Action on a finite K (U a Subgroup) or a
     ProfiniteShiftAction (U an OpenSubgroup), where an index gets a block
     of free columns when a translated support first reaches it (``pos``
-    holds its first column).
+    holds its first column).  ``counts_along`` feeds a net to it: on a box
+    net one element per live key of each shell, or, for one live shift by
+    +-1 over N or Z, one translate of U per step until the state of the
+    projection repeats (``_orbit_counts``, which sets ``limit``).  No
+    budget is charged.
     """
 
     def __init__(self, gamma, u):
@@ -239,6 +243,9 @@ class _GrowingCotrajectory:
             self.image_dim = len(self.factors)
         else:
             raise GroupMismatchError("use a ProfiniteShiftAction on the dual of a direct sum")
+        # (a, m) once _orbit_counts has certified that [C_j : C_{j+1}] = a
+        # for every one-sided step j >= m
+        self.limit = None
         self.reset()
 
     def reset(self):
@@ -302,13 +309,84 @@ class _GrowingCotrajectory:
         ``live`` (the trajectory's mask) is 0: the dual of a generator that
         acts as the identity is the identity, so gamma(s) depends only on
         the live coordinates of s, and one element per new key meets the
-        echelon with every constraint of the shell."""
+        echelon with every constraint of the shell.  When the one live
+        generator shifts K^I by +-1 over N or Z, the translates of U are
+        met one step at a time until the state repeats (``_orbit_counts``,
+        which sets ``limit``)."""
         if not _is_box_net(net):
             yield from _counts_along(self, net, prefix)
+            return
+        orbit = self._shift_orbit(live)
+        if orbit is not None:
+            yield from self._orbit_counts(net, prefix, *orbit)
             return
         for _, size, shell in _live_shells(net, live, prefix):
             self.extend(shell)
             yield size, self.count
+
+    def _shift_orbit(self, live):
+        """(axis, sign) when gamma is a ProfiniteShiftAction on K^I over a
+        one-dimensional index N or Z, generator ``axis`` alone is live by
+        the mask ``live``, its shift is sign = +1, or -1 over a Z index,
+        and coordinate ``axis`` of the monoid is N, or Z over a Z index;
+        else None."""
+        if not self.profinite or sum(live) != 1:
+            return None
+        axis = list(live).index(1)
+        index, shift = self.gamma.space.index, self.gamma.shifts[axis]
+        if index.coordinates not in (("N",), ("Z",)):
+            return None
+        if shift != (1,) and not (shift == (-1,) and index.is_group):
+            return None
+        coordinate = self.gamma.monoid.coordinates[axis]
+        if coordinate == "N" or (coordinate == "Z" and index.is_group):
+            return axis, shift[0]
+        return None
+
+    def _orbit_counts(self, net: FolnerNet, prefix: int, axis, sign):
+        """``counts_along`` for one live shift by ``sign`` on K^N or K^Z:
+        step j meets C_j, the meet of the translates of U by 0, .., j - 1,
+        with the translate by j, through the one monoid element j e_axis.
+        Net index i holds C_j for j the length of side ``axis`` of F_i: i
+        steps on N, and 2i + 1 on Z, where [K : C_[-i,i]] = [K : C_[0,2i]]
+        as K^Z is invariant under translation.  Index t gets its columns
+        in the order of sign * t.  With w the width of U's support, the
+        state P_j is the Hermite form of the projection of C_j onto the
+        w - 1 indices that the translates from j on reach, moved back j
+        places; C_j leaves the index after them free, so [C_j : C_{j+1}]
+        depends on P_j alone, and so does P_{j+1}, which is shift(pi((P_j
+        x K) meet U)).  That map is monotone and P_0 is the whole group, so
+        the P_j decrease, and the first repeat P_{m+1} = P_m fixes every
+        later state: ``limit`` becomes (a, m), a = [C_m : C_{m+1}], and every
+        later count is the last one times a power of a, with no more
+        echelon work.  An empty support (U = K^I) keeps index 1."""
+        self.reset()
+        self.limit = None
+        k = len(self.factors)
+        places = [sign * t for (t,) in self.support]
+        lo = min(places, default=0)
+        width = max(places, default=lo - 1) - lo + 1  # 0 for an empty support
+        moduli = _moduli_rows(self.factors * max(width - 1, 0))
+        pos, state = self.pos, None
+        counts = [1]  # [K : C_j] for every step j met
+        for i in range(1, prefix + 1):
+            sides = net.monoid.sides(i)
+            n = len(sides[axis])
+            while self.limit is None and len(counts) <= n:
+                j = len(counts) - 1
+                while len(pos) < width + j:  # the indices up to the ones step j reaches
+                    pos[(sign * (lo + len(pos)),)] = self._echelon.dim
+                    self._add_free_columns()
+                cols = [pos[(sign * u,)] + t for u in range(lo + j, lo + j + width - 1) for t in range(k)]
+                last, state = state, lattices.hnf(self.rows_on(cols) + moduli, len(cols))
+                if state == last:
+                    self.limit = (counts[j] // counts[j - 1], j - 1)
+                    break
+                if width:
+                    self.extend([tuple(j if a == axis else 0 for a in range(len(sides)))])
+                counts.append(self.count)
+            size = math.prod(map(len, sides))
+            yield size, counts[n] if n < len(counts) else counts[-1] * self.limit[0] ** (n + 1 - len(counts))
 
     @property
     def count(self) -> int:
@@ -335,7 +413,10 @@ def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
     Subgroup) or a ProfiniteShiftAction on K^I (with U an OpenSubgroup),
     whose coordinates enter as translated supports first reach them.  On
     a box net the generators that act as the identity are pinned
-    (``_cotrajectory_mask``), so one element per live key meets the echelon.
+    (``_cotrajectory_mask``), so one element per live key meets the
+    echelon; when the one live generator shifts by +-1 over N or Z, the
+    translates of U are met one step at a time until the state repeats
+    (``_GrowingCotrajectory._orbit_counts``).
     """
     est = IntegralEstimate("h_top")
     indices = _GrowingCotrajectory(gamma, u).counts_along(net, prefix, _cotrajectory_mask(gamma))
@@ -365,6 +446,10 @@ class BridgeRow:
 class BridgeReport:
     rows: list
     exact_at_every_index: bool
+    # each side's certified (a, m), or None (``_GrowingTrajectory.limit``
+    # and ``_GrowingCotrajectory.limit``)
+    trajectory_limit: tuple | None = None
+    cotrajectory_limit: tuple | None = None
 
     @property
     def algebraic_tail(self):
@@ -406,20 +491,22 @@ def bridge_check(
     """Pair the subgroup seed with its annihilator and compare trajectory
     length against cotrajectory log-index at every net index, exactly.
     The budget bounds the monoid elements the trajectory visits; the
-    cotrajectory visits the same ones after it, or on a box net one per
-    key of the trajectory's live generators."""
+    cotrajectory charges none.  On a box net it meets one element per key
+    of the trajectory's live generators, or, when the one live generator
+    shifts by +-1 over N or Z, one translate of U per step until its state
+    repeats.  Each side keeps its own echelon and its own certificate: the
+    report carries both limits, and the cotrajectory never reads the
+    trajectory's."""
     gamma, u = _dual_pair(alpha, b)
     rows = []
     exact = True
     walk = _subgroup_accumulator(alpha, b, budget)
-    sides = zip(
-        walk.counts_along(net, prefix),
-        _GrowingCotrajectory(gamma, u).counts_along(net, prefix, walk._mask),
-    )
+    cot = _GrowingCotrajectory(gamma, u)
+    sides = zip(walk.counts_along(net, prefix), cot.counts_along(net, prefix, walk._mask))
     for i, ((size, order), (_, index)) in enumerate(sides, start=1):
         exact = exact and order == index
         rows.append(BridgeRow(i, size, ell_of_order(order), ell_of_order(index)))
-    return BridgeReport(rows, exact)
+    return BridgeReport(rows, exact, walk.limit, cot.limit)
 
 
 def subgroup_lattice(group: FiniteProduct):

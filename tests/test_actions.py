@@ -1344,6 +1344,33 @@ def test_entropy_runs_keep_the_certified_limit(name, limit):
         assert math.log(limit[0]) == pytest.approx(2.484907, abs=1e-6)
 
 
+@pytest.mark.parametrize("name, a, want", [
+    ("fibonacci-shift", 12, (0, "")),
+    ("fibonacci-shift", 13, (1, "check failed: the trajectory certified step ratio 12, expected 13")),
+    ("restricted-shift-doubles", 9, (1, "check failed: the trajectory has no certified step ratio")),
+    ("bridge-bernoulli", 2, (0, "")),
+])
+def test_limit_check_reads_the_certified_step_ratio(tmp_path, name, a, want):
+    """{"type": "limit", "a": a} passes when the run certified step ratio
+    a (on a bridge, both sides did), and otherwise names the side that
+    found another ratio or none; a shift by 2 has no certificate."""
+    sc = FIBONACCI_SCENARIO if name == "fibonacci-shift" else cli.BUILTINS[name]
+    sc = dict(sc, name=name, prefix=16, checks=[{"type": "limit", "a": a}])
+    source = tmp_path / f"{name}.json"
+    source.write_text(json.dumps(sc))
+    code, message = cli.run_scenario(str(source), tmp_path)
+    assert (code, message if code else "") == want
+
+
+def test_limit_check_names_the_bridge_side_without_a_certificate():
+    """A bridge passes only when both sides certified a."""
+    _, context = cli._run_bridge(cli.BUILTINS["bridge-bernoulli"], 8, 10**7)
+    cli.run_checks([{"type": "limit", "a": 2}], context)
+    context["limits"]["cotrajectory"] = None
+    with pytest.raises(cli.CheckFailure, match="^the cotrajectory has no certified step ratio$"):
+        cli.run_checks([{"type": "limit", "a": 2}], context)
+
+
 # --- identity generators share one image set, against the full walk ----------------
 
 class FullWalkTrajectory(_GrowingTrajectory):
@@ -1566,9 +1593,10 @@ def test_budget_stops_where_the_full_walk_stops(tmp_path):
 
 
 def test_bridge_on_an_action_through_a_quotient_stays_exact(tmp_path, monkeypatch):
-    """The trajectory walks the shift's orbit until its state repeats (one
-    insert), and the cotrajectory is still extended with one element per
-    live key; their orders still agree at every index."""
+    """Each side walks the shift's orbit until its own state repeats: the
+    trajectory makes one insert, and the cotrajectory is extended with the
+    one element (0, 0), as U has a single index; their orders still agree
+    at every index."""
     sc = dict(cli.BUILTINS["quotient-vanishing"], kind="bridge", prefix=8,
               checks=[{"type": "exact_rows"}])
     sc.pop("demonstrates")
@@ -1582,7 +1610,7 @@ def test_bridge_on_an_action_through_a_quotient_stays_exact(tmp_path, monkeypatc
     assert code == 0, message
     [engine] = engines
     assert inserts_into(engine, echelons) == 1 and engine.limit == (2, 0)
-    assert sorted(extended) == [(0, k) for k in range(-8, 9)]
+    assert extended == [(0, 0)]
     rows = (tmp_path / "bridge-through-quotient.csv").read_text().splitlines()[1:]
     assert len(rows) == 8 and all(row.endswith(",0.0") for row in rows)
 

@@ -1047,8 +1047,26 @@ def test_bridge_bernoulli_makes_one_kernel_and_no_intersection_per_new_element(m
         monkeypatch.setattr(lattices, name, counted)
     alpha, b, net = cli._action_parts(cli.BUILTINS["bridge-bernoulli"])
     assert bridge_check(alpha, b, net, 40).exact_at_every_index
-    # one kernel per element of F_40; the annihilator is solved without one
-    assert calls == {"kernel": len(net.subset(40)), "intersect": 0}
+    # U has one index, so the cotrajectory's state repeats after the meet
+    # with the translate by 0: one kernel in all, where the walk of every
+    # element of F_40 made 40; the annihilator is solved without one
+    assert calls == {"kernel": 1, "intersect": 0}
+
+
+def test_bridge_bernoulli_makes_as_many_kernels_at_prefix_1280_as_at_40(monkeypatch):
+    """A count of work, not of time: once its state repeats the
+    cotrajectory meets no more translates, however long the prefix."""
+    calls = []
+    kernel = lattices.kernel
+    monkeypatch.setattr(lattices, "kernel", lambda *args: calls.append(1) or kernel(*args))
+    alpha, b, net = cli._action_parts(cli.BUILTINS["bridge-bernoulli"])
+    made = []
+    for prefix in (40, 1280):
+        calls.clear()
+        report = bridge_check(alpha, b, net, prefix)
+        assert report.exact_at_every_index and len(report.rows) == prefix
+        made.append(len(calls))
+    assert made == [1, 1]
 
 
 def _box_bridges():
@@ -1119,8 +1137,10 @@ def test_live_cotrajectory_matches_the_full_walk(alpha, b, net, prefix):
 @pytest.mark.parametrize("alpha, b, net, prefix", list(_identity_generator_bridges()))
 def test_h_top_estimate_feeds_one_element_per_live_key(monkeypatch, alpha, b, net, prefix):
     """The ratio table pins the dual's identity generators as the bridge
-    does: its indices are those of the walk fed every element, and the
-    cotrajectory is fed one element per live key of F_prefix."""
+    does: its indices are those of the walk fed every element.  On a
+    finite product the cotrajectory is fed one element per live key of
+    F_prefix; on K^Z, with one live shift by +1 and U on one index, it is
+    fed only the translate by 0, after which its state repeats."""
     gamma, u = _dual_pair(alpha, b)
     want = list(_counts_along(_GrowingCotrajectory(gamma, u), net, prefix))
     mask = _subgroup_accumulator(alpha, b)._mask
@@ -1129,8 +1149,11 @@ def test_h_top_estimate_feeds_one_element_per_live_key(monkeypatch, alpha, b, ne
                         lambda self, added: fed.extend(added) or extend(self, added))
     est = h_top_estimate(gamma, u, net, prefix)
     assert [(row.size, row.value) for row in est.rows] == [(size, math.log(index)) for size, index in want]
-    keys = {tuple(a * on for a, on in zip(s, mask)) for s in net.monoid.window(prefix).elements}
-    assert sorted(fed) == sorted(keys)
+    if isinstance(gamma, ProfiniteShiftAction):
+        assert fed == [(0, 0)]
+    else:
+        keys = {tuple(a * on for a, on in zip(s, mask)) for s in net.monoid.window(prefix).elements}
+        assert sorted(fed) == sorted(keys)
 
 
 def test_live_masks_of_dual_actions():
@@ -1158,3 +1181,145 @@ def test_quotient_vanishing_as_a_bridge_keeps_its_csv(tmp_path, prefix, digest):
     source.write_text(json.dumps(sc))
     assert cli.run_scenario(str(source), tmp_path)[0] == 0
     assert hashlib.sha256((tmp_path / "qv-bridge.csv").read_bytes()).hexdigest() == digest
+
+
+# --- the certified orbit of one live shift on the cotrajectory side ----------------
+
+ORBIT_MODULI = (2, 3, 4, 6, 8, 9)
+
+
+def cotrajectory_orbit_case(rng):
+    """(alpha, B, prefix): a pure shift by +-1 on K^(N) or K^(Z), K of one
+    or two factors, over N or Z, perhaps beside a generator that acts as
+    the identity; B has one or two generators, each nonzero at both ends
+    of 1-4 indices and perhaps not between them, so U = B-perp has
+    support widths 1-4, some with gaps."""
+    base = FiniteProduct(tuple(rng.choice(ORBIT_MODULI) for _ in range(rng.randint(1, 2))))
+    index = rng.choice((N1, Z1))
+    over = Z1 if index is Z1 and rng.random() < 0.5 else N1
+    group = DirectSum(base, index)
+    phi = shift_endo(group, (rng.choice((1, -1)) if index is Z1 else 1,))
+    extra = rng.choice((None, None, N1, FiniteAbelianMonoid((2,))))
+    if extra is None:
+        alpha = Action(over, group, [phi])
+    elif rng.random() < 0.5:
+        alpha = Action(ProductMonoid((over, extra)), group, [phi, identity_endo(group)])
+    else:
+        alpha = Action(ProductMonoid((extra, over)), group, [identity_endo(group), phi])
+    width = rng.randint(1, 4)
+    start = rng.randint(0, 3) if index is N1 else rng.randint(-3, 3)
+
+    def nonzero():
+        while not any(v := tuple(rng.randrange(m) for m in base.factors)):
+            pass
+        return v
+
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        offsets = [t for t in range(width) if t in (0, width - 1) or rng.random() < 0.5]
+        gens.append(group.element({(start + t,): nonzero() for t in offsets}))
+    return alpha, Subgroup.generated(group, gens), rng.randint(1, 14)
+
+
+def test_cotrajectory_orbit_route_matches_the_full_walk_on_a_random_family():
+    """Every case takes the orbit route and has the indices of the
+    cotrajectory fed every element of every F_i.  The two sides' states
+    are dual (P_j is the annihilator of the trajectory's tail R_j), so
+    wherever both certify, their limits agree."""
+    rng = random.Random("cotrajectory-orbit-route")
+    limits, widths, gaps = [], set(), 0
+    for n in range(300):
+        alpha, b, prefix = cotrajectory_orbit_case(rng)
+        net = box_net(alpha.monoid)
+        gamma, u = _dual_pair(alpha, b)
+        walk = _subgroup_accumulator(alpha, b)
+        engine = _GrowingCotrajectory(gamma, u)
+        assert engine._shift_orbit(walk._mask) is not None, n
+        got = list(engine.counts_along(net, prefix, walk._mask))
+        assert got == list(_counts_along(_GrowingCotrajectory(gamma, u), net, prefix)), n
+        assert [order for _, order in walk.counts_along(net, prefix)] == [index for _, index in got], n
+        if engine.limit is not None and walk.limit is not None:
+            assert engine.limit == walk.limit, n
+        limits.append(engine.limit)
+        places = [t for (t,) in u.support]
+        widths.add(max(places) - min(places) + 1)
+        gaps += len(places) < max(places) - min(places) + 1
+    certified = [limit for limit in limits if limit is not None]
+    assert widths == {1, 2, 3, 4} and gaps > 20
+    assert 50 < len(certified) < len(limits)
+    assert {m for _, m in certified} > {0, 1}
+
+
+def test_cotrajectory_orbit_state_is_the_projection():
+    """B = <e_2, e_0 + e_1> on (Z/2)^(N), so U asks chi_0 = chi_1 and
+    chi_2 = 0.  The projection of C_j onto the two indices from j on is
+    Z/2 x 0 at j = 1 and 0 x 0 from j = 2 on: the state repeats at m = 2,
+    and a = 2.  The part of C_j that vanishes before index j is 0 x 0 x
+    Z/2 at j = 1 and at j = 2 already, so a state keyed by that
+    intersection would repeat at m = 1 and read a = [C_1 : C_2] = 4."""
+    group = DirectSum(FiniteProduct((2,)), N1)
+    alpha = Action(N1, group, [shift_endo(group, (1,))])
+    b = Subgroup.generated(group, [group.element({(2,): (1,)}), group.element({(0,): (1,), (1,): (1,)})])
+    gamma, u = _dual_pair(alpha, b)
+    engine = _GrowingCotrajectory(gamma, u)
+    got = list(engine.counts_along(box_net(N1), 6, (1,)))
+    assert got == list(_counts_along(_GrowingCotrajectory(gamma, u), box_net(N1), 6))
+    assert [index for _, index in got] == [4, 16, 32, 64, 128, 256]
+    assert engine.limit == (2, 2)
+
+
+def test_cotrajectory_orbit_route_leaves_the_other_duals_to_the_shell_walk():
+    """A shift by 2, two live shifts, a 2-D index, a monoid coordinate Z
+    over a one-sided index, a shift by -1 over N and a finite product
+    keep the live-shell walk."""
+    line = DirectSum(FiniteProduct((2,)), N1)
+    two_sided = DirectSum(FiniteProduct((2,)), Z1)
+    plane = DirectSum(FiniteProduct((3,)), FreeAbelian(2))
+    cases = [
+        (ProfiniteShiftAction(line, N1, [(2,)]), (1,)),
+        (ProfiniteShiftAction(two_sided, FreeCommutative(2), [(1,), (-1,)]), (1, 1)),
+        (ProfiniteShiftAction(plane, Z1, [(1, 0)]), (1,)),
+        (ProfiniteShiftAction(line, Z1, [(1,)]), (1,)),
+        (ProfiniteShiftAction(line, N1, [(-1,)]), (1,)),
+    ]
+    for gamma, live in cases:
+        u = OpenSubgroup(gamma.space, (gamma.space.index.identity,), ((1,),))
+        assert _GrowingCotrajectory(gamma, u)._shift_orbit(live) is None
+    g = FiniteProduct((4, 6))
+    gamma = Action(N1, g, [MatrixEndo(g, ((1, 2), (3, 1)))])
+    assert _GrowingCotrajectory(gamma, Subgroup.generated(g, [(2, 3)]))._shift_orbit((1,)) is None
+
+
+@pytest.mark.parametrize("index, prefix", [(N1, 6), (Z1, 5)])
+def test_an_empty_support_keeps_index_one(index, prefix):
+    """B = {0}: U = K^I constrains no index, so [K : C_F] = 1 at every net
+    index, on the orbit route, on the walk fed every element, and through
+    bridge_check and h_top_estimate."""
+    group = DirectSum(FiniteProduct((2, 3)), index)
+    alpha = Action(index, group, [shift_endo(group, (1,))])
+    b = Subgroup.trivial(group)
+    net = box_net(index)
+    gamma, u = _dual_pair(alpha, b)
+    assert u.support == ()
+    engine = _GrowingCotrajectory(gamma, u)
+    assert [count for _, count in engine.counts_along(net, prefix, (1,))] == [1] * prefix
+    assert engine.limit == (1, 0)
+    full = _counts_along(_GrowingCotrajectory(gamma, u), net, prefix)
+    assert [count for _, count in full] == [1] * prefix
+    report = bridge_check(alpha, b, net, prefix)
+    assert report.exact_at_every_index
+    assert [row.log_index for row in report.rows] == [0.0] * prefix
+    assert report.trajectory_limit == report.cotrajectory_limit == (1, 0)
+    assert [row.value for row in h_top_estimate(gamma, u, net, prefix).rows] == [0.0] * prefix
+
+
+@pytest.mark.parametrize("name", ["bridge-bernoulli", "quotient-vanishing"])
+def test_bridge_runs_keep_both_limits(name):
+    """Each side certifies its own (a, m), and a bridge run puts both in
+    its context next to the report."""
+    sc = dict(cli.BUILTINS[name], kind="bridge")
+    text, context = cli._run_bridge(sc, 16, 10**7)
+    report = context["report"]
+    assert report.exact_at_every_index and text == report.to_csv()
+    assert (report.trajectory_limit, report.cotrajectory_limit) == ((2, 0), (2, 0))
+    assert context["limits"] == {"trajectory": (2, 0), "cotrajectory": (2, 0)}

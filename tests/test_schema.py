@@ -34,7 +34,7 @@ SCHEMA_ERRORS = {
     "check-value-string.json":
         "schema error: checks[0].value must be a number, got '0.69'",
     "check-wrong-kind.json":
-        "schema error: checks[0].type must be one of ['counts_power', 'every_ratio', 'tail', 'tail_below'], got 'exact_product'",
+        "schema error: checks[0].type must be one of ['counts_power', 'every_ratio', 'limit', 'tail', 'tail_below'], got 'exact_product'",
     "constant-without-a.json":
         "schema error: function.a is required",
     "dim-not-integer.json":
@@ -57,6 +57,8 @@ SCHEMA_ERRORS = {
         "schema error: group.index is required",
     "integral-prefix-one.json":
         "schema error: prefix must be an integer >= 2, got 1",
+    "limit-a-zero.json":
+        "schema error: checks[1].a must be an integer >= 1, got 0",
     "monoid-without-dim.json":
         "schema error: monoid.dim is required",
     "seed-rng-removed.json":
@@ -226,7 +228,7 @@ def test_mutation_sweep_messages_are_pinned():
     errors = sum(not line.endswith("\tvalid") for line in lines)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), errors, digest) == (
-        3219, 2957, "69537109aa88bab51a3b8f7295c32041d2d06760c0e2346d7469f28229e6db80"
+        3219, 2957, "68477685a0d6b3d574c299c4241fe352bb54d32652b8f93edc6bdd3f61acea62"
     )
 
 
