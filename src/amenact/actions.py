@@ -11,9 +11,10 @@ which is what keeps the box-scale checks of the addition and vanishing
 laws cheap.  On a box net where one shift by +-1 on K^(N) or K^(Z) is the
 only generator that does not act as the identity, the basis follows the
 seed's one-sided orbit until its state (the tail of the trajectory and
-the seed's images, both moved back) repeats; from there every count is
-the last one times a power of a certified step ratio a, while the budget
-still counts every element of every box.
+the seed's images, both moved back) repeats, or, when the shift's base
+map is an automorphism, until the tail's order stops growing; from there
+every count is the one before times a certified step ratio a, while the
+budget still counts every element of every box.
 """
 
 from __future__ import annotations
@@ -716,8 +717,11 @@ class _GrowingTrajectory:
     K^(N) or K^(Z), it walks the seed's one-sided orbit instead, with the
     state of step j keyed by the Hermite form of the tail of T_j and the
     seed images, both moved back j places, and inserts nothing once a
-    state repeats (``_orbit_counts``, which sets ``limit``).  Either way
-    the budget counts every element of every shell.
+    state repeats; when the shift's base map is the identity or an
+    automorphism of K, it stops at the first step whose tail has the
+    order of the one before, which is the same step (``_orbit_counts``,
+    which sets ``limit``).  Either way the budget counts every element of
+    every shell.
     """
 
     def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
@@ -808,16 +812,34 @@ class _GrowingTrajectory:
         |T_[-i,i]| = |T_[0,2i]| as alpha(-i) is an automorphism.  Index t
         gets its columns in the order of sign * t, so the rows from column
         j k (k the base's rank) span the tail R_j of T_j, its part on the
-        indices that B_j reaches and later ones.  The state (R_j, B_j),
-        read as the Hermite form of those rows and the seed images, both
-        moved back j places, fixes a_j = |T_{j+1}| / |T_j| = |B_j| / |B_j
-        meet R_j| and the state after it.  So once a state met at step m
-        comes again, the a_j repeat from m on; each divides the one before
-        (Dikranjan, Goldsmith, Salce and Zanardo, Trans. AMS 361, 2009), so
-        they all equal a = a_m, ``limit`` becomes (a, m), and every later
-        count is the last one times a power of a, with no more echelon
-        work.  The budget is charged shell by shell as ``shell_counts``
-        charges it; ``count`` and ``contains`` read the last T_j walked."""
+        indices that B_j reaches and later ones, moved back j places.  The
+        state (R_j, B'_j), B'_j the seed images moved back j places, fixes
+        a_j = |T_{j+1}| / |T_j| = |B_j| / |B_j meet R_j| and the state after
+        it.  So once the state met at step m comes again, the a_j repeat
+        from m on; each divides the one before (Dikranjan, Goldsmith, Salce
+        and Zanardo, Trans. AMS 361, 2009), so they all equal a = a_m,
+        ``limit`` becomes (a, m), and every later count is the one before
+        times a, with no more echelon work.
+
+        When phi's base map psi is the identity or an automorphism of K
+        (``_base_is_automorphism``), m is the first step j with |R_{j+1}| =
+        |R_j|, read off the pivots (``ModularEchelon.order(j k)``).  With
+        Psi = psi on every coordinate and G(X) = X meet K^[1,oo) moved back
+        one place, R_{j+1} = G(R_j + B'_j) and B'_j = Psi^j(B'_0).  Psi is
+        an automorphism, so it keeps meets and commutes with G, and S_j =
+        Psi^{-j}(R_j) follows S_{j+1} = Psi^{-1}(G(S_j + B'_0)): a monotone
+        map from S_0 = 0, so the S_j grow until their first fixed point f,
+        and as |S_j| = |R_j|, f is the first step where the tail's order
+        stops growing.  From f on the state is Psi^{j-f} of the state at f,
+        so a_j = a_f; before f the orders grow strictly, so no earlier state
+        comes again, and f is the m that the repeat rule below finds.  The
+        S_j form a chain of subgroups of K^(w-1), w the width of the seed's
+        support, so the walk takes at most one step per link of the
+        longest such chain, plus one.  Any other base keys step j by the
+        Hermite form of R_j and the images B'_j, and m is the first step
+        whose state comes again.  The budget is charged shell by shell as
+        ``shell_counts`` charges it; ``count`` and ``contains`` read the
+        last T_j walked."""
         self.reset()
         self.limit = None
         factors = self.alpha.group.base.factors
@@ -827,8 +849,9 @@ class _GrowingTrajectory:
         lo = min(places, default=0)
         width = max(places, default=0) - lo + 1
         echelon, pos = self._echelon, self._pos
-        counts = [1]  # |T_j| for every step j walked
-        states = {}  # state key -> the first step it was met at
+        counts = [1]  # |T_j| for every step j walked or certified
+        tails = [] if _base_is_automorphism(phi) else None  # |R_j| for every step j walked
+        states = {}  # state key -> the first step it was met at, on any other base
         before = 0
         for i in range(1, prefix + 1):
             sides = net.monoid.sides(i)
@@ -836,25 +859,29 @@ class _GrowingTrajectory:
             self._charge_shell(net, i, size - before)
             before = size
             n = len(sides[axis])
-            while self.limit is None and len(counts) <= n:
+            while len(counts) <= n:
+                if self.limit is not None:
+                    counts.append(counts[-1] * self.limit[0])
+                    continue
                 j = len(counts) - 1
                 while len(pos) < width + j:  # the indices up to the ones B_j reaches
                     pos[(sign * (lo + len(pos)),)] = echelon.dim
                     echelon.add_columns(factors)
-                moved = tuple(frozenset((sign * t - j, v) for (t,), v in x) for x in images)
-                first = states.setdefault((tuple(map(tuple, echelon.basis(j * k))), moved), j)
+                if tails is not None:
+                    tails.append(echelon.order(j * k))
+                    first = j - 1 if j and tails[j] == tails[j - 1] else j
+                else:
+                    moved = tuple(frozenset((sign * t - j, v) for (t,), v in x) for x in images)
+                    first = states.setdefault((tuple(map(tuple, echelon.basis(j * k))), moved), j)
                 if first < j:
                     self.limit = (counts[first + 1] // counts[first], first)
-                    break
+                    continue
                 for x in images:
                     if x:
                         echelon._insert(self._flat(x))
                 counts.append(echelon.order())
                 images = [phi.apply(x) for x in images]
-            if n < len(counts):
-                yield size, counts[n]
-            else:
-                yield size, counts[-1] * self.limit[0] ** (n + 1 - len(counts))
+            yield size, counts[n]
 
     def _charge_shell(self, net: FolnerNet, i: int, n: int):
         """``_charge`` the n elements of shell i of a box net, naming index i
@@ -947,6 +974,12 @@ class _GrowingTrajectory:
         return flat is not None and self._echelon.contains(flat)
 
 
+def _base_is_automorphism(phi: ShiftEndo) -> bool:
+    """Whether the base map of the shift phi is the identity or an
+    automorphism of K."""
+    return phi.base is None or phi.base.is_automorphism()
+
+
 def _live_mask(alpha: Action) -> tuple:
     """1 for each generator of alpha that does not act as the identity, 0
     for each that does."""
@@ -1031,9 +1064,10 @@ def h_alg_estimate(
     Both are fed ``net.increments``, except a subgroup seed on a box net
     (``_GrowingTrajectory.counts_along``): it walks the live shells, or,
     for one live shift by +-1 on K^(N) or K^(Z), the seed's one-sided
-    orbit until its state repeats, and then keeps (a, m) as ``limit``: from
-    one-sided step m on each step multiplies the count by a, so h = log a
-    per step.  On a nested net |F_i| is the running sum of its shell
+    orbit until its state repeats (on a base map that is an automorphism,
+    until the order of the trajectory's tail stops growing), and then
+    keeps (a, m) as ``limit``: from one-sided step m on each step
+    multiplies the count by a, so h = log a per step.  On a nested net |F_i| is the running sum of its shell
     sizes, and the budget counts every element of every shell.
     """
     if prefix < 1:

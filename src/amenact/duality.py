@@ -358,8 +358,8 @@ class _GrowingCotrajectory:
         x K) meet U)).  That map is monotone and P_0 is the whole group, so
         the P_j decrease, and the first repeat P_{m+1} = P_m fixes every
         later state: ``limit`` becomes (a, m), a = [C_m : C_{m+1}], and every
-        later count is the last one times a power of a, with no more
-        echelon work.  An empty support (U = K^I) keeps index 1."""
+        later count is the one before times a, with no more echelon work.
+        An empty support (U = K^I) keeps index 1."""
         self.reset()
         self.limit = None
         k = len(self.factors)
@@ -368,11 +368,14 @@ class _GrowingCotrajectory:
         width = max(places, default=lo - 1) - lo + 1  # 0 for an empty support
         moduli = _moduli_rows(self.factors * max(width - 1, 0))
         pos, state = self.pos, None
-        counts = [1]  # [K : C_j] for every step j met
+        counts = [1]  # [K : C_j] for every step j met or certified
         for i in range(1, prefix + 1):
             sides = net.monoid.sides(i)
             n = len(sides[axis])
-            while self.limit is None and len(counts) <= n:
+            while len(counts) <= n:
+                if self.limit is not None:
+                    counts.append(counts[-1] * self.limit[0])
+                    continue
                 j = len(counts) - 1
                 while len(pos) < width + j:  # the indices up to the ones step j reaches
                     pos[(sign * (lo + len(pos)),)] = self._echelon.dim
@@ -381,12 +384,12 @@ class _GrowingCotrajectory:
                 last, state = state, lattices.hnf(self.rows_on(cols) + moduli, len(cols))
                 if state == last:
                     self.limit = (counts[j] // counts[j - 1], j - 1)
-                    break
+                    continue
                 if width:
                     self.extend([tuple(j if a == axis else 0 for a in range(len(sides)))])
                 counts.append(self.count)
             size = math.prod(map(len, sides))
-            yield size, counts[n] if n < len(counts) else counts[-1] * self.limit[0] ** (n + 1 - len(counts))
+            yield size, counts[n]
 
     @property
     def count(self) -> int:

@@ -317,8 +317,16 @@ class ModularEchelon:
             self._reduce(v, j, x // row[j], row)
         return True
 
-    def order(self) -> int:
-        return self._order
+    def order(self, start: int = 0) -> int:
+        """[L : M]; from ``start`` on, the order of L meet the vectors that
+        are zero before column ``start``, the lattice ``basis(start)``
+        reads: the product of m_j / p_j over the rows j >= start."""
+        if not start:
+            return self._order
+        out = 1
+        for j in range(start, self.dim):
+            out *= self.moduli[j] // self.rows[j][j]
+        return out
 
     def basis(self, start: int = 0) -> list[list[int]]:
         """The Hermite normal form of the rows' lattice, L unless a

@@ -1258,10 +1258,13 @@ FIBONACCI_SCENARIO = {
 
 
 # the echelon inserts of the trajectory and its certified (a, m): each
-# step of the seed's one-sided orbit inserts one image per seed generator,
-# and fibonacci-shift's state first repeats at step 25 (Z/6's Fibonacci
-# numbers have period 24), quotient-vanishing's at step 1
-WORK = {"quotient-vanishing": (1, (2, 0)), "fibonacci-shift": (2 * 25, (12, 1))}
+# step of the seed's one-sided orbit inserts one image per seed generator.
+# Both bases are automorphisms, so the walk stops at the first step whose
+# tail order equals the one before: fibonacci-shift's tail grows at step 1
+# and stops at step 2, though its state first repeats only at step 25
+# (Z/6's Fibonacci numbers have period 24); quotient-vanishing's tail
+# stays {0} at step 1
+WORK = {"quotient-vanishing": (1, (2, 0)), "fibonacci-shift": (2 * 2, (12, 1))}
 
 
 def count_inserts(monkeypatch):
@@ -1286,10 +1289,10 @@ def inserts_into(engine, echelons):
 @pytest.mark.parametrize("name, prefix", [("quotient-vanishing", 24), ("fibonacci-shift", 40)])
 def test_trajectory_work_counts(monkeypatch, tmp_path, name, prefix):
     """A count of work, not of time: the trajectory walks the seed's
-    one-sided orbit until its state repeats, taking images with the shift
-    alone, and inserts nothing after that; alpha(s) is built for no s,
-    every element of F_prefix still counts as visited, and no F_i is
-    built."""
+    one-sided orbit until its tail order stops growing, taking images
+    with the shift alone, and inserts nothing after that; alpha(s) is
+    built for no s, every element of F_prefix still counts as visited,
+    and no F_i is built."""
     inserts, limit = WORK[name]
     source = name
     if name == "fibonacci-shift":
@@ -1679,6 +1682,79 @@ def test_orbit_route_matches_the_shell_walk_on_a_random_family():
     certified = [limit for limit in limits if limit is not None]
     assert 50 < len(certified) < len(limits)
     assert {a for a, _ in certified} > {1, 2}
+
+
+def orbit_run(monkeypatch, alpha, seed, prefix, repeat=False):
+    """(counts, limit, trajectory inserts) of the orbit walk to ``prefix``;
+    with ``repeat``, every base takes the repeat rule, as a base that is
+    not an automorphism does."""
+    with monkeypatch.context() as patch:
+        echelons = count_inserts(patch)
+        if repeat:
+            patch.setattr("amenact.actions._base_is_automorphism", lambda phi: False)
+        engine = _GrowingTrajectory(alpha, seed)
+        counts = [count for _, count in engine.counts_along(box_net(alpha.monoid), prefix)]
+    return counts, engine.limit, inserts_into(engine, echelons)
+
+
+def chain_length(n):
+    """The length of the longest subgroup chain of a group of order n:
+    its prime factors, counted with multiplicity."""
+    out, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n, out = n // p, out + 1
+        p += 1
+    return out
+
+
+def test_tail_rule_matches_the_repeat_rule_on_the_random_family(monkeypatch):
+    """On an automorphism base the walk stops at the first step whose
+    tail order equals the one before; the repeat rule walks on until the
+    state comes again.  They yield the same counts, at the case's prefix
+    and at 60, and the same (a, m) wherever the repeat rule certifies,
+    which it does on every case by 60, cases with a non-identity base and
+    m > 0 among them.  The tail rule walks at most one step per link of
+    the longest subgroup chain of K^(w-1), plus one, w the width of the
+    seed's support."""
+    automorphisms, moved = 0, 0
+    for n, (alpha, seed, prefix) in enumerate(orbit_cases()):
+        _, phi, _ = _GrowingTrajectory(alpha, seed)._shift_orbit()
+        if phi.base is not None and not phi.base.is_automorphism():
+            continue
+        for p in (prefix, 60):
+            counts, limit, inserts = orbit_run(monkeypatch, alpha, seed, p)
+            want, repeat_limit, _ = orbit_run(monkeypatch, alpha, seed, p, repeat=True)
+            assert counts == want, (n, p)
+            assert repeat_limit in (None, limit), (n, p)
+        assert limit is not None and repeat_limit == limit, n
+        automorphisms += 1
+        moved += phi.base is not None and limit[1] > 0
+        places = [t for x in seed.gens for (t,), _ in x]
+        width = max(places, default=0) - min(places, default=0) + 1
+        steps = chain_length(alpha.group.base.order) * (width - 1) + 1
+        assert inserts <= steps * len(seed.gens), n
+    assert automorphisms > 150 and moved > 25, (automorphisms, moved)
+
+
+def test_tail_rule_stops_a_base_of_large_order_at_once(monkeypatch):
+    """x -> 2x on (Z/101)^(N), whose period is 100, with the seed <e_0 +
+    5 e_1>: the tail of T_1 is {0}, as the one before, so one insert
+    certifies (101, 0) at any prefix.  The repeat rule waits for the
+    images to come again: 100 inserts by prefix 200, and no certificate
+    at prefix 50.  In general the tail rule walks at most one step per
+    link of the longest subgroup chain of K^(w-1), plus one, here 2."""
+    base = FiniteProduct((101,))
+    group = DirectSum(base, N1)
+    alpha = Action(N1, group, [shift_endo(group, (1,), MatrixEndo(base, ((2,),)))])
+    seed = Subgroup.generated(group, [group.element({(0,): (1,), (1,): (5,)})])
+    for repeat, prefix, inserts, limit in [
+        (False, 50, 1, (101, 0)), (False, 200, 1, (101, 0)),
+        (True, 50, 50, None), (True, 200, 100, (101, 0)),
+    ]:
+        counts, *work = orbit_run(monkeypatch, alpha, seed, prefix, repeat)
+        assert counts == [101 ** i for i in range(1, prefix + 1)]
+        assert work == [limit, inserts], (repeat, prefix)
 
 
 def two_part_orbit(rows, gens, index=N1):
