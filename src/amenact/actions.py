@@ -2,8 +2,10 @@
 
 An action is defined by one endomorphism per canonical monoid generator;
 group families additionally require the generators to be automorphisms.
-Trajectory growth is computed exactly: for finite seed sets as one sumset
-along the net (on Z, runs of bits at least 2^12 zero bits apart while they
+Trajectory growth is computed exactly: for a finite seed set on Z under
+one map x -> a x of N, |a| >= 2, along the box net by carry states, which
+count the sumset without building it; for other finite seed sets as one
+sumset along the net (on Z, runs of bits at least 2^12 zero bits apart while they
 hold at most 64 bits per pair and, when there are several, 64 points per
 run on average; tuples otherwise), and for subgroup seeds through one
 modular echelon basis that grows along the net (exact big-integer orders),
@@ -160,12 +162,18 @@ class MatrixEndo(Endomorphism):
         return lattices.hnf(self.rows, k) == [list(_unit(k, j)) for j in range(k)]
 
     def is_automorphism(self):
-        if isinstance(self.group, FreeZ):
-            return self.determinant_unit()
-        image = Subgroup.generated(
-            self.group, [self.apply(_unit(len(self.group.factors), j)) for j in range(len(self.group.factors))]
-        )
-        return image.order() == self.group.order
+        """Whether M is invertible on its group, worked out once per
+        instance: the matrix is frozen, so the answer is kept beside it."""
+        known = self.__dict__.get("_automorphism")
+        if known is None:
+            if isinstance(self.group, FreeZ):
+                known = self.determinant_unit()
+            else:
+                k = len(self.group.factors)
+                image = Subgroup.generated(self.group, [self.apply(_unit(k, j)) for j in range(k)])
+                known = image.order() == self.group.order
+            self.__dict__["_automorphism"] = known
+        return known
 
     def inverse(self):
         if isinstance(self.group, FreeZ):
@@ -635,6 +643,126 @@ def _merge_pieces(pieces):
     return start, bits, bits.bit_count()
 
 
+def _carry_scalar(alpha: Action, seed: FiniteSubset, net: FolnerNet):
+    """The scalar a of the one generator x -> a x when ``_CarryTrajectory``
+    counts the trajectories of the set seed along the net: a nonempty seed
+    on Z, an action of N^1 whose generator is a 1x1 matrix with |a| >= 2,
+    and a box net; else None."""
+    if not (alpha.group == FreeZ(1) and seed.group == alpha.group and seed.elements
+            and alpha.monoid.coordinates == ("N",) and _is_box_net(net)):
+        return None
+    phi = alpha._generator_step(0, 1)
+    if isinstance(phi, MatrixEndo) and abs(phi.rows[0][0]) >= 2:
+        return phi.rows[0][0]
+    return None
+
+
+class _CarryTrajectory:
+    """|T_[0,n)(D)| for a set seed D on Z under x -> a x, |a| >= 2, without
+    the sumset: the carry states of radix representations (Frougny, Math.
+    Systems Theory 25, 1992).
+
+    T_[0,n)(D) is V_n, where V_0 = {0} and V_n = D + a V_{n-1}.  For a
+    finite K in Z, the sums d + k (d in D, k in K) that are r mod |a|
+    give the points r + a (V_{n-1} + K_r) of V_n + K, where K_r =
+    {(d + k - r) / a : d + k = r mod |a|}, so |V_n + K| is the sum over the
+    residues met of |V_{n-1} + K_r|.  A state is such a K moved to min K =
+    0, as a sorted tuple: a translate has the same counts.  The residues are
+    read off the sums met, so a large |a| costs no more than a small one.
+    States are expanded one depth at a time and each state's successors
+    (state -> how many residues lead to it) are kept; with w_n(K) the
+    number of paths of n steps from {0} to K, |V_n| = sum of w_n(K) |K|.
+    Every state met at depth n has w_n >= 1, so the states there hold at
+    most |V_n| points.  Each distinct sum d + k of a state of weight w adds
+    w to the next count, so expanding a state stops as soon as its sums
+    would take that count past the budget, which still counts elements:
+    no depth meets more distinct sums than the budget.
+    """
+
+    def __init__(self, a: int, seed: FiniteSubset, budget):
+        self.a = a
+        self.digits = sorted(x for (x,) in seed.elements)
+        self.budget = budget
+        # (a, m) once the counts are certified to grow by a per step from m on
+        self.limit = None
+        self._next = {}  # state -> ((successor, residues leading to it), ...)
+
+    def _successors(self, state, allowance):
+        """((successor, residues leading to it), ...) for the state, kept
+        once made; None, and nothing kept, when the state meets more than
+        ``allowance`` distinct sums d + k."""
+        out = self._next.get(state)
+        if out is not None:
+            return out
+        a, modulus, buckets = self.a, abs(self.a), {}
+        met = set()
+        for k in state:
+            for d in self.digits:
+                s = d + k
+                if s not in met:
+                    if len(met) == allowance:
+                        return None
+                    met.add(s)
+                    r = s % modulus
+                    buckets.setdefault(r, []).append((s - r) // a)
+        tally = {}
+        for carries in buckets.values():
+            low = min(carries)
+            key = tuple(sorted(c - low for c in carries))
+            tally[key] = tally.get(key, 0) + 1
+        out = self._next[state] = tuple(tally.items())
+        return out
+
+    def counts_along(self, net: FolnerNet, prefix: int):
+        """Yield (|F_i|, |T_{F_i}(D)|) for i = 1..prefix on the box net of
+        N, F_i = [0, i); the first count past the budget raises
+        ``BudgetExceededError`` naming s = i - 1, whose image took it
+        there, and index i.  After the last index ``limit`` is set when the
+        counts certify it (``_certified_limit``)."""
+        weights, counts = {(0,): 1}, [1]
+        for i in range(1, prefix + 1):
+            step, count = {}, 0
+            for state, w in weights.items():
+                out = self._successors(state, (self.budget - count) // w)
+                if out is None:
+                    count = self.budget + 1
+                else:
+                    for nxt, ways in out:
+                        step[nxt] = step.get(nxt, 0) + w * ways
+                        count += w * ways * len(nxt)
+                if count > self.budget:
+                    raise BudgetExceededError(
+                        f"trajectory exceeded {self.budget} elements", completed=(i - 1,), index=i
+                    )
+            weights = step
+            counts.append(count)
+            yield net.size(i), count
+        self.limit = self._certified_limit(counts)
+
+    def _certified_limit(self, counts):
+        """(a, m) when c_{n+1} = a c_n for every n >= m, else None.  Once
+        the states met are closed under successors, there are d of them and
+        c_n = e M^n v for a d x d matrix M, so the c_n follow the recurrence
+        of M's characteristic polynomial (Cayley-Hamilton), and so do the
+        u_n = c_{n+1} - a c_n.  So d steps c_m..c_{m+d} of integer ratio a
+        make u_n = 0 for every n >= m; m is the first step of the last run
+        of such steps.  The states first met at the last index are not
+        expanded, so they leave the states open; then d > last - m, as a
+        state first met at depth j follows one first met at depth j - 1,
+        and no certificate was due."""
+        known = self._next
+        if any(nxt not in known for out in known.values() for nxt, _ in out):
+            return None
+        last = len(counts) - 1
+        a, rest = divmod(counts[last], counts[last - 1])
+        if rest:
+            return None
+        m = last - 1
+        while m and counts[m] == a * counts[m - 1]:
+            m -= 1
+        return (a, m) if last - m >= len(known) else None
+
+
 def trajectory_function(
     alpha: Action, x: FiniteSubset, budget: int = DEFAULT_ELEMENT_BUDGET
 ) -> SetFunction:
@@ -1023,7 +1151,8 @@ class EntropyEstimate:
     seed_label: str
     net_label: str
     # (a, m): from one-sided step m on, each step of a certified shift
-    # orbit multiplies the count by a (``_GrowingTrajectory.limit``)
+    # orbit, or of a certified carry-state count, multiplies the count by a
+    # (``_GrowingTrajectory.limit``, ``_CarryTrajectory.limit``)
     limit: tuple | None = None
 
     @property
@@ -1055,20 +1184,32 @@ def h_alg_estimate(
     direct sum (a coordinatewise one needs a finite index); any other is
     refused before anything is counted.  Its trajectory grows one modular
     echelon basis (orders stay exact even when they are astronomically
-    large), and the budget bounds the monoid elements it visits; set seeds
-    grow one sumset along the net, and the budget bounds its size.  On Z the sumset is a sorted list of
+    large), and the budget bounds the monoid elements it visits.
+
+    A set seed on Z under an action of N^1 whose generator is x -> a x,
+    |a| >= 2 (a scalar or 1x1 matrix), along the box net [0, n), is counted
+    by carry states (``_CarryTrajectory``): a state is a finite K in Z
+    moved to min K = 0, |V_n + K| is the sum of |V_{n-1} + K_r| over the
+    residues r mod |a| that the sums d + k meet, and the counts are
+    exact integers, so the table is the one the sumset gives.  The budget
+    still bounds the count: the first index whose count passes it raises,
+    naming s = i - 1 and index i, as the sumset does.  Once the states met
+    are closed under successors (d of them) and the counts end in d steps
+    or more of one integer ratio a, ``limit`` is (a, m), m the first step
+    of that run.  Any other set seed grows one sumset along the net, and
+    the budget bounds its size.  On Z the sumset is a sorted list of
     runs of bits, at least 2^12 zero bits apart, each counted by popcount
     when it changes.  No tuple is made unless the runs would hold more than
     64 bits per pair x + y the tuple route would add, or several runs
     average fewer than 64 points each (see ``_IncrementalTrajectory``).
-    Both are fed ``net.increments``, except a subgroup seed on a box net
+    Sumsets and subgroup seeds are fed ``net.increments``, except a subgroup seed on a box net
     (``_GrowingTrajectory.counts_along``): it walks the live shells, or,
     for one live shift by +-1 on K^(N) or K^(Z), the seed's one-sided
     orbit until its state repeats (on a base map that is an automorphism,
     until the order of the trajectory's tail stops growing), and then
     keeps (a, m) as ``limit``: from one-sided step m on each step
     multiplies the count by a, so h = log a per step.  On a nested net |F_i| is the running sum of its shell
-    sizes, and the budget counts every element of every shell.
+    sizes, and a subgroup seed's budget counts every element of every shell.
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
@@ -1078,7 +1219,12 @@ def h_alg_estimate(
         along = acc.counts_along(net, prefix)
         seed_label = "subgroup"
     elif isinstance(seed, FiniteSubset):
-        along = _counts_along(_IncrementalTrajectory(alpha, seed, budget), net, prefix)
+        a = _carry_scalar(alpha, seed, net)
+        if a is None:
+            along = _counts_along(_IncrementalTrajectory(alpha, seed, budget), net, prefix)
+        else:
+            acc = _CarryTrajectory(a, seed, budget)
+            along = acc.counts_along(net, prefix)
         seed_label = f"set({len(seed)})"
     else:
         raise GroupMismatchError("seed must be a FiniteSubset or a Subgroup")

@@ -529,6 +529,166 @@ def test_dense_sums_keep_one_run_and_the_shift_loop(tmp_path, monkeypatch):
     assert len(held) > 700 and set(held) == {1}
 
 
+# --- carry states for one-scalar set seeds on Z ------------------------------
+
+CARRY_SCALARS = [2, -2, 3, -3, 4, 5, 6, 10**12]
+CARRY_BUDGET = 10**5  # keeps the tuple oracle of a = 10^12 small
+
+
+def carry_family():
+    """(a, seed points, prefix): for each scalar, 12 seeds of 1-5 points of
+    [-12, 12], each with a prefix of 1-9."""
+    rng = random.Random(34)
+    for a in CARRY_SCALARS:
+        for _ in range(12):
+            points = rng.sample(range(-12, 13), rng.randint(1, 5))
+            yield a, sorted(points), rng.randint(1, 9)
+
+
+def oracle_counts(alpha, x, prefix, budget):
+    """The counts of the sumset route, and the element and index of its
+    budget error, or None."""
+    counts = []
+    try:
+        for _, count in _counts_along(_IncrementalTrajectory(alpha, x, budget), box_net(N1), prefix):
+            counts.append(count)
+    except BudgetExceededError as err:
+        return counts, (err.completed, err.index)
+    return counts, None
+
+
+def carry_counts(alpha, x, prefix, budget):
+    est, stop = None, None
+    try:
+        est = h_alg_estimate(alpha, x, box_net(N1), prefix, budget)
+    except BudgetExceededError as err:
+        stop = (err.completed, err.index)
+    return est, stop
+
+
+@pytest.mark.parametrize("a", CARRY_SCALARS)
+def test_carry_counts_match_the_sumset_oracle(a):
+    """Carry-state counts equal the sumset's at every index, and both
+    routes stop at the same element and index under one budget."""
+    alpha = Action(N1, Z, [scalar_endo(Z, a)])
+    for b, points, prefix in carry_family():
+        if b != a:
+            continue
+        x = FiniteSubset.of(Z, [(p,) for p in points])
+        want, want_stop = oracle_counts(alpha, x, prefix, CARRY_BUDGET)
+        est, stop = carry_counts(alpha, x, prefix, CARRY_BUDGET)
+        assert stop == want_stop, (points, prefix)
+        if est is not None:
+            assert est.counts == want, (points, prefix)
+
+
+@pytest.mark.parametrize("a, points", [(4, [0, 1, 4, 5]), (-3, [-2, 0, 7]), (10**12, [0, 1])])
+def test_carry_budget_stops_where_the_sumset_does(a, points):
+    alpha = Action(N1, Z, [scalar_endo(Z, a)])
+    x = FiniteSubset.of(Z, [(p,) for p in points])
+    for budget in [0, 1, 2, 3, 4, 5, 11, 12, 13, 100, 972, 1000]:
+        want, want_stop = oracle_counts(alpha, x, 9, budget)
+        est, stop = carry_counts(alpha, x, 9, budget)
+        assert stop == want_stop, budget
+        if stop is None:
+            assert est.counts == want, budget
+
+
+def test_carry_counts_match_the_tuple_oracle_on_small_seeds():
+    rng = random.Random(3434)
+    for _ in range(40):
+        a = rng.choice([2, -2, 3, -3, 4, 5, 6])
+        alpha = Action(N1, Z, [scalar_endo(Z, a)])
+        x = FiniteSubset.of(Z, [(p,) for p in rng.sample(range(-12, 13), rng.randint(1, 4))])
+        oracle = TupleTrajectory(alpha, x)
+        want = [len(oracle.advance(interval(i))) for i in range(1, 7)]
+        assert h_alg_estimate(alpha, x, box_net(N1), 6).counts == want
+
+
+def test_carry_limit_holds_past_the_prefix_it_was_certified_at():
+    """Wherever the counts up to a prefix certify (q, m), the counts of a
+    longer prefix grow by q per step from m on."""
+    certified = 0
+    for a, points, prefix in carry_family():
+        if abs(a) > 6:
+            continue
+        alpha = Action(N1, Z, [scalar_endo(Z, a)])
+        x = FiniteSubset.of(Z, [(p,) for p in points])
+        limit = h_alg_estimate(alpha, x, box_net(N1), prefix).limit
+        if limit is None:
+            continue
+        certified += 1
+        q, m = limit
+        counts = [1] + h_alg_estimate(alpha, x, box_net(N1), prefix + 8, 10**40).counts
+        assert all(counts[n + 1] == q * counts[n] for n in range(m, prefix + 8)), (a, points)
+    assert certified > 20
+
+
+def test_carry_limit_waits_for_one_step_per_state():
+    # {0,1,4,5} under x -> 4x has two states, {0} and {0,1}: counts 1, 4,
+    # 12, 36, ... need c_1..c_3 in ratio 3 before (3, 1) is certified
+    alpha = Action(N1, Z, [scalar_endo(Z, 4)])
+    x = FiniteSubset.of(Z, [(0,), (1,), (4,), (5,)])
+    limits = [h_alg_estimate(alpha, x, box_net(N1), n).limit for n in (1, 2, 3, 12)]
+    assert limits == [None, None, (3, 1), (3, 1)]
+
+
+def test_carry_limit_needs_an_integer_ratio():
+    # {0, 1, 3} under x -> 2x: the counts 3, 8, 19, 42, 89, ... have
+    # c_{n+1} - 2 c_n = n + 1, so their ratio tends to 2 and never reaches it
+    alpha = Action(N1, Z, [scalar_endo(Z, 2)])
+    x = FiniteSubset.of(Z, [(0,), (1,), (3,)])
+    est = h_alg_estimate(alpha, x, box_net(N1), 12)
+    assert est.limit is None
+    assert est.counts == oracle_counts(alpha, x, 12, 10**7)[0]
+
+
+@pytest.mark.parametrize("name, limit", [("example-wide-seed", (3, 1)), ("example-doubling", (2, 0))])
+def test_set_seed_builtins_certify_their_step_ratio(name, limit, tmp_path):
+    sc = cli.BUILTINS[name]
+    alpha, seed, net = cli._action_parts(sc)
+    assert h_alg_estimate(alpha, seed, net, sc["prefix"]).limit == limit
+    source = tmp_path / f"{name}.json"
+    source.write_text(json.dumps(dict(sc, checks=[{"type": "limit", "a": limit[0]}])))
+    code, message = cli.run_scenario(str(source), tmp_path)
+    assert code == 0, message
+
+
+def test_carry_steps_with_a_huge_scalar_cost_what_small_ones_do():
+    # a = 10^12: every sum leaves its own residue, so {0} is the one state
+    alpha = Action(N1, Z, [scalar_endo(Z, 10**12)])
+    x = FiniteSubset.of(Z, [(-12,), (0,), (5,)])
+    est = h_alg_estimate(alpha, x, box_net(N1), 200, budget=10**200)
+    assert est.counts == [3**n for n in range(1, 201)] and est.limit == (3, 0)
+
+
+def record_sumset_routes(monkeypatch):
+    init, built = _IncrementalTrajectory.__init__, []
+    monkeypatch.setattr(_IncrementalTrajectory, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    return built
+
+
+@pytest.mark.parametrize("name", ["example-wide-seed", "example-doubling"])
+def test_one_scalar_builtins_take_the_carry_route(name, tmp_path, monkeypatch):
+    built = record_sumset_routes(monkeypatch)
+    code, message = cli.run_scenario(name, out_dir=tmp_path)
+    assert code == 0, message
+    assert built == []
+
+
+def test_other_set_seeds_keep_the_sumset_route(tmp_path, monkeypatch):
+    built = record_sumset_routes(monkeypatch)
+    code, message = cli.run_scenario("fubini-product", out_dir=tmp_path)
+    assert code == 0, message
+    assert built
+    x = FiniteSubset.of(Z, [(0,), (1,)])
+    for a, net in ((4, sliding_net(N1)), (1, box_net(N1)), (-1, box_net(N1))):
+        del built[:]
+        h_alg_estimate(Action(N1, Z, [scalar_endo(Z, a)]), x, net, 4)
+        assert len(built) == 1, a
+
+
 def test_subgroup_trajectory_shift_span():
     (alpha, group) = shift_action((2,), Z1)
     b = Subgroup.generated(group, [group.basis_vector((0,))])
@@ -1316,6 +1476,19 @@ def test_trajectory_work_counts(monkeypatch, tmp_path, name, prefix):
     assert not subsets
 
 
+def test_fibonacci_base_is_checked_for_invertibility_once(monkeypatch, tmp_path):
+    """The Action checks that the Fibonacci base is an automorphism, and the
+    orbit walk asks again: the matrix keeps its answer, so one Hermite form
+    of its image is made per run, where two were."""
+    hnf, calls = lattices.hnf, []
+    monkeypatch.setattr(lattices, "hnf", lambda *args: calls.append(args) or hnf(*args))
+    source = tmp_path / "fibonacci-shift.json"
+    source.write_text(json.dumps(FIBONACCI_SCENARIO))
+    code, message = cli.run_scenario(str(source), tmp_path, 40)
+    assert code == 0, message
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name, limit", [
     ("fibonacci-shift", (12, 1)),
     ("bernoulli-one-sided", (2, 0)),
@@ -1831,8 +2004,10 @@ def test_tuple_sums_stop_at_the_budget(tmp_path):
 def test_bitset_sums_stay_within_the_budget(tmp_path):
     """x -> 1024x on Z with the seed 64 {0..1023}: T_1 fills the budget of
     1024 points, and T_2 would span 2^26 bits, 64 per pair x + y of 1024 x
-    1024.  Past the budget those pairs do not count, so the sum unpacks to
-    tuples and stops within one translate of the budget."""
+    1024.  The carry route stops expanding the state {0..63} once its sums
+    pass the budget; the sumset route, below, does not count the pairs
+    past the budget, so the sum unpacks to tuples and stops within one
+    translate of the budget."""
     import tracemalloc
 
     scenario = {
@@ -1855,3 +2030,20 @@ def test_bitset_sums_stay_within_the_budget(tmp_path):
         3, "budget exceeded: trajectory exceeded 1024 elements (ran out at (1,), net index 2)"
     )
     assert peak < 4 * 2**20  # T_2 as a bitset peaks at 26 MB
+
+
+def test_bitset_sums_off_the_box_net_stay_within_the_budget():
+    import tracemalloc
+
+    alpha = Action(N1, Z, [scalar_endo(Z, 1024)])
+    x = FiniteSubset.of(Z, [(64 * k,) for k in range(1024)])
+    net = translate_net(box_net(N1), ms(N1, [(0,)]))  # the boxes, but not as a box net
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            h_alg_estimate(alpha, x, net, 4, budget=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.completed, err.value.index) == ((1,), 2)
+    assert peak < 4 * 2**20

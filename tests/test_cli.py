@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -160,6 +163,33 @@ def test_budget_message_names_the_element_that_ran_out(tmp_path):
         "budget exceeded: trajectory exceeded 1000 elements (ran out at (6,), net index 7)"
     )
     assert not (tmp_path / "example-wide-seed.csv").exists()
+
+
+# x -> 4x on {0, 1} at prefix 24: the count 2^24 passes the default
+# budget at s = 23, where the sumset held 2^23 points over a span of 4^23
+# bits and unpacked them into tuples (a MemoryError under 1 GB)
+BIG_DOUBLING = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from amenact.cli import run_scenario
+start = time.perf_counter()
+code, message = run_scenario("example-doubling", None, 24)
+print(message)
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def test_one_scalar_set_seed_runs_out_of_budget_in_bounded_memory():
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BIG_DOUBLING], capture_output=True, text=True,
+                          timeout=20, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 3, proc.stderr
+    message, seconds = proc.stdout.splitlines()
+    assert message == (
+        "budget exceeded: trajectory exceeded 10000000 elements (ran out at (23,), net index 24)"
+    )
+    assert float(seconds) < 1.0
 
 
 def test_subgroup_seeds_honour_the_budget(tmp_path, capsys):
