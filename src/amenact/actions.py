@@ -819,67 +819,60 @@ def _on_base(phi, b: Subgroup):
     return (identity_endo(b.base.group) if phi.base is None else phi.base), b.base
 
 
-class _GrowingTrajectory:
-    """T_F(alpha, B) for a finitely generated seed B of a FiniteProduct or
-    DirectSum, as one growing ``lattices.ModularEchelon``.
+class _EchelonWalk:
+    """What both sides of the bridge share: one growing
+    ``lattices.ModularEchelon`` fed a net's shells, each side with its own
+    join or meet (``_walk``) and its own ``count``.  Its columns are one
+    block of ``factors`` (the base K = prod Z/factors) on a finite product,
+    and on a direct sum (``indexed``) one block per index of K^(I), which
+    an index gets when it is first touched (``_column``), so earlier rows
+    stay valid.
 
-    ``extend(added)`` inserts the images alpha(s)(g) of the seed generators
-    g for each s in ``added`` (a net shell).  A generator that acts as the
-    identity drops out: alpha(s) depends only on the exponents of the other
-    (live) generators, so every s with the same live exponents shares one
-    image set, and each such key is walked once per ``reset()``.  A shell
-    walks only its keys not walked before, by increasing l1 norm.  The
-    acting monoid is commutative, so alpha(s)(g) = phi_j^{+-1}(alpha(s -+
-    e_j)(g)): a key takes its images from a neighbour key in the previous
-    or the current shell with one generator step (``Action._neighbour``, as
-    ``Action.endo`` does), and only a key with no such neighbour builds
-    alpha(s).  On box nets only the identity builds one.  An image already
-    met in either shell is not inserted again.  On a DirectSum each index
-    gets its block of columns when an image first touches it, so earlier
-    echelon rows stay valid.  Every element of every shell counts against
-    ``budget``, whether or not its key is new, restarts included; the
-    element that passes it is the one a walk of the whole shell by
-    increasing l1 norm reaches.  ``counts_along`` feeds a net to it.  On a
-    box net it builds one element per new key, not the whole shell
-    (``shell_counts``).  When the one live generator is a shift by +-1 on
-    K^(N) or K^(Z), it walks the seed's one-sided orbit instead, with the
-    state of step j keyed by the Hermite form of the tail of T_j and the
-    seed images, both moved back j places, and inserts nothing once a
-    state repeats; when the shift's base map is the identity or an
-    automorphism of K, it stops at the first step whose tail has the
-    order of the one before, which is the same step (``_orbit_counts``,
-    which sets ``limit``).  Either way the budget counts every element of
-    every shell.
+    ``extend(added)`` charges every element of ``added`` against
+    ``budget`` and walks one element per new key: a generator that acts
+    as the identity drops out (``_live_mask``), so elements with the same
+    live exponents act alike, and each key is walked once per ``reset()``.
+    ``counts_along`` feeds a net to it: a box net shell by shell with the
+    identity generators pinned (``shell_counts``), or, for one live shift
+    by +-1 on a direct sum over N or Z, along the shift's one-sided orbit
+    (``_orbit_counts``, which sets ``limit``); any other net through
+    ``folner._counts_along``.  Every route charges every element of every
+    shell, restarts included, and the element that passes the budget is
+    the one a walk of the whole shell by increasing l1 norm reaches.
     """
 
-    def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
-        self.alpha = alpha
-        self.seed = seed
+    def __init__(self, action, factors, indexed, budget):
+        self.action = action
+        self.factors = factors
+        self.indexed = indexed
         self.budget = budget
         self.visited = 0
-        # (a, m) once _orbit_counts has certified that |T_{j+1}| = a |T_j|
-        # for every one-sided step j >= m
+        # (a, m) once _orbit_counts has certified that each one-sided step
+        # j >= m multiplies the count by a
         self.limit = None
         # _mask zeroes the exponents of identity generators; with any, _key
         # reads the live exponents of s
-        self._mask = _live_mask(alpha)
-        self._live = [j for j, on in enumerate(self._mask) if on]
+        self._mask = _live_mask(action)
+        live = [j for j, on in enumerate(self._mask) if on]
         self._key = None
-        if len(self._live) < len(self._mask):
-            self._key = itemgetter(*self._live) if self._live else lambda e: ()
+        if len(live) < len(self._mask):
+            self._key = itemgetter(*live) if live else lambda e: ()
         self.reset()
 
     def reset(self):
-        group = self.alpha.group
-        if isinstance(group, DirectSum):
-            self._echelon = lattices.ModularEchelon()
-            self._pos = {}
-        else:
-            self._echelon = lattices.ModularEchelon(group.factors)
-        self._images = {}  # masked exponents -> seed images, new in the current shell
-        self._before = {}  # the same for the previous shell that had new keys
-        self._seen, self._seen_before = set(), set()  # images met in those shells
+        self._echelon = lattices.ModularEchelon()
+        self._pos = {}  # index -> the first column of its block
         self._walked = set()  # the _key values walked since the reset
+        if not self.indexed:
+            self._add_block()
+
+    def _column(self, i):
+        """The first column of index i's block, added on first touch."""
+        c = self._pos.get(i)
+        if c is None:
+            c = self._pos[i] = self._echelon.dim
+            self._add_block()
+        return c
 
     def counts_along(self, net: FolnerNet, prefix: int):
         """``_counts_along(self, net, prefix)``.  On a box net, one live
@@ -903,8 +896,7 @@ class _GrowingTrajectory:
         of F_{i-1} comes again.  The budget still counts the whole shell,
         |F_i| - |F_{i-1}| from the windows' sides; with an identity
         generator the shell is built only to name the element where the
-        budget runs out.  ``count`` and ``contains`` read T_{F_i} after
-        index i."""
+        budget runs out."""
         before = 0
         for i, size, shell in _live_shells(net, self._mask, prefix):
             self._charge_shell(net, i, size - before)
@@ -913,41 +905,144 @@ class _GrowingTrajectory:
             yield size, self.count
 
     def _shift_orbit(self):
-        """(axis, phi, sign) when generator ``axis`` alone is live, phi is a
-        ShiftEndo by sign = +1, or -1 over a Z index, on a direct sum over
-        a one-dimensional index N or Z, and coordinate ``axis`` of the
-        acting monoid is N, or Z with phi an automorphism; else None."""
-        group, coordinates = self.alpha.group, self.alpha.monoid.coordinates
-        if len(self._live) != 1 or not isinstance(group, DirectSum):
+        """(axis, phi) when generator ``axis`` alone is live, its map phi is
+        a ShiftEndo by +1, or by -1 over a Z index, on a direct sum over a
+        one-dimensional index N or Z, and coordinate ``axis`` of the acting
+        monoid is N or phi is an automorphism; else None."""
+        if sum(self._mask) != 1:
             return None
-        axis = self._live[0]
-        phi = self.alpha._generator_step(axis, 1)
-        index = group.index
-        if not isinstance(phi, ShiftEndo) or index.coordinates not in (("N",), ("Z",)):
+        axis = self._mask.index(1)
+        phi = self.action._generator_step(axis, 1)
+        if not isinstance(phi, ShiftEndo) or phi.group.index.coordinates not in (("N",), ("Z",)):
             return None
-        if phi.shift != (1,) and not (phi.shift == (-1,) and index.is_group):
+        if phi.shift != (1,) and not (phi.shift == (-1,) and phi.group.index.is_group):
             return None
-        # an Action of a group has checked that phi is an automorphism
-        if coordinates[axis] == "N" or self.alpha.monoid.is_group or phi.is_automorphism():
-            return axis, phi, phi.shift[0]
+        if self.action.monoid.coordinates[axis] == "N" or phi.is_automorphism():
+            return axis, phi
         return None
 
-    def _orbit_counts(self, net: FolnerNet, prefix: int, axis, phi, sign):
-        """``shell_counts`` for one live shift phi by ``sign`` on K^(N) or
-        K^(Z), through the one-sided orbit of the seed: T_j is spanned by
-        B_t = phi^t(B) for t < j, and net index i holds T_j for j the length
-        of side ``axis`` of F_i: i steps on N, and 2i + 1 on Z, where
-        |T_[-i,i]| = |T_[0,2i]| as alpha(-i) is an automorphism.  Index t
-        gets its columns in the order of sign * t, so the rows from column
-        j k (k the base's rank) span the tail R_j of T_j, its part on the
-        indices that B_j reaches and later ones, moved back j places.  The
-        state (R_j, B'_j), B'_j the seed images moved back j places, fixes
-        a_j = |T_{j+1}| / |T_j| = |B_j| / |B_j meet R_j| and the state after
-        it.  So once the state met at step m comes again, the a_j repeat
-        from m on; each divides the one before (Dikranjan, Goldsmith, Salce
-        and Zanardo, Trans. AMS 361, 2009), so they all equal a = a_m,
-        ``limit`` becomes (a, m), and every later count is the one before
-        times a, with no more echelon work.
+    def _orbit_counts(self, net: FolnerNet, prefix: int, axis, phi):
+        """``shell_counts`` for one live shift phi by sign = +-1 on K^(N) or
+        K^(Z), through one monoid element j e_axis per step j.  Net index i
+        holds step j, the length of side ``axis`` of F_i: i steps on N, and
+        2i + 1 on Z, where the box [-i, i] counts as [0, 2i] since alpha(-i)
+        is an automorphism.  Index t gets its block in the order of sign * t,
+        from the first index of the ``support`` of step 0, so the blocks
+        from column j k (k = len(factors)) hold the indices that step j
+        reaches and the later ones.  The side's ``_stepper`` keys each step
+        by a finite state and walks the step when its state is new; once
+        the state of step j is that of step m < j, ``limit`` becomes (a, m),
+        a = count_{m+1} / count_m, and every later count is the one before
+        times a, with no more echelon work.  The budget is charged shell by
+        shell as ``shell_counts`` charges it."""
+        self.reset()
+        self.limit = None
+        places = [phi.shift[0] * t for (t,) in self.support]
+        lo = min(places, default=0)
+        width = max(places, default=lo - 1) - lo + 1  # 0 for an empty support
+        step = self._stepper(axis, phi, lo, width)
+        counts = [1]  # the count at every step walked or certified
+        before = 0
+        for i in range(1, prefix + 1):
+            sides = net.monoid.sides(i)
+            size = math.prod(map(len, sides))
+            self._charge_shell(net, i, size - before)
+            before = size
+            n = len(sides[axis])
+            while len(counts) <= n:
+                if self.limit is not None:
+                    counts.append(counts[-1] * self.limit[0])
+                    continue
+                j = len(counts) - 1
+                while len(self._pos) < width + j:  # the indices up to the ones step j reaches
+                    self._column((phi.shift[0] * (lo + len(self._pos)),))
+                first = step(j)
+                if first < j:
+                    self.limit = (counts[first + 1] // counts[first], first)
+                else:
+                    counts.append(self.count)
+            yield size, counts[n]
+
+    def _charge_shell(self, net: FolnerNet, i: int, n: int):
+        """``_charge`` the n elements of shell i of a box net, naming index i
+        in a budget error."""
+        if self.visited + n > self.budget:  # only then is the shell built
+            try:
+                self._charge(n, lambda: net.shell(i).elements)
+            except BudgetExceededError as err:
+                err.index = i
+                raise
+        self.visited += n
+
+    def _charge(self, n, shell):
+        """Count the n elements of the shell ``shell()`` as visited, or
+        raise naming the one that passes the budget."""
+        if self.visited + n > self.budget:
+            exponents = self.action.monoid.generator_exponents
+            order = sorted(shell(), key=lambda s: _l1_order(exponents(s)))
+            raise BudgetExceededError(
+                f"{self.name} visited more than {self.budget} monoid elements",
+                completed=order[self.budget - self.visited],
+            )
+        self.visited += n
+
+    def extend(self, added):
+        self._charge(len(added), lambda: added)
+        exponents = self.action.monoid.generator_exponents
+        if self._key is None:
+            fresh = {exponents(s): s for s in added}
+        else:
+            key, mask = self._key, self._mask
+            reps = {key(exponents(s)): s for s in added}
+            new = reps.keys() - self._walked
+            self._walked |= new
+            fresh = {tuple(map(mul, exponents(reps[k]), mask)): reps[k] for k in new}
+        self._walk(fresh)
+
+
+class _GrowingTrajectory(_EchelonWalk):
+    """T_F(alpha, B) for a finitely generated seed B of a FiniteProduct or
+    DirectSum; ``count`` is |T_F|.  ``_walk`` joins the images alpha(s)(g)
+    of the seed generators g for each key, by increasing l1 norm.  The
+    acting monoid is commutative, so alpha(s)(g) = phi_j^{+-1}(alpha(s -+
+    e_j)(g)): a key takes its images from a neighbour key in the previous
+    or the current shell with one generator step (``Action._neighbour``,
+    as ``Action.endo`` does), and only a key with no such neighbour builds
+    alpha(s); on box nets only the identity builds one.  An image already
+    met in either shell is not inserted again.
+    """
+
+    name = "subgroup trajectory"  # the side a budget error names
+
+    def __init__(self, alpha: Action, seed: Subgroup, budget=DEFAULT_ELEMENT_BUDGET):
+        self.seed = seed
+        group = alpha.group
+        indexed = isinstance(group, DirectSum)
+        super().__init__(alpha, group.base.factors if indexed else group.factors, indexed, budget)
+
+    def reset(self):
+        super().reset()
+        self._images = {}  # masked exponents -> seed images, new in the current shell
+        self._before = {}  # the same for the previous shell that had new keys
+        self._seen, self._seen_before = set(), set()  # images met in those shells
+
+    def _add_block(self):
+        self._echelon.add_columns(self.factors)
+
+    @property
+    def support(self):
+        """The indices that the seed generators touch."""
+        return {i for x in self.seed.gens for i, _ in x}
+
+    def _stepper(self, axis, phi, lo, width):
+        """Step j of the seed's orbit: T_j is spanned by B_t = phi^t(B) for
+        t < j, so the rows from column j k span the tail R_j of T_j, its part
+        on the indices that B_j reaches and later ones, moved back j places.
+        The state (R_j, B'_j), B'_j the seed images moved back j places,
+        fixes a_j = |T_{j+1}| / |T_j| = |B_j| / |B_j meet R_j| and the state
+        after it.  So once the state met at step m comes again, the a_j
+        repeat from m on; each divides the one before (Dikranjan, Goldsmith,
+        Salce and Zanardo, Trans. AMS 361, 2009), so they all equal a_m.
 
         When phi's base map psi is the identity or an automorphism of K
         (``_base_is_automorphism``), m is the first step j with |R_{j+1}| =
@@ -965,85 +1060,30 @@ class _GrowingTrajectory:
         support, so the walk takes at most one step per link of the
         longest such chain, plus one.  Any other base keys step j by the
         Hermite form of R_j and the images B'_j, and m is the first step
-        whose state comes again.  The budget is charged shell by shell as
-        ``shell_counts`` charges it; ``count`` and ``contains`` read the
-        last T_j walked."""
-        self.reset()
-        self.limit = None
-        factors = self.alpha.group.base.factors
-        k = len(factors)
+        whose state comes again."""
+        sign, k, echelon = phi.shift[0], len(self.factors), self._echelon
         images = list(self.seed.gens)
-        places = [sign * t for x in images for (t,), _ in x]
-        lo = min(places, default=0)
-        width = max(places, default=0) - lo + 1
-        echelon, pos = self._echelon, self._pos
-        counts = [1]  # |T_j| for every step j walked or certified
         tails = [] if _base_is_automorphism(phi) else None  # |R_j| for every step j walked
         states = {}  # state key -> the first step it was met at, on any other base
-        before = 0
-        for i in range(1, prefix + 1):
-            sides = net.monoid.sides(i)
-            size = math.prod(map(len, sides))
-            self._charge_shell(net, i, size - before)
-            before = size
-            n = len(sides[axis])
-            while len(counts) <= n:
-                if self.limit is not None:
-                    counts.append(counts[-1] * self.limit[0])
-                    continue
-                j = len(counts) - 1
-                while len(pos) < width + j:  # the indices up to the ones B_j reaches
-                    pos[(sign * (lo + len(pos)),)] = echelon.dim
-                    echelon.add_columns(factors)
-                if tails is not None:
-                    tails.append(echelon.order(j * k))
-                    first = j - 1 if j and tails[j] == tails[j - 1] else j
-                else:
-                    moved = tuple(frozenset((sign * t - j, v) for (t,), v in x) for x in images)
-                    first = states.setdefault((tuple(map(tuple, echelon.basis(j * k))), moved), j)
+
+        def step(j):
+            nonlocal images
+            if tails is not None:
+                tails.append(echelon.order(j * k))
+                if j and tails[j] == tails[j - 1]:
+                    return j - 1
+            else:
+                moved = tuple(frozenset((sign * t - j, v) for (t,), v in x) for x in images)
+                first = states.setdefault((tuple(map(tuple, echelon.basis(j * k))), moved), j)
                 if first < j:
-                    self.limit = (counts[first + 1] // counts[first], first)
-                    continue
-                for x in images:
-                    if x:
-                        echelon._insert(self._flat(x))
-                counts.append(echelon.order())
-                images = [phi.apply(x) for x in images]
-            yield size, counts[n]
+                    return first
+            for x in images:
+                if x:
+                    echelon._insert(self._flat(x))
+            images = [phi.apply(x) for x in images]
+            return j
 
-    def _charge_shell(self, net: FolnerNet, i: int, n: int):
-        """``_charge`` the n elements of shell i of a box net, naming index i
-        in a budget error."""
-        try:
-            self._charge(n, lambda: net.shell(i).elements)
-        except BudgetExceededError as err:
-            err.index = i
-            raise
-
-    def _charge(self, n, shell):
-        """Count the n elements of the shell ``shell()`` as visited, or
-        raise naming the one that passes the budget."""
-        if self.visited + n > self.budget:
-            exponents = self.alpha.monoid.generator_exponents
-            order = sorted(shell(), key=lambda s: _l1_order(exponents(s)))
-            raise BudgetExceededError(
-                f"subgroup trajectory visited more than {self.budget} monoid elements",
-                completed=order[self.budget - self.visited],
-            )
-        self.visited += n
-
-    def extend(self, added):
-        self._charge(len(added), lambda: added)
-        exponents = self.alpha.monoid.generator_exponents
-        if self._key is None:
-            fresh = {exponents(s): s for s in added}
-        else:
-            key, mask = self._key, self._mask
-            reps = {key(exponents(s)): s for s in added}
-            new = reps.keys() - self._walked
-            self._walked |= new
-            fresh = {tuple(map(mul, exponents(reps[k]), mask)): reps[k] for k in new}
-        self._walk(fresh)
+        return step
 
     def _walk(self, fresh):
         """Insert the seed images of the keys in ``fresh`` (masked
@@ -1063,31 +1103,24 @@ class _GrowingTrajectory:
                         insert(self._flat(x, grow=True))
 
     def _seed_images(self, e, s):
-        found = self.alpha._neighbour(e, lambda n: self._images.get(n, self._before.get(n)))
+        found = self.action._neighbour(e, lambda n: self._images.get(n, self._before.get(n)))
         if found is not None:
             images, phi = found
             return [phi.apply(x) for x in images]
-        endo = self.alpha.endo(s)
+        endo = self.action.endo(s)
         return [endo.apply(g) for g in self.seed.gens]
 
     def _flat(self, x, grow=False):
         """Column -> coordinate of x reduced mod the column's modulus, zeros
         left out, or None when x leaves the columns (grow=False)."""
-        group = self.alpha.group
-        if not isinstance(group, DirectSum):
-            return {j: r for j, (a, m) in enumerate(zip(x, group.factors)) if (r := a % m)}
-        factors = group.base.factors
-        pos = self._pos
-        for i, _ in x:
-            if i not in pos:
-                if not grow:
-                    return None
-                pos[i] = self._echelon.dim
-                self._echelon.add_columns(factors)
+        if not self.indexed:
+            return {j: r for j, (a, m) in enumerate(zip(x, self.factors)) if (r := a % m)}
         flat = {}
         for i, v in x:
-            c = pos[i]
-            for a, m in zip(v, factors):
+            c = self._column(i) if grow else self._pos.get(i)
+            if c is None:
+                return None
+            for a, m in zip(v, self.factors):
                 if r := a % m:
                     flat[c] = r
                 c += 1
@@ -1108,11 +1141,12 @@ def _base_is_automorphism(phi: ShiftEndo) -> bool:
     return phi.base is None or phi.base.is_automorphism()
 
 
-def _live_mask(alpha: Action) -> tuple:
-    """1 for each generator of alpha that does not act as the identity, 0
-    for each that does."""
-    identity = identity_endo(alpha.group)
-    return tuple(int(alpha._generator_step(j, 1) != identity) for j in range(len(alpha.monoid.generators())))
+def _live_mask(action) -> tuple:
+    """1 for each generator of the action (an Action, or a
+    ProfiniteShiftAction) that does not act as the identity, 0 for each
+    that does."""
+    steps = (action._generator_step(j, 1) for j in range(len(action.monoid.coordinates)))
+    return tuple(int(phi != identity_endo(phi.group)) for phi in steps)
 
 
 def _l1_order(e):
@@ -1203,7 +1237,7 @@ def h_alg_estimate(
     64 bits per pair x + y the tuple route would add, or several runs
     average fewer than 64 points each (see ``_IncrementalTrajectory``).
     Sumsets and subgroup seeds are fed ``net.increments``, except a subgroup seed on a box net
-    (``_GrowingTrajectory.counts_along``): it walks the live shells, or,
+    (``_EchelonWalk.counts_along``): it walks the live shells, or,
     for one live shift by +-1 on K^(N) or K^(Z), the seed's one-sided
     orbit until its state repeats (on a base map that is an automorphism,
     until the order of the trajectory's tail stops growing), and then

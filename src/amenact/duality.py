@@ -28,7 +28,7 @@ from .actions import (
     Action,
     MatrixEndo,
     ShiftEndo,
-    _live_mask,
+    _EchelonWalk,
     _subgroup_accumulator,
     subgroup_trajectory,
 )
@@ -37,7 +37,7 @@ from .errors import (
     GroupMismatchError,
     UndecidableFamilyError,
 )
-from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet, _counts_along, _is_box_net, _live_shells
+from .folner import DEFAULT_ELEMENT_BUDGET, FolnerNet
 from .integral import IntegralEstimate, IntegralRow
 from .monoid import MSubset
 from .tables import csv_table
@@ -195,6 +195,11 @@ class ProfiniteShiftAction:
         op = self.space.index.op
         return tuple(sorted(op(i, move) for i in support))
 
+    def _generator_step(self, j, step):
+        """Generator j's shift of the direct sum, whose adjoint it is (as
+        ``Action._generator_step``, for step 1)."""
+        return ShiftEndo(self.space, self.shifts[j])
+
 
 def cotrajectory_window(
     gamma: ProfiniteShiftAction, f_set: MSubset, u: OpenSubgroup
@@ -204,192 +209,116 @@ def cotrajectory_window(
     acc = _GrowingCotrajectory(gamma, u)
     acc.extend(f_set.elements)
     k = len(acc.factors)
-    union = tuple(sorted(acc.pos))
-    cols = [acc.pos[i] + t for i in union for t in range(k)]
+    union = tuple(sorted(acc._pos))
+    cols = [acc._pos[i] + t for i in union for t in range(k)]
     rows = acc.rows_on(cols) + _moduli_rows(acc.factors * len(union))
     basis = lattices.hnf(rows, len(cols))
     return OpenSubgroup(gamma.space, union, tuple(tuple(r) for r in basis))
 
 
-class _GrowingCotrajectory:
-    """C_F(gamma, U) on one growing ``lattices.ModularEchelon``, fed net
-    shells through ``reset()``/``extend(added)``/``count`` as the
-    trajectory is, and never derived from it.  ``count`` = [K : C_F] is
-    the product of the pivots.  Each s in ``added`` meets the echelon with
-    gamma(s)^{-1}(U): the rows with a nonzero image on U's constraint
-    columns enter one kernel with U's rows, and the echelon is truncated
-    at the first of them and refilled with the other rows after it and
-    the kernel vectors.  ``gamma`` is an Action on a finite K (U a Subgroup) or a
-    ProfiniteShiftAction (U an OpenSubgroup), where an index gets a block
-    of free columns when a translated support first reaches it (``pos``
-    holds its first column).  ``counts_along`` feeds a net to it: on a box
-    net one element per live key of each shell, or, for one live shift by
-    +-1 over N or Z, one translate of U per step until the state of the
-    projection repeats (``_orbit_counts``, which sets ``limit``).  No
-    budget is charged.
+class _GrowingCotrajectory(_EchelonWalk):
+    """C_F(gamma, U), never derived from the trajectory; ``count`` = [K :
+    C_F] is the product of the pivots, and the echelon always holds the
+    modulus rows.  ``gamma`` is an Action on a finite K (U a Subgroup) or a
+    ProfiniteShiftAction (U an OpenSubgroup), where each index's block is
+    free columns.  ``_meet(s)`` meets the echelon with gamma(s)^{-1}(U):
+    the rows with a nonzero image on U's constraint columns enter one
+    kernel with U's rows, and the echelon is truncated at the first of
+    them and refilled with the other rows after it and the kernel vectors.
     """
 
-    def __init__(self, gamma, u):
-        self.gamma = gamma
-        self.profinite = isinstance(gamma, ProfiniteShiftAction)
-        if self.profinite:
-            self.factors = gamma.space.base.factors
+    name = "cotrajectory"
+
+    def __init__(self, gamma, u, budget=DEFAULT_ELEMENT_BUDGET):
+        indexed = isinstance(gamma, ProfiniteShiftAction)
+        if indexed:
+            factors = gamma.space.base.factors
             self.support = u.support
-            self.image_dim = len(u.support) * len(self.factors)
+            self.image_dim = len(u.support) * len(factors)
             self.target = [list(r) for r in u.rows]  # full rank: the moduli are inside
         elif isinstance(gamma.group, FiniteProduct):
-            self.factors = gamma.group.factors
+            factors = gamma.group.factors
             self.target = u._flat()[1]
-            self.image_dim = len(self.factors)
+            self.image_dim = len(factors)
         else:
             raise GroupMismatchError("use a ProfiniteShiftAction on the dual of a direct sum")
-        # (a, m) once _orbit_counts has certified that [C_j : C_{j+1}] = a
-        # for every one-sided step j >= m
-        self.limit = None
-        self.reset()
+        super().__init__(gamma, factors, indexed, budget)
 
     def reset(self):
-        self.pos = {}
-        self._echelon = lattices.ModularEchelon()
         self._full = 1  # the product of the moduli, so [K : C_F] = _full / order()
-        if not self.profinite:
-            self._add_free_columns()
+        super().reset()
 
-    def _add_free_columns(self):
+    def _add_block(self):
         d = self._echelon.dim
         self._echelon.add_columns(self.factors)
         for t, m in enumerate(self.factors):
             self._echelon.insert({d + t: 1})
             self._full *= m
 
-    def extend(self, added):
-        for s in sorted(added):
-            images = self._images(s)
-            if not images:
-                continue
-            rows = self._echelon.rows
-            moved = list(images)
-            # truncate and insert replace row dicts and never edit one, so these stay valid
-            refill = [rows[j] for j in range(moved[0], len(rows)) if j not in images]
-            for combo in _preimage([images[j] for j in moved], self.target, self.image_dim):
-                vec = {}
-                for a, j in zip(combo, moved):
-                    if a:
-                        for col, x in rows[j].items():
-                            vec[col] = vec.get(col, 0) + a * x
-                refill.append(vec)
-            self._echelon.truncate(moved[0])
-            for vec in refill:
-                self._echelon.insert(vec)
+    def _walk(self, fresh):
+        for s in sorted(fresh.values()):
+            self._meet(s)
+
+    def _meet(self, s):
+        images = self._images(s)
+        if not images:
+            return
+        rows = self._echelon.rows
+        moved = list(images)
+        # truncate and insert replace row dicts and never edit one, so these stay valid
+        refill = [rows[j] for j in range(moved[0], len(rows)) if j not in images]
+        for combo in _preimage([images[j] for j in moved], self.target, self.image_dim):
+            vec = {}
+            for a, j in zip(combo, moved):
+                if a:
+                    for col, x in rows[j].items():
+                        vec[col] = vec.get(col, 0) + a * x
+            refill.append(vec)
+        self._echelon.truncate(moved[0])
+        for vec in refill:
+            self._echelon.insert(vec)
 
     def _images(self, s):
         """Row number -> the nonzero image of that row on U's constraint
         columns; on K^I the indices s first reaches get their columns."""
-        rows = self._echelon.rows
-        if not self.profinite:
+        if not self.indexed:
             n = self.factors
-            images = ((j, self.gamma.apply(s, tuple(row.get(t, 0) % m for t, m in enumerate(n))))
-                      for j, row in enumerate(rows))
+            images = ((j, self.action.apply(s, tuple(row.get(t, 0) % m for t, m in enumerate(n))))
+                      for j, row in enumerate(self._echelon.rows))
         else:
-            moved = self.gamma.translate_support(self.support, s)
-            for i in moved:
-                if i not in self.pos:
-                    self.pos[i] = self._echelon.dim
-                    self._add_free_columns()
-            cols = [self.pos[i] + t for i in moved for t in range(len(self.factors))]
+            moved = self.action.translate_support(self.support, s)
+            cols = [c + t for c in map(self._column, moved) for t in range(len(self.factors))]
             moduli = self.factors * len(moved)
             # rows store no zeros: only a row with a key in the moved columns can move
             images = ((j, [row.get(c, 0) % m for c, m in zip(cols, moduli)])
-                      for j, row in enumerate(rows) if not row.keys().isdisjoint(cols))
+                      for j, row in enumerate(self._echelon.rows) if not row.keys().isdisjoint(cols))
         return {j: img for j, img in images if any(img)}
 
-    def counts_along(self, net: FolnerNet, prefix: int, live):
-        """``_counts_along(self, net, prefix)``.  On a box net, shell i is
-        fed as ``_live_shells`` gives it, pinning the coordinates where
-        ``live`` (the trajectory's mask) is 0: the dual of a generator that
-        acts as the identity is the identity, so gamma(s) depends only on
-        the live coordinates of s, and one element per new key meets the
-        echelon with every constraint of the shell.  When the one live
-        generator shifts K^I by +-1 over N or Z, the translates of U are
-        met one step at a time until the state repeats (``_orbit_counts``,
-        which sets ``limit``)."""
-        if not _is_box_net(net):
-            yield from _counts_along(self, net, prefix)
-            return
-        orbit = self._shift_orbit(live)
-        if orbit is not None:
-            yield from self._orbit_counts(net, prefix, *orbit)
-            return
-        for _, size, shell in _live_shells(net, live, prefix):
-            self.extend(shell)
-            yield size, self.count
-
-    def _shift_orbit(self, live):
-        """(axis, sign) when gamma is a ProfiniteShiftAction on K^I over a
-        one-dimensional index N or Z, generator ``axis`` alone is live by
-        the mask ``live``, its shift is sign = +1, or -1 over a Z index,
-        and coordinate ``axis`` of the monoid is N, or Z over a Z index;
-        else None."""
-        if not self.profinite or sum(live) != 1:
-            return None
-        axis = list(live).index(1)
-        index, shift = self.gamma.space.index, self.gamma.shifts[axis]
-        if index.coordinates not in (("N",), ("Z",)):
-            return None
-        if shift != (1,) and not (shift == (-1,) and index.is_group):
-            return None
-        coordinate = self.gamma.monoid.coordinates[axis]
-        if coordinate == "N" or (coordinate == "Z" and index.is_group):
-            return axis, shift[0]
-        return None
-
-    def _orbit_counts(self, net: FolnerNet, prefix: int, axis, sign):
-        """``counts_along`` for one live shift by ``sign`` on K^N or K^Z:
-        step j meets C_j, the meet of the translates of U by 0, .., j - 1,
-        with the translate by j, through the one monoid element j e_axis.
-        Net index i holds C_j for j the length of side ``axis`` of F_i: i
-        steps on N, and 2i + 1 on Z, where [K : C_[-i,i]] = [K : C_[0,2i]]
-        as K^Z is invariant under translation.  Index t gets its columns
-        in the order of sign * t.  With w the width of U's support, the
-        state P_j is the Hermite form of the projection of C_j onto the
-        w - 1 indices that the translates from j on reach, moved back j
-        places; C_j leaves the index after them free, so [C_j : C_{j+1}]
-        depends on P_j alone, and so does P_{j+1}, which is shift(pi((P_j
-        x K) meet U)).  That map is monotone and P_0 is the whole group, so
-        the P_j decrease, and the first repeat P_{m+1} = P_m fixes every
-        later state: ``limit`` becomes (a, m), a = [C_m : C_{m+1}], and every
-        later count is the one before times a, with no more echelon work.
-        An empty support (U = K^I) keeps index 1."""
-        self.reset()
-        self.limit = None
-        k = len(self.factors)
-        places = [sign * t for (t,) in self.support]
-        lo = min(places, default=0)
-        width = max(places, default=lo - 1) - lo + 1  # 0 for an empty support
+    def _stepper(self, axis, phi, lo, width):
+        """Step j meets C_j, the meet of the translates of U by 0, .., j - 1,
+        with the translate by j.  With w the width of U's support, the state
+        P_j is the Hermite form of the projection of C_j onto the w - 1
+        indices that the translates from j on reach, moved back j places;
+        C_j leaves the index after them free, so [C_j : C_{j+1}] depends on
+        P_j alone, and so does P_{j+1}, which is shift(pi((P_j x K) meet
+        U)).  That map is monotone and P_0 is the whole group, so the P_j
+        decrease, and the first repeat P_{m+1} = P_m fixes every later
+        state.  An empty support (U = K^I) keeps index 1."""
+        sign, k = phi.shift[0], len(self.factors)
         moduli = _moduli_rows(self.factors * max(width - 1, 0))
-        pos, state = self.pos, None
-        counts = [1]  # [K : C_j] for every step j met or certified
-        for i in range(1, prefix + 1):
-            sides = net.monoid.sides(i)
-            n = len(sides[axis])
-            while len(counts) <= n:
-                if self.limit is not None:
-                    counts.append(counts[-1] * self.limit[0])
-                    continue
-                j = len(counts) - 1
-                while len(pos) < width + j:  # the indices up to the ones step j reaches
-                    pos[(sign * (lo + len(pos)),)] = self._echelon.dim
-                    self._add_free_columns()
-                cols = [pos[(sign * u,)] + t for u in range(lo + j, lo + j + width - 1) for t in range(k)]
-                last, state = state, lattices.hnf(self.rows_on(cols) + moduli, len(cols))
-                if state == last:
-                    self.limit = (counts[j] // counts[j - 1], j - 1)
-                    continue
-                if width:
-                    self.extend([tuple(j if a == axis else 0 for a in range(len(sides)))])
-                counts.append(self.count)
-            size = math.prod(map(len, sides))
-            yield size, counts[n]
+        state = None
+
+        def step(j):
+            nonlocal state
+            cols = [self._pos[(sign * u,)] + t for u in range(lo + j, lo + j + width - 1) for t in range(k)]
+            last, state = state, lattices.hnf(self.rows_on(cols) + moduli, len(cols))
+            if state == last:
+                return j - 1
+            if width:
+                self._meet(tuple(j if a == axis else 0 for a in range(len(self._mask))))
+            return j
+
+        return step
 
     @property
     def count(self) -> int:
@@ -400,30 +329,16 @@ class _GrowingCotrajectory:
         return [tuple(row.get(c, 0) for c in cols) for row in self._echelon.rows]
 
 
-def _cotrajectory_mask(gamma) -> tuple:
-    """1 for each generator of gamma that does not act as the identity, 0
-    for each that does: a zero shift of a ProfiniteShiftAction, or a
-    generator endomorphism of an Action equal to the identity."""
-    if isinstance(gamma, ProfiniteShiftAction):
-        return tuple(int(any(shift)) for shift in gamma.shifts)
-    return _live_mask(gamma)
-
-
 def h_top_estimate(gamma, u, net: FolnerNet, prefix: int) -> IntegralEstimate:
-    """Ratio table log [K : C_{F_i}(gamma, U)] / |F_i|.
+    """Ratio table log [K : C_{F_i}(gamma, U)] / |F_i|, along the walk of
+    ``_GrowingCotrajectory.counts_along``.
 
     ``gamma`` is either an Action on a finite character group (with U a
     Subgroup) or a ProfiniteShiftAction on K^I (with U an OpenSubgroup),
-    whose coordinates enter as translated supports first reach them.  On
-    a box net the generators that act as the identity are pinned
-    (``_cotrajectory_mask``), so one element per live key meets the
-    echelon; when the one live generator shifts by +-1 over N or Z, the
-    translates of U are met one step at a time until the state repeats
-    (``_GrowingCotrajectory._orbit_counts``).
+    whose coordinates enter as translated supports first reach them.
     """
     est = IntegralEstimate("h_top")
-    indices = _GrowingCotrajectory(gamma, u).counts_along(net, prefix, _cotrajectory_mask(gamma))
-    for i, (size, index) in enumerate(indices, start=1):
+    for i, (size, index) in enumerate(_GrowingCotrajectory(gamma, u).counts_along(net, prefix), start=1):
         value = math.log(index)
         est.rows.append(IntegralRow(i, size, value, value / size))
     return est
@@ -493,19 +408,16 @@ def bridge_check(
 ) -> BridgeReport:
     """Pair the subgroup seed with its annihilator and compare trajectory
     length against cotrajectory log-index at every net index, exactly.
-    The budget bounds the monoid elements the trajectory visits; the
-    cotrajectory charges none.  On a box net it meets one element per key
-    of the trajectory's live generators, or, when the one live generator
-    shifts by +-1 over N or Z, one translate of U per step until its state
-    repeats.  Each side keeps its own echelon and its own certificate: the
-    report carries both limits, and the cotrajectory never reads the
-    trajectory's."""
+    Each side walks the net on its own echelon, derives its own live mask
+    and certifies its own limit, and the report carries both.  Both charge
+    the one budget the same amounts, and the trajectory is walked first,
+    so a budget error names the trajectory."""
     gamma, u = _dual_pair(alpha, b)
     rows = []
     exact = True
     walk = _subgroup_accumulator(alpha, b, budget)
-    cot = _GrowingCotrajectory(gamma, u)
-    sides = zip(walk.counts_along(net, prefix), cot.counts_along(net, prefix, walk._mask))
+    cot = _GrowingCotrajectory(gamma, u, budget)
+    sides = zip(walk.counts_along(net, prefix), cot.counts_along(net, prefix))
     for i, ((size, order), (_, index)) in enumerate(sides, start=1):
         exact = exact and order == index
         rows.append(BridgeRow(i, size, ell_of_order(order), ell_of_order(index)))

@@ -1558,7 +1558,7 @@ class FullWalkTrajectory(_GrowingTrajectory):
         self._before, self._images = self._images, {}
         self._seen_before, self._seen = self._seen, set()
         seen, seen_before = self._seen, self._seen_before
-        exponents = self.alpha.monoid.generator_exponents
+        exponents = self.action.monoid.generator_exponents
         steps = [(exponents(s), s) for s in added]
         steps.sort(key=lambda step: (sum(map(abs, step[0])), step[0]))
         for e, s in steps:
@@ -1770,23 +1770,22 @@ def test_budget_stops_where_the_full_walk_stops(tmp_path):
 
 def test_bridge_on_an_action_through_a_quotient_stays_exact(tmp_path, monkeypatch):
     """Each side walks the shift's orbit until its own state repeats: the
-    trajectory makes one insert, and the cotrajectory is extended with the
-    one element (0, 0), as U has a single index; their orders still agree
-    at every index."""
+    trajectory makes one insert, and the cotrajectory meets the one
+    element (0, 0), as U has a single index; their orders still agree at
+    every index."""
     sc = dict(cli.BUILTINS["quotient-vanishing"], kind="bridge", prefix=8,
               checks=[{"type": "exact_rows"}])
     sc.pop("demonstrates")
     source = tmp_path / "bridge-through-quotient.json"
     source.write_text(json.dumps(sc))
-    extend, extended = _GrowingCotrajectory.extend, []
+    meet, met = _GrowingCotrajectory._meet, []
     echelons, engines = count_inserts(monkeypatch), record_engines(monkeypatch)
-    monkeypatch.setattr(_GrowingCotrajectory, "extend",
-                        lambda self, added: extended.extend(added) or extend(self, added))
+    monkeypatch.setattr(_GrowingCotrajectory, "_meet", lambda self, s: met.append(s) or meet(self, s))
     code, message = cli.run_scenario(str(source), tmp_path)
     assert code == 0, message
     [engine] = engines
     assert inserts_into(engine, echelons) == 1 and engine.limit == (2, 0)
-    assert extended == [(0, 0)]
+    assert met == [(0, 0)]
     rows = (tmp_path / "bridge-through-quotient.csv").read_text().splitlines()[1:]
     assert len(rows) == 8 and all(row.endswith(",0.0") for row in rows)
 
@@ -1892,7 +1891,7 @@ def test_tail_rule_matches_the_repeat_rule_on_the_random_family(monkeypatch):
     seed's support."""
     automorphisms, moved = 0, 0
     for n, (alpha, seed, prefix) in enumerate(orbit_cases()):
-        _, phi, _ = _GrowingTrajectory(alpha, seed)._shift_orbit()
+        _, phi = _GrowingTrajectory(alpha, seed)._shift_orbit()
         if phi.base is not None and not phi.base.is_automorphism():
             continue
         for p in (prefix, 60):
@@ -1956,21 +1955,6 @@ def test_orbit_state_needs_both_the_tail_and_the_images(rows, gens, limit, count
     assert got == list(_counts_along(oracle, net, len(counts)))
     assert [count for _, count in got] == counts
     assert engine.limit == limit
-
-
-def test_orbit_route_leaves_the_other_box_net_actions_to_the_shell_walk():
-    """Several live generators, finite products, a shift by 2 and a 2-D
-    index keep the shell walk; so does a conjugated shift."""
-    sc, monoid, group, doubles = scenario_parts("restricted-shift-doubles")
-    plane = DirectSum(FiniteProduct((3,)), FreeAbelian(2))
-    z2 = FreeAbelian(2)
-    on_plane = Action(z2, plane, [shift_endo(plane, (1, 0)), shift_endo(plane, (0, 0))])
-    two_live = Action(FreeCommutative(2), group, [shift_endo(group, (1,)), shift_endo(group, (2,))])
-    _, _, _, vanishing = scenario_parts("quotient-vanishing")
-    conjugated = conjugate_action(vanishing, GroupIso.negation(vanishing.group), MonoidIso.negation(vanishing.monoid))
-    for alpha in (doubles, on_plane, two_live, finite_product_action()[0], conjugated):
-        engine = _GrowingTrajectory(alpha, Subgroup.trivial(alpha.group))
-        assert engine._shift_orbit() is None
 
 
 def test_tuple_sums_stop_at_the_budget(tmp_path):

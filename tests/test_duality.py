@@ -14,8 +14,13 @@ from amenact import cli, lattices
 from amenact.abelian import DirectSum, FiniteProduct, Subgroup
 from amenact.actions import (
     Action,
+    GroupIso,
     MatrixEndo,
+    MonoidIso,
+    _GrowingTrajectory,
+    _live_mask,
     _subgroup_accumulator,
+    conjugate_action,
     identity_endo,
     scalar_endo,
     shift_endo,
@@ -26,7 +31,6 @@ from amenact.duality import (
     ProfiniteShiftAction,
     _dual_pair,
     _GrowingCotrajectory,
-    _cotrajectory_mask,
     _subgroup_gens,
     annihilator,
     annihilator_window,
@@ -39,7 +43,7 @@ from amenact.duality import (
     random_endomorphism,
     subgroup_lattice,
 )
-from amenact.errors import GroupMismatchError, UndecidableFamilyError
+from amenact.errors import BudgetExceededError, GroupMismatchError, UndecidableFamilyError
 from amenact.folner import FolnerNet, _counts_along, box_net
 from amenact.monoid import (
     FiniteAbelianMonoid,
@@ -1122,15 +1126,27 @@ def _identity_generator_bridges():
     yield alpha, Subgroup.generated(g, [(1, 0)]), box_net(n2), 5
 
 
+class FullWalkCotrajectory(_GrowingCotrajectory):
+    """Oracle: the cotrajectory met with every element of every shell."""
+
+    def extend(self, added):
+        for s in sorted(added):
+            self._meet(s)
+
+
+def full_walk(gamma, u, net, prefix):
+    return list(_counts_along(FullWalkCotrajectory(gamma, u), net, prefix))
+
+
 @pytest.mark.parametrize("alpha, b, net, prefix", list(_identity_generator_bridges()))
 def test_live_cotrajectory_matches_the_full_walk(alpha, b, net, prefix):
-    """Fed one element per live key of each box shell, the cotrajectory
-    has the index of the one fed every element, at every net index."""
+    """Fed one element per live key of each box shell, by the mask it
+    derives from gamma, the cotrajectory has the index of the one fed
+    every element, at every net index."""
     gamma, u = _dual_pair(alpha, b)
-    mask = _subgroup_accumulator(alpha, b)._mask
-    assert 0 in mask
-    got = list(_GrowingCotrajectory(gamma, u).counts_along(net, prefix, mask))
-    assert got == list(_counts_along(_GrowingCotrajectory(gamma, u), net, prefix))
+    engine = _GrowingCotrajectory(gamma, u)
+    assert 0 in engine._mask
+    assert list(engine.counts_along(net, prefix)) == full_walk(gamma, u, net, prefix)
     assert bridge_check(alpha, b, net, prefix).exact_at_every_index
 
 
@@ -1138,15 +1154,14 @@ def test_live_cotrajectory_matches_the_full_walk(alpha, b, net, prefix):
 def test_h_top_estimate_feeds_one_element_per_live_key(monkeypatch, alpha, b, net, prefix):
     """The ratio table pins the dual's identity generators as the bridge
     does: its indices are those of the walk fed every element.  On a
-    finite product the cotrajectory is fed one element per live key of
-    F_prefix; on K^Z, with one live shift by +1 and U on one index, it is
-    fed only the translate by 0, after which its state repeats."""
+    finite product the cotrajectory meets one element per live key of
+    F_prefix; on K^Z, with one live shift by +1 and U on one index, it
+    meets only the translate by 0, after which its state repeats."""
     gamma, u = _dual_pair(alpha, b)
-    want = list(_counts_along(_GrowingCotrajectory(gamma, u), net, prefix))
-    mask = _subgroup_accumulator(alpha, b)._mask
-    extend, fed = _GrowingCotrajectory.extend, []
-    monkeypatch.setattr(_GrowingCotrajectory, "extend",
-                        lambda self, added: fed.extend(added) or extend(self, added))
+    want = full_walk(gamma, u, net, prefix)
+    mask = _live_mask(gamma)
+    meet, fed = _GrowingCotrajectory._meet, []
+    monkeypatch.setattr(_GrowingCotrajectory, "_meet", lambda self, s: fed.append(s) or meet(self, s))
     est = h_top_estimate(gamma, u, net, prefix)
     assert [(row.size, row.value) for row in est.rows] == [(size, math.log(index)) for size, index in want]
     if isinstance(gamma, ProfiniteShiftAction):
@@ -1160,11 +1175,11 @@ def test_live_masks_of_dual_actions():
     """A zero shift of a ProfiniteShiftAction, or a generator equal to the
     identity, acts as the identity."""
     line = DirectSum(FiniteProduct((2,)), FreeAbelian(1))
-    assert _cotrajectory_mask(ProfiniteShiftAction(line, FreeAbelian(2), [(0,), (1,)])) == (0, 1)
-    assert _cotrajectory_mask(ProfiniteShiftAction(line, FreeCommutative(0), [])) == ()
+    assert _live_mask(ProfiniteShiftAction(line, FreeAbelian(2), [(0,), (1,)])) == (0, 1)
+    assert _live_mask(ProfiniteShiftAction(line, FreeCommutative(0), [])) == ()
     g = FiniteProduct((4, 6))
     n2 = FreeCommutative(2)
-    assert _cotrajectory_mask(Action(n2, g, [MatrixEndo(g, ((1, 2), (0, 5))), identity_endo(g)])) == (1, 0)
+    assert _live_mask(Action(n2, g, [MatrixEndo(g, ((1, 2), (0, 5))), identity_endo(g)])) == (1, 0)
 
 
 @pytest.mark.parametrize("prefix, digest", [
@@ -1234,9 +1249,9 @@ def test_cotrajectory_orbit_route_matches_the_full_walk_on_a_random_family():
         gamma, u = _dual_pair(alpha, b)
         walk = _subgroup_accumulator(alpha, b)
         engine = _GrowingCotrajectory(gamma, u)
-        assert engine._shift_orbit(walk._mask) is not None, n
-        got = list(engine.counts_along(net, prefix, walk._mask))
-        assert got == list(_counts_along(_GrowingCotrajectory(gamma, u), net, prefix)), n
+        assert engine._shift_orbit() is not None, n
+        got = list(engine.counts_along(net, prefix))
+        assert got == full_walk(gamma, u, net, prefix), n
         assert [order for _, order in walk.counts_along(net, prefix)] == [index for _, index in got], n
         if engine.limit is not None and walk.limit is not None:
             assert engine.limit == walk.limit, n
@@ -1262,32 +1277,119 @@ def test_cotrajectory_orbit_state_is_the_projection():
     b = Subgroup.generated(group, [group.element({(2,): (1,)}), group.element({(0,): (1,), (1,): (1,)})])
     gamma, u = _dual_pair(alpha, b)
     engine = _GrowingCotrajectory(gamma, u)
-    got = list(engine.counts_along(box_net(N1), 6, (1,)))
-    assert got == list(_counts_along(_GrowingCotrajectory(gamma, u), box_net(N1), 6))
+    got = list(engine.counts_along(box_net(N1), 6))
+    assert got == full_walk(gamma, u, box_net(N1), 6)
     assert [index for _, index in got] == [4, 16, 32, 64, 128, 256]
     assert engine.limit == (2, 2)
 
 
-def test_cotrajectory_orbit_route_leaves_the_other_duals_to_the_shell_walk():
-    """A shift by 2, two live shifts, a 2-D index, a monoid coordinate Z
-    over a one-sided index, a shift by -1 over N and a finite product
-    keep the live-shell walk."""
+def mask_cases():
+    """(alpha, B): the random orbit family, the identity-generator bridges
+    and every bridge builtin."""
+    rng = random.Random("cotrajectory-orbit-route")
+    for _ in range(300):
+        yield cotrajectory_orbit_case(rng)[:2]
+    for alpha, b, _, _ in _identity_generator_bridges():
+        yield alpha, b
+    for name in BRIDGE_BUILTINS:
+        yield cli._action_parts(cli.BUILTINS[name])[:2]
+
+
+def test_the_dual_derives_the_live_mask_of_the_trajectory():
+    """The cotrajectory reads its live mask off gamma alone, and it is the
+    trajectory's mask: the dual of a generator that acts as the identity
+    is the identity, and the dual of any other generator is not."""
+    cases = list(mask_cases())
+    assert len(cases) == 303 + len(BRIDGE_BUILTINS)
+    pinned = 0
+    for n, (alpha, b) in enumerate(cases):
+        mask = _subgroup_accumulator(alpha, b)._mask
+        assert _GrowingCotrajectory(*_dual_pair(alpha, b))._mask == mask, n
+        pinned += 0 in mask
+    assert pinned > 50
+
+
+def budget_stop(engine, net, prefix):
+    with pytest.raises(BudgetExceededError) as err:
+        list(engine.counts_along(net, prefix))
+    return str(err.value).split(" visited")[0], err.value.completed, err.value.index
+
+
+@pytest.mark.parametrize("case", range(4), ids=["bridge-bernoulli", "qv-bridge", "Z2-x-Z", "N2-finite"])
+def test_both_sides_charge_one_budget(case, tmp_path):
+    """Each side alone runs out of a budget at the element and net index
+    where the other does: on bridge-bernoulli, whose orbit certifies at
+    once, and on the identity-generator bridges, two on the orbit route
+    and one on the live-shell walk.  A bridge run names the trajectory,
+    which it walks first."""
+    if case == 0:
+        alpha, b, net = cli._action_parts(cli.BUILTINS["bridge-bernoulli"])
+        prefix = 12
+    else:
+        alpha, b, net, prefix = list(_identity_generator_bridges())[case - 1]
+    gamma, u = _dual_pair(alpha, b)
+    sizes = [net.size(i) for i in range(1, prefix + 1)]
+    for budget in sorted({size + d for size in sizes for d in (-1, 0, 1)} - {sizes[-1], sizes[-1] + 1}):
+        walk = budget_stop(_subgroup_accumulator(alpha, b, budget), net, prefix)
+        cot = budget_stop(_GrowingCotrajectory(gamma, u, budget), net, prefix)
+        assert walk[0] == "subgroup trajectory" and cot[0] == "cotrajectory"
+        assert walk[1:] == cot[1:], budget
+        with pytest.raises(BudgetExceededError) as err:
+            bridge_check(alpha, b, net, prefix, budget)
+        assert str(err.value).startswith("subgroup trajectory") and err.value.index == walk[2]
+    if case == 0:
+        assert cli.run_scenario("bridge-bernoulli", tmp_path, budget=5) == (3, (
+            "budget exceeded: subgroup trajectory visited more than 5 monoid elements"
+            " (ran out at (5,), net index 6)"))
+
+
+def refused_orbit_shapes():
+    """shape -> (alpha, gamma): actions whose one live generator is not a
+    shift by +-1 that the orbit route takes, on the trajectory side (alpha)
+    and on the dual side (gamma, None where the shape has no dual)."""
     line = DirectSum(FiniteProduct((2,)), N1)
     two_sided = DirectSum(FiniteProduct((2,)), Z1)
     plane = DirectSum(FiniteProduct((3,)), FreeAbelian(2))
-    cases = [
-        (ProfiniteShiftAction(line, N1, [(2,)]), (1,)),
-        (ProfiniteShiftAction(two_sided, FreeCommutative(2), [(1,), (-1,)]), (1, 1)),
-        (ProfiniteShiftAction(plane, Z1, [(1, 0)]), (1,)),
-        (ProfiniteShiftAction(line, Z1, [(1,)]), (1,)),
-        (ProfiniteShiftAction(line, N1, [(-1,)]), (1,)),
-    ]
-    for gamma, live in cases:
-        u = OpenSubgroup(gamma.space, (gamma.space.index.identity,), ((1,),))
-        assert _GrowingCotrajectory(gamma, u)._shift_orbit(live) is None
+    doubles, _, _ = cli._action_parts(cli.BUILTINS["restricted-shift-doubles"])
+    thirds = doubles.group
+    n2, z2 = FreeCommutative(2), FreeAbelian(2)
+    over_z = ProductMonoid((Z1, N1))
     g = FiniteProduct((4, 6))
-    gamma = Action(N1, g, [MatrixEndo(g, ((1, 2), (3, 1)))])
-    assert _GrowingCotrajectory(gamma, Subgroup.generated(g, [(2, 3)]))._shift_orbit((1,)) is None
+    square = FiniteProduct((7, 7))
+    vanishing, _, _ = cli._action_parts(cli.BUILTINS["quotient-vanishing"])
+    return {
+        "shift-by-2": (doubles, ProfiniteShiftAction(line, N1, [(2,)])),
+        "two-live-shifts": (Action(n2, thirds, [shift_endo(thirds, (1,)), shift_endo(thirds, (2,))]),
+                            ProfiniteShiftAction(two_sided, n2, [(1,), (-1,)])),
+        "2-D-index": (Action(z2, plane, [shift_endo(plane, (1, 0)), shift_endo(plane, (0, 0))]),
+                      ProfiniteShiftAction(plane, Z1, [(1, 0)])),
+        "Z-over-N": (Action(over_z, line, [shift_endo(line, (1,)), identity_endo(line)]),
+                     ProfiniteShiftAction(line, Z1, [(1,)])),
+        "minus-1-over-N": (Action(N1, line, [shift_endo(line, (-1,))]),
+                           ProfiniteShiftAction(line, N1, [(-1,)])),
+        "finite-product": (Action(ProductMonoid((FiniteAbelianMonoid((3,)), Z1)), square,
+                                  [MatrixEndo(square, ((2, 0), (0, 4))), MatrixEndo(square, ((3, 0), (0, 5)))]),
+                           Action(N1, g, [MatrixEndo(g, ((1, 2), (3, 1)))])),
+        "conjugated-shift": (conjugate_action(vanishing, GroupIso.negation(vanishing.group),
+                                              MonoidIso.negation(vanishing.monoid)), None),
+    }
+
+
+@pytest.mark.parametrize("shape", list(refused_orbit_shapes()))
+def test_refused_orbit_shapes_keep_the_shell_walk(shape):
+    """Neither engine takes the orbit route for these shapes: a shift by
+    2, two live shifts, a 2-D index, a monoid coordinate Z over a one-sided
+    index, -1 over N, a finite product and (trajectory side only) a
+    conjugated shift.  Each keeps the live-shell walk."""
+    alpha, gamma = refused_orbit_shapes()[shape]
+    assert _GrowingTrajectory(alpha, Subgroup.trivial(alpha.group))._shift_orbit() is None
+    if gamma is None:
+        return
+    if isinstance(gamma, ProfiniteShiftAction):
+        u = OpenSubgroup(gamma.space, (gamma.space.index.identity,), ((1,),))
+    else:
+        u = Subgroup.generated(gamma.group, [(2, 3)])
+    assert _GrowingCotrajectory(gamma, u)._shift_orbit() is None
 
 
 @pytest.mark.parametrize("index, prefix", [(N1, 6), (Z1, 5)])
@@ -1302,10 +1404,9 @@ def test_an_empty_support_keeps_index_one(index, prefix):
     gamma, u = _dual_pair(alpha, b)
     assert u.support == ()
     engine = _GrowingCotrajectory(gamma, u)
-    assert [count for _, count in engine.counts_along(net, prefix, (1,))] == [1] * prefix
+    assert [count for _, count in engine.counts_along(net, prefix)] == [1] * prefix
     assert engine.limit == (1, 0)
-    full = _counts_along(_GrowingCotrajectory(gamma, u), net, prefix)
-    assert [count for _, count in full] == [1] * prefix
+    assert [count for _, count in full_walk(gamma, u, net, prefix)] == [1] * prefix
     report = bridge_check(alpha, b, net, prefix)
     assert report.exact_at_every_index
     assert [row.log_index for row in report.rows] == [0.0] * prefix

@@ -15,7 +15,7 @@ ALLOWED = {
     "conjugate_action": "ROADMAP item 4 (restriction and conjugation laws)",
     "GroupIso.from_matrix": "ROADMAP item 4 (restriction and conjugation laws)",
     "h_top_estimate": "ROADMAP item 9 (compact-side ratio table)",
-    "sample_axioms": "ROADMAP item 5 (an integral check of the axioms)",
+    "sample_axioms": "ROADMAP item 4 (an integral check of the axioms)",
     "split_extension_net": "ROADMAP item 11 (split-extension Fubini machinery)",
     "SplitExtensionNet.folner_net": "ROADMAP item 11 (split-extension Fubini machinery)",
     "semidirect_quotient_hom": "ROADMAP item 11 (split-extension Fubini machinery)",
