@@ -78,7 +78,6 @@ from .folner import (
     product_net,
     remtil_check,
     semidirect_defect,
-    split_extension_net,
     translate_net,
     verify_folner,
 )
@@ -107,14 +106,10 @@ from .monoid import (
     ProductMonoid,
     Section,
     SemidirectZZ,
-    fiber,
-    fiber_conjugation,
     find_good_section,
-    is_good_element,
     mod_hom,
     projection_hom,
     scale_hom,
-    semidirect_quotient_hom,
     set_product,
     sym_diff_ratio,
 )

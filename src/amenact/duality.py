@@ -186,6 +186,7 @@ class ProfiniteShiftAction:
         self.space = space
         self.monoid = monoid
         self.shifts = [tuple(shift) for shift in shifts]
+        self._steps = [ShiftEndo(space, shift) for shift in self.shifts]
         # entry k of every shift, per index coordinate k (none if no generator)
         self._columns = list(zip(*shifts)) or [()] * space.index.dim
 
@@ -198,7 +199,7 @@ class ProfiniteShiftAction:
     def _generator_step(self, j, step):
         """Generator j's shift of the direct sum, whose adjoint it is (as
         ``Action._generator_step``, for step 1)."""
-        return ShiftEndo(self.space, self.shifts[j])
+        return self._steps[j]
 
 
 def cotrajectory_window(

@@ -26,12 +26,8 @@ class NotInvariantError(AmenactError):
         self.element = element
 
 
-class NotSemiGoodError(AmenactError):
-    """Fiber conjugation was requested at an element that is not semi-good."""
-
-
 class UndecidableFamilyError(AmenactError):
-    """No symbolic goodness rule is available for this homomorphism family."""
+    """No rule is available for this monoid or homomorphism family."""
 
 
 class BudgetExceededError(AmenactError):

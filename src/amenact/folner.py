@@ -30,7 +30,6 @@ from .monoid import (
     MonoidHom,
     MSubset,
     ProductMonoid,
-    Section,
     SemidirectZZ,
     set_product,
 )
@@ -363,89 +362,6 @@ def kernel_box_net(pi: MonoidHom) -> FolnerNet:
         return frozenset(map(embed, inner.shell(i).elements))
 
     return FolnerNet(pi.source, gen, "ker-boxes", shell)
-
-
-def _solve_left_factor(monoid, w1, w2):
-    """z with w1 = z * w2, for group or commutative families."""
-    if monoid.is_group:
-        return monoid.op(w1, monoid.inverse(w2))
-    z = tuple(a - b for a, b in zip(w1, w2))
-    if not monoid.contains(z):
-        raise UndecidableFamilyError("correction element escapes the monoid")
-    return z
-
-
-def split_extension_net(
-    n_canon: CanonicalNet, c_canon: CanonicalNet, pi: MonoidHom, sigma: Section
-) -> "SplitExtensionNet":
-    return SplitExtensionNet(n_canon, c_canon, pi, sigma)
-
-
-class SplitExtensionNet:
-    """The canonically indexed net N_(zeta(Y,n) u X, m) sigma(C_(Y,n)) on S,
-    over pairs ((X, m), (Y, n)) with m >= n."""
-
-    def __init__(self, n_canon, c_canon, pi, sigma):
-        self.pi = pi
-        self.sigma = sigma
-        self.n_canon = n_canon
-        self.c_canon = c_canon
-        self.monoid = pi.source
-        self.n_embed = pi.kernel_embedding()[1]
-
-    def _zeta(self, c_part: MSubset, x_elems, y_elems):
-        """Correction elements z_{c,x} and z_{c,y}, expressed in N coords."""
-        s_mon = self.monoid
-        sigma = self.sigma
-        out = {self.n_canon.monoid.identity}
-        for c in c_part:
-            sc = sigma(c)
-            for x in x_elems:
-                w1 = s_mon.op(sc, self.n_embed(x))
-                z = _solve_left_factor(s_mon, w1, sc)
-                out.add(self.pi.kernel_express(z))
-            for y in y_elems:
-                w1 = s_mon.op(sc, sigma(y))
-                w2 = sigma(self.pi.target.op(c, y))
-                z = _solve_left_factor(s_mon, w1, w2)
-                out.add(self.pi.kernel_express(z))
-        return out
-
-    def at(self, x: MSubset, m: int, y: MSubset, n: int) -> MSubset:
-        if m < n:
-            raise ValueError("the index set requires m >= n")
-        c_part = self.c_canon.at(y, n)
-        zeta = self._zeta(c_part, x.elements, y.elements)
-        n_index = MSubset(self.n_canon.monoid, frozenset(zeta) | x.elements)
-        n_part = self.n_canon.at(n_index, m)
-        lifted_n = frozenset(self.n_embed(t) for t in n_part.elements)
-        lifted_c = frozenset(self.sigma(c) for c in c_part.elements)
-        f = set_product(MSubset(self.monoid, lifted_n), MSubset(self.monoid, lifted_c))
-        if len(f) != len(n_part) * len(c_part):
-            raise UndecidableFamilyError("good-section bijection failed")
-        return f
-
-    def folner_net(self, x: MSubset | None = None, y: MSubset | None = None) -> FolnerNet:
-        """Diagonal linearization with the m >= n filter applied."""
-        n_mon, c_mon = self.n_canon.monoid, self.c_canon.monoid
-        if x is None:
-            x = MSubset(n_mon, frozenset([n_mon.identity] + n_mon.generators()))
-        if y is None:
-            y = MSubset(c_mon, frozenset([c_mon.identity] + c_mon.generators()))
-
-        def pair(index: int):
-            m, count = 1, 0
-            while True:
-                if index <= count + m:
-                    return (m, index - count)
-                count += m
-                m += 1
-
-        def gen(i):
-            m, n = pair(i)
-            return self.at(x, m, y, n)
-
-        return FolnerNet(self.monoid, gen, "split-extension")
 
 
 def semidirect_defect(n: int, m: int, x, budget: int = DEFAULT_ELEMENT_BUDGET) -> Fraction:

@@ -20,7 +20,6 @@ from operator import add
 
 from .errors import (
     MonoidMismatchError,
-    NotSemiGoodError,
     UndecidableFamilyError,
 )
 
@@ -330,8 +329,8 @@ class SemidirectZZ(Monoid):
 class CappedAdd(MonoidBase):
     """{0, ..., cap} with x (+) y = min(cap, x + y).
 
-    Not cancellative; allowed only as the target of a homomorphism (the
-    no-good-section fixture), never as an acting monoid.
+    Not cancellative, so |F s| < |F| can happen: the non-injective monoid
+    that the Folner diagnostics are tested on, never an acting monoid.
     """
 
     cap: int
@@ -478,7 +477,7 @@ class MonoidHom:
 
     source: MonoidBase
     target: MonoidBase
-    kind: str  # 'project' | 'mod' | 'scale' | 'semidirect-c'
+    kind: str  # 'project' | 'mod' | 'scale'
     data: tuple = ()
 
     def __call__(self, x):
@@ -488,8 +487,6 @@ class MonoidHom:
             return tuple(a % n for a, n in zip(x, self.target.factors))
         if self.kind == "scale":
             return tuple(a * k for a, k in zip(x, self.data))
-        if self.kind == "semidirect-c":
-            return (x[2],)
         raise UndecidableFamilyError(self.kind)
 
     def apply_set(self, F: MSubset) -> MSubset:
@@ -518,27 +515,6 @@ class MonoidHom:
             else:
                 raise UndecidableFamilyError(f"mod kernel for {src}")
             return n, lambda t: tuple(a * m for a, m in zip(t, factors))
-        if self.kind == "semidirect-c":
-            return FreeAbelian(2), lambda t: (t[0], t[1], 0)
-        raise UndecidableFamilyError(f"kernel of {self.kind}")
-
-    def kernel_express(self, s):
-        """Inverse of the kernel embedding on elements of the kernel."""
-        src = self.source
-        if self.kind == "project":
-            kept = [i for i in range(src.dim) if i not in self.data]
-            if any(s[i] != src.identity[i] for i in self.data):
-                raise MonoidMismatchError(f"{s} is not in the kernel")
-            return tuple(s[i] for i in kept)
-        if self.kind == "mod":
-            factors = self.target.factors
-            if any(a % n for a, n in zip(s, factors)):
-                raise MonoidMismatchError(f"{s} is not in the kernel")
-            return tuple(a // n for a, n in zip(s, factors))
-        if self.kind == "semidirect-c":
-            if s[2] != 0:
-                raise MonoidMismatchError(f"{s} is not in the kernel")
-            return (s[0], s[1])
         raise UndecidableFamilyError(f"kernel of {self.kind}")
 
     def __str__(self):
@@ -602,10 +578,6 @@ def scale_hom(source: Monoid, target: Monoid, scale) -> MonoidHom:
     return MonoidHom(source, target, "scale", tuple(scale))
 
 
-def semidirect_quotient_hom(source: SemidirectZZ) -> MonoidHom:
-    return MonoidHom(source, FreeAbelian(1), "semidirect-c", ())
-
-
 @dataclass(frozen=True)
 class Section:
     """A section of a surjective homomorphism, with sigma(1) = 1."""
@@ -621,8 +593,6 @@ class Section:
             return tuple(out)
         if pi.kind == "mod":
             return tuple(c)
-        if pi.kind == "semidirect-c":
-            return (0, 0, c[0])
         raise UndecidableFamilyError(pi.kind)
 
     def apply_set(self, Y: MSubset) -> MSubset:
@@ -631,67 +601,10 @@ class Section:
         return MSubset(self.hom.source, frozenset(self(c) for c in Y.elements))
 
 
-def fiber(pi: MonoidHom, c, bound: int) -> MSubset:
-    """pi^{-1}(c) intersected with the source's canonical window."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    win = pi.source.window(bound)
-    return MSubset(pi.source, frozenset(s for s in win.elements if pi(s) == c))
-
-
-def is_good_element(pi: MonoidHom, s) -> bool:
-    """Decide N s = fiber(s) = s N symbolically, per family."""
-    if not pi.is_surjective:
-        raise UndecidableFamilyError("goodness is defined for surjections only")
-    src = pi.source
-    if isinstance(src, Monoid) and src.is_group:
-        return True
-    if pi.kind == "project":
-        n, embed = pi.kernel_embedding()
-        kept = [i for i in range(src.dim) if i not in pi.data]
-        return n.is_unit(tuple(s[i] for i in kept))
-    if pi.kind == "mod":
-        # N + s covers the fiber iff s is the minimal representative
-        return all(0 <= a < m for a, m in zip(s, pi.target.factors))
-    raise UndecidableFamilyError(f"no goodness rule for {pi.kind} on {src}")
-
-
-def check_good_window(pi: MonoidHom, s, bound: int) -> bool:
-    """Bounded falsifier backing the symbolic goodness rule.
-
-    The inclusions Ns, sN <= fiber(s) hold tautologically, so the
-    falsifiable content is coverage: every fiber element inside the
-    source window must be reachable as ts and st with t from a kernel
-    window (taken with a margin so coverage is decided correctly).
-    """
-    n_mon, embed = pi.kernel_embedding()
-    if n_mon.dim:
-        win = n_mon.window(4 * bound).elements
-    else:
-        win = {()}
-    ns = {pi.source.op(embed(t), s) for t in win}
-    sn = {pi.source.op(s, embed(t)) for t in win}
-    fib_w = fiber(pi, pi(s), bound).elements
-    return fib_w <= ns and fib_w <= sn
-
-
 def find_good_section(pi: MonoidHom):
     """A good section with sigma(1) = 1."""
     if not pi.is_surjective:
         raise UndecidableFamilyError("sections are for surjections")
-    if pi.kind in ("project", "mod", "semidirect-c"):
+    if pi.kind in ("project", "mod"):
         return Section(pi)
     raise UndecidableFamilyError(f"no section rule for {pi.kind} on {pi.source}")
-
-
-def fiber_conjugation(pi: MonoidHom, sigma: Section, s, n):
-    """The unique h with n s = s h, for semi-good s."""
-    src = pi.source
-    if isinstance(src, SemidirectZZ):
-        if s[:2] != (0, 0):
-            raise NotSemiGoodError("only canonical-section elements are handled")
-        w = _mat_apply(src.phi(-s[2]), (n[0], n[1]))
-        return (w[0], w[1], 0)
-    if isinstance(src, (FreeCommutative, FreeAbelian, FiniteAbelianMonoid, ProductMonoid)):
-        return n  # commutative: h_s is the identity map
-    raise NotSemiGoodError(f"no conjugation rule for {src}")

@@ -17,6 +17,7 @@ from amenact.actions import (
     GroupIso,
     MatrixEndo,
     MonoidIso,
+    ShiftEndo,
     _GrowingTrajectory,
     _live_mask,
     _subgroup_accumulator,
@@ -1180,6 +1181,19 @@ def test_live_masks_of_dual_actions():
     g = FiniteProduct((4, 6))
     n2 = FreeCommutative(2)
     assert _live_mask(Action(n2, g, [MatrixEndo(g, ((1, 2), (0, 5))), identity_endo(g)])) == (1, 0)
+
+
+def test_dual_shift_builds_its_generator_steps_once(monkeypatch, tmp_path):
+    """A ProfiniteShiftAction builds one ShiftEndo per generator when it is
+    made, and every later step reads it back: bridge-bernoulli builds 4."""
+    built, post_init = [], ShiftEndo.__post_init__
+    monkeypatch.setattr(ShiftEndo, "__post_init__", lambda self: built.append(1) or post_init(self))
+    assert cli.run_scenario("bridge-bernoulli", tmp_path)[0] == 0
+    assert len(built) == 4
+    gamma = ProfiniteShiftAction(DirectSum(FiniteProduct((2,)), FreeAbelian(1)), FreeAbelian(2), [(1,), (0,)])
+    built.clear()
+    steps = [gamma._generator_step(j, 1) for j in (0, 1, 0)]
+    assert built == [] and steps[0] is steps[2] and steps[1].shift == (0,)
 
 
 @pytest.mark.parametrize("prefix, digest", [

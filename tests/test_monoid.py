@@ -13,14 +13,9 @@ from amenact.monoid import (
     MSubset,
     ProductMonoid,
     SemidirectZZ,
-    check_good_window,
-    fiber,
-    fiber_conjugation,
     find_good_section,
-    is_good_element,
     mod_hom,
     projection_hom,
-    semidirect_quotient_hom,
     set_product,
     sym_diff_ratio,
 )
@@ -106,42 +101,6 @@ def test_translation_preserves_eps_equiv_and_cardinality():
         assert len(t1.elements ^ t2.elements) <= eps * 6
 
 
-# --- fibers ------------------------------------------------------------------
-
-def test_fiber_mod3_window():
-    pi = mod_hom(N, (3,))
-    assert fiber(pi, (1,), 10).elements == {(1,), (4,), (7,)}
-
-
-def test_fiber_product_projection_exact():
-    s = ProductMonoid((FiniteAbelianMonoid((2,)), FreeAbelian(1)))
-    pi = projection_hom(s, (1,))
-    assert fiber(pi, (5,), 6).elements == {(0, 5), (1, 5)}
-
-
-def test_fiber_first_projection_Z2():
-    pi = projection_hom(Z2, (0,))
-    n = 3
-    assert fiber(pi, (0,), n).elements == {(0, j) for j in range(-n, n + 1)}
-
-
-# --- goodness ----------------------------------------------------------------
-
-def test_good_elements_of_mod3():
-    pi = mod_hom(N, (3,))
-    assert is_good_element(pi, (1,))
-    assert not is_good_element(pi, (4,))
-    assert check_good_window(pi, (1,), 15)
-    assert not check_good_window(pi, (4,), 15)
-
-
-def test_group_homs_are_all_good():
-    pi = mod_hom(Z, (5,))
-    for s in [(-7,), (0,), (13,)]:
-        assert is_good_element(pi, s)
-        assert check_good_window(pi, s, 10)
-
-
 def test_minimal_section_for_mod_n():
     pi = mod_hom(N, (4,))
     sigma = find_good_section(pi)
@@ -154,8 +113,6 @@ def test_canonical_section_for_product_projection():
     pi = projection_hom(s, (1,))
     sigma = find_good_section(pi)
     assert sigma((2,)) == (0, 2)
-    assert is_good_element(pi, sigma((2,)))
-    assert not is_good_element(pi, (1, 2))  # nontrivial N-part of N^1 is not a unit
 
 
 def test_good_section_gives_bijection_on_windows():
@@ -166,26 +123,9 @@ def test_good_section_gives_bijection_on_windows():
     pairs = [(t, (c,)) for t in range(8) for c in range(3)]
     images = {pi.source.op(embed((t,)), sigma(c)) for t, c in pairs}
     assert len(images) == len(pairs)
-    assert set(fiber(pi, (0,), 20).elements) <= images | {(i,) for i in range(24, 100)}
+    assert {(i,) for i in range(0, 21, 3)} <= images | {(i,) for i in range(24, 100)}
     window = {(i,) for i in range(24)}
     assert window <= images
-
-
-def test_fiber_conjugation_commutative_and_semidirect():
-    pi = mod_hom(N, (3,))
-    sigma = find_good_section(pi)
-    assert fiber_conjugation(pi, sigma, sigma((1,)), (6,)) == (6,)
-
-    g = SemidirectZZ()
-    pi2 = semidirect_quotient_hom(g)
-    sigma2 = find_good_section(pi2)
-    s = sigma2((4,))
-    n = (2, 3, 0)
-    h = fiber_conjugation(pi2, sigma2, s, n)
-    assert g.op(n, s) == g.op(s, h)
-    assert h[2] == 0
-    e = g.identity
-    assert fiber_conjugation(pi2, sigma2, s, e) == e
 
 
 def test_kernel_embeddings():
@@ -198,8 +138,3 @@ def test_kernel_embeddings():
     n2, embed2 = pi2.kernel_embedding()
     assert n2 == FreeAbelian(1)
     assert embed2((5,)) == (0, 5)
-
-    pi3 = semidirect_quotient_hom(SemidirectZZ())
-    n3, embed3 = pi3.kernel_embedding()
-    assert n3 == FreeAbelian(2)
-    assert embed3((1, 2)) == (1, 2, 0)
